@@ -19,7 +19,7 @@ from . import __version__
 from .annotators import staple, train_min_loss_label, train_with_confusion
 from .data import gen_blobs, gen_rings, load_csv, split
 from .losses import LossSpec
-from .model import TrainConfig, predict_probs, train
+from .model import DivergedError, TrainConfig, predict_probs, train
 from .noise import (TransitionMatrix, feature_dependent_inject, inject,
                     simulate_annotators, symmetric_transition)
 from .numerics import Rng
@@ -213,7 +213,7 @@ def run_experiment(cfg):
     try:
         params, history, diagnostics = _run_method(
             cfg, method, method_kind, noisy, test_ds, true_T)
-    except (ConfigError, ValueError) as e:
+    except (ValueError, DivergedError) as e:
         raise PipelineError("train", e) from e
     try:
         truth = test_ds.true_labels if test_ds.true_labels is not None \

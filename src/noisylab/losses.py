@@ -31,8 +31,10 @@ class LossSpec:
             raise ValueError(f"{kind} correction requires a transition matrix")
         if base not in ("ce", "mae"):
             raise ValueError("backward base must be ce or mae")
+        self.t_inv = None
         if kind == "backward":
             _check_invertible(transition.t)
+            self.t_inv = np.linalg.inv(transition.t)
         self.kind = kind
         self.tau = float(tau)
         self.epsilon = float(epsilon)
@@ -74,59 +76,67 @@ def _check_invertible(t):
     return cond
 
 
-def ce(probs, y):
-    """Cross-entropy -log p_y with the log clamped at 1e-12."""
-    return -np.log(max(float(probs[y]), LOG_CLAMP))
+def loss_and_grad(spec, probs, y):
+    """Batched losses: values (N,) and gradients wrt the logits (N, K) for
+    softmax outputs probs (N, K) and labels y (N,). The only per-kind
+    dispatch; iMAE has no primitive value and reports the MAE value."""
+    P = np.asarray(probs, dtype=np.float64)
+    y = np.asarray(y, dtype=np.intp)
+    rows = np.arange(len(y))
+    p_y = P[rows, y]
+    onehot = np.zeros_like(P)
+    onehot[rows, y] = 1.0
+    if spec.kind == "ce":
+        return -np.log(np.maximum(p_y, LOG_CLAMP)), P - onehot
+    if spec.kind in ("mae", "imae"):
+        # MAE's gradient has l1 norm 4 p_y (1 - p_y). iMAE keeps its
+        # direction, scaled to l1 norm exp(tau p_y)(1 - p_y) since
+        # ||e - p||_1 = 2(1 - p_y); the p_y -> 0 limit direction is used so
+        # the weight does not vanish on hard samples.
+        scale = (-2.0 * p_y if spec.kind == "mae"
+                 else -0.5 * np.exp(spec.tau * p_y))
+        return 2.0 * (1.0 - p_y), scale[:, None] * (onehot - P)
+    if spec.kind == "smooth_kl":
+        # KL(q || p) against q = (1 - eps) e_y + eps / K; zero entries of q
+        # contribute nothing
+        q = spec.epsilon / P.shape[1] + (1.0 - spec.epsilon) * onehot
+        log_q = np.log(np.where(q > 0, q, 1.0))
+        values = np.sum(q * (log_q - np.log(np.maximum(P, LOG_CLAMP))),
+                        axis=1)
+        return values, P - q
+    if spec.kind == "backward":
+        # Patrini backward correction: component y of T^{-1} l(p); may be
+        # negative, which unbiasedness requires
+        W = spec.t_inv[y]
+        values = np.sum(W * loss_vector(spec.base, P), axis=1)
+        if spec.base == "ce":
+            return values, W.sum(axis=1, keepdims=True) * P - W
+        WP = W * P
+        return values, 2.0 * (WP.sum(axis=1, keepdims=True) * P - WP)
+    if spec.kind == "forward":
+        values, G, _ = mixed_ce(spec.transition.t, P, y)
+        return values, G
+    raise ValueError(spec.kind)
 
 
-def ce_grad_logits(probs, y):
-    g = np.array(probs, dtype=np.float64)
-    g[y] -= 1.0
-    return g
+def mixed_ce(T, probs, y):
+    """CE of q = T^T p against label y, batched (Patrini forward correction;
+    also the noise-adaptation layer with T its realized transition). Returns
+    (values, gradients wrt the logits, clamped q_y)."""
+    cols = T[:, y].T  # row r: d q_{y_r} / d p
+    q_y = np.maximum(np.sum(cols * probs, axis=1), LOG_CLAMP)
+    V = -cols / q_y[:, None]
+    return -np.log(q_y), grad_probs_to_logits(probs, V), q_y
 
 
-def mae(probs, y):
-    """l1 distance between one-hot truth and prediction: 2(1 - p_y)."""
-    return 2.0 * (1.0 - float(probs[y]))
-
-
-def mae_grad_logits(probs, y):
-    """Gradient wrt logits; its l1 norm is exactly 4 p_y (1 - p_y)."""
+def grad_probs_to_logits(probs, dl_dprobs):
+    """Chain a gradient wrt softmax outputs through the softmax Jacobian;
+    rows of (N, K) inputs are chained independently."""
     p = np.asarray(probs, dtype=np.float64)
-    e = np.zeros_like(p)
-    e[y] = 1.0
-    return -2.0 * p[y] * (e - p)
-
-
-def imae_grad_logits(probs, y, tau=8.0):
-    """MAE gradient direction rescaled to l1 norm exp(tau*p_y)(1-p_y)."""
-    p = np.asarray(probs, dtype=np.float64)
-    e = np.zeros_like(p)
-    e[y] = 1.0
-    # -(e - p) * exp(tau p_y)/2 has l1 norm exp(tau p_y)(1 - p_y) since
-    # ||e - p||_1 = 2(1 - p_y); the p_y -> 0 limit direction is used so the
-    # weight does not vanish on hard samples.
-    return -0.5 * np.exp(tau * p[y]) * (e - p)
-
-
-def smooth_target(y, K, epsilon):
-    q = np.full(K, epsilon / K)
-    q[y] += 1.0 - epsilon
-    return q
-
-
-def smooth_kl(probs, y, epsilon):
-    """KL(q || p) against the smoothed one-hot target q."""
-    p = np.asarray(probs, dtype=np.float64)
-    q = smooth_target(y, len(p), epsilon)
-    pc = np.maximum(p, LOG_CLAMP)
-    nz = q > 0
-    return float(np.sum(q[nz] * (np.log(q[nz]) - np.log(pc[nz]))))
-
-
-def smooth_kl_grad_logits(probs, y, epsilon):
-    p = np.asarray(probs, dtype=np.float64)
-    return p - smooth_target(y, len(p), epsilon)
+    v = np.asarray(dl_dprobs, dtype=np.float64)
+    if v.ndim == 1:
+        return p * (v - float(v @ p))
+    return p * (v - np.sum(v * p, axis=1, keepdims=True))
 
 
 def loss_vector(base, probs):
@@ -140,85 +150,62 @@ def loss_vector(base, probs):
     raise ValueError("loss_vector: base must be ce or mae")
 
 
-def _loss_vector_grad_logits(base, probs):
-    """Rows j: gradient wrt logits of the per-label loss component j."""
-    p = np.asarray(probs, dtype=np.float64)
-    K = len(p)
-    eye = np.eye(K)
-    if base == "ce":
-        return p[None, :] - eye
-    if base == "mae":
-        return -2.0 * p[:, None] * (eye - p[None, :])
-    raise ValueError("base must be ce or mae")
+def loss_value(spec, probs, y):
+    """Scalar loss of one sample (iMAE reports the MAE value)."""
+    return loss_and_grad(spec, np.asarray(probs)[None, :], [y])[0][0]
+
+
+def loss_grad_logits(spec, probs, y):
+    """Gradient wrt the logits of one sample's loss."""
+    return loss_and_grad(spec, np.asarray(probs)[None, :], [y])[1][0]
+
+
+# Per-sample forms of each loss, as named in the papers.
+
+def ce(probs, y):
+    """Cross-entropy -log p_y with the log clamped at 1e-12."""
+    return loss_value(LossSpec("ce"), probs, y)
+
+
+def ce_grad_logits(probs, y):
+    return loss_grad_logits(LossSpec("ce"), probs, y)
+
+
+def mae(probs, y):
+    """l1 distance between one-hot truth and prediction: 2(1 - p_y)."""
+    return loss_value(LossSpec("mae"), probs, y)
+
+
+def mae_grad_logits(probs, y):
+    """Gradient wrt logits; its l1 norm is exactly 4 p_y (1 - p_y)."""
+    return loss_grad_logits(LossSpec("mae"), probs, y)
+
+
+def imae_grad_logits(probs, y, tau=8.0):
+    """MAE gradient direction rescaled to l1 norm exp(tau*p_y)(1-p_y)."""
+    return loss_grad_logits(LossSpec("imae", tau=tau), probs, y)
+
+
+def smooth_kl(probs, y, epsilon):
+    """KL(q || p) against the smoothed one-hot target q."""
+    return loss_value(LossSpec("smooth_kl", epsilon=epsilon), probs, y)
+
+
+def smooth_kl_grad_logits(probs, y, epsilon):
+    return loss_grad_logits(LossSpec("smooth_kl", epsilon=epsilon), probs, y)
 
 
 def backward_corrected(T, probs, observed_y, base="ce"):
     """Patrini backward correction: component observed_y of T^{-1} l(p).
     May be negative; that is required for unbiasedness."""
-    _check_invertible(T.t)
-    inv_row = np.linalg.solve(T.t.T, np.eye(T.k)[observed_y])  # row of T^-1
-    return float(inv_row @ loss_vector(base, probs))
-
-
-def backward_corrected_grad_logits(T, probs, observed_y, base="ce"):
-    inv_row = np.linalg.solve(T.t.T, np.eye(T.k)[observed_y])
-    return inv_row @ _loss_vector_grad_logits(base, probs)
+    return loss_value(LossSpec("backward", transition=T, base=base), probs,
+                      observed_y)
 
 
 def forward_corrected(T, probs, observed_y):
     """Patrini forward correction: CE of q = T^T p against the observed
     label; q is a valid probability vector by stochastic mixing."""
-    q = T.t.T @ np.asarray(probs, dtype=np.float64)
-    return -np.log(max(float(q[observed_y]), LOG_CLAMP))
-
-
-def forward_corrected_grad_logits(T, probs, observed_y):
-    p = np.asarray(probs, dtype=np.float64)
-    q_y = max(float(T.t.T[observed_y] @ p), LOG_CLAMP)
-    dl_dp = -T.t[:, observed_y] / q_y
-    return grad_probs_to_logits(p, dl_dp)
-
-
-def grad_probs_to_logits(probs, dl_dprobs):
-    """Chain a gradient wrt softmax outputs through the softmax Jacobian."""
-    p = np.asarray(probs, dtype=np.float64)
-    v = np.asarray(dl_dprobs, dtype=np.float64)
-    return p * (v - float(v @ p))
-
-
-def loss_value(spec, probs, y):
-    """Scalar loss for specs that define one (iMAE does not)."""
-    if spec.kind == "ce":
-        return ce(probs, y)
-    if spec.kind == "mae":
-        return mae(probs, y)
-    if spec.kind == "smooth_kl":
-        return smooth_kl(probs, y, spec.epsilon)
-    if spec.kind == "backward":
-        return backward_corrected(spec.transition, probs, y, spec.base)
-    if spec.kind == "forward":
-        return forward_corrected(spec.transition, probs, y)
-    if spec.kind == "imae":
-        # no closed-form primitive; report the underlying MAE value
-        return mae(probs, y)
-    raise ValueError(spec.kind)
-
-
-def loss_grad_logits(spec, probs, y):
-    if spec.kind == "ce":
-        return ce_grad_logits(probs, y)
-    if spec.kind == "mae":
-        return mae_grad_logits(probs, y)
-    if spec.kind == "imae":
-        return imae_grad_logits(probs, y, spec.tau)
-    if spec.kind == "smooth_kl":
-        return smooth_kl_grad_logits(probs, y, spec.epsilon)
-    if spec.kind == "backward":
-        return backward_corrected_grad_logits(spec.transition, probs, y,
-                                              spec.base)
-    if spec.kind == "forward":
-        return forward_corrected_grad_logits(spec.transition, probs, y)
-    raise ValueError(spec.kind)
+    return loss_value(LossSpec("forward", transition=T), probs, observed_y)
 
 
 def has_primitive_value(spec):

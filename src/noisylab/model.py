@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import (LossSpec, grad_probs_to_logits, loss_grad_logits,
-                     loss_value)
+from .losses import (LossSpec, loss_and_grad, loss_grad_logits, loss_value,
+                     mixed_ce)
 from .numerics import Rng, softmax
 
 
@@ -198,20 +198,19 @@ def noisy_forward(params, x):
     return realized_transition(params.noise_layer).T @ p
 
 
-def noise_layer_grads(q, probs, observed_y):
-    """CE through the noise layer: returns (dloss/dlogits, dloss/dq, value).
-    probs is the base softmax output for one sample."""
+def noise_layer_grads(q, probs, observed_y, weigh):
+    """CE through the noise layer for a batch of base softmax outputs probs
+    (N, K). weigh maps the loss values (N,) to per-sample weights; a
+    re-weight hook needs the values first. Returns (weighted dloss/dlogits
+    (N, K), weighted sum of dloss/dq (K, K), loss values (N,))."""
     A = realized_transition(q)
-    s = A.T @ probs
-    s_y = max(float(s[observed_y]), 1e-12)
-    value = -np.log(s_y)
-    dl_dp = -A[:, observed_y] / s_y
-    g_logits = grad_probs_to_logits(probs, dl_dp)
-    dA = np.zeros_like(A)
-    dA[:, observed_y] = -probs / s_y
-    # chain each row through its softmax
+    values, G, s_y = mixed_ce(A, probs, observed_y)
+    w = weigh(values)
+    # dloss_r/dA is -p_r / s_r in column y_r; sum those, then chain each row
+    # through its softmax
+    dA = (probs * (-w / s_y)[:, None]).T @ np.eye(len(A))[observed_y]
     gq = A * (dA - np.sum(dA * A, axis=1, keepdims=True))
-    return g_logits, gq, value
+    return w[:, None] * G, gq, values
 
 
 # --- training ---------------------------------------------------------------
@@ -238,9 +237,11 @@ class TrainConfig:
 
 def train(ds, config, test_ds=None, params=None):
     """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
-    Returns (params, history); history rows carry the epoch's mean training
-    loss and clean-test accuracy when a test set is attached. Aborts with
-    DivergedError if the mean epoch loss goes non-finite."""
+    Losses and their gradients are computed one batch at a time; re-weight
+    hooks are asked once per kept sample. Returns (params, history);
+    history rows carry the epoch's mean training loss and clean-test
+    accuracy when a test set is attached. Aborts with DivergedError if the
+    mean epoch loss goes non-finite."""
     from .reweight import make_reweighter
     rng = Rng(config.seed)
     if params is None:
@@ -257,41 +258,43 @@ def train(ds, config, test_ds=None, params=None):
         order = rng.permutation(ds.n)
         epoch_losses = []
         kept = reweighter.epoch_kept_set(params, ds) if reweighter else None
+        keep = np.ones(ds.n, dtype=bool)
+        if kept is not None:
+            keep = np.zeros(ds.n, dtype=bool)
+            keep[np.fromiter(kept, dtype=np.intp, count=len(kept))] = True
         for start in range(0, ds.n, config.batch_size):
             idx = order[start:start + config.batch_size]
             logits, cache = forward_batch(params, X[idx])
             if not np.all(np.isfinite(logits)):
                 raise DivergedError(f"training diverged at epoch {epoch}")
             probs = softmax(logits)
-            G = np.zeros_like(logits)
-            gq = None
-            for r, i in enumerate(idx):
-                if params.noise_layer is not None:
-                    g_log, g_q, val = noise_layer_grads(
-                        params.noise_layer, probs[r], y[i])
-                else:
-                    val = loss_value(config.loss, probs[r], y[i])
-                    g_log = loss_grad_logits(config.loss, probs[r], y[i])
-                    g_q = None
-                epoch_losses.append(val)
-                w = 1.0
-                if kept is not None and i not in kept:
-                    w = 0.0
-                if w != 0.0 and reweighter:
-                    w *= reweighter.sample_weight(val, probs[r], y[i])
-                G[r] = w * g_log
-                if g_q is not None and w != 0.0:
-                    gq = (gq if gq is not None else 0.0) + w * g_q
+            yb = y[idx]
+
+            def weigh(values):
+                w = keep[idx].astype(np.float64)
+                if reweighter:
+                    for r in np.flatnonzero(w):
+                        w[r] *= reweighter.sample_weight(values[r], probs[r],
+                                                         yb[r])
+                return w
+
+            if params.noise_layer is not None:
+                G, gq, values = noise_layer_grads(params.noise_layer, probs,
+                                                  yb, weigh)
+            else:
+                values, G = loss_and_grad(config.loss, probs, yb)
+                G *= weigh(values)[:, None]
+            epoch_losses.append(values)
             scale = config.learning_rate / len(idx)
             grads = backward_batch(params, G, cache)
             for name in params.arrays:
                 params.arrays[name] -= scale * grads[name]
-            if gq is not None:
+            if params.noise_layer is not None:
                 q_lr = (config.noise_layer_lr
                         if config.noise_layer_lr is not None
                         else config.learning_rate)
                 params.noise_layer -= (q_lr / len(idx)) * gq
-        mean_loss = float(np.mean(epoch_losses))
+        mean_loss = float(np.mean(np.concatenate(epoch_losses)))
         if not np.isfinite(mean_loss):
             raise DivergedError(f"training diverged at epoch {epoch}")
         row = {"epoch": epoch, "train_loss": mean_loss}

@@ -10,8 +10,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import sample_categorical
-
 ROW_ATOL = 1e-9
 
 
@@ -65,9 +63,17 @@ def inject(ds, T, rng):
     if T.k != ds.num_classes:
         raise ValueError("inject: class count mismatch")
     truth = ds.true_labels if ds.true_labels is not None else ds.labels
-    noisy = np.array([sample_categorical(T.t[c], rng) for c in truth],
-                     dtype=np.int64)
+    noisy = draw_labels(T, truth, rng)
     return replace(ds, labels=noisy, true_labels=truth.copy())
+
+
+def draw_labels(T, truth, rng):
+    """One draw per sample from row truth[i] of T, consuming one uniform
+    each in order: the stream sample_categorical gives per sample, through
+    the same searchsorted side="right" rule and clamp to K - 1."""
+    u = rng.uniform(len(truth))
+    drawn = np.sum(np.cumsum(T.t, axis=1)[truth] <= u[:, None], axis=1)
+    return np.minimum(drawn, T.k - 1).astype(np.int64)
 
 
 def class_centroids(features, labels, K):
@@ -114,7 +120,7 @@ def simulate_annotators(ds, confusions, rng):
     truth = ds.true_labels if ds.true_labels is not None else ds.labels
     ann = np.empty((ds.n, len(confusions)), dtype=np.int64)
     for a, T in enumerate(confusions):
-        ann[:, a] = [sample_categorical(T.t[c], rng) for c in truth]
+        ann[:, a] = draw_labels(T, truth, rng)
     return replace(ds, annotator_labels=ann, true_labels=truth.copy())
 
 

@@ -10,7 +10,8 @@ from collections import deque
 
 import numpy as np
 
-from .losses import _check_invertible, loss_vector
+from .losses import (LossSpec, _check_invertible, loss_and_grad,
+                     loss_vector)
 
 
 class RunningLossFilter:
@@ -76,21 +77,16 @@ def trimmed_filter(losses, trim_fraction):
         raise ValueError("trim_fraction must be in [0,1)")
     losses = np.asarray(losses, dtype=np.float64)
     n_drop = int(math.ceil(trim_fraction * len(losses)))
-    if n_drop == 0:
-        return set(range(len(losses)))
     # sort descending by loss, then descending index among ties
-    order = sorted(range(len(losses)), key=lambda i: (-losses[i], -i))
-    return set(range(len(losses))) - set(order[:n_drop])
+    order = np.lexsort((-np.arange(len(losses)), -losses))
+    return set(order[n_drop:].tolist())
 
 
 def pumpout(T, base, probs, observed_y, gamma):
     """Gradient multiplier: -gamma (scaled ascent) when 1^T T^{-1} l(p) < 0,
     which flags a likely-incorrect label; +1 otherwise."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must be in (0,1)")
-    _check_invertible(T.t)
-    corrected = np.linalg.solve(T.t, loss_vector(base, probs))
-    return -gamma if float(corrected.sum()) < 0.0 else 1.0
+    hook = _PumpoutHook({"transition": T, "base": base, "gamma": gamma})
+    return hook.sample_weight(None, probs, observed_y)
 
 
 # --- trainer hooks ----------------------------------------------------------
@@ -116,12 +112,10 @@ class _TrimmedHook:
         self.loss = spec.get("loss")
 
     def epoch_kept_set(self, params, ds):
-        from .losses import LossSpec, loss_value
         from .model import predict_probs
-        spec = self.loss or LossSpec("ce")
-        probs = predict_probs(params, ds.features)
-        losses = [loss_value(spec, probs[i], ds.labels[i])
-                  for i in range(ds.n)]
+        losses, _ = loss_and_grad(self.loss or LossSpec("ce"),
+                                  predict_probs(params, ds.features),
+                                  ds.labels)
         return trimmed_filter(losses, self.fraction)
 
     def sample_weight(self, loss, probs, y):
@@ -145,16 +139,20 @@ class _RankPruneHook:
 
 class _PumpoutHook:
     def __init__(self, spec):
-        self.T = spec["transition"]
         self.gamma = spec.get("gamma", 0.1)
         self.base = spec.get("base", "ce")
-        _check_invertible(self.T.t)
+        if not 0.0 < self.gamma < 1.0:
+            raise ValueError("gamma must be in (0,1)")
+        T = spec["transition"]
+        _check_invertible(T.t)
+        self.ones_t_inv = np.linalg.solve(T.t.T, np.ones(T.k))  # 1^T T^{-1}
 
     def epoch_kept_set(self, params, ds):
         return None
 
     def sample_weight(self, loss, probs, y):
-        return pumpout(self.T, self.base, probs, y, self.gamma)
+        corrected = float(self.ones_t_inv @ loss_vector(self.base, probs))
+        return -self.gamma if corrected < 0.0 else 1.0
 
 
 _HOOKS = {"running": _RunningHook, "trimmed": _TrimmedHook,

@@ -8,6 +8,7 @@ from noisylab.harness import (ConfigError, metrics, report_json,
                               run_experiment, strip_wall_time, sweep,
                               sweep_summary_csv, validate_config,
                               write_report)
+from noisylab.model import DivergedError
 
 
 def base_config(**over):
@@ -109,6 +110,15 @@ class TestRunExperiment:
         cfg = base_config(method={"annotator": {"fusion": "staple"}})
         with pytest.raises(harness.PipelineError, match="train"):
             run_experiment(cfg)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_is_a_train_stage_error(self):
+        cfg = base_config(train={"epochs": 5, "learning_rate": 1e12,
+                                 "arch": "mlp"})
+        with pytest.raises(harness.PipelineError) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "train"
+        assert isinstance(info.value.cause, DivergedError)
 
     def test_staple_pipeline_diagnostics(self):
         cfg = base_config(
