@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import grad_probs_to_logits
-from .model import Rng, backward_batch, forward_batch, init
+from .losses import LOG_CLAMP, LossSpec, loss_and_grad
+from .model import (fit, noise_layer_grads, noise_layer_init,
+                    realized_transition)
 from .noise import TransitionMatrix
-from .numerics import softmax
 
 M_STEP_SMOOTHING = 1e-9
 
@@ -97,14 +97,22 @@ def staple(annotator_labels, K, max_iters=100, tol=1e-6):
     return post, model, fused, loglik_trace
 
 
+def min_loss_labels(per_annotator_losses, annotator_labels):
+    """Per row of (N, A) losses: the annotator with the smallest loss (ties
+    to the lowest index) and that annotator's label, as two (N,) arrays."""
+    losses = np.asarray(per_annotator_losses, dtype=np.float64)
+    if losses.shape[-1] < 1 or not np.all(np.isfinite(losses)):
+        raise ValueError("min_loss_labels: need finite losses for A >= 1")
+    a = losses.argmin(axis=1)
+    return a, np.asarray(annotator_labels)[np.arange(len(a)), a]
+
+
 def min_loss_label(per_annotator_losses, annotator_labels):
     """Annotator with the smallest loss (ties to the lowest index) and that
     annotator's label."""
-    losses = np.asarray(per_annotator_losses, dtype=np.float64)
-    if losses.size < 1 or not np.all(np.isfinite(losses)):
-        raise ValueError("min_loss_label: need finite losses for A >= 1")
-    a = int(losses.argmin())
-    return a, int(np.asarray(annotator_labels)[a])
+    a, y = min_loss_labels(np.atleast_1d(per_annotator_losses)[None, :],
+                           np.atleast_1d(annotator_labels)[None, :])
+    return int(a[0]), int(y[0])
 
 
 def train_min_loss_label(ds, config, test_ds=None):
@@ -112,40 +120,37 @@ def train_min_loss_label(ds, config, test_ds=None):
     the smallest current loss (ties to the lowest annotator index)."""
     if ds.annotator_labels is None:
         raise ValueError("train_min_loss_label: dataset has no annotator labels")
-    rng = Rng(config.seed)
-    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                  config.hidden, config.capacity_scale)
     L = ds.annotator_labels
-    X = ds.features
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(ds.n)
-        epoch_losses = []
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits, cache = forward_batch(params, X[idx])
-            probs = softmax(logits)
-            G = np.zeros_like(logits)
-            for r, i in enumerate(idx):
-                per_ann = [-np.log(max(float(probs[r, y]), 1e-12))
-                           for y in L[i]]
-                _, y_sel = min_loss_label(per_ann, L[i])
-                epoch_losses.append(min(per_ann))
-                G[r] = probs[r]
-                G[r, y_sel] -= 1.0
-            grads = backward_batch(params, G, cache)
-            scale = config.learning_rate / len(idx)
-            for name in params.arrays:
-                params.arrays[name] -= scale * grads[name]
-        row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if test_ds is not None:
-            from .model import predict
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(params, test_ds.features) == truth))
-        history.append(row)
-    return params, history
+    ce = LossSpec("ce")
+
+    def batch_loss(probs, idx):
+        per_ann = -np.log(np.maximum(
+            probs[np.arange(len(idx))[:, None], L[idx]], LOG_CLAMP))
+        _, y_sel = min_loss_labels(per_ann, L[idx])
+        return loss_and_grad(ce, probs, y_sel)
+
+    return fit(ds, config, batch_loss, test_ds)
+
+
+def _unweighted(values):
+    return np.ones(len(values))
+
+
+def confusion_grads(qs, probs, labels):
+    """CE of each annotator's label through its confusion theta_a =
+    row-softmax(q_a), for a batch of base softmax outputs probs (N, K) and
+    annotator labels (N, A): loss values (N, A), dloss/dlogits summed over
+    annotators (N, K), and each annotator's dloss/dq_a summed over the
+    batch."""
+    G = np.zeros_like(probs)
+    values = np.empty(labels.shape)
+    gqs = []
+    for a, q in enumerate(qs):
+        G_a, gq, values[:, a] = noise_layer_grads(q, probs, labels[:, a],
+                                                  _unweighted)
+        G += G_a
+        gqs.append(gq)
+    return values, G, gqs
 
 
 def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
@@ -163,59 +168,21 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
     if lambda_trace < 0:
         raise ValueError("lambda_trace must be >= 0")
     L = ds.annotator_labels
-    A = L.shape[1]
     K = ds.num_classes
-    rng = Rng(config.seed)
-    params = init(config.arch, ds.dim, K, config.seed,
-                  config.hidden, config.capacity_scale)
-    # identity-leaning unconstrained confusion params (row-softmax ~ 0.8 diag)
-    off = np.log(0.2 / max(K - 1, 1))
-    qs = [np.full((K, K), off) + (np.log(0.8) - off) * np.eye(K)
-          for _ in range(A)]
-    X = ds.features
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(ds.n)
-        epoch_losses = []
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits, cache = forward_batch(params, X[idx])
-            probs = softmax(logits)
-            G = np.zeros_like(logits)
-            gqs = [np.zeros((K, K)) for _ in range(A)]
-            for r, i in enumerate(idx):
-                p = probs[r]
-                for a in range(A):
-                    theta = softmax(qs[a])
-                    yo = L[i, a]
-                    s = theta.T @ p
-                    s_y = max(float(s[yo]), 1e-12)
-                    epoch_losses.append(-np.log(s_y))
-                    dl_dp = -theta[:, yo] / s_y
-                    G[r] += grad_probs_to_logits(p, dl_dp)
-                    dtheta = np.zeros((K, K))
-                    dtheta[:, yo] = -p / s_y
-                    gqs[a] += theta * (dtheta - np.sum(dtheta * theta,
-                                                       axis=1, keepdims=True))
-            scale = config.learning_rate / len(idx)
-            grads = backward_batch(params, G, cache)
-            for name in params.arrays:
-                params.arrays[name] -= scale * grads[name]
-            for a in range(A):
-                theta = softmax(qs[a])
-                # trace penalty gradient, applied once per batch step
-                dtheta = lambda_trace * np.eye(K)
-                gq_pen = theta * (dtheta - np.sum(dtheta * theta, axis=1,
-                                                  keepdims=True))
-                qs[a] -= scale * gqs[a] + config.learning_rate * gq_pen
-        row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if test_ds is not None:
-            from .model import predict
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(params, test_ds.features) == truth))
-        history.append(row)
-    model = AnnotatorModel(tuple(TransitionMatrix(softmax(q)) for q in qs),
-                           np.full(K, 1.0 / K))
+    lr = config.learning_rate
+    qs = [noise_layer_init(K) for _ in range(L.shape[1])]
+    pen = lambda_trace * np.eye(K)
+
+    def batch_loss(probs, idx):
+        values, G, gqs = confusion_grads(qs, probs, L[idx])
+        for q, gq in zip(qs, gqs):
+            # gradient of lambda * trace(theta) through the row-softmax
+            theta = realized_transition(q)
+            gq_pen = theta * (pen - (lambda_trace * np.diag(theta))[:, None])
+            q -= (lr / len(idx)) * gq + lr * gq_pen
+        return values.ravel(), G
+
+    params, history = fit(ds, config, batch_loss, test_ds)
+    model = AnnotatorModel(tuple(TransitionMatrix(realized_transition(q))
+                                 for q in qs), np.full(K, 1.0 / K))
     return params, model, history

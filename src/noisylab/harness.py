@@ -256,6 +256,8 @@ def _run_method(cfg, method, kind, noisy, test_ds, true_T):
             spec["transition"] = true_T
         elif isinstance(spec.get("transition"), dict):
             spec["transition"] = TransitionMatrix.from_json(spec["transition"])
+        if "loss" in spec:
+            spec["loss"] = _resolve_loss(spec["loss"], true_T)
         loss = (_resolve_loss(method.get("base_loss", {"kind": "ce"}), true_T)
                 if "base_loss" in method else LossSpec("ce"))
         tc = _train_config(cfg, loss, reweight=spec)

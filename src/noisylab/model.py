@@ -174,14 +174,19 @@ def grad_check(params, x, y, loss_spec, epsilon=1e-6):
 
 # --- noise-adaptation output layer -----------------------------------------
 
+def noise_layer_init(K, diag=0.8):
+    """Unconstrained K x K q whose row-softmax has `diag` on the diagonal
+    and the rest spread evenly over each row."""
+    q = np.full((K, K), np.log(max((1.0 - diag) / max(K - 1, 1), 1e-12)))
+    np.fill_diagonal(q, np.log(diag))
+    return q
+
+
 def attach_noise_layer(params, diag=0.8):
     """Add a Sukhbaatar-style noise layer: unconstrained q whose row-softmax
     is the learned transition, initialized diagonal-dominant."""
-    K = params.K
-    q = np.full((K, K), np.log(max((1.0 - diag) / max(K - 1, 1), 1e-12)))
-    np.fill_diagonal(q, np.log(diag))
     out = params.copy()
-    out.noise_layer = q
+    out.noise_layer = noise_layer_init(params.K, diag)
     return out
 
 
@@ -225,14 +230,87 @@ class TrainConfig:
     arch: str = "linear"
     hidden: int = 32
     capacity_scale: float = 1.0
-    use_noise_layer: bool = False
-    noise_layer_lr: float | None = None   # defaults to learning_rate
+    use_noise_layer: bool = False         # trained at learning_rate
     reweight: object = None               # hook, see reweight module
-    include_skipped_in_window: bool = True
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
             raise ValueError("invalid training configuration")
+
+
+def minibatches(order, batch_size):
+    """Consecutive index slices of `order`; the last may be short."""
+    for start in range(0, len(order), batch_size):
+        yield order[start:start + batch_size]
+
+
+def sgd_step(params, X, lr, batch_loss, epoch):
+    """One SGD step on the batch X, the only place parameters are updated:
+    forward, softmax, batch_loss(probs) -> (loss values (N,), dloss/dlogits
+    (N, K)), backward, and a step of lr / N on every parameter array.
+    Returns the loss values; raises DivergedError naming the epoch on a
+    non-finite logit."""
+    logits, cache = forward_batch(params, X)
+    try:
+        probs = softmax(logits)   # rejects non-finite logits
+    except ValueError as e:
+        raise DivergedError(f"training diverged at epoch {epoch}") from e
+    values, G = batch_loss(probs)
+    grads = backward_batch(params, G, cache)
+    scale = lr / len(X)
+    for name in params.arrays:
+        params.arrays[name] -= scale * grads[name]
+    return values
+
+
+def sgd_epoch(params, batches, lr, batch_loss, epoch):
+    """sgd_step over (X_batch, key) pairs, batch_loss(probs, key) seeing
+    each batch's key (its indices, or its mixed targets). Returns the loss
+    values of the epoch, concatenated."""
+    return np.concatenate([
+        sgd_step(params, X, lr, lambda probs: batch_loss(probs, key), epoch)
+        for X, key in batches])
+
+
+def epoch_row(epoch, params, test_ds, **fields):
+    """History row: the epoch, the given fields, and the accuracy of params
+    against test_ds's truth (its labels when it has none) when a test set
+    is attached."""
+    row = {"epoch": epoch, **fields}
+    if test_ds is not None:
+        truth = (test_ds.true_labels if test_ds.true_labels is not None
+                 else test_ds.labels)
+        row["test_accuracy"] = float(
+            np.mean(predict(params, test_ds.features) == truth))
+    return row
+
+
+def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None):
+    """config.epochs epochs of sgd_epoch on params (fresh ones from
+    config's architecture and seed when not given), shuffled by a stream
+    seeded with config.seed. batches(order, rng) is called at the start of
+    each epoch with its shuffled row order and gives the (X_batch, key)
+    pairs; by default each minibatch's rows keyed by their indices.
+    Returns (params, history), one epoch_row with the mean training loss
+    per epoch; raises DivergedError if that mean is non-finite."""
+    if params is None:
+        params = init(config.arch, ds.dim, ds.num_classes, config.seed,
+                      config.hidden, config.capacity_scale)
+    rng = Rng(config.seed)
+    if batches is None:
+        def batches(order, rng):
+            return ((ds.features[idx], idx)
+                    for idx in minibatches(order, config.batch_size))
+    history = []
+    for epoch in range(config.epochs):
+        values = sgd_epoch(params, batches(rng.permutation(ds.n), rng),
+                           config.learning_rate, batch_loss, epoch)
+        mean_loss = float(np.mean(values))
+        if not np.isfinite(mean_loss):
+            raise DivergedError(f"training diverged at epoch {epoch}")
+        history.append(epoch_row(epoch, params, test_ds,
+                                 train_loss=mean_loss))
+    return params, history
 
 
 def train(ds, config, test_ds=None, params=None):
@@ -243,7 +321,6 @@ def train(ds, config, test_ds=None, params=None):
     accuracy when a test set is attached. Aborts with DivergedError if the
     mean epoch loss goes non-finite."""
     from .reweight import make_reweighter
-    rng = Rng(config.seed)
     if params is None:
         params = init(config.arch, ds.dim, ds.num_classes, config.seed,
                       config.hidden, config.capacity_scale)
@@ -252,59 +329,37 @@ def train(ds, config, test_ds=None, params=None):
     if config.use_noise_layer and params.noise_layer is None:
         params = attach_noise_layer(params)
     reweighter = make_reweighter(config.reweight)
-    X, y = ds.features, ds.labels
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(ds.n)
-        epoch_losses = []
+    X, y, lr = ds.features, ds.labels, config.learning_rate
+    keep = np.ones(ds.n, dtype=bool)
+
+    def batches(order, rng):
+        # the epoch's kept set is chosen before its first step
         kept = reweighter.epoch_kept_set(params, ds) if reweighter else None
-        keep = np.ones(ds.n, dtype=bool)
         if kept is not None:
-            keep = np.zeros(ds.n, dtype=bool)
+            keep[:] = False
             keep[np.fromiter(kept, dtype=np.intp, count=len(kept))] = True
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            logits, cache = forward_batch(params, X[idx])
-            if not np.all(np.isfinite(logits)):
-                raise DivergedError(f"training diverged at epoch {epoch}")
-            probs = softmax(logits)
-            yb = y[idx]
+        return ((X[idx], idx) for idx in minibatches(order, config.batch_size))
 
-            def weigh(values):
-                w = keep[idx].astype(np.float64)
-                if reweighter:
-                    for r in np.flatnonzero(w):
-                        w[r] *= reweighter.sample_weight(values[r], probs[r],
-                                                         yb[r])
-                return w
+    def batch_loss(probs, idx):
+        yb = y[idx]
 
-            if params.noise_layer is not None:
-                G, gq, values = noise_layer_grads(params.noise_layer, probs,
-                                                  yb, weigh)
-            else:
-                values, G = loss_and_grad(config.loss, probs, yb)
-                G *= weigh(values)[:, None]
-            epoch_losses.append(values)
-            scale = config.learning_rate / len(idx)
-            grads = backward_batch(params, G, cache)
-            for name in params.arrays:
-                params.arrays[name] -= scale * grads[name]
-            if params.noise_layer is not None:
-                q_lr = (config.noise_layer_lr
-                        if config.noise_layer_lr is not None
-                        else config.learning_rate)
-                params.noise_layer -= (q_lr / len(idx)) * gq
-        mean_loss = float(np.mean(np.concatenate(epoch_losses)))
-        if not np.isfinite(mean_loss):
-            raise DivergedError(f"training diverged at epoch {epoch}")
-        row = {"epoch": epoch, "train_loss": mean_loss}
-        if test_ds is not None:
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(params, test_ds.features) == truth))
-        history.append(row)
-    return params, history
+        def weigh(values):
+            w = keep[idx].astype(np.float64)
+            if reweighter:
+                for r in np.flatnonzero(w):
+                    w[r] *= reweighter.sample_weight(values[r], probs[r],
+                                                     yb[r])
+            return w
+
+        if params.noise_layer is None:
+            values, G = loss_and_grad(config.loss, probs, yb)
+            return values, G * weigh(values)[:, None]
+        G, gq, values = noise_layer_grads(params.noise_layer, probs, yb,
+                                          weigh)
+        params.noise_layer -= (lr / len(idx)) * gq
+        return values, G
+
+    return fit(ds, config, batch_loss, test_ds, batches, params)
 
 
 def ensemble_disagreement(models, x):

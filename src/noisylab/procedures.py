@@ -11,11 +11,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import LOG_CLAMP
-from .model import (backward_batch, ensemble_disagreement,
-                    forward_batch, init, predict, predict_probs, train)
+from .losses import LOG_CLAMP, LossSpec, loss_and_grad
+from .model import (epoch_row, fit, forward_batch, init, minibatches,
+                    predict, predict_probs, sgd_epoch, sgd_step, train)
 from .noise import class_centroids
-from .numerics import Rng, sample_beta, softmax
+from .numerics import Rng, sample_beta
+
+CE = LossSpec("ce")
 
 
 # --- soft-label store -------------------------------------------------------
@@ -87,11 +89,12 @@ class SoftLabelStore:
 
 def _target_loss(probs, entry_probs):
     """CE for hard one-hot targets, KL(q||p) for soft targets; the two agree
-    up to the constant -H(q)."""
-    pc = np.maximum(probs, LOG_CLAMP)
+    up to the constant -H(q). Rows of (N, K) inputs are scored
+    independently."""
     nz = entry_probs > 0
-    return float(np.sum(entry_probs[nz]
-                        * (np.log(entry_probs[nz]) - np.log(pc[nz]))))
+    logs = (np.log(np.where(nz, entry_probs, 1.0))
+            - np.log(np.maximum(probs, LOG_CLAMP)))
+    return np.sum(np.where(nz, entry_probs * logs, 0.0), axis=-1)
 
 
 # --- mixup ------------------------------------------------------------------
@@ -112,48 +115,25 @@ def mixup(X, Y_onehot, alpha, rng):
 
 def train_mixup(ds, config, test_ds=None, alpha=0.2):
     """SGD on mixup batches; soft targets trained with CE (grad p - y)."""
-    rng = Rng(config.seed)
-    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                  config.hidden, config.capacity_scale)
     Y = np.eye(ds.num_classes)[ds.labels]
-    history = []
-    for epoch in range(config.epochs):
-        order = rng.permutation(ds.n)
-        epoch_losses = []
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            X_mix, Y_mix = mixup(ds.features[idx], Y[idx], alpha, rng)
-            logits, cache = forward_batch(params, X_mix)
-            probs = softmax(logits)
-            epoch_losses.extend(
-                -np.sum(Y_mix * np.log(np.maximum(probs, LOG_CLAMP)), axis=1))
-            G = probs - Y_mix
-            grads = backward_batch(params, G, cache)
-            scale = config.learning_rate / len(idx)
-            for name in params.arrays:
-                params.arrays[name] -= scale * grads[name]
-        row = {"epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
-        if test_ds is not None:
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(params, test_ds.features) == truth))
-        history.append(row)
-    return params, history
+
+    def batches(order, rng):
+        # lazy, so each batch's mixing draws follow the previous step
+        return (mixup(ds.features[idx], Y[idx], alpha, rng)
+                for idx in minibatches(order, config.batch_size))
+
+    def batch_loss(probs, Y_mix):
+        return (-np.sum(Y_mix * np.log(np.maximum(probs, LOG_CLAMP)), axis=1),
+                probs - Y_mix)
+
+    return fit(ds, config, batch_loss, test_ds, batches)
 
 
 # --- peer-model steps -------------------------------------------------------
 
-def _sgd_step_on(params, X, y, lr):
-    logits, cache = forward_batch(params, X)
-    probs = softmax(logits)
-    G = probs - np.eye(params.K)[y]
-    grads = backward_batch(params, G, cache)
-    scale = lr / max(len(X), 1)
-    for name in params.arrays:
-        params.arrays[name] -= scale * grads[name]
-    losses = -np.log(np.maximum(probs[np.arange(len(y)), y], LOG_CLAMP))
-    return losses
+def _sgd_step_on(params, X, y, lr, epoch):
+    return sgd_step(params, X, lr, lambda probs: loss_and_grad(CE, probs, y),
+                    epoch)
 
 
 def small_loss_selection(probs, y, keep_fraction):
@@ -165,15 +145,15 @@ def small_loss_selection(probs, y, keep_fraction):
     return np.sort(order[:n_keep])
 
 
-def co_teach_step(model_a, model_b, X, y, keep_fraction, lr):
+def co_teach_step(model_a, model_b, X, y, keep_fraction, lr, epoch=0):
     """Each model picks its smallest-loss samples; the peer updates on that
     selection. Both selections happen before either update."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0,1]")
     sel_a = small_loss_selection(predict_probs(model_a, X), y, keep_fraction)
     sel_b = small_loss_selection(predict_probs(model_b, X), y, keep_fraction)
-    _sgd_step_on(model_b, X[sel_a], y[sel_a], lr)   # A teaches B
-    _sgd_step_on(model_a, X[sel_b], y[sel_b], lr)   # B teaches A
+    _sgd_step_on(model_b, X[sel_a], y[sel_a], lr, epoch)   # A teaches B
+    _sgd_step_on(model_a, X[sel_b], y[sel_b], lr, epoch)   # B teaches A
     return sel_a, sel_b
 
 
@@ -182,14 +162,14 @@ def disagreement_mask(preds_a, preds_b):
     return np.asarray(preds_a) != np.asarray(preds_b)
 
 
-def disagreement_step(model_a, model_b, X, y, lr):
+def disagreement_step(model_a, model_b, X, y, lr, epoch=0):
     """Both models update only where their argmax predictions differ
     (computed before any update)."""
     mask = disagreement_mask(predict(model_a, X), predict(model_b, X))
     idx = np.flatnonzero(mask)
     if idx.size:
-        _sgd_step_on(model_a, X[idx], y[idx], lr)
-        _sgd_step_on(model_b, X[idx], y[idx], lr)
+        _sgd_step_on(model_a, X[idx], y[idx], lr, epoch)
+        _sgd_step_on(model_b, X[idx], y[idx], lr, epoch)
     return idx
 
 
@@ -217,49 +197,39 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     for epoch in range(config.epochs):
         keep = co_teaching_keep_schedule(epoch, noise_rate)
         order = rng.permutation(ds.n)
-        for start in range(0, ds.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
+        for idx in minibatches(order, config.batch_size):
             X, y = ds.features[idx], ds.labels[idx]
             if disagreement_only:
                 disagreement_step(model_a, model_b, X, y,
-                                  config.learning_rate)
+                                  config.learning_rate, epoch)
             else:
                 co_teach_step(model_a, model_b, X, y, keep,
-                              config.learning_rate)
-        row = {"epoch": epoch, "keep_fraction": keep}
-        if test_ds is not None:
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(model_a, test_ds.features) == truth))
-        history.append(row)
+                              config.learning_rate, epoch)
+        history.append(epoch_row(epoch, model_a, test_ds,
+                                 keep_fraction=keep))
     return model_a, model_b, history
 
 
 # --- dual models with iterative label update --------------------------------
 
 def _train_epoch_against_store(params, ds, store, peer_pred_probs, rng, lr,
-                               batch_size):
+                               batch_size, epoch):
     """One epoch where each sample's target is whichever of (stored label,
     peer's predicted hard label) currently yields the lower loss."""
+    stored = np.array([e.as_probs(store.K) for e in store.entries])
+    peer = np.eye(store.K)[peer_pred_probs.argmax(axis=1)]
+
+    def batch_loss(probs, idx):
+        l_stored = _target_loss(probs, stored[idx])
+        l_peer = _target_loss(probs, peer[idx])
+        use_stored = (l_stored <= l_peer)[:, None]
+        return (np.minimum(l_stored, l_peer),
+                probs - np.where(use_stored, stored[idx], peer[idx]))
+
     order = rng.permutation(ds.n)
-    for start in range(0, ds.n, batch_size):
-        idx = order[start:start + batch_size]
-        logits, cache = forward_batch(params, ds.features[idx])
-        probs = softmax(logits)
-        targets = np.zeros_like(probs)
-        for r, i in enumerate(idx):
-            stored = store.entries[i].as_probs(store.K)
-            peer = np.zeros(store.K)
-            peer[int(peer_pred_probs[i].argmax())] = 1.0
-            l_stored = _target_loss(probs[r], stored)
-            l_peer = _target_loss(probs[r], peer)
-            targets[r] = stored if l_stored <= l_peer else peer
-        G = probs - targets
-        grads = backward_batch(params, G, cache)
-        scale = lr / len(idx)
-        for name in params.arrays:
-            params.arrays[name] -= scale * grads[name]
+    sgd_epoch(params, ((ds.features[idx], idx)
+                       for idx in minibatches(order, batch_size)),
+              lr, batch_loss, epoch)
 
 
 def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
@@ -272,9 +242,9 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
     preds_large = predict_probs(model_large, ds.features)
     rng_a, rng_b = rng.split(2)
     _train_epoch_against_store(model_small, ds, store, preds_large, rng_a,
-                               lr, batch_size)
+                               lr, batch_size, epoch)
     _train_epoch_against_store(model_large, ds, store, preds_small, rng_b,
-                               lr, batch_size)
+                               lr, batch_size, epoch)
     preds_small = predict_probs(model_small, ds.features)
     preds_large = predict_probs(model_large, ds.features)
     for i in range(ds.n):
@@ -315,15 +285,9 @@ def train_dual_relabel(ds, config, test_ds=None, warmup_epochs=5):
     for epoch in range(config.epochs):
         dual_relabel_epoch(model_small, model_large, ds, store, rng,
                            config.learning_rate, config.batch_size, epoch)
-        row = {"epoch": epoch}
-        if ds.true_labels is not None:
-            row["store_match_truth"] = store.match_fraction(ds.true_labels)
-        if test_ds is not None:
-            truth = (test_ds.true_labels if test_ds.true_labels is not None
-                     else test_ds.labels)
-            row["test_accuracy"] = float(
-                np.mean(predict(model_small, test_ds.features) == truth))
-        history.append(row)
+        fields = ({} if ds.true_labels is None else
+                  {"store_match_truth": store.match_fraction(ds.true_labels)})
+        history.append(epoch_row(epoch, model_small, test_ds, **fields))
     return model_small, model_large, store, history
 
 
@@ -343,8 +307,13 @@ def cleaning_meta_features(models, ds, labels):
     sorted_p = np.sort(probs, axis=1)
     max_prob = sorted_p[:, -1]
     margin = sorted_p[:, -1] - sorted_p[:, -2]
-    disagree = np.array([ensemble_disagreement(models, ds.features[i])
-                         for i in range(n)]) if len(models) > 1 else np.zeros(n)
+    disagree = np.zeros(n)
+    if len(models) > 1:
+        votes = np.column_stack([forward_batch(m, ds.features)[0]
+                                 .argmax(axis=1) for m in models])
+        majority = np.max([np.sum(votes == c, axis=1)
+                           for c in range(models[0].K)], axis=0)
+        disagree = 1.0 - majority / len(models)
     cents = class_centroids(ds.features, labels, ds.num_classes)
     dist = np.linalg.norm(ds.features - cents[labels], axis=1)
     return np.column_stack([loss, max_prob, margin, disagree, dist])

@@ -1,5 +1,5 @@
-"""Equivalence of the batched loss, noise-layer and label-draw code with the
-per-sample formulas they replace.
+"""Equivalence of the batched loss, noise-layer, label-draw, trainer-core,
+annotator and procedure code with the per-sample formulas they replace.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -12,13 +12,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisylab.annotators import (confusion_grads, min_loss_label,
+                                 min_loss_labels)
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
                              loss_grad_logits, loss_value)
-from noisylab.model import noise_layer_grads
+from noisylab.model import (DivergedError, backward_batch,
+                            ensemble_disagreement, forward_batch, init,
+                            minibatches, noise_layer_grads, sgd_epoch,
+                            sgd_step)
 from noisylab.noise import (TransitionMatrix, draw_labels, inject,
                             simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
+from noisylab.procedures import _target_loss, cleaning_meta_features
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -234,3 +240,152 @@ class TestLabelDraws:
         ref = Rng(9)
         assert [sample_categorical(T.t[c], ref) for c in ds.labels] \
             == noisy.tolist()
+
+
+def ref_confusion_step(qs, P, L):
+    """The per-sample, per-annotator confusion step: loss values in (sample,
+    annotator) order, summed logit gradients, and each annotator's summed
+    dloss/dq."""
+    N, K = P.shape
+    G = np.zeros((N, K))
+    gqs = [np.zeros((K, K)) for _ in qs]
+    values = []
+    for r in range(N):
+        p = P[r]
+        for a, q in enumerate(qs):
+            theta = softmax(q)
+            yo = L[r, a]
+            s_y = max(float((theta.T @ p)[yo]), 1e-12)
+            values.append(-np.log(s_y))
+            dl_dp = -theta[:, yo] / s_y
+            G[r] += p * (dl_dp - float(dl_dp @ p))
+            dtheta = np.zeros((K, K))
+            dtheta[:, yo] = -p / s_y
+            gqs[a] += theta * (dtheta - np.sum(dtheta * theta, axis=1,
+                                               keepdims=True))
+    return np.array(values), G, gqs
+
+
+class TestConfusionStep:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_sample_per_annotator_loop(self, data):
+        P, _ = data.draw(batches())
+        N, K = P.shape
+        A = data.draw(st.integers(1, 4))
+        qs = [np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0),
+                                            min_size=K * K, max_size=K * K)),
+                         (K, K)) for _ in range(A)]
+        L = np.reshape(data.draw(st.lists(st.integers(0, K - 1),
+                                          min_size=N * A, max_size=N * A)),
+                       (N, A))
+        values, G, gqs = confusion_grads(qs, P, L)
+        ref_values, ref_G, ref_gqs = ref_confusion_step(qs, P, L)
+        assert values.shape == (N, A)
+        assert np.allclose(values.ravel(), ref_values, rtol=1e-12, atol=1e-12)
+        assert np.allclose(G, ref_G, rtol=1e-12, atol=1e-12)
+        assert len(gqs) == A
+        for gq, ref_gq in zip(gqs, ref_gqs):
+            assert np.allclose(gq, ref_gq, rtol=1e-12, atol=1e-12)
+
+
+class TestMinLossSelection:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rows_match_min_loss_label(self, data):
+        N = data.draw(st.integers(1, 10))
+        A = data.draw(st.integers(1, 5))
+        # few distinct values, so ties are common
+        losses = np.reshape(data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 0.5, 2.0, 27.6]),
+            min_size=N * A, max_size=N * A)), (N, A))
+        labels = np.reshape(data.draw(st.lists(
+            st.integers(0, 5), min_size=N * A, max_size=N * A)), (N, A))
+        a, y = min_loss_labels(losses, labels)
+        for r in range(N):
+            first_min = losses[r].tolist().index(min(losses[r]))
+            assert (a[r], y[r]) == min_loss_label(losses[r], labels[r])
+            assert (a[r], y[r]) == (first_min, labels[r, first_min])
+
+    def test_nonfinite_row_rejected(self):
+        with pytest.raises(ValueError):
+            min_loss_labels(np.array([[0.1, 0.2], [np.nan, 0.3]]),
+                            np.zeros((2, 2), dtype=np.int64))
+
+
+class TestSgdCore:
+    @settings(max_examples=60, deadline=None)
+    @given(arch=st.sampled_from(["linear", "mlp"]), n=st.integers(1, 20),
+           d=st.integers(1, 3), K=st.integers(2, 4),
+           batch_size=st.integers(1, 8),
+           lr=st.sampled_from([0.0, 0.1, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_ce_epoch_matches_hand_loop(self, arch, n, d, K, batch_size, lr,
+                                        seed):
+        rng = Rng(seed)
+        X = rng.normal((n, d))
+        y = rng.integers(0, K, size=n)
+        order = rng.permutation(n)
+        ref = init(arch, d, K, seed, hidden=4)
+        params = ref.copy()
+        ref_values = []
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            logits, cache = forward_batch(ref, X[idx])
+            probs = softmax(logits)
+            grads = backward_batch(ref, probs - np.eye(K)[y[idx]], cache)
+            for name in ref.arrays:
+                ref.arrays[name] -= (lr / len(idx)) * grads[name]
+            ref_values.extend(-np.log(np.maximum(
+                probs[np.arange(len(idx)), y[idx]], LOG_CLAMP)))
+        values = sgd_epoch(
+            params, ((X[idx], idx) for idx in minibatches(order, batch_size)),
+            lr, lambda probs, idx: loss_and_grad(LossSpec("ce"), probs,
+                                                 y[idx]), 0)
+        assert np.array_equal(values, ref_values)
+        for name in ref.arrays:
+            assert np.array_equal(params.arrays[name], ref.arrays[name])
+
+    def test_minibatches_cover_order_once(self):
+        order = np.array([4, 0, 3, 1, 2])
+        got = list(minibatches(order, 2))
+        assert [b.tolist() for b in got] == [[4, 0], [3, 1], [2]]
+
+    def test_non_finite_logits_name_the_epoch(self):
+        params = init("linear", 2, 2, 0)
+        params.arrays["W"][:] = np.inf
+        with pytest.raises(DivergedError, match="epoch 4"):
+            sgd_step(params, np.ones((1, 2)), 0.1,
+                     lambda probs: pytest.fail("loss asked"), 4)
+
+
+class TestProcedureBatches:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_target_loss_rows_match_per_sample_form(self, data):
+        P, y = data.draw(batches())
+        N, K = P.shape
+        soft = softmax(np.reshape(data.draw(st.lists(
+            st.floats(-3.0, 3.0), min_size=N * K, max_size=N * K)), (N, K)))
+        soft = np.where(soft < 0.1, 0.0, soft)   # some exact zeros
+        soft /= soft.sum(axis=1, keepdims=True)
+        hard = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
+        targets = np.where(np.array(hard)[:, None], np.eye(K)[y], soft)
+        got = _target_loss(P, targets)
+        for r in range(N):
+            q, pc = targets[r], np.maximum(P[r], LOG_CLAMP)
+            nz = q > 0
+            ref = float(np.sum(q[nz] * (np.log(q[nz]) - np.log(pc[nz]))))
+            assert got[r] == ref
+            assert _target_loss(P[r], targets[r]) == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(M=st.integers(2, 4), K=st.integers(2, 4), n=st.integers(1, 15),
+           seed=st.integers(0, 2**16))
+    def test_vote_disagreement_matches_per_row(self, M, K, n, seed):
+        rng = Rng(seed)
+        ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
+        models = [init("linear", 2, K, seed + m) for m in range(M)]
+        feats = cleaning_meta_features(models, ds, ds.labels)
+        expected = [ensemble_disagreement(models, x) for x in ds.features]
+        assert feats[:, 3].tolist() == expected

@@ -135,6 +135,31 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep["final_metrics"]["accuracy"] >= 0.9
 
+    def test_trimmed_reweight_scores_with_its_loss(self, monkeypatch):
+        seen = []
+        real_train = harness.train
+
+        def spy(ds, cfg, test_ds=None, **kw):
+            seen.append(cfg.reweight["loss"])
+            return real_train(ds, cfg, test_ds, **kw)
+
+        monkeypatch.setattr(harness, "train", spy)
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method={"reweight": {"kind": "trimmed",
+                                               "fraction": 0.2,
+                                               "loss": {"kind": "mae"}}})
+        rep = run_experiment(cfg)
+        assert [s.kind for s in seen] == ["mae"]
+        assert rep["final_metrics"]["accuracy"] >= 0.9
+
+    def test_trimmed_reweight_unknown_loss_is_named(self):
+        cfg = base_config(method={"reweight": {"kind": "trimmed",
+                                               "fraction": 0.2,
+                                               "loss": {"kind": "nope"}}})
+        with pytest.raises((harness.PipelineError, ConfigError),
+                           match="unknown loss kind"):
+            run_experiment(cfg)
+
 
 class TestReportIO:
     def test_write_report_and_epoch_csv(self, tmp_path):
