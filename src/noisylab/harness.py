@@ -30,6 +30,8 @@ SCHEMA_VERSION = 1
 
 METHOD_KEYS = ("loss", "noise_adaptation", "reweight", "annotator",
                "procedure")
+REWEIGHT_REQUIRED = {"trimmed": "fraction", "rank_prune": "fraction",
+                     "pumpout": "transition"}
 
 
 class ConfigError(ValueError):
@@ -55,6 +57,15 @@ def validate_config(cfg):
     if len(present) != 1:
         raise ConfigError(
             f"config must select exactly one method pipeline, got {present}")
+    for key in ("epochs", "batch_size"):
+        value = cfg.get("train", {}).get(key, 1)
+        if not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"train.{key} must be an integer, got {value!r}")
+    spec = method.get("reweight") or {}
+    required = REWEIGHT_REQUIRED.get(spec.get("kind"))
+    if required and required not in spec:
+        raise ConfigError(f"reweight kind '{spec['kind']}' requires "
+                          f"'{required}'")
     return method, present[0]
 
 

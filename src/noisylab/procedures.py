@@ -29,48 +29,47 @@ class LabelEntry:
     provenance: dict            # {"kind": "original"} or
                                 # {"kind": "relabeled", "epoch": e, "source": s}
 
-    def as_probs(self, K):
-        if self.soft is not None:
-            return self.soft
-        q = np.zeros(K)
-        q[self.hard] = 1.0
-        return q
-
 
 class SoftLabelStore:
-    """Per-sample label state (hard index or soft distribution) with
-    provenance; provenance epochs only move forward."""
+    """Per-sample label state with provenance; provenance epochs only move
+    forward. `targets` (n, K) holds each row's one-hot or soft target and is
+    the single source of truth; `is_soft` says which rows are soft."""
 
     def __init__(self, labels, K):
         self.K = K
-        self.entries = [LabelEntry(int(y), None, {"kind": "original"})
-                        for y in labels]
+        self.targets = np.eye(K)[np.asarray(labels, dtype=np.int64)]
+        self.is_soft = np.zeros(len(self.targets), dtype=bool)
+        self.provenance = [{"kind": "original"} for _ in self.targets]
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.targets)
+
+    @property
+    def entries(self):
+        """Read-only LabelEntry view of every row."""
+        return [LabelEntry(None, row, prov) if soft
+                else LabelEntry(int(row.argmax()), None, prov)
+                for row, soft, prov in zip(self.targets, self.is_soft,
+                                           self.provenance)]
 
     def relabel_hard(self, i, label, epoch, source):
-        self._check_epoch(i, epoch)
-        self.entries[i] = LabelEntry(int(label), None,
-                                     {"kind": "relabeled", "epoch": epoch,
-                                      "source": source})
+        self._relabel(i, np.eye(self.K)[int(label)], False, epoch, source)
 
     def relabel_soft(self, i, probs, epoch, source):
-        self._check_epoch(i, epoch)
-        self.entries[i] = LabelEntry(None, np.asarray(probs, dtype=np.float64),
-                                     {"kind": "relabeled", "epoch": epoch,
-                                      "source": source})
+        self._relabel(i, probs, True, epoch, source)
 
-    def _check_epoch(self, i, epoch):
-        prov = self.entries[i].provenance
+    def _relabel(self, i, target, soft, epoch, source):
+        prov = self.provenance[i]
         if prov["kind"] == "relabeled" and epoch < prov["epoch"]:
             raise ValueError("provenance epoch cannot move backwards")
+        self.targets[i] = target
+        self.is_soft[i] = soft
+        self.provenance[i] = {"kind": "relabeled", "epoch": epoch,
+                              "source": source}
 
     def hard_labels(self):
         """Argmax view (soft entries collapse to their mode)."""
-        return np.array([e.hard if e.hard is not None
-                         else int(e.soft.argmax()) for e in self.entries],
-                        dtype=np.int64)
+        return self.targets.argmax(axis=1)
 
     def match_fraction(self, truth):
         return float(np.mean(self.hard_labels() == np.asarray(truth)))
@@ -216,7 +215,7 @@ def _train_epoch_against_store(params, ds, store, peer_pred_probs, rng, lr,
                                batch_size, epoch):
     """One epoch where each sample's target is whichever of (stored label,
     peer's predicted hard label) currently yields the lower loss."""
-    stored = np.array([e.as_probs(store.K) for e in store.entries])
+    stored = store.targets
     peer = np.eye(store.K)[peer_pred_probs.argmax(axis=1)]
 
     def batch_loss(probs, idx):
@@ -247,21 +246,21 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
                                lr, batch_size, epoch)
     preds_small = predict_probs(model_small, ds.features)
     preds_large = predict_probs(model_large, ds.features)
-    for i in range(ds.n):
-        stored = store.entries[i].as_probs(store.K)
-        wins = []
-        for name, probs in (("small", preds_small[i]),
-                            ("large", preds_large[i])):
-            own = np.zeros(store.K)
-            own[int(probs.argmax())] = 1.0
-            if _target_loss(probs, own) < _target_loss(probs, stored):
-                wins.append((name, probs))
-        if len(wins) == 1:
-            name, probs = wins[0]
-            store.relabel_hard(i, int(probs.argmax()), epoch, name)
-        elif len(wins) == 2:
-            avg = 0.5 * (preds_small[i] + preds_large[i])
-            store.relabel_soft(i, avg, epoch, "both")
+
+    def wins(probs):
+        own = probs.argmax(axis=1)
+        return own, (_target_loss(probs, np.eye(store.K)[own])
+                     < _target_loss(probs, store.targets))
+
+    own_small, wins_small = wins(preds_small)
+    own_large, wins_large = wins(preds_large)
+    hard = np.where(wins_small, own_small, own_large)
+    for i in np.flatnonzero(wins_small ^ wins_large):
+        store.relabel_hard(i, hard[i], epoch,
+                           "small" if wins_small[i] else "large")
+    avg = 0.5 * (preds_small + preds_large)
+    for i in np.flatnonzero(wins_small & wins_large):
+        store.relabel_soft(i, avg[i], epoch, "both")
     return store
 
 
@@ -355,12 +354,10 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         p_flip = predict_probs(meta_params, feats_noisy)[:, 1]
         base_pred = predict(models[0], ds_noisy.features)
         round_flags = p_flip > threshold
-        for i in np.flatnonzero(round_flags):
-            if base_pred[i] != labels[i]:
-                store.relabel_hard(i, int(base_pred[i]), rnd, "meta_clean")
+        changed = np.flatnonzero(round_flags & (base_pred != labels))
+        for i in changed:
+            store.relabel_hard(i, int(base_pred[i]), rnd, "meta_clean")
         flags |= round_flags
-        history.append({"round": rnd,
-                        "flagged": int(round_flags.sum()),
-                        "relabeled": int(np.sum(round_flags
-                                                & (base_pred != labels)))})
+        history.append({"round": rnd, "flagged": int(round_flags.sum()),
+                        "relabeled": len(changed)})
     return store, flags, meta_params, history

@@ -19,12 +19,14 @@ from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
                              loss_grad_logits, loss_value)
 from noisylab.model import (DivergedError, backward_batch,
                             ensemble_disagreement, forward_batch, init,
-                            minibatches, noise_layer_grads, sgd_epoch,
-                            sgd_step)
+                            minibatches, noise_layer_grads, predict_probs,
+                            sgd_epoch, sgd_step)
 from noisylab.noise import (TransitionMatrix, draw_labels, inject,
                             simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
-from noisylab.procedures import _target_loss, cleaning_meta_features
+from noisylab.procedures import (LabelEntry, SoftLabelStore,
+                                 _target_loss, _train_epoch_against_store,
+                                 cleaning_meta_features, dual_relabel_epoch)
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -389,3 +391,194 @@ class TestProcedureBatches:
         feats = cleaning_meta_features(models, ds, ds.labels)
         expected = [ensemble_disagreement(models, x) for x in ds.features]
         assert feats[:, 3].tolist() == expected
+
+
+class RefStore:
+    """The per-entry soft-label store the array-backed SoftLabelStore
+    replaced: a list of LabelEntry, one per sample."""
+
+    def __init__(self, labels, K):
+        self.K = K
+        self.entries = [LabelEntry(int(y), None, {"kind": "original"})
+                        for y in labels]
+
+    def relabel_hard(self, i, label, epoch, source):
+        self._check_epoch(i, epoch)
+        self.entries[i] = LabelEntry(int(label), None,
+                                     {"kind": "relabeled", "epoch": epoch,
+                                      "source": source})
+
+    def relabel_soft(self, i, probs, epoch, source):
+        self._check_epoch(i, epoch)
+        self.entries[i] = LabelEntry(None, np.asarray(probs, dtype=np.float64),
+                                     {"kind": "relabeled", "epoch": epoch,
+                                      "source": source})
+
+    def _check_epoch(self, i, epoch):
+        prov = self.entries[i].provenance
+        if prov["kind"] == "relabeled" and epoch < prov["epoch"]:
+            raise ValueError("provenance epoch cannot move backwards")
+
+    def as_probs(self, i):
+        e = self.entries[i]
+        if e.soft is not None:
+            return e.soft
+        q = np.zeros(self.K)
+        q[e.hard] = 1.0
+        return q
+
+    @property
+    def targets(self):
+        """The (n, K) matrix training used to rebuild from the entries."""
+        return np.array([self.as_probs(i) for i in range(len(self.entries))])
+
+    def hard_labels(self):
+        return np.array([e.hard if e.hard is not None
+                         else int(e.soft.argmax()) for e in self.entries],
+                        dtype=np.int64)
+
+    def to_json(self):
+        out = []
+        for e in self.entries:
+            rec = {"provenance": e.provenance}
+            if e.hard is not None:
+                rec["hard"] = e.hard
+            else:
+                rec["soft"] = [format(v, ".17g") for v in e.soft]
+            out.append(rec)
+        return out
+
+
+def ref_dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
+                           batch_size, epoch):
+    """dual_relabel_epoch with the relabel rule written per sample."""
+    preds_small = predict_probs(model_small, ds.features)
+    preds_large = predict_probs(model_large, ds.features)
+    rng_a, rng_b = rng.split(2)
+    _train_epoch_against_store(model_small, ds, store, preds_large, rng_a,
+                               lr, batch_size, epoch)
+    _train_epoch_against_store(model_large, ds, store, preds_small, rng_b,
+                               lr, batch_size, epoch)
+    preds_small = predict_probs(model_small, ds.features)
+    preds_large = predict_probs(model_large, ds.features)
+    for i in range(ds.n):
+        stored = store.as_probs(i)
+        wins = []
+        for name, probs in (("small", preds_small[i]),
+                            ("large", preds_large[i])):
+            own = np.zeros(store.K)
+            own[int(probs.argmax())] = 1.0
+            if _target_loss(probs, own) < _target_loss(probs, stored):
+                wins.append((name, probs))
+        if len(wins) == 1:
+            name, probs = wins[0]
+            store.relabel_hard(i, int(probs.argmax()), epoch, name)
+        elif len(wins) == 2:
+            avg = 0.5 * (preds_small[i] + preds_large[i])
+            store.relabel_soft(i, avg, epoch, "both")
+    return store
+
+
+@st.composite
+def soft_rows(draw, K):
+    """A probability row; small-integer weights make exact ties common."""
+    if draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 2), min_size=K, max_size=K)
+                 .filter(lambda w: sum(w) > 0))
+        return np.array(w, dtype=np.float64) / sum(w)
+    logits = draw(st.lists(st.floats(-3.0, 3.0), min_size=K, max_size=K))
+    return softmax(np.array(logits))
+
+
+@st.composite
+def relabel_ops(draw, n, K, max_epoch):
+    """A sequence of (kind, row, target, epoch, source) store updates."""
+    ops = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i = draw(st.integers(0, n - 1))
+        epoch = draw(st.integers(0, max_epoch))
+        source = draw(st.sampled_from(["small", "large", "both"]))
+        if draw(st.booleans()):
+            ops.append(("hard", i, draw(st.integers(0, K - 1)), epoch, source))
+        else:
+            ops.append(("soft", i, draw(soft_rows(K)), epoch, source))
+    return ops
+
+
+def apply_ops(stores, ops):
+    """Apply each op to every store; a backwards epoch must raise in all of
+    them and change none."""
+    for kind, i, target, epoch, source in ops:
+        raised = []
+        for store in stores:
+            update = (store.relabel_hard if kind == "hard"
+                      else store.relabel_soft)
+            try:
+                update(i, target, epoch, source)
+            except ValueError:
+                raised.append(store)
+        assert raised in ([], stores)
+
+
+def assert_stores_equal(store, ref):
+    assert len(store) == len(ref.entries)
+    assert store.targets.tobytes() == ref.targets.tobytes()
+    assert np.array_equal(store.hard_labels(), ref.hard_labels())
+    assert store.to_json() == ref.to_json()
+    for got, want in zip(store.entries, ref.entries):
+        assert got.hard == want.hard
+        assert got.provenance == want.provenance
+        assert (got.soft is None) == (want.soft is None)
+        if want.soft is not None:
+            assert got.soft.tobytes() == want.soft.tobytes()
+
+
+class TestSoftLabelStoreArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_per_entry_store(self, data):
+        K = data.draw(st.integers(2, 5))
+        n = data.draw(st.integers(1, 12))
+        labels = data.draw(st.lists(st.integers(0, K - 1), min_size=n,
+                                    max_size=n))
+        store, ref = SoftLabelStore(labels, K), RefStore(labels, K)
+        apply_ops([store, ref], data.draw(relabel_ops(n, K, 4)))
+        assert_stores_equal(store, ref)
+
+
+class TestDualRelabelBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_epoch_matches_per_sample_rule(self, data):
+        K = data.draw(st.integers(2, 5), label="K")
+        n = data.draw(st.integers(2, 30), label="n")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        lr = data.draw(st.sampled_from([0.0, 0.1, 1.0]), label="lr")
+        batch_size = data.draw(st.integers(1, 8), label="batch_size")
+        rng = Rng(seed)
+        ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
+        small = init("mlp", 2, K, seed, hidden=4, capacity_scale=0.8)
+        large = init("mlp", 2, K, seed + 1, hidden=4, capacity_scale=1.25)
+        if data.draw(st.booleans(), label="uniform small model"):
+            # uniform predictions: every hard target scores -log(1/K), so
+            # the model's own argmax ties with any stored hard label
+            for a in small.arrays.values():
+                a[:] = 0.0
+        store, ref = SoftLabelStore(ds.labels, K), RefStore(ds.labels, K)
+        apply_ops([store, ref], data.draw(relabel_ops(n, K, 2), label="ops"))
+        if data.draw(st.booleans(), label="store the argmax"):
+            # with lr 0 the models do not move, so these rows tie exactly
+            # with the model's own hard prediction
+            own = predict_probs(small, ds.features).argmax(axis=1)
+            rows = data.draw(st.lists(st.integers(0, n - 1)), label="rows")
+            apply_ops([store, ref], [("hard", i, own[i], 2, "small")
+                                     for i in rows])
+        models = (small.copy(), large.copy())
+        dual_relabel_epoch(*models, ds, store, Rng(seed + 2), lr, batch_size,
+                           epoch=3)
+        ref_dual_relabel_epoch(small, large, ds, ref, Rng(seed + 2), lr,
+                               batch_size, epoch=3)
+        assert_stores_equal(store, ref)
+        for got, want in zip(models, (small, large)):
+            for name in want.arrays:
+                assert np.array_equal(got.arrays[name], want.arrays[name])

@@ -8,6 +8,7 @@ from noisylab.harness import (ConfigError, metrics, report_json,
                               run_experiment, strip_wall_time, sweep,
                               sweep_summary_csv, validate_config,
                               write_report)
+from noisylab.cli import cli
 from noisylab.model import DivergedError
 
 
@@ -73,6 +74,35 @@ class TestValidation:
     def test_empty_method_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(base_config(method={}))
+
+    @pytest.mark.parametrize("method, train, named", [
+        ({"reweight": {"kind": "trimmed"}}, {}, "fraction"),
+        ({"reweight": {"kind": "rank_prune"}}, {}, "fraction"),
+        ({"reweight": {"kind": "pumpout"}}, {}, "transition"),
+        ({"loss": {"kind": "ce"}}, {"epochs": 2.5}, "train.epochs"),
+        ({"loss": {"kind": "ce"}}, {"batch_size": 8.0}, "train.batch_size"),
+    ], ids=["trimmed", "rank_prune", "pumpout", "epochs", "batch_size"])
+    def test_bad_key_is_named_before_any_data(self, monkeypatch, tmp_path,
+                                              method, train, named):
+        generated = []
+        real_make = harness._make_dataset
+
+        def spy(spec, seed):
+            generated.append(spec)
+            return real_make(spec, seed)
+
+        monkeypatch.setattr(harness, "_make_dataset", spy)
+        cfg = base_config(
+            dataset={"kind": "blobs", "k": 3, "n_per_class": 50, "d": 2,
+                     "separation": 8.0},
+            noise={"kind": "symmetric", "rho": 0.2}, method=method,
+            train={"epochs": 2, **train})
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(cfg)
+        assert generated == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
 
 
 class TestRunExperiment:
