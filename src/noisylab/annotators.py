@@ -160,8 +160,9 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
 
     Per sample, annotator a's predicted noisy distribution is
     theta_a^T p(.|x) and the loss sums CE terms over annotators; the trace
-    penalty lambda * sum_a trace(theta_a) is applied once per batch step.
-    Returns (ModelParams, AnnotatorModel, history).
+    penalty lambda * sum_a trace(theta_a) is applied once per batch step;
+    with one annotator and lambda = 0 this is the noise-adaptation layer
+    (Sukhbaatar et al. 2015). Returns (ModelParams, AnnotatorModel, history).
     """
     if ds.annotator_labels is None:
         raise ValueError("train_with_confusion: dataset has no annotator labels")
@@ -176,10 +177,13 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
     def batch_loss(probs, idx):
         values, G, gqs = confusion_grads(qs, probs, L[idx])
         for q, gq in zip(qs, gqs):
-            # gradient of lambda * trace(theta) through the row-softmax
-            theta = realized_transition(q)
-            gq_pen = theta * (pen - (lambda_trace * np.diag(theta))[:, None])
-            q -= (lr / len(idx)) * gq + lr * gq_pen
+            step = (lr / len(idx)) * gq
+            if lambda_trace:
+                # gradient of lambda * trace(theta) through the row-softmax
+                theta = realized_transition(q)
+                diag = lambda_trace * np.diag(theta)
+                step += lr * (theta * (pen - diag[:, None]))
+            q -= step
         return values.ravel(), G
 
     params, history = fit(ds, config, batch_loss, test_ds)

@@ -32,6 +32,9 @@ class LabeledDataset:
         object.__setattr__(self, "labels",
                            np.asarray(self.labels, dtype=np.int64))
         n = self.features.shape[0]
+        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=-1))
+        if bad.size:
+            raise ValueError(f"non-finite feature in sample {bad[0]}")
         if self.labels.shape != (n,):
             raise ValueError("labels length must match feature rows")
         if self.labels.size and (self.labels.min() < 0
@@ -139,6 +142,9 @@ def split(ds, test_fraction, seed):
         n_test = int(round(test_fraction * members.size))
         test_idx.append(order[:n_test])
     test_idx = np.sort(np.concatenate(test_idx)) if test_idx else np.empty(0, int)
+    if not 0 < len(test_idx) < ds.n:
+        raise ValueError(f"split: test_fraction {test_fraction} of {ds.n} "
+                         f"rows leaves an empty train or test set")
     mask = np.ones(ds.n, dtype=bool)
     mask[test_idx] = False
     return ds.subset(np.flatnonzero(mask)), ds.subset(test_idx)

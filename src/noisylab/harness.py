@@ -32,6 +32,7 @@ METHOD_KEYS = ("loss", "noise_adaptation", "reweight", "annotator",
                "procedure")
 REWEIGHT_REQUIRED = {"trimmed": "fraction", "rank_prune": "fraction",
                      "pumpout": "transition"}
+TRANSITION_NOISE = ("symmetric", "matrix")
 
 
 class ConfigError(ValueError):
@@ -66,6 +67,14 @@ def validate_config(cfg):
     if required and required not in spec:
         raise ConfigError(f"reweight kind '{spec['kind']}' requires "
                           f"'{required}'")
+    if (cfg.get("noise") or {}).get("kind") not in TRANSITION_NOISE:
+        for key, sub in (("loss", method.get("loss")), ("reweight", spec),
+                         ("reweight.loss", spec.get("loss")),
+                         ("base_loss", method.get("base_loss"))):
+            if isinstance(sub, dict) and sub.get("transition") == "true":
+                raise ConfigError(
+                    f"method.{key}.transition is 'true' but the noise model "
+                    f"defines no transition")
     return method, present[0]
 
 
@@ -121,16 +130,13 @@ def _resolve_loss(loss_spec_json, true_transition):
     return LossSpec.from_json(spec)
 
 
-def _train_config(cfg, method_loss=None, **overrides):
+def _train_config(cfg):
     t = cfg.get("train", {})
-    kw = dict(epochs=t.get("epochs", 30), batch_size=t.get("batch_size", 32),
-              learning_rate=t.get("learning_rate", 0.1), seed=cfg["seed"],
-              arch=t.get("arch", "linear"), hidden=t.get("hidden", 32),
-              capacity_scale=t.get("capacity_scale", 1.0))
-    if method_loss is not None:
-        kw["loss"] = method_loss
-    kw.update(overrides)
-    return TrainConfig(**kw)
+    return TrainConfig(
+        epochs=t.get("epochs", 30), batch_size=t.get("batch_size", 32),
+        learning_rate=t.get("learning_rate", 0.1), seed=cfg["seed"],
+        arch=t.get("arch", "linear"), hidden=t.get("hidden", 32),
+        capacity_scale=t.get("capacity_scale", 1.0))
 
 
 def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
@@ -250,17 +256,17 @@ def _run_method(cfg, method, kind, noisy, test_ds, true_T):
     """Dispatch one method pipeline; returns (params, history, diagnostics).
     Training code only ever sees the training view (truth stripped)."""
     view = noisy.training_view()
+    tc = _train_config(cfg)
     diagnostics = {}
     if kind == "loss":
-        spec = _resolve_loss(method["loss"], true_T)
-        tc = _train_config(cfg, spec)
+        tc = replace(tc, loss=_resolve_loss(method["loss"], true_T))
         params, history = train(view, tc, test_ds)
     elif kind == "noise_adaptation":
-        tc = _train_config(cfg, use_noise_layer=True)
-        params, history = train(view, tc, test_ds)
-        from .model import realized_transition
-        diagnostics["learned_transition"] = \
-            realized_transition(params.noise_layer).tolist()
+        # the observed labels as the one annotator, with no trace penalty
+        params, model, history = train_with_confusion(
+            replace(view, annotator_labels=view.labels[:, None]), tc, 0.0,
+            test_ds)
+        diagnostics["learned_transition"] = model.confusions[0].t.tolist()
     elif kind == "reweight":
         spec = dict(method["reweight"])
         if spec.get("transition") == "true":
@@ -269,22 +275,21 @@ def _run_method(cfg, method, kind, noisy, test_ds, true_T):
             spec["transition"] = TransitionMatrix.from_json(spec["transition"])
         if "loss" in spec:
             spec["loss"] = _resolve_loss(spec["loss"], true_T)
-        loss = (_resolve_loss(method.get("base_loss", {"kind": "ce"}), true_T)
-                if "base_loss" in method else LossSpec("ce"))
-        tc = _train_config(cfg, loss, reweight=spec)
+        loss = _resolve_loss(method.get("base_loss", {"kind": "ce"}), true_T)
+        tc = replace(tc, loss=loss, reweight=spec)
         params, history = train(view, tc, test_ds)
     elif kind == "annotator":
         params, history, diagnostics = _run_annotator_method(
-            cfg, method["annotator"], noisy, view, test_ds)
+            tc, method["annotator"], noisy, view, test_ds)
     elif kind == "procedure":
         params, history, diagnostics = _run_procedure_method(
-            cfg, method["procedure"], noisy, view, test_ds)
+            cfg, tc, method["procedure"], noisy, view, test_ds)
     else:
         raise ConfigError(f"unknown method kind: {kind}")
     return params, history, diagnostics
 
 
-def _run_annotator_method(cfg, spec, noisy, view, test_ds):
+def _run_annotator_method(tc, spec, noisy, view, test_ds):
     if view.annotator_labels is None:
         raise ConfigError("annotator method requires annotator labels "
                           "(noise kind 'annotators')")
@@ -301,16 +306,13 @@ def _run_annotator_method(cfg, spec, noisy, view, test_ds):
             diagnostics["annotator_model"] = model.to_json()
             diagnostics["staple_loglik"] = loglik
         fused_ds = replace(view, labels=fused)
-        tc = _train_config(cfg)
         params, history = train(fused_ds, tc, test_ds)
         if noisy.true_labels is not None:
             diagnostics["fused_label_accuracy"] = float(
                 np.mean(fused == noisy.true_labels))
     elif fusion == "min_loss":
-        tc = _train_config(cfg)
         params, history = train_min_loss_label(view, tc, test_ds)
     elif fusion == "confusion":
-        tc = _train_config(cfg)
         params, model, history = train_with_confusion(
             view, tc, spec.get("lambda_trace", 0.01), test_ds)
         diagnostics["annotator_model"] = model.to_json()
@@ -319,15 +321,13 @@ def _run_annotator_method(cfg, spec, noisy, view, test_ds):
     return params, history, diagnostics
 
 
-def _run_procedure_method(cfg, spec, noisy, view, test_ds):
+def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
     name = spec["name"]
     diagnostics = {}
     if name == "mixup":
-        tc = _train_config(cfg)
         params, history = train_mixup(view, tc, test_ds,
                                       alpha=spec.get("alpha", 0.2))
     elif name in ("co_teaching", "disagreement"):
-        tc = _train_config(cfg)
         rho = spec.get("noise_rate")
         if rho is None:
             noise = cfg.get("noise") or {}
@@ -337,7 +337,6 @@ def _run_procedure_method(cfg, spec, noisy, view, test_ds):
             disagreement_only=(name == "disagreement"))
         params = model_a
     elif name == "dual_relabel":
-        tc = _train_config(cfg)
         params, _, store, history = train_dual_relabel(view, tc, test_ds)
         if noisy.true_labels is not None:
             diagnostics["store_match_truth_final"] = \
@@ -353,7 +352,6 @@ def _run_procedure_method(cfg, spec, noisy, view, test_ds):
         n_clean = max(2, int(round(clean_fraction * noisy.n)))
         clean_idx = np.sort(rng.permutation(noisy.n)[:n_clean])
         clean_small = noisy.subset(clean_idx)
-        tc = _train_config(cfg)
         store, flags, _, rounds = iterative_clean(
             noisy.training_view(), clean_small, tc,
             rounds=spec.get("rounds", 3),

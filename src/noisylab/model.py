@@ -230,7 +230,6 @@ class TrainConfig:
     arch: str = "linear"
     hidden: int = 32
     capacity_scale: float = 1.0
-    use_noise_layer: bool = False         # trained at learning_rate
     reweight: object = None               # hook, see reweight module
 
     def __post_init__(self):
@@ -321,15 +320,14 @@ def train(ds, config, test_ds=None, params=None):
     accuracy when a test set is attached. Aborts with DivergedError if the
     mean epoch loss goes non-finite."""
     from .reweight import make_reweighter
+    # made here, not by fit: batches() scores the kept set with them
     if params is None:
         params = init(config.arch, ds.dim, ds.num_classes, config.seed,
                       config.hidden, config.capacity_scale)
     else:
         params = params.copy()
-    if config.use_noise_layer and params.noise_layer is None:
-        params = attach_noise_layer(params)
     reweighter = make_reweighter(config.reweight)
-    X, y, lr = ds.features, ds.labels, config.learning_rate
+    X, y = ds.features, ds.labels
     keep = np.ones(ds.n, dtype=bool)
 
     def batches(order, rng):
@@ -342,22 +340,12 @@ def train(ds, config, test_ds=None, params=None):
 
     def batch_loss(probs, idx):
         yb = y[idx]
-
-        def weigh(values):
-            w = keep[idx].astype(np.float64)
-            if reweighter:
-                for r in np.flatnonzero(w):
-                    w[r] *= reweighter.sample_weight(values[r], probs[r],
-                                                     yb[r])
-            return w
-
-        if params.noise_layer is None:
-            values, G = loss_and_grad(config.loss, probs, yb)
-            return values, G * weigh(values)[:, None]
-        G, gq, values = noise_layer_grads(params.noise_layer, probs, yb,
-                                          weigh)
-        params.noise_layer -= (lr / len(idx)) * gq
-        return values, G
+        values, G = loss_and_grad(config.loss, probs, yb)
+        w = keep[idx].astype(np.float64)
+        if reweighter:
+            for r in np.flatnonzero(w):
+                w[r] *= reweighter.sample_weight(values[r], probs[r], yb[r])
+        return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)
 

@@ -7,20 +7,24 @@ reproduce, bit for bit where the arithmetic is the same and to 1e-12 where
 the batched form sums in a different order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisylab.annotators import (confusion_grads, min_loss_label,
-                                 min_loss_labels)
+                                 min_loss_labels, train_with_confusion)
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
                              loss_grad_logits, loss_value)
-from noisylab.model import (DivergedError, backward_batch,
-                            ensemble_disagreement, forward_batch, init,
-                            minibatches, noise_layer_grads, predict_probs,
-                            sgd_epoch, sgd_step)
+from noisylab.model import (DivergedError, TrainConfig, attach_noise_layer,
+                            backward_batch, ensemble_disagreement, fit,
+                            forward_batch, init, minibatches,
+                            noise_layer_grads, noise_layer_init,
+                            predict_probs, realized_transition, sgd_epoch,
+                            sgd_step)
 from noisylab.noise import (TransitionMatrix, draw_labels, inject,
                             simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
@@ -582,3 +586,101 @@ class TestDualRelabelBatch:
         for got, want in zip(models, (small, large)):
             for name in want.arrays:
                 assert np.array_equal(got.arrays[name], want.arrays[name])
+
+
+def ref_noise_layer_train(ds, config, test_ds):
+    """The noise-adaptation trainer as model.train ran it: a noise layer
+    attached to fresh params and stepped at lr / N inside each batch's
+    loss, before the step on the classifier."""
+    params = attach_noise_layer(init(config.arch, ds.dim, ds.num_classes,
+                                     config.seed, config.hidden,
+                                     config.capacity_scale))
+
+    def batch_loss(probs, idx):
+        G, gq, values = noise_layer_grads(params.noise_layer, probs,
+                                          ds.labels[idx],
+                                          lambda v: np.ones(len(v)))
+        params.noise_layer -= (config.learning_rate / len(idx)) * gq
+        return values, G
+
+    return fit(ds, config, batch_loss, test_ds, params=params)
+
+
+def ref_confusion_train(ds, config, lambda_trace, test_ds):
+    """train_with_confusion with the trace-penalty step always taken, as
+    it was written before the lambda = 0 skip. Returns (params, qs,
+    history)."""
+    L, K, lr = ds.annotator_labels, ds.num_classes, config.learning_rate
+    qs = [noise_layer_init(K) for _ in range(L.shape[1])]
+    pen = lambda_trace * np.eye(K)
+
+    def batch_loss(probs, idx):
+        values, G, gqs = confusion_grads(qs, probs, L[idx])
+        for q, gq in zip(qs, gqs):
+            theta = realized_transition(q)
+            gq_pen = theta * (pen - (lambda_trace * np.diag(theta))[:, None])
+            q -= (lr / len(idx)) * gq + lr * gq_pen
+        return values.ravel(), G
+
+    params, history = fit(ds, config, batch_loss, test_ds)
+    return params, qs, history
+
+
+@st.composite
+def small_runs(draw):
+    """(train set, test set, TrainConfig) for a few-epoch run."""
+    K = draw(st.integers(2, 5), label="K")
+    n = draw(st.integers(2, 24), label="n")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
+    test_ds = LabeledDataset(rng.normal((5, 2)), rng.integers(0, K, size=5),
+                             K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3), label="epochs"),
+        batch_size=draw(st.integers(1, 8), label="batch_size"),
+        # not powers of two, so a reordered product changes the last bit
+        learning_rate=draw(st.sampled_from([0.0, 0.1, 0.3, 0.7]),
+                           label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4)
+    return ds, test_ds, config
+
+
+def assert_same_run(params, history, ref_params, ref_history):
+    assert history == ref_history
+    for name in ref_params.arrays:
+        assert np.array_equal(params.arrays[name], ref_params.arrays[name])
+
+
+class TestNoiseAdaptationAsConfusion:
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_single_annotator_unpenalized_is_the_noise_layer(self, run):
+        ds, test_ds, config = run
+        ref_params, ref_history = ref_noise_layer_train(ds, config, test_ds)
+        params, model, history = train_with_confusion(
+            replace(ds, annotator_labels=ds.labels[:, None]), config, 0.0,
+            test_ds)
+        assert_same_run(params, history, ref_params, ref_history)
+        assert len(model.confusions) == 1
+        assert np.array_equal(model.confusions[0].t,
+                              realized_transition(ref_params.noise_layer))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs(), st.integers(1, 3),
+           st.sampled_from([0.0, 0.001, 0.01, 0.1]), st.data())
+    def test_penalty_step_matches_unskipped_update(self, run, A, lambda_trace,
+                                                   data):
+        ds, test_ds, config = run
+        L = np.reshape(data.draw(st.lists(
+            st.integers(0, ds.num_classes - 1), min_size=ds.n * A,
+            max_size=ds.n * A), label="annotator labels"), (ds.n, A))
+        ds = replace(ds, annotator_labels=L)
+        ref_params, ref_qs, ref_history = ref_confusion_train(
+            ds, config, lambda_trace, test_ds)
+        params, model, history = train_with_confusion(ds, config,
+                                                      lambda_trace, test_ds)
+        assert_same_run(params, history, ref_params, ref_history)
+        for T, q in zip(model.confusions, ref_qs):
+            assert np.array_equal(T.t, realized_transition(q))

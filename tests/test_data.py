@@ -93,6 +93,14 @@ class TestSplit:
             with pytest.raises(ValueError):
                 split(ds, bad, 0)
 
+    @pytest.mark.parametrize("n_per_class, fraction", [(50, 0.001),
+                                                       (1, 0.9)],
+                             ids=["empty-test", "empty-train"])
+    def test_empty_side_rejected(self, n_per_class, fraction):
+        ds = gen_blobs(3, n_per_class, 2, 8.0, 0)
+        with pytest.raises(ValueError, match="empty"):
+            split(ds, fraction, 0)
+
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
@@ -134,6 +142,13 @@ class TestInvariants:
             LabeledDataset(np.zeros((3, 2)), [0, 1, 5], 2)
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((3, 2)), [0, 1], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite feature in sample 2"):
+            LabeledDataset(X, [0, 1, 0], 2)
 
     def test_training_view_strips_truth(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)

@@ -9,6 +9,7 @@ from noisylab.harness import (ConfigError, metrics, report_json,
                               sweep_summary_csv, validate_config,
                               write_report)
 from noisylab.cli import cli
+from noisylab.data import load_csv
 from noisylab.model import DivergedError
 
 
@@ -103,6 +104,81 @@ class TestValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli(["train", "--config", str(path)]) == 1
+
+
+class TestTrueTransitionNeedsOne:
+    @pytest.mark.parametrize("noise, method, named", [
+        (None, {"reweight": {"kind": "pumpout", "transition": "true"}},
+         "method.reweight.transition"),
+        ({"kind": "feature", "rho_max": 0.3},
+         {"reweight": {"kind": "pumpout", "transition": "true"}},
+         "method.reweight.transition"),
+        (None, {"loss": {"kind": "forward", "transition": "true"}},
+         "method.loss.transition"),
+        ({"kind": "annotators", "rhos": [0.1, 0.2, 0.3]},
+         {"loss": {"kind": "backward", "transition": "true"}},
+         "method.loss.transition"),
+        (None, {"reweight": {"kind": "trimmed", "fraction": 0.2,
+                             "loss": {"kind": "forward",
+                                      "transition": "true"}}},
+         "method.reweight.loss.transition"),
+        (None, {"reweight": {"kind": "running"},
+                "base_loss": {"kind": "backward", "transition": "true"}},
+         "method.base_loss.transition"),
+    ], ids=["pumpout-no-noise", "pumpout-feature-noise", "forward-no-noise",
+            "backward-annotators", "reweight-loss", "base_loss"])
+    def test_named_before_any_data(self, monkeypatch, tmp_path, noise,
+                                   method, named):
+        generated = []
+        real_make = harness._make_dataset
+
+        def spy(spec, seed):
+            generated.append(spec)
+            return real_make(spec, seed)
+
+        monkeypatch.setattr(harness, "_make_dataset", spy)
+        cfg = base_config(
+            dataset={"kind": "blobs", "k": 3, "n_per_class": 50, "d": 2,
+                     "separation": 8.0},
+            noise=noise, method=method, train={"epochs": 2})
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(cfg)
+        assert generated == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
+
+class TestGenerateStage:
+    def _no_training(self, monkeypatch):
+        def spy(*args, **kwargs):
+            pytest.fail("training ran")
+
+        monkeypatch.setattr(harness, "train", spy)
+
+    def test_empty_test_split_fails_before_training(self, monkeypatch):
+        self._no_training(monkeypatch)
+        cfg = base_config(dataset={"kind": "blobs", "k": 3, "n_per_class": 50,
+                                   "d": 2, "separation": 8.0},
+                          test_fraction=0.001)
+        with pytest.raises(harness.PipelineError, match="empty") as info:
+            run_experiment(cfg)
+        assert info.value.stage == "generate"
+
+    def test_nan_feature_in_csv_fails_before_training(self, monkeypatch,
+                                                      tmp_path):
+        self._no_training(monkeypatch)
+        path = tmp_path / "nan.csv"
+        rows = [f"{i % 3}.5,{i}.0,{i % 3}" for i in range(30)]
+        rows[4] = "nan,4.0,1"
+        path.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="non-finite feature"):
+            load_csv(path)
+        cfg = base_config(dataset={"kind": "csv", "path": str(path)})
+        with pytest.raises(harness.PipelineError,
+                           match="non-finite feature") as info:
+            run_experiment(cfg)
+        assert info.value.stage == "generate"
 
 
 class TestRunExperiment:
