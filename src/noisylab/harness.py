@@ -28,8 +28,11 @@ from .procedures import (iterative_clean, train_co_teaching,
 
 SCHEMA_VERSION = 1
 
+CONFIG_KEYS = ("seed", "dataset", "test_fraction", "noise", "method",
+               "train", "output")
 METHOD_KEYS = ("loss", "noise_adaptation", "reweight", "annotator",
                "procedure")
+LOSS_KEYS = ("kind", "tau", "epsilon", "transition", "base")
 REWEIGHT_REQUIRED = {"trimmed": "fraction", "rank_prune": "fraction",
                      "pumpout": "transition"}
 TRANSITION_NOISE = ("symmetric", "matrix")
@@ -49,6 +52,9 @@ class PipelineError(RuntimeError):
 
 
 def validate_config(cfg):
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if "seed" not in cfg:
         raise ConfigError("config requires a seed")
     if "dataset" not in cfg:
@@ -58,6 +64,9 @@ def validate_config(cfg):
     if len(present) != 1:
         raise ConfigError(
             f"config must select exactly one method pipeline, got {present}")
+    if method.get("noise_adaptation", True) is not True:
+        raise ConfigError("method.noise_adaptation must be true, got "
+                          f"{method['noise_adaptation']!r}")
     for key in ("epochs", "batch_size"):
         value = cfg.get("train", {}).get(key, 1)
         if not isinstance(value, (int, np.integer)):
@@ -67,10 +76,15 @@ def validate_config(cfg):
     if required and required not in spec:
         raise ConfigError(f"reweight kind '{spec['kind']}' requires "
                           f"'{required}'")
+    losses = (("loss", method.get("loss")),
+              ("reweight.loss", spec.get("loss")),
+              ("base_loss", method.get("base_loss")))
+    for key, sub in losses:
+        if isinstance(sub, dict) and not set(sub) <= set(LOSS_KEYS):
+            unknown = ", ".join(sorted(set(sub) - set(LOSS_KEYS)))
+            raise ConfigError(f"method.{key} has unknown key(s): {unknown}")
     if (cfg.get("noise") or {}).get("kind") not in TRANSITION_NOISE:
-        for key, sub in (("loss", method.get("loss")), ("reweight", spec),
-                         ("reweight.loss", spec.get("loss")),
-                         ("base_loss", method.get("base_loss"))):
+        for key, sub in (*losses, ("reweight", spec)):
             if isinstance(sub, dict) and sub.get("transition") == "true":
                 raise ConfigError(
                     f"method.{key}.transition is 'true' but the noise model "

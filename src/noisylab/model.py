@@ -1,7 +1,7 @@
 """Minimal differentiable classifiers: linear softmax and one-hidden-layer
 ReLU network, with hand-derived gradients, an optional noise-adaptation
-output layer, a deterministic SGD trainer, and finite-difference gradient
-verification.
+output layer, a deterministic SGD trainer that can step a stack of
+same-shape models in lockstep, and finite-difference gradient verification.
 """
 
 from __future__ import annotations
@@ -90,16 +90,18 @@ def init(arch, d, K, seed, hidden=32, capacity_scale=1.0):
 
 def forward_batch(params, X):
     """Logits for a batch; returns (logits, cache) with the cache holding
-    the hidden activations the backward pass needs."""
+    the hidden activations the backward pass needs. Works on the last two
+    axes, so a stacked model's (E, B, d) batch gives (E, B, K) logits."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != params.d:
-        raise ValueError(f"expected {params.d} features, got {X.shape[1]}")
+    if X.shape[-1] != params.d:
+        raise ValueError(f"expected {params.d} features, got {X.shape[-1]}")
     if params.arch == "linear":
-        return X @ params.arrays["W"] + params.arrays["b"], {"X": X}
-    a1 = X @ params.arrays["W1"] + params.arrays["b1"]
+        return (X @ params.arrays["W"] + params.arrays["b"][..., None, :],
+                {"X": X})
+    a1 = X @ params.arrays["W1"] + params.arrays["b1"][..., None, :]
     h = np.maximum(a1, 0.0)
-    return h @ params.arrays["W2"] + params.arrays["b2"], {"X": X, "a1": a1,
-                                                           "h": h}
+    return (h @ params.arrays["W2"] + params.arrays["b2"][..., None, :],
+            {"X": X, "a1": a1, "h": h})
 
 
 def forward(params, x):
@@ -108,20 +110,22 @@ def forward(params, x):
 
 
 def backward_batch(params, G, cache):
-    """Parameter gradients given summed upstream logit gradients G (N x K).
-    ReLU uses subgradient 0 at 0."""
+    """Parameter gradients given summed upstream logit gradients G (N x K),
+    one row per batch row; a stacked model's N = E * B rows are reshaped
+    back to (E, B, K). ReLU uses subgradient 0 at 0."""
     X = cache["X"]
+    G = G.reshape(X.shape[:-1] + (params.K,))
     grads = {}
     if params.arch == "linear":
-        grads["W"] = X.T @ G
-        grads["b"] = G.sum(axis=0)
+        grads["W"] = X.swapaxes(-1, -2) @ G
+        grads["b"] = G.sum(axis=-2)
         return grads
     h = cache["h"]
-    grads["W2"] = h.T @ G
-    grads["b2"] = G.sum(axis=0)
-    Gh = (G @ params.arrays["W2"].T) * (cache["a1"] > 0)
-    grads["W1"] = X.T @ Gh
-    grads["b1"] = Gh.sum(axis=0)
+    grads["W2"] = h.swapaxes(-1, -2) @ G
+    grads["b2"] = G.sum(axis=-2)
+    Gh = (G @ params.arrays["W2"].swapaxes(-1, -2)) * (cache["a1"] > 0)
+    grads["W1"] = X.swapaxes(-1, -2) @ Gh
+    grads["b1"] = Gh.sum(axis=-2)
     return grads
 
 
@@ -136,7 +140,7 @@ def predict_probs(params, X):
 
 
 def predict(params, X):
-    return predict_probs(params, X).argmax(axis=1)
+    return predict_probs(params, X).argmax(axis=-1)
 
 
 def grad_check(params, x, y, loss_spec, epsilon=1e-6):
@@ -238,77 +242,112 @@ class TrainConfig:
 
 
 def minibatches(order, batch_size):
-    """Consecutive index slices of `order`; the last may be short."""
-    for start in range(0, len(order), batch_size):
-        yield order[start:start + batch_size]
+    """Consecutive index slices of `order` along its last axis; the last
+    may be short. An (E, n) order of E models gives (E, B) index blocks."""
+    for start in range(0, order.shape[-1], batch_size):
+        yield order[..., start:start + batch_size]
 
 
 def sgd_step(params, X, lr, batch_loss, epoch):
     """One SGD step on the batch X, the only place parameters are updated:
     forward, softmax, batch_loss(probs) -> (loss values (N,), dloss/dlogits
-    (N, K)), backward, and a step of lr / N on every parameter array.
-    Returns the loss values; raises DivergedError naming the epoch on a
-    non-finite logit."""
+    (N, K)), backward, and a step of lr / B on every parameter array, B the
+    batch rows per model. A stacked model's (E, B, d) batch steps its E
+    models in lockstep; batch_loss still sees N = E * B rows, model by
+    model. Returns the loss values, a row per model when stacked; raises
+    DivergedError naming the epoch on a non-finite logit."""
     logits, cache = forward_batch(params, X)
     try:
-        probs = softmax(logits)   # rejects non-finite logits
+        probs = softmax(logits.reshape(-1, params.K))  # rejects non-finite
     except ValueError as e:
         raise DivergedError(f"training diverged at epoch {epoch}") from e
     values, G = batch_loss(probs)
     grads = backward_batch(params, G, cache)
-    scale = lr / len(X)
-    for name in params.arrays:
-        params.arrays[name] -= scale * grads[name]
-    return values
+    scale = lr / X.shape[-2]
+    for name, a in params.arrays.items():
+        a -= scale * grads[name]
+    return values.reshape(X.shape[:-2] + (-1,))
 
 
 def sgd_epoch(params, batches, lr, batch_loss, epoch):
     """sgd_step over (X_batch, key) pairs, batch_loss(probs, key) seeing
     each batch's key (its indices, or its mixed targets). Returns the loss
-    values of the epoch, concatenated."""
+    values of the epoch, concatenated along the last axis."""
     return np.concatenate([
         sgd_step(params, X, lr, lambda probs: batch_loss(probs, key), epoch)
-        for X, key in batches])
+        for X, key in batches], axis=-1)
 
 
 def epoch_row(epoch, params, test_ds, **fields):
     """History row: the epoch, the given fields, and the accuracy of params
     against test_ds's truth (its labels when it has none) when a test set
-    is attached."""
+    is attached; a list of E accuracies for a stacked model."""
     row = {"epoch": epoch, **fields}
     if test_ds is not None:
         truth = (test_ds.true_labels if test_ds.true_labels is not None
                  else test_ds.labels)
-        row["test_accuracy"] = float(
-            np.mean(predict(params, test_ds.features) == truth))
+        row["test_accuracy"] = np.mean(
+            predict(params, test_ds.features) == truth, axis=-1).tolist()
     return row
 
 
-def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None):
+def stack(models):
+    """One ModelParams whose arrays carry a leading model axis E over the
+    given same-shape models, so sgd_step trains them in lockstep."""
+    out = models[0].copy()
+    out.arrays = {k: np.stack([m.arrays[k] for m in models])
+                  for k in out.arrays}
+    return out
+
+
+def unstack(params):
+    """The E models of a stacked ModelParams, as separate copies."""
+    models = []
+    for e in range(len(next(iter(params.arrays.values())))):
+        m = ModelParams(params.arch, params.d, params.K, params.hidden)
+        m.arrays = {k: a[e].copy() for k, a in params.arrays.items()}
+        models.append(m)
+    return models
+
+
+def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
+        seeds=None):
     """config.epochs epochs of sgd_epoch on params (fresh ones from
     config's architecture and seed when not given), shuffled by a stream
     seeded with config.seed. batches(order, rng) is called at the start of
     each epoch with its shuffled row order and gives the (X_batch, key)
     pairs; by default each minibatch's rows keyed by their indices.
     Returns (params, history), one epoch_row with the mean training loss
-    per epoch; raises DivergedError if that mean is non-finite."""
+    per epoch; raises DivergedError if that mean is non-finite.
+
+    Given E seeds, fit trains a stack of E models in lockstep, each
+    initialized from and shuffled by its own seed, exactly as E separate
+    fits with config.seed set to each: order is then (E, n), rng the list
+    of the E streams, and the history's train_loss and test_accuracy are
+    lists over the models. unstack splits the returned params."""
+    stacked = seeds is not None
+    seeds = list(seeds) if stacked else [config.seed]
     if params is None:
-        params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                      config.hidden, config.capacity_scale)
-    rng = Rng(config.seed)
+        models = [init(config.arch, ds.dim, ds.num_classes, s, config.hidden,
+                       config.capacity_scale) for s in seeds]
+        params = stack(models) if stacked else models[0]
+    streams = [Rng(s) for s in seeds]
+    rng = streams if stacked else streams[0]
     if batches is None:
         def batches(order, rng):
-            return ((ds.features[idx], idx)
+            return ((ds.features[idx], idx.ravel())
                     for idx in minibatches(order, config.batch_size))
     history = []
     for epoch in range(config.epochs):
-        values = sgd_epoch(params, batches(rng.permutation(ds.n), rng),
+        orders = [r.permutation(ds.n) for r in streams]
+        order = np.array(orders) if stacked else orders[0]
+        values = sgd_epoch(params, batches(order, rng),
                            config.learning_rate, batch_loss, epoch)
-        mean_loss = float(np.mean(values))
-        if not np.isfinite(mean_loss):
+        mean_loss = np.mean(values, axis=-1)
+        if not np.all(np.isfinite(mean_loss)):
             raise DivergedError(f"training diverged at epoch {epoch}")
         history.append(epoch_row(epoch, params, test_ds,
-                                 train_loss=mean_loss))
+                                 train_loss=mean_loss.tolist()))
     return params, history
 
 

@@ -45,11 +45,12 @@ class Rng:
 def softmax(logits):
     """Stable softmax over the last axis (max-subtracted)."""
     logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    # array methods, not np.all / np.max / np.sum: the same reductions
+    # without their Python wrappers, once per SGD step
+    if not np.isfinite(logits).all():
         raise ValueError("softmax: non-finite logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def check_prob_vector(p, atol=PROB_ATOL):

@@ -13,7 +13,8 @@ import numpy as np
 from .data import LabeledDataset
 from .losses import LOG_CLAMP, LossSpec, loss_and_grad
 from .model import (epoch_row, fit, forward_batch, init, minibatches,
-                    predict, predict_probs, sgd_epoch, sgd_step, train)
+                    predict, predict_probs, sgd_epoch, sgd_step, train,
+                    unstack)
 from .noise import class_centroids
 from .numerics import Rng, sample_beta
 
@@ -325,11 +326,18 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     clean set (target: observed label differs from truth), then relabel the
     noisy samples it flags with the base model's prediction.
 
+    Each round's seed ensemble trains in lockstep as one stack of models,
+    each exactly as train would with its seed; a re-weight hook, which
+    carries state from sample to sample, cannot be shared across them.
+
     Returns (SoftLabelStore, flag indicator array, meta-classifier params,
     per-round history).
     """
     if ds_clean_small is None or ds_clean_small.true_labels is None:
         raise ValueError("iterative_clean: clean set with true labels required")
+    if config.reweight is not None:
+        raise ValueError("iterative_clean: a re-weight hook cannot train "
+                         "the seed ensemble")
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)
@@ -339,7 +347,11 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         labels = store.hard_labels()
         current = replace(ds_noisy.training_view(), labels=labels)
         seeds = [int(r.integers(0, 2**31)) for r in rng.split(ensemble_size)]
-        models = [train(current, replace(config, seed=s))[0] for s in seeds]
+        stacked, _ = fit(current, config,
+                         lambda probs, idx: loss_and_grad(config.loss, probs,
+                                                          labels[idx]),
+                         seeds=seeds)
+        models = unstack(stacked)
         feats_clean = cleaning_meta_features(models, ds_clean_small,
                                              ds_clean_small.labels)
         target = (ds_clean_small.labels

@@ -4,7 +4,8 @@ annotator and procedure code with the per-sample formulas they replace.
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
 reproduce, bit for bit where the arithmetic is the same and to 1e-12 where
-the batched form sums in a different order.
+the batched form sums in a different order. A stack of models trained in
+lockstep must reproduce, bit for bit, the same models trained one by one.
 """
 
 from dataclasses import replace
@@ -22,15 +23,16 @@ from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
 from noisylab.model import (DivergedError, TrainConfig, attach_noise_layer,
                             backward_batch, ensemble_disagreement, fit,
                             forward_batch, init, minibatches,
-                            noise_layer_grads, noise_layer_init,
+                            noise_layer_grads, noise_layer_init, predict,
                             predict_probs, realized_transition, sgd_epoch,
-                            sgd_step)
+                            sgd_step, train, unstack)
 from noisylab.noise import (TransitionMatrix, draw_labels, inject,
                             simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (LabelEntry, SoftLabelStore,
                                  _target_loss, _train_epoch_against_store,
-                                 cleaning_meta_features, dual_relabel_epoch)
+                                 cleaning_meta_features, dual_relabel_epoch,
+                                 iterative_clean)
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -684,3 +686,158 @@ class TestNoiseAdaptationAsConfusion:
         assert_same_run(params, history, ref_params, ref_history)
         for T, q in zip(model.confusions, ref_qs):
             assert np.array_equal(T.t, realized_transition(q))
+
+
+@st.composite
+def lockstep_runs(draw):
+    """(train set, test set, TrainConfig, seeds, loss kind) for a stack of
+    1..4 models on a set whose last batch is short."""
+    K = draw(st.integers(2, 5), label="K")
+    batch_size = draw(st.integers(2, 8), label="batch_size")
+    n = (batch_size * draw(st.integers(0, 4), label="full batches")
+         + draw(st.integers(1, batch_size - 1), label="last batch"))
+    d = draw(st.integers(1, 3), label="d")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    ds = LabeledDataset(rng.normal((n, d)), rng.integers(0, K, size=n), K)
+    test_ds = LabeledDataset(rng.normal((5, d)), rng.integers(0, K, size=5),
+                             K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3), label="epochs"),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4)
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1,
+                          max_size=4), label="seeds")
+    kind = draw(st.sampled_from(["ce", "mae", "imae"]), label="loss")
+    return ds, test_ds, config, seeds, kind
+
+
+def assert_lockstep_matches_separate(ds, test_ds, config, seeds, kind):
+    def batch_loss(probs, idx):
+        return loss_and_grad(LossSpec(kind), probs, ds.labels[idx])
+
+    stacked, history = fit(ds, config, batch_loss, test_ds, seeds=seeds)
+    models = unstack(stacked)
+    assert len(models) == len(seeds)
+    for e, (model, seed) in enumerate(zip(models, seeds)):
+        ref, ref_history = fit(ds, replace(config, seed=seed), batch_loss,
+                               test_ds)
+        for name in ref.arrays:
+            assert np.array_equal(model.arrays[name], ref.arrays[name])
+        assert [{k: v[e] if isinstance(v, list) else v
+                 for k, v in row.items()} for row in history] == ref_history
+
+
+class TestLockstepFit:
+    @settings(max_examples=80, deadline=None)
+    @given(lockstep_runs())
+    def test_stack_matches_separate_fits(self, run):
+        assert_lockstep_matches_separate(*run)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_stack_matches_separate_fits_at_bench_batch(self, arch):
+        # a full-width batch and a short last one, through the BLAS kernels
+        # the benchmark's batch size picks
+        rng = Rng(3)
+        ds = LabeledDataset(rng.normal((1001, 5)),
+                            rng.integers(0, 3, size=1001), 3)
+        config = TrainConfig(epochs=2, batch_size=32, learning_rate=0.3,
+                             arch=arch)
+        assert_lockstep_matches_separate(ds, ds, config, [11, 12, 13], "ce")
+
+    def test_minibatches_of_a_stacked_order(self):
+        order = np.array([[4, 0, 3, 1, 2], [0, 1, 2, 3, 4]])
+        got = list(minibatches(order, 2))
+        assert [b.tolist() for b in got] == [[[4, 0], [0, 1]],
+                                             [[3, 1], [2, 3]], [[2], [4]]]
+
+    def test_stacked_predictions_are_each_models(self):
+        rng = Rng(5)
+        X = rng.normal((7, 3))
+        models = [init("mlp", 3, 4, s, hidden=5) for s in (1, 2)]
+        stacked, _ = fit(LabeledDataset(X, np.zeros(7, dtype=int), 4),
+                         TrainConfig(epochs=1, learning_rate=0.0, arch="mlp",
+                                     hidden=5),
+                         lambda probs, idx: (np.zeros(len(probs)),
+                                             np.zeros_like(probs)),
+                         seeds=[1, 2])
+        for e, model in enumerate(models):
+            assert np.array_equal(predict_probs(stacked, X)[e],
+                                  predict_probs(model, X))
+            assert np.array_equal(predict(stacked, X)[e], predict(model, X))
+
+
+def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
+                        threshold=0.5, ensemble_size=3):
+    """iterative_clean as it trained its seed ensemble before lockstep: one
+    train call per seed."""
+    rng = Rng(config.seed)
+    store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
+    flags = np.zeros(ds_noisy.n, dtype=bool)
+    meta_params = None
+    history = []
+    for rnd in range(rounds):
+        labels = store.hard_labels()
+        current = replace(ds_noisy.training_view(), labels=labels)
+        seeds = [int(r.integers(0, 2**31)) for r in rng.split(ensemble_size)]
+        models = [train(current, replace(config, seed=s))[0] for s in seeds]
+        feats_clean = cleaning_meta_features(models, ds_clean_small,
+                                             ds_clean_small.labels)
+        target = (ds_clean_small.labels
+                  != ds_clean_small.true_labels).astype(np.int64)
+        mu, sd = feats_clean.mean(axis=0), feats_clean.std(axis=0) + 1e-9
+        meta_ds = LabeledDataset((feats_clean - mu) / sd, target, 2)
+        meta_cfg = replace(config, arch="linear", epochs=60,
+                           seed=config.seed + 1000 + rnd)
+        meta_params, _ = train(meta_ds, meta_cfg)
+        feats_noisy = (cleaning_meta_features(models, ds_noisy, labels)
+                       - mu) / sd
+        p_flip = predict_probs(meta_params, feats_noisy)[:, 1]
+        base_pred = predict(models[0], ds_noisy.features)
+        round_flags = p_flip > threshold
+        changed = np.flatnonzero(round_flags & (base_pred != labels))
+        for i in changed:
+            store.relabel_hard(i, int(base_pred[i]), rnd, "meta_clean")
+        flags |= round_flags
+        history.append({"round": rnd, "flagged": int(round_flags.sum()),
+                        "relabeled": len(changed)})
+    return store, flags, meta_params, history
+
+
+class TestLockstepIterativeClean:
+    @settings(max_examples=30, deadline=None)
+    @given(run=small_runs(), n_clean=st.integers(2, 8),
+           rounds=st.integers(1, 3), ensemble_size=st.integers(1, 4),
+           threshold=st.sampled_from([0.3, 0.5]))
+    def test_matches_per_model_loop(self, run, n_clean, rounds,
+                                    ensemble_size, threshold):
+        ds, _, config = run
+        rng = Rng(config.seed + 1)
+        truth = np.where(rng.uniform(ds.n) < 0.3,
+                         rng.integers(0, ds.num_classes, size=ds.n),
+                         ds.labels)
+        noisy = replace(ds, true_labels=truth)
+        clean = noisy.subset(np.arange(min(n_clean, ds.n)))
+        args = (noisy.training_view(), clean, config, rounds, threshold,
+                ensemble_size)
+        store, flags, meta, history = iterative_clean(*args)
+        ref_store, ref_flags, ref_meta, ref_history = \
+            ref_iterative_clean(*args)
+        assert np.array_equal(store.targets, ref_store.targets)
+        assert np.array_equal(store.is_soft, ref_store.is_soft)
+        assert store.provenance == ref_store.provenance
+        assert np.array_equal(flags, ref_flags)
+        for name in ref_meta.arrays:
+            assert np.array_equal(meta.arrays[name], ref_meta.arrays[name])
+        assert history == ref_history
+
+    def test_reweight_hook_is_refused(self):
+        rng = Rng(0)
+        ds = LabeledDataset(rng.normal((20, 2)), rng.integers(0, 2, size=20),
+                            2, true_labels=rng.integers(0, 2, size=20))
+        config = TrainConfig(epochs=1, reweight={"kind": "running"})
+        with pytest.raises(ValueError, match="re-weight"):
+            iterative_clean(ds.training_view(), ds.subset(np.arange(5)),
+                            config)

@@ -149,6 +149,66 @@ class TestTrueTransitionNeedsOne:
         assert cli(["train", "--config", str(path)]) == 1
 
 
+class TestConfigSurface:
+    """Keys the pipeline would ignore or choke on are named before any
+    data is generated, and the CLI exits 1."""
+
+    def _rejected(self, monkeypatch, tmp_path, cfg, named):
+        generated = []
+        monkeypatch.setattr(harness, "_make_dataset",
+                            lambda spec, seed: generated.append(spec))
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(cfg)
+        assert generated == []
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("value", [False, 0, 1, "true", None, {}],
+                             ids=["false", "zero", "one", "string", "null",
+                                  "dict"])
+    def test_noise_adaptation_must_be_true(self, monkeypatch, tmp_path,
+                                           value):
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.3},
+                          method={"noise_adaptation": value})
+        self._rejected(monkeypatch, tmp_path, cfg, "method.noise_adaptation")
+
+    def test_noise_adaptation_true_still_runs(self):
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.3},
+                          method={"noise_adaptation": True},
+                          train={"epochs": 2})
+        assert "learned_transition" in run_experiment(cfg)[
+            "noise_diagnostics"]
+
+    @pytest.mark.parametrize("method, named", [
+        ({"loss": {"kind": "ce", "bogus": 1}}, "method.loss"),
+        ({"reweight": {"kind": "running"},
+          "base_loss": {"kind": "mae", "bogus": 1}}, "method.base_loss"),
+        ({"reweight": {"kind": "trimmed", "fraction": 0.2,
+                       "loss": {"kind": "ce", "bogus": 1}}},
+         "method.reweight.loss"),
+    ], ids=["loss", "base_loss", "reweight.loss"])
+    def test_unknown_loss_key_is_named(self, monkeypatch, tmp_path, method,
+                                       named):
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.3},
+                          method=method)
+        self._rejected(monkeypatch, tmp_path, cfg, rf"{named} .*bogus")
+
+    @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
+    def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
+                                            key):
+        cfg = base_config(**{key: {"epochs": 2}})
+        self._rejected(monkeypatch, tmp_path, cfg, key)
+
+    def test_output_key_is_accepted(self, tmp_path):
+        out = tmp_path / "named.json"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(output=str(out),
+                                               train={"epochs": 2})))
+        assert cli(["train", "--config", str(path)]) == 0
+        assert out.exists()
+
+
 class TestGenerateStage:
     def _no_training(self, monkeypatch):
         def spy(*args, **kwargs):
