@@ -17,8 +17,8 @@ from .annotators import staple
 from .data import load_csv, save_csv
 from .harness import (ConfigError, PipelineError, atomic_write_text,
                       run_experiment, report_json, strip_wall_time, sweep,
-                      sweep_summary_csv, write_report, _make_dataset,
-                      _apply_noise)
+                      sweep_summary_csv, write_report, _apply_noise,
+                      _check_section, _make_dataset)
 
 
 def _kv_params(pairs):
@@ -54,8 +54,9 @@ def cmd_gen(args):
                 "separation": float(params.get("sep", 8.0))}
     else:
         spec = {"kind": "rings", "k": int(params.get("k", 2)),
-                "n_per_class": int(params.get("n", 100)),
-                "noise_std": float(params.get("noise_std", 0.1))}
+                "n_per_class": int(params.get("n", 100))}
+        if "noise_std" in params:  # else _make_dataset's default
+            spec["noise_std"] = float(params["noise_std"])
     ds = _make_dataset(spec, int(params.get("seed", args.seed or 0)))
     save_csv(ds, args.out)
     return 0
@@ -64,19 +65,12 @@ def cmd_gen(args):
 def cmd_noise(args):
     ds = load_csv(args.infile)
     params = _kv_params(args.params)
-    kind = args.kind
-    if kind == "symmetric":
-        spec = {"kind": "symmetric", "rho": float(params["rho"])}
-    elif kind == "feature":
-        spec = {"kind": "feature", "rho_max": float(params["rho_max"]),
-                "beta": float(params.get("beta", 1.0))}
-    elif kind == "annotators":
-        spec = {"kind": "annotators",
-                "rhos": [float(r) for r in str(params["rhos"]).split(":")]}
-    else:
-        raise ConfigError(f"unknown noise kind: {kind}")
-    noisy = _apply_noise(ds, spec, int(params.get("seed", args.seed or 0)))
-    save_csv(noisy, args.out)
+    seed = int(params.pop("seed", args.seed or 0))
+    if "rhos" in params:
+        params["rhos"] = [float(r) for r in str(params["rhos"]).split(":")]
+    spec = {"kind": args.kind, **params}
+    _check_section(spec, "noise", "noise")
+    save_csv(_apply_noise(ds, spec, seed), args.out)
     return 0
 
 
@@ -98,13 +92,11 @@ def cmd_fuse(args):
         _, model, fused, _ = staple(ds.annotator_labels, ds.num_classes)
         atomic_write_text(args.out,
                           json.dumps(model.to_json(), indent=2) + "\n")
-    elif args.method == "majority":
+    else:  # majority
         from .annotators import majority_vote
         fused = np.array([majority_vote(row) for row in ds.annotator_labels])
         atomic_write_text(args.out, json.dumps(
             {"method": "majority"}, indent=2) + "\n")
-    else:
-        raise ConfigError(f"unknown fuse method: {args.method}")
     fused_ds = replace(ds, labels=np.asarray(fused, dtype=np.int64))
     labels_path = args.labels_out or (args.out.rsplit(".", 1)[0]
                                       + "_fused.csv")

@@ -28,14 +28,36 @@ from .procedures import (iterative_clean, train_co_teaching,
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = ("seed", "dataset", "test_fraction", "noise", "method",
-               "train", "output")
-METHOD_KEYS = ("loss", "noise_adaptation", "reweight", "annotator",
-               "procedure")
-LOSS_KEYS = ("kind", "tau", "epsilon", "transition", "base")
-REWEIGHT_REQUIRED = {"trimmed": "fraction", "rank_prune": "fraction",
-                     "pumpout": "transition"}
-TRANSITION_NOISE = ("symmetric", "matrix")
+# The allowed keys of each config section, for each value of its selector
+# key (None: a section without one; "": the method, selected by which
+# pipeline key it holds); "!" marks a required key. A section's other keys
+# go to the code that takes them, which holds their defaults.
+SCHEMA = {
+    "config": (None, "seed! dataset! test_fraction noise method train output"),
+    "dataset": ("kind", {"blobs": "k! n_per_class! d! separation!",
+                         "rings": "k! n_per_class! noise_std",
+                         "csv": "path!"}),
+    "noise": ("kind", {"symmetric": "rho!", "matrix": "rows!",
+                       "feature": "rho_max! beta", "annotators": "rhos!"}),
+    "train": (None, "epochs batch_size learning_rate arch hidden "
+                    "capacity_scale"),
+    "method": ("", {"loss": "loss!", "noise_adaptation": "noise_adaptation!",
+                    "reweight": "reweight! base_loss",
+                    "annotator": "annotator!", "procedure": "procedure!"}),
+    "loss": ("kind", {"ce": "", "mae": "", "imae": "tau",
+                      "smooth_kl": "epsilon", "forward": "transition!",
+                      "backward": "transition! base"}),
+    "reweight": ("kind", {"running": "window multiplier warmup",
+                          "trimmed": "fraction! loss",
+                          "rank_prune": "fraction! per_class",
+                          "pumpout": "transition! gamma base"}),
+    "annotator": ("fusion", {"majority": "", "staple": "", "min_loss": "",
+                             "confusion": "lambda_trace"}),
+    "procedure": ("name", {"mixup": "alpha", "co_teaching": "noise_rate",
+                           "disagreement": "noise_rate", "dual_relabel": "",
+                           "iterative_clean":
+                               "clean_fraction rounds threshold"}),
+}
 
 
 class ConfigError(ValueError):
@@ -51,45 +73,62 @@ class PipelineError(RuntimeError):
         self.cause = cause
 
 
-def validate_config(cfg):
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+def _check_section(value, path, name):
+    """Check one config section, and the sections inside it, against
+    SCHEMA[name]. Returns the paths of its 'transition': 'true' keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, got "
+                          f"{value!r}")
+    selector, variants = SCHEMA[name]
+    if selector is None:
+        keys = variants
+    elif selector == "":
+        present = [k for k in variants if k in value]
+        if len(present) != 1:
+            raise ConfigError("config must select exactly one method "
+                              f"pipeline, got {present}")
+        keys = variants[present[0]]
+    elif value.get(selector) in [*variants]:  # no TypeError on a list
+        keys = variants[value[selector]]
+    else:
+        raise ConfigError(f"{path}.{selector}: unknown {name} {selector} "
+                          f"{value.get(selector)!r}, expected one of "
+                          f"{', '.join(variants)}")
+    keys = keys.split()
+    allowed = {k.rstrip("!") for k in keys} | {selector} - {None, ""}
+    unknown = [f"{path}.{k}".lstrip(".") for k in value if k not in allowed]
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    if "seed" not in cfg:
-        raise ConfigError("config requires a seed")
-    if "dataset" not in cfg:
-        raise ConfigError("config requires a dataset spec")
+        raise ConfigError(f"{path or 'config'} has unknown key(s): "
+                          f"{', '.join(unknown)}")
+    for k in keys:
+        if k.endswith("!") and k[:-1] not in value:
+            raise ConfigError(f"{path}.{k[:-1]} is required".lstrip("."))
+    true_T = ([f"{path}.transition"] if value.get("transition") == "true"
+              else [])
+    for k, sub in value.items():
+        section = "loss" if k == "base_loss" else k
+        if section in SCHEMA and not (k == "noise" and sub is None):
+            true_T += _check_section(sub, f"{path}.{k}".lstrip("."), section)
+    return true_T
+
+
+def validate_config(cfg):
+    """Check cfg against SCHEMA before any data is generated. Returns the
+    method section, its pipeline key and the run's TrainConfig."""
+    true_T = _check_section(cfg, "", "config")
+    if true_T and (cfg.get("noise") or {}).get("kind") not in ("symmetric",
+                                                                "matrix"):
+        raise ConfigError(f"{true_T[0]} is 'true' but the noise model "
+                          "defines no transition")
     method = cfg.get("method", {"loss": {"kind": "ce"}})
-    present = [k for k in METHOD_KEYS if k in method]
-    if len(present) != 1:
-        raise ConfigError(
-            f"config must select exactly one method pipeline, got {present}")
     if method.get("noise_adaptation", True) is not True:
         raise ConfigError("method.noise_adaptation must be true, got "
                           f"{method['noise_adaptation']!r}")
-    for key in ("epochs", "batch_size"):
-        value = cfg.get("train", {}).get(key, 1)
-        if not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"train.{key} must be an integer, got {value!r}")
-    spec = method.get("reweight") or {}
-    required = REWEIGHT_REQUIRED.get(spec.get("kind"))
-    if required and required not in spec:
-        raise ConfigError(f"reweight kind '{spec['kind']}' requires "
-                          f"'{required}'")
-    losses = (("loss", method.get("loss")),
-              ("reweight.loss", spec.get("loss")),
-              ("base_loss", method.get("base_loss")))
-    for key, sub in losses:
-        if isinstance(sub, dict) and not set(sub) <= set(LOSS_KEYS):
-            unknown = ", ".join(sorted(set(sub) - set(LOSS_KEYS)))
-            raise ConfigError(f"method.{key} has unknown key(s): {unknown}")
-    if (cfg.get("noise") or {}).get("kind") not in TRANSITION_NOISE:
-        for key, sub in (*losses, ("reweight", spec)):
-            if isinstance(sub, dict) and sub.get("transition") == "true":
-                raise ConfigError(
-                    f"method.{key}.transition is 'true' but the noise model "
-                    f"defines no transition")
-    return method, present[0]
+    try:
+        tc = TrainConfig(seed=cfg["seed"], **cfg.get("train", {}))
+    except ValueError as e:
+        raise ConfigError(f"train.{e}") from e
+    return method, next(k for k in SCHEMA["method"][1] if k in method), tc
 
 
 def _make_dataset(spec, seed):
@@ -100,15 +139,11 @@ def _make_dataset(spec, seed):
     if kind == "rings":
         return gen_rings(spec["k"], spec["n_per_class"],
                          spec.get("noise_std", 0.1), seed)
-    if kind == "csv":
-        return load_csv(spec["path"])
-    raise ConfigError(f"unknown dataset kind: {kind}")
+    return load_csv(spec["path"])  # csv
 
 
 def _noise_transition(noise_spec, K):
-    if noise_spec is None:
-        return None
-    kind = noise_spec["kind"]
+    kind = (noise_spec or {}).get("kind")
     if kind == "symmetric":
         return symmetric_transition(K, noise_spec["rho"])
     if kind == "matrix":
@@ -120,37 +155,28 @@ def _apply_noise(train_ds, noise_spec, seed):
     if noise_spec is None:
         return train_ds
     rng = Rng(seed).split(1)[0]
-    kind = noise_spec["kind"]
-    if kind in ("symmetric", "matrix"):
-        return inject(train_ds, _noise_transition(noise_spec,
-                                                  train_ds.num_classes), rng)
-    if kind == "feature":
+    T = _noise_transition(noise_spec, train_ds.num_classes)
+    if T is not None:
+        return inject(train_ds, T, rng)
+    if noise_spec["kind"] == "feature":
         return feature_dependent_inject(train_ds, noise_spec["rho_max"],
                                         noise_spec.get("beta", 1.0), rng)
-    if kind == "annotators":
-        confusions = [symmetric_transition(train_ds.num_classes, r)
-                      for r in noise_spec["rhos"]]
-        return simulate_annotators(train_ds, confusions, rng)
-    raise ConfigError(f"unknown noise kind: {kind}")
+    confusions = [symmetric_transition(train_ds.num_classes, r)  # annotators
+                  for r in noise_spec["rhos"]]
+    return simulate_annotators(train_ds, confusions, rng)
 
 
 def _resolve_loss(loss_spec_json, true_transition):
     spec = dict(loss_spec_json)
-    if spec.get("transition") == "true":
-        if true_transition is None:
-            raise ConfigError("loss correction asked for the true transition "
-                              "but the noise model does not define one")
+    if spec.get("transition") == "true":  # validate_config: one is defined
         spec["transition"] = true_transition.to_json()
     return LossSpec.from_json(spec)
 
 
-def _train_config(cfg):
-    t = cfg.get("train", {})
-    return TrainConfig(
-        epochs=t.get("epochs", 30), batch_size=t.get("batch_size", 32),
-        learning_rate=t.get("learning_rate", 0.1), seed=cfg["seed"],
-        arch=t.get("arch", "linear"), hidden=t.get("hidden", 32),
-        capacity_scale=t.get("capacity_scale", 1.0))
+def _args(spec, selector):
+    """A config section's keys other than its selector, as keyword
+    arguments for the code that takes them."""
+    return {k: v for k, v in spec.items() if k != selector}
 
 
 def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
@@ -224,15 +250,13 @@ def _flag_precision_recall(flags, true_flip):
 def run_experiment(cfg):
     """Execute generate -> corrupt -> train(with method) -> evaluate and
     return the report dict. Test evaluation is always against true labels."""
-    method, method_kind = validate_config(cfg)
+    method, method_kind, tc = validate_config(cfg)
     t0 = time.monotonic()
     seed = cfg["seed"]
     try:
         full = _make_dataset(cfg["dataset"], seed)
         train_ds, test_ds = split(full, cfg.get("test_fraction", 0.25),
                                   seed + 1)
-    except ConfigError:
-        raise
     except Exception as e:
         raise PipelineError("generate", e)
     try:
@@ -240,10 +264,9 @@ def run_experiment(cfg):
     except Exception as e:
         raise PipelineError("corrupt", e)
     true_T = _noise_transition(cfg.get("noise"), full.num_classes)
-    diagnostics = {}
     try:
         params, history, diagnostics = _run_method(
-            cfg, method, method_kind, noisy, test_ds, true_T)
+            cfg, tc, method, method_kind, noisy, test_ds, true_T)
     except (ValueError, DivergedError) as e:
         raise PipelineError("train", e) from e
     try:
@@ -266,11 +289,10 @@ def run_experiment(cfg):
     return report
 
 
-def _run_method(cfg, method, kind, noisy, test_ds, true_T):
+def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     """Dispatch one method pipeline; returns (params, history, diagnostics).
     Training code only ever sees the training view (truth stripped)."""
     view = noisy.training_view()
-    tc = _train_config(cfg)
     diagnostics = {}
     if kind == "loss":
         tc = replace(tc, loss=_resolve_loss(method["loss"], true_T))
@@ -289,17 +311,15 @@ def _run_method(cfg, method, kind, noisy, test_ds, true_T):
             spec["transition"] = TransitionMatrix.from_json(spec["transition"])
         if "loss" in spec:
             spec["loss"] = _resolve_loss(spec["loss"], true_T)
-        loss = _resolve_loss(method.get("base_loss", {"kind": "ce"}), true_T)
-        tc = replace(tc, loss=loss, reweight=spec)
-        params, history = train(view, tc, test_ds)
+        if "base_loss" in method:
+            tc = replace(tc, loss=_resolve_loss(method["base_loss"], true_T))
+        params, history = train(view, replace(tc, reweight=spec), test_ds)
     elif kind == "annotator":
         params, history, diagnostics = _run_annotator_method(
             tc, method["annotator"], noisy, view, test_ds)
-    elif kind == "procedure":
+    else:  # procedure
         params, history, diagnostics = _run_procedure_method(
             cfg, tc, method["procedure"], noisy, view, test_ds)
-    else:
-        raise ConfigError(f"unknown method kind: {kind}")
     return params, history, diagnostics
 
 
@@ -326,30 +346,24 @@ def _run_annotator_method(tc, spec, noisy, view, test_ds):
                 np.mean(fused == noisy.true_labels))
     elif fusion == "min_loss":
         params, history = train_min_loss_label(view, tc, test_ds)
-    elif fusion == "confusion":
+    else:  # confusion
         params, model, history = train_with_confusion(
-            view, tc, spec.get("lambda_trace", 0.01), test_ds)
+            view, tc, test_ds=test_ds, **_args(spec, "fusion"))
         diagnostics["annotator_model"] = model.to_json()
-    else:
-        raise ConfigError(f"unknown fusion method: {fusion}")
     return params, history, diagnostics
 
 
 def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
-    name = spec["name"]
+    name, kwargs = spec["name"], _args(spec, "name")
     diagnostics = {}
     if name == "mixup":
-        params, history = train_mixup(view, tc, test_ds,
-                                      alpha=spec.get("alpha", 0.2))
+        params, history = train_mixup(view, tc, test_ds, **kwargs)
     elif name in ("co_teaching", "disagreement"):
-        rho = spec.get("noise_rate")
-        if rho is None:
-            noise = cfg.get("noise") or {}
-            rho = noise.get("rho", 0.2)
-        model_a, model_b, history = train_co_teaching(
-            view, tc, test_ds, noise_rate=rho,
-            disagreement_only=(name == "disagreement"))
-        params = model_a
+        if "rho" in (cfg.get("noise") or {}):
+            kwargs.setdefault("noise_rate", cfg["noise"]["rho"])
+        params, _, history = train_co_teaching(
+            view, tc, test_ds, disagreement_only=(name == "disagreement"),
+            **kwargs)
     elif name == "dual_relabel":
         params, _, store, history = train_dual_relabel(view, tc, test_ds)
         if noisy.true_labels is not None:
@@ -357,19 +371,17 @@ def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
                 store.match_fraction(noisy.true_labels)
             diagnostics["store_match_truth_initial"] = float(
                 np.mean(noisy.labels == noisy.true_labels))
-    elif name == "iterative_clean":
+    else:  # iterative_clean
         if noisy.true_labels is None:
             raise ConfigError("iterative_clean needs hidden truth to build "
                               "the small clean set")
-        clean_fraction = spec.get("clean_fraction", 0.1)
         rng = Rng(cfg["seed"] + 7)
-        n_clean = max(2, int(round(clean_fraction * noisy.n)))
+        n_clean = max(2, int(round(kwargs.pop("clean_fraction", 0.1)
+                                   * noisy.n)))
         clean_idx = np.sort(rng.permutation(noisy.n)[:n_clean])
         clean_small = noisy.subset(clean_idx)
         store, flags, _, rounds = iterative_clean(
-            noisy.training_view(), clean_small, tc,
-            rounds=spec.get("rounds", 3),
-            threshold=spec.get("threshold", 0.5))
+            noisy.training_view(), clean_small, tc, **kwargs)
         true_flip = noisy.labels != noisy.true_labels
         precision, recall = _flag_precision_recall(flags, true_flip)
         diagnostics["flag_precision"] = precision
@@ -377,8 +389,6 @@ def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
         diagnostics["rounds"] = rounds
         cleaned = replace(noisy.training_view(), labels=store.hard_labels())
         params, history = train(cleaned, tc, test_ds)
-    else:
-        raise ConfigError(f"unknown procedure: {name}")
     return params, history, diagnostics
 
 
@@ -455,7 +465,7 @@ def sweep(template, rhos, methods=None):
 
 
 def _method_name(method):
-    k = next(k for k in METHOD_KEYS if k in method)
+    k = next(k for k in SCHEMA["method"][1] if k in method)
     v = method[k]
     if isinstance(v, dict):
         return f"{k}:{v.get('kind') or v.get('name') or v.get('fusion')}"

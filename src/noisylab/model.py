@@ -7,6 +7,7 @@ same-shape models in lockstep, and finite-difference gradient verification.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,9 @@ import numpy as np
 from .losses import (LossSpec, loss_and_grad, loss_grad_logits, loss_value,
                      mixed_ce)
 from .numerics import Rng, softmax
+
+
+ARCHS = ("linear", "mlp")
 
 
 class DivergedError(RuntimeError):
@@ -26,7 +30,7 @@ class ModelParams:
     name->array dict so generic SGD and finite differences can walk them."""
 
     def __init__(self, arch, d, K, hidden=32, capacity_scale=1.0):
-        if arch not in ("linear", "mlp"):
+        if arch not in ARCHS:
             raise ValueError(f"unknown arch: {arch}")
         self.arch = arch
         self.d = int(d)
@@ -234,11 +238,21 @@ class TrainConfig:
     arch: str = "linear"
     hidden: int = 32
     capacity_scale: float = 1.0
-    reweight: object = None               # hook, see reweight module
+    reweight: dict = None                 # spec, see reweight.make_reweighter
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError("invalid training configuration")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got "
+                                 f"{value!r}")
+        lr = self.learning_rate
+        if not (isinstance(lr, numbers.Real) and lr >= 0):
+            raise ValueError("learning_rate must be a number >= 0, got "
+                             f"{lr!r}")
+        if self.arch not in ARCHS:
+            raise ValueError(f"arch must be one of {', '.join(ARCHS)}, got "
+                             f"{self.arch!r}")
 
 
 def minibatches(order, batch_size):

@@ -18,17 +18,16 @@ class RunningLossFilter:
     """Skip a sample when its loss exceeds mean + multiplier*sigma of the
     last `window` observed losses. Never skips during warmup or when sigma
     collapses below the floor. Skipped samples' losses still enter the
-    window so it stays an unbiased picture of the stream (configurable)."""
+    window so it stays an unbiased picture of the stream."""
 
     def __init__(self, window=100, multiplier=1.5, warmup=30,
-                 sigma_floor=1e-12, record_skipped=True):
+                 sigma_floor=1e-12):
         if multiplier <= 0 or window < 1:
             raise ValueError("invalid filter parameters")
         self.buffer = deque(maxlen=window)
         self.multiplier = multiplier
         self.warmup = warmup
         self.sigma_floor = sigma_floor
-        self.record_skipped = record_skipped
 
     def observe(self, loss):
         """Returns 'update' or 'skip'; statistics are computed over the
@@ -42,8 +41,7 @@ class RunningLossFilter:
             mean, sigma = buf.mean(), buf.std()
             if sigma > self.sigma_floor and loss > mean + self.multiplier * sigma:
                 decision = "skip"
-        if decision == "update" or self.record_skipped:
-            self.buffer.append(loss)
+        self.buffer.append(loss)
         return decision
 
 
@@ -85,19 +83,17 @@ def trimmed_filter(losses, trim_fraction):
 def pumpout(T, base, probs, observed_y, gamma):
     """Gradient multiplier: -gamma (scaled ascent) when 1^T T^{-1} l(p) < 0,
     which flags a likely-incorrect label; +1 otherwise."""
-    hook = _PumpoutHook({"transition": T, "base": base, "gamma": gamma})
-    return hook.sample_weight(None, probs, observed_y)
+    return _PumpoutHook(T, gamma, base).sample_weight(None, probs, observed_y)
 
 
 # --- trainer hooks ----------------------------------------------------------
 
+# Each hook takes its reweight spec's keys other than 'kind' as keyword
+# arguments, and holds their defaults.
+
 class _RunningHook:
-    def __init__(self, spec):
-        self.filter = RunningLossFilter(
-            window=spec.get("window", 100),
-            multiplier=spec.get("multiplier", 1.5),
-            warmup=spec.get("warmup", 30),
-            record_skipped=spec.get("record_skipped", True))
+    def __init__(self, **filter_args):
+        self.filter = RunningLossFilter(**filter_args)
 
     def epoch_kept_set(self, params, ds):
         return None
@@ -107,13 +103,13 @@ class _RunningHook:
 
 
 class _TrimmedHook:
-    def __init__(self, spec):
-        self.fraction = spec["fraction"]
-        self.loss = spec.get("loss")
+    def __init__(self, fraction, loss=None):
+        self.fraction = fraction
+        self.loss = loss or LossSpec("ce")
 
     def epoch_kept_set(self, params, ds):
         from .model import predict_probs
-        losses, _ = loss_and_grad(self.loss or LossSpec("ce"),
+        losses, _ = loss_and_grad(self.loss,
                                   predict_probs(params, ds.features),
                                   ds.labels)
         return trimmed_filter(losses, self.fraction)
@@ -123,9 +119,9 @@ class _TrimmedHook:
 
 
 class _RankPruneHook:
-    def __init__(self, spec):
-        self.fraction = spec["fraction"]
-        self.per_class = spec.get("per_class", True)
+    def __init__(self, fraction, per_class=True):
+        self.fraction = fraction
+        self.per_class = per_class
 
     def epoch_kept_set(self, params, ds):
         from .model import predict_probs
@@ -138,14 +134,14 @@ class _RankPruneHook:
 
 
 class _PumpoutHook:
-    def __init__(self, spec):
-        self.gamma = spec.get("gamma", 0.1)
-        self.base = spec.get("base", "ce")
-        if not 0.0 < self.gamma < 1.0:
+    def __init__(self, transition, gamma=0.1, base="ce"):
+        if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must be in (0,1)")
-        T = spec["transition"]
-        _check_invertible(T.t)
-        self.ones_t_inv = np.linalg.solve(T.t.T, np.ones(T.k))  # 1^T T^{-1}
+        self.gamma = gamma
+        self.base = base
+        t = transition.t
+        _check_invertible(t)
+        self.ones_t_inv = np.linalg.solve(t.T, np.ones(len(t)))  # 1^T T^{-1}
 
     def epoch_kept_set(self, params, ds):
         return None
@@ -160,12 +156,12 @@ _HOOKS = {"running": _RunningHook, "trimmed": _TrimmedHook,
 
 
 def make_reweighter(spec):
-    """Build a trainer hook from a reweight spec dict ({'kind': ...})."""
+    """Build a trainer hook from a reweight spec dict ({'kind': ...} and the
+    hook's keyword arguments), or None from None."""
     if spec is None:
         return None
-    if isinstance(spec, dict):
-        kind = spec["kind"]
-        if kind not in _HOOKS:
-            raise ValueError(f"unknown reweight kind: {kind}")
-        return _HOOKS[kind](spec)
-    return spec  # already a hook object
+    kwargs = dict(spec)
+    kind = kwargs.pop("kind")
+    if kind not in _HOOKS:
+        raise ValueError(f"unknown reweight kind: {kind}")
+    return _HOOKS[kind](**kwargs)

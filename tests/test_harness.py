@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +209,206 @@ class TestConfigSurface:
                                                train={"epochs": 2})))
         assert cli(["train", "--config", str(path)]) == 0
         assert out.exists()
+
+    # Without the key table each of these runs on defaults, escapes as a
+    # raw KeyError / AttributeError / TypeError, or fails late as a train,
+    # generate or corrupt error.
+    PROBES = [
+        ("train-typo", dict(train={"epoch": 2}), "train.epoch"),
+        ("dataset-typo", dict(dataset={"kind": "blobs", "k": 2,
+                                       "n_per_class": 100, "n_pre_class": 5,
+                                       "d": 2, "separation": 8.0}),
+         "dataset.n_pre_class"),
+        ("noise-typo", dict(noise={"kind": "symmetric", "rho": 0.3,
+                                   "rh": 0.1}), "noise.rh"),
+        ("procedure-typo", dict(method={"procedure": {"name": "mixup",
+                                                      "alpah": 0.4}}),
+         "method.procedure.alpah"),
+        ("reweight-typo", dict(method={"reweight": {"kind": "running",
+                                                    "multipler": 2.0}}),
+         "method.reweight.multipler"),
+        ("base_loss-with-loss", dict(method={"loss": {"kind": "ce"},
+                                             "base_loss": {"kind": "mae"}}),
+         "method.base_loss"),
+        ("missing-fusion", dict(noise={"kind": "annotators",
+                                       "rhos": [0.1, 0.2, 0.3]},
+                                method={"annotator": {}}),
+         "method.annotator.fusion"),
+        ("missing-procedure-name", dict(method={"procedure": {"alpha": 0.2}}),
+         "method.procedure.name"),
+        ("method-not-an-object", dict(method=["loss"]), "method"),
+        ("learning-rate-string", dict(train={"learning_rate": "0.1"}),
+         "train.learning_rate"),
+        ("unknown-fusion", dict(noise={"kind": "annotators",
+                                       "rhos": [0.1, 0.2, 0.3]},
+                                method={"annotator": {"fusion": "vote"}}),
+         "method.annotator.fusion"),
+        ("unknown-procedure", dict(method={"procedure": {"name": "coteach"}}),
+         "method.procedure.name"),
+        ("unknown-reweight", dict(method={"reweight": {"kind": "drop"}}),
+         "method.reweight.kind"),
+        ("unknown-loss", dict(method={"loss": {"kind": "focal"}}),
+         "method.loss.kind"),
+        ("unknown-noise", dict(noise={"kind": "pair", "rho": 0.3}),
+         "noise.kind"),
+        ("zero-epochs", dict(train={"epochs": 0}), "train.epochs"),
+        ("arch-typo", dict(train={"arch": "mpl"}), "train.arch"),
+        ("missing-n_per_class", dict(dataset={"kind": "blobs", "k": 2,
+                                              "d": 2, "separation": 8.0}),
+         "dataset.n_per_class"),
+        ("missing-rho", dict(noise={"kind": "symmetric"}), "noise.rho"),
+        ("dataset-not-an-object", dict(dataset="blobs"), "dataset"),
+        ("unknown-dataset", dict(dataset={"kind": "moons", "k": 2}),
+         "dataset.kind"),
+        ("loss-key-of-another-kind", dict(method={"loss": {"kind": "ce",
+                                                           "tau": 3}}),
+         "method.loss.tau"),
+        ("record_skipped", dict(method={"reweight": {
+            "kind": "running", "record_skipped": False}}),
+         "method.reweight.record_skipped"),
+    ]
+
+    @pytest.mark.parametrize("over, named", [p[1:] for p in PROBES],
+                             ids=[p[0] for p in PROBES])
+    def test_probe_is_named_before_any_data(self, monkeypatch, tmp_path,
+                                            over, named):
+        cfg = base_config(**over)
+        self._rejected(monkeypatch, tmp_path, cfg, re.escape(named))
+
+    def test_report_echoes_config_as_given(self):
+        cfg = base_config(method={"reweight": {"kind": "running"}},
+                          train={"epochs": 2})
+        given = copy.deepcopy(cfg)
+        assert run_experiment(cfg)["config"] == given
+        assert cfg == given
+
+
+class TestEveryKeyActs:
+    """Every optional key the config table allows, set to a value other
+    than its default, changes the run's history, final metrics or
+    diagnostics, so no key is accepted and then ignored."""
+
+    BLOBS = {"kind": "blobs", "k": 3, "n_per_class": 40, "d": 2,
+             "separation": 3.0}
+    COMMON = {"seed": 5, "dataset": BLOBS,
+              "noise": {"kind": "symmetric", "rho": 0.3},
+              "method": {"loss": {"kind": "ce"}}, "train": {"epochs": 3}}
+    ANNOTATORS = {"kind": "annotators", "rhos": [0.2, 0.3, 0.4]}
+    # config changes that reach each section variant with optional keys
+    REACH = {
+        ("dataset", "rings"): {"dataset": {"kind": "rings", "k": 3,
+                                           "n_per_class": 40}},
+        ("noise", "feature"): {"noise": {"kind": "feature", "rho_max": 0.3}},
+        ("train", "mlp"): {"train": {"epochs": 3, "arch": "mlp"}},
+        ("method", "reweight"): {"method": {"reweight": {"kind": "running"}}},
+        ("loss", "imae"): {"method": {"loss": {"kind": "imae"}}},
+        ("loss", "smooth_kl"): {"method": {"loss": {"kind": "smooth_kl"}}},
+        ("loss", "backward"): {"method": {"loss": {"kind": "backward",
+                                                   "transition": "true"}}},
+        ("reweight", "running"): {"method": {"reweight": {"kind": "running"}}},
+        ("reweight", "trimmed"): {"method": {"reweight": {
+            "kind": "trimmed", "fraction": 0.2}}},
+        ("reweight", "rank_prune"): {"method": {"reweight": {
+            "kind": "rank_prune", "fraction": 0.2}}},
+        # The sum rule never flags a sample under a symmetric transition
+        # (CHANGES.md), so gamma and base could not act there: this 2-class
+        # T has a negative entry in 1^T T^-1.
+        ("reweight", "pumpout"): {
+            "dataset": dict(BLOBS, k=2), "noise": None,
+            "method": {"reweight": {"kind": "pumpout", "transition": {
+                "k": 2, "rows": [[0.9, 0.1], [0.6, 0.4]]}}}},
+        ("annotator", "confusion"): {
+            "noise": ANNOTATORS,
+            "method": {"annotator": {"fusion": "confusion"}}},
+        ("procedure", "mixup"): {"method": {"procedure": {"name": "mixup"}}},
+        # the keep schedule starts after 5 warm-up epochs
+        ("procedure", "co_teaching"): {
+            "method": {"procedure": {"name": "co_teaching"}},
+            "train": {"epochs": 7}},
+        ("procedure", "disagreement"): {
+            "method": {"procedure": {"name": "disagreement"}},
+            "train": {"epochs": 7}},
+        ("procedure", "iterative_clean"): {"method": {"procedure": {
+            "name": "iterative_clean"}}},
+    }
+    PATHS = {"config": (), "dataset": ("dataset",), "noise": ("noise",),
+             "train": ("train",), "method": ("method",),
+             "loss": ("method", "loss"), "reweight": ("method", "reweight"),
+             "annotator": ("method", "annotator"),
+             "procedure": ("method", "procedure")}
+    # (section, selector value, key) -> a value other than the default
+    VALUES = {
+        ("config", None, "test_fraction"): 0.4,
+        ("config", None, "noise"): {"kind": "symmetric", "rho": 0.3},
+        ("config", None, "method"): {"loss": {"kind": "mae"}},
+        ("config", None, "train"): {"epochs": 2},
+        ("dataset", "rings", "noise_std"): 0.3,
+        ("noise", "feature", "beta"): 0.2,
+        ("train", None, "epochs"): 2,
+        ("train", None, "batch_size"): 8,
+        ("train", None, "learning_rate"): 0.3,
+        ("train", None, "arch"): "mlp",
+        ("train", None, "hidden"): 8,
+        ("train", None, "capacity_scale"): 0.5,
+        ("method", "reweight", "base_loss"): {"kind": "mae"},
+        ("loss", "imae", "tau"): 2.0,
+        ("loss", "smooth_kl", "epsilon"): 0.3,
+        ("loss", "backward", "base"): "mae",
+        ("reweight", "running", "window"): 10,
+        ("reweight", "running", "multiplier"): 0.5,
+        ("reweight", "running", "warmup"): 5,
+        # a loss monotone in p_y (ce, mae, imae) trims the same rows
+        ("reweight", "trimmed", "loss"): {"kind": "smooth_kl",
+                                          "epsilon": 0.5},
+        ("reweight", "rank_prune", "per_class"): False,
+        ("reweight", "pumpout", "gamma"): 0.5,
+        ("reweight", "pumpout", "base"): "mae",
+        ("annotator", "confusion", "lambda_trace"): 0.5,
+        ("procedure", "mixup", "alpha"): 1.0,
+        ("procedure", "co_teaching", "noise_rate"): 0.45,
+        # moves only the history's keep_fraction, which disagreement-only
+        # updates never use (CHANGES.md)
+        ("procedure", "disagreement", "noise_rate"): 0.45,
+        ("procedure", "iterative_clean", "clean_fraction"): 0.3,
+        ("procedure", "iterative_clean", "rounds"): 1,
+        ("procedure", "iterative_clean", "threshold"): 0.9,
+    }
+    # keys that cannot change a run, with the reason
+    EXEMPT = {
+        ("config", None, "output"): "names the file `noisylab train` "
+                                    "writes; run_experiment does not read it",
+    }
+
+    def test_every_optional_key_is_covered(self):
+        optional = set()
+        for name, (selector, variants) in harness.SCHEMA.items():
+            for variant, keys in (variants.items() if selector is not None
+                                  else [(None, variants)]):
+                optional |= {(name, variant, k) for k in keys.split()
+                             if not k.endswith("!")}
+        assert optional == set(self.VALUES) | set(self.EXEMPT)
+
+    def _outcome(self, cfg):
+        rep = run_experiment(cfg)
+        return report_json({k: rep[k] for k in ("history", "final_metrics",
+                                                 "noise_diagnostics")})
+
+    def _section(self, cfg, name):
+        for k in self.PATHS[name]:
+            cfg = cfg[k]
+        return cfg
+
+    @pytest.mark.parametrize("address", list(VALUES),
+                             ids=[".".join(filter(None, a)) for a in VALUES])
+    def test_key_changes_the_run(self, address):
+        name, variant, key = address
+        reach = ("train", "mlp") if key in ("hidden", "capacity_scale") \
+            else (name, variant)
+        base = copy.deepcopy({**self.COMMON, **self.REACH.get(reach, {})})
+        self._section(base, name).pop(key, None)  # the key at its default
+        changed = copy.deepcopy(base)
+        self._section(changed, name)[key] = self.VALUES[address]
+        assert self._outcome(base) != self._outcome(changed)
 
 
 class TestGenerateStage:
