@@ -45,8 +45,7 @@ print(f"co-teaching {h_co[-1]['test_accuracy']:.3f} vs plain CE "
       f"{h_ce[-1]['test_accuracy']:.3f} at rho=0.4")
 print("(each model keeps only its small-loss samples and teaches the peer)")
 
-_, _, h_dis = train_co_teaching(noisy, cfg, te, noise_rate=0.4,
-                                disagreement_only=True)
+_, _, h_dis = train_co_teaching(noisy, cfg, te, disagreement_only=True)
 print(f"disagreement-only variant: {h_dis[-1]['test_accuracy']:.3f}")
 
 # -- dual-model relabeling ---------------------------------------------------

@@ -132,10 +132,6 @@ def train_min_loss_label(ds, config, test_ds=None):
     return fit(ds, config, batch_loss, test_ds)
 
 
-def _unweighted(values):
-    return np.ones(len(values))
-
-
 def confusion_grads(qs, probs, labels):
     """CE of each annotator's label through its confusion theta_a =
     row-softmax(q_a), for a batch of base softmax outputs probs (N, K) and
@@ -146,8 +142,7 @@ def confusion_grads(qs, probs, labels):
     values = np.empty(labels.shape)
     gqs = []
     for a, q in enumerate(qs):
-        G_a, gq, values[:, a] = noise_layer_grads(q, probs, labels[:, a],
-                                                  _unweighted)
+        G_a, gq, values[:, a] = noise_layer_grads(q, probs, labels[:, a])
         G += G_a
         gqs.append(gq)
     return values, G, gqs

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .annotators import staple
+from .annotators import majority_vote, staple
 from .data import load_csv, save_csv
 from .harness import (ConfigError, PipelineError, atomic_write_text,
                       run_experiment, report_json, strip_wall_time, sweep,
@@ -93,7 +93,6 @@ def cmd_fuse(args):
         atomic_write_text(args.out,
                           json.dumps(model.to_json(), indent=2) + "\n")
     else:  # majority
-        from .annotators import majority_vote
         fused = np.array([majority_vote(row) for row in ds.annotator_labels])
         atomic_write_text(args.out, json.dumps(
             {"method": "majority"}, indent=2) + "\n")

@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .annotators import staple, train_min_loss_label, train_with_confusion
+from .annotators import (majority_vote, staple, train_min_loss_label,
+                         train_with_confusion)
 from .data import gen_blobs, gen_rings, load_csv, split
 from .losses import LossSpec
 from .model import DivergedError, TrainConfig, predict_probs, train
@@ -39,8 +40,7 @@ SCHEMA = {
                          "csv": "path!"}),
     "noise": ("kind", {"symmetric": "rho!", "matrix": "rows!",
                        "feature": "rho_max! beta", "annotators": "rhos!"}),
-    "train": (None, "epochs batch_size learning_rate arch hidden "
-                    "capacity_scale"),
+    "train": (None, "epochs batch_size learning_rate arch hidden"),
     "method": ("", {"loss": "loss!", "noise_adaptation": "noise_adaptation!",
                     "reweight": "reweight! base_loss",
                     "annotator": "annotator!", "procedure": "procedure!"}),
@@ -54,7 +54,7 @@ SCHEMA = {
     "annotator": ("fusion", {"majority": "", "staple": "", "min_loss": "",
                              "confusion": "lambda_trace"}),
     "procedure": ("name", {"mixup": "alpha", "co_teaching": "noise_rate",
-                           "disagreement": "noise_rate", "dual_relabel": "",
+                           "disagreement": "", "dual_relabel": "",
                            "iterative_clean":
                                "clean_fraction rounds threshold"}),
 }
@@ -126,8 +126,9 @@ def validate_config(cfg):
                           f"{method['noise_adaptation']!r}")
     try:
         tc = TrainConfig(seed=cfg["seed"], **cfg.get("train", {}))
-    except ValueError as e:
-        raise ConfigError(f"train.{e}") from e
+    except ValueError as e:  # seed is the one field from outside train
+        where = "" if str(e).startswith("seed ") else "train."
+        raise ConfigError(f"{where}{e}") from e
     return method, next(k for k in SCHEMA["method"][1] if k in method), tc
 
 
@@ -313,7 +314,7 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
             spec["loss"] = _resolve_loss(spec["loss"], true_T)
         if "base_loss" in method:
             tc = replace(tc, loss=_resolve_loss(method["base_loss"], true_T))
-        params, history = train(view, replace(tc, reweight=spec), test_ds)
+        params, history = train(view, tc, test_ds, reweight=spec)
     elif kind == "annotator":
         params, history, diagnostics = _run_annotator_method(
             tc, method["annotator"], noisy, view, test_ds)
@@ -331,7 +332,6 @@ def _run_annotator_method(tc, spec, noisy, view, test_ds):
     diagnostics = {}
     if fusion in ("majority", "staple"):
         if fusion == "majority":
-            from .annotators import majority_vote
             fused = np.array([majority_vote(row)
                               for row in view.annotator_labels])
         else:
@@ -359,7 +359,7 @@ def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
     if name == "mixup":
         params, history = train_mixup(view, tc, test_ds, **kwargs)
     elif name in ("co_teaching", "disagreement"):
-        if "rho" in (cfg.get("noise") or {}):
+        if name == "co_teaching" and "rho" in (cfg.get("noise") or {}):
             kwargs.setdefault("noise_rate", cfg["noise"]["rho"])
         params, _, history = train_co_teaching(
             view, tc, test_ds, disagreement_only=(name == "disagreement"),
@@ -411,18 +411,24 @@ def report_json(report):
     return json.dumps(report, indent=2, sort_keys=True)
 
 
+def _csv(cols, rows):
+    """Header and one line per row: floats as .17g, other values as str,
+    a missing column empty."""
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(
+            format(row[c], ".17g") if isinstance(row.get(c), float)
+            else str(row.get(c, "")) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
 def write_report(report, path):
     atomic_write_text(path, report_json(report) + "\n")
     csv_path = os.path.splitext(path)[0] + "_epochs.csv"
     hist = report["history"]
     if hist:
-        cols = sorted({k for row in hist for k in row})
-        lines = [",".join(cols)]
-        for row in hist:
-            lines.append(",".join(
-                format(row[c], ".17g") if isinstance(row.get(c), float)
-                else str(row.get(c, "")) for c in cols))
-        atomic_write_text(csv_path, "\n".join(lines) + "\n")
+        atomic_write_text(csv_path,
+                          _csv(sorted({k for row in hist for k in row}), hist))
     return csv_path
 
 
@@ -488,11 +494,5 @@ def _quadratic_fit_r2(rows):
 
 
 def sweep_summary_csv(summary):
-    cols = ["method", "rho", "test_accuracy", "test_error", "macro_f1",
-            "error"]
-    lines = [",".join(cols)]
-    for row in summary:
-        lines.append(",".join(
-            format(row[c], ".17g") if isinstance(row.get(c), float)
-            else str(row.get(c, "")) for c in cols))
-    return "\n".join(lines) + "\n"
+    return _csv(["method", "rho", "test_accuracy", "test_error", "macro_f1",
+                 "error"], summary)

@@ -1,7 +1,7 @@
 """Minimal differentiable classifiers: linear softmax and one-hidden-layer
-ReLU network, with hand-derived gradients, an optional noise-adaptation
-output layer, a deterministic SGD trainer that can step a stack of
-same-shape models in lockstep, and finite-difference gradient verification.
+ReLU network, with hand-derived gradients, the noise-adaptation layer's
+gradient, a deterministic SGD trainer that can step a stack of same-shape
+models in lockstep, and finite-difference gradient verification.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ class DivergedError(RuntimeError):
 
 
 class ModelParams:
-    """Weights of a linear(d,K) or mlp(d,h,K) classifier. The mlp hidden
-    width is round(hidden * capacity_scale). Parameters live in an ordered
-    name->array dict so generic SGD and finite differences can walk them."""
+    """Weights of a linear(d,K) or mlp(d,hidden,K) classifier. Parameters
+    live in an ordered name->array dict so generic SGD and finite
+    differences can walk them."""
 
-    def __init__(self, arch, d, K, hidden=32, capacity_scale=1.0):
+    def __init__(self, arch, d, K, hidden=32):
         if arch not in ARCHS:
             raise ValueError(f"unknown arch: {arch}")
         self.arch = arch
         self.d = int(d)
         self.K = int(K)
-        self.hidden = max(1, int(round(hidden * capacity_scale)))
-        self.noise_layer = None  # K x K unconstrained q, or None
+        self.hidden = max(1, int(round(hidden)))
         self.arrays = {}
         if arch == "linear":
             self.arrays["W"] = np.zeros((d, K))
@@ -49,41 +48,30 @@ class ModelParams:
             self.arrays["b2"] = np.zeros(K)
 
     def copy(self):
-        out = ModelParams(self.arch, self.d, self.K, self.hidden, 1.0)
-        out.hidden = self.hidden
+        out = ModelParams(self.arch, self.d, self.K, self.hidden)
         out.arrays = {k: v.copy() for k, v in self.arrays.items()}
-        if self.noise_layer is not None:
-            out.noise_layer = self.noise_layer.copy()
         return out
 
     def to_json(self):
-        obj = {"arch": self.arch, "d": self.d, "K": self.K,
-               "hidden": self.hidden,
-               "arrays": {k: [format(v, ".17g") for v in a.ravel()]
-                          for k, a in self.arrays.items()},
-               "shapes": {k: list(a.shape) for k, a in self.arrays.items()}}
-        if self.noise_layer is not None:
-            obj["noise_layer"] = [format(v, ".17g")
-                                  for v in self.noise_layer.ravel()]
-        return obj
+        return {"arch": self.arch, "d": self.d, "K": self.K,
+                "hidden": self.hidden,
+                "arrays": {k: [format(v, ".17g") for v in a.ravel()]
+                           for k, a in self.arrays.items()},
+                "shapes": {k: list(a.shape) for k, a in self.arrays.items()}}
 
     @classmethod
     def from_json(cls, obj):
         out = cls(obj["arch"], obj["d"], obj["K"], hidden=obj["hidden"])
-        out.hidden = obj["hidden"]
         for k, flat in obj["arrays"].items():
             out.arrays[k] = np.array([float(v) for v in flat]).reshape(
                 obj["shapes"][k])
-        if "noise_layer" in obj:
-            out.noise_layer = np.array(
-                [float(v) for v in obj["noise_layer"]]).reshape(out.K, out.K)
         return out
 
 
-def init(arch, d, K, seed, hidden=32, capacity_scale=1.0):
+def init(arch, d, K, seed, hidden=32):
     """Scaled-uniform weight init U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
     zero biases; deterministic per seed."""
-    params = ModelParams(arch, d, K, hidden, capacity_scale)
+    params = ModelParams(arch, d, K, hidden)
     rng = Rng(seed)
     for name, a in params.arrays.items():
         if name.startswith("W"):
@@ -182,48 +170,33 @@ def grad_check(params, x, y, loss_spec, epsilon=1e-6):
 
 # --- noise-adaptation output layer -----------------------------------------
 
-def noise_layer_init(K, diag=0.8):
-    """Unconstrained K x K q whose row-softmax has `diag` on the diagonal
-    and the rest spread evenly over each row."""
-    q = np.full((K, K), np.log(max((1.0 - diag) / max(K - 1, 1), 1e-12)))
-    np.fill_diagonal(q, np.log(diag))
+def noise_layer_init(K):
+    """Unconstrained K x K q of a Sukhbaatar-style noise layer, whose
+    row-softmax is the learned transition: 0.8 on the diagonal and the rest
+    spread evenly over each row."""
+    # 1.0 - 0.8 rounds to two ulps below 0.2, and trained runs start from it
+    q = np.full((K, K), np.log(max((1.0 - 0.8) / max(K - 1, 1), 1e-12)))
+    np.fill_diagonal(q, np.log(0.8))
     return q
-
-
-def attach_noise_layer(params, diag=0.8):
-    """Add a Sukhbaatar-style noise layer: unconstrained q whose row-softmax
-    is the learned transition, initialized diagonal-dominant."""
-    out = params.copy()
-    out.noise_layer = noise_layer_init(params.K, diag)
-    return out
 
 
 def realized_transition(q):
     return softmax(q)  # row-wise
 
 
-def noisy_forward(params, x):
-    """Distribution over observed labels: (row-softmax q)^T softmax(logits).
-    Test-time prediction uses the base softmax only."""
-    if params.noise_layer is None:
-        raise ValueError("model has no noise layer attached")
-    p = softmax(forward(params, x))
-    return realized_transition(params.noise_layer).T @ p
-
-
-def noise_layer_grads(q, probs, observed_y, weigh):
-    """CE through the noise layer for a batch of base softmax outputs probs
-    (N, K). weigh maps the loss values (N,) to per-sample weights; a
-    re-weight hook needs the values first. Returns (weighted dloss/dlogits
-    (N, K), weighted sum of dloss/dq (K, K), loss values (N,))."""
+def noise_layer_grads(q, probs, observed_y):
+    """CE through the noise layer, the distribution over observed labels
+    being (row-softmax q)^T p, for a batch of base softmax outputs probs
+    (N, K). Returns (dloss/dlogits (N, K), sum of dloss/dq (K, K), loss
+    values (N,))."""
     A = realized_transition(q)
     values, G, s_y = mixed_ce(A, probs, observed_y)
-    w = weigh(values)
-    # dloss_r/dA is -p_r / s_r in column y_r; sum those, then chain each row
+    # dloss_r/dA is -p_r / s_r in column y_r, formed as p_r * (-1 / s_r)
+    # (p_r / -s_r rounds differently); sum those, then chain each row
     # through its softmax
-    dA = (probs * (-w / s_y)[:, None]).T @ np.eye(len(A))[observed_y]
+    dA = (probs * (-1.0 / s_y)[:, None]).T @ np.eye(len(A))[observed_y]
     gq = A * (dA - np.sum(dA * A, axis=1, keepdims=True))
-    return w[:, None] * G, gq, values
+    return G, gq, values
 
 
 # --- training ---------------------------------------------------------------
@@ -237,15 +210,14 @@ class TrainConfig:
     loss: LossSpec = field(default_factory=lambda: LossSpec("ce"))
     arch: str = "linear"
     hidden: int = 32
-    capacity_scale: float = 1.0
-    reweight: dict = None                 # spec, see reweight.make_reweighter
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got "
-                                 f"{value!r}")
+            if (not isinstance(value, (int, np.integer))
+                    or isinstance(value, bool) or value < least):
+                raise ValueError(f"{name} must be an integer >= {least}, "
+                                 f"got {value!r}")
         lr = self.learning_rate
         if not (isinstance(lr, numbers.Real) and lr >= 0):
             raise ValueError("learning_rate must be a number >= 0, got "
@@ -342,8 +314,8 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
     stacked = seeds is not None
     seeds = list(seeds) if stacked else [config.seed]
     if params is None:
-        models = [init(config.arch, ds.dim, ds.num_classes, s, config.hidden,
-                       config.capacity_scale) for s in seeds]
+        models = [init(config.arch, ds.dim, ds.num_classes, s, config.hidden)
+                  for s in seeds]
         params = stack(models) if stacked else models[0]
     streams = [Rng(s) for s in seeds]
     rng = streams if stacked else streams[0]
@@ -365,21 +337,19 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
     return params, history
 
 
-def train(ds, config, test_ds=None, params=None):
+def train(ds, config, test_ds=None, reweight=None):
     """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
-    Losses and their gradients are computed one batch at a time; re-weight
-    hooks are asked once per kept sample. Returns (params, history);
-    history rows carry the epoch's mean training loss and clean-test
-    accuracy when a test set is attached. Aborts with DivergedError if the
-    mean epoch loss goes non-finite."""
+    Losses and their gradients are computed one batch at a time; the hook
+    built from the reweight spec (see reweight.make_reweighter), if any, is
+    asked once per kept sample. Returns (params, history); history rows
+    carry the epoch's mean training loss and clean-test accuracy when a
+    test set is attached. Aborts with DivergedError if the mean epoch loss
+    goes non-finite."""
     from .reweight import make_reweighter
     # made here, not by fit: batches() scores the kept set with them
-    if params is None:
-        params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                      config.hidden, config.capacity_scale)
-    else:
-        params = params.copy()
-    reweighter = make_reweighter(config.reweight)
+    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
+                  config.hidden)
+    reweighter = make_reweighter(reweight)
     X, y = ds.features, ds.labels
     keep = np.ones(ds.n, dtype=bool)
 

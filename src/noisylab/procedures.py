@@ -185,14 +185,13 @@ def co_teaching_keep_schedule(epoch, noise_rate, warm_epochs=5,
 
 def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
                       disagreement_only=False):
-    """Two peer models trained with co-teaching (or disagreement-only
-    updates when disagreement_only is set)."""
+    """Two peer models trained with co-teaching, or with disagreement-only
+    updates when disagreement_only is set; only co-teaching keeps a
+    noise_rate schedule and reports its keep_fraction."""
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
-    model_a = init(config.arch, ds.dim, ds.num_classes, seed_a,
-                   config.hidden, config.capacity_scale)
-    model_b = init(config.arch, ds.dim, ds.num_classes, seed_b,
-                   config.hidden, config.capacity_scale)
+    model_a = init(config.arch, ds.dim, ds.num_classes, seed_a, config.hidden)
+    model_b = init(config.arch, ds.dim, ds.num_classes, seed_b, config.hidden)
     history = []
     for epoch in range(config.epochs):
         keep = co_teaching_keep_schedule(epoch, noise_rate)
@@ -205,8 +204,8 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
             else:
                 co_teach_step(model_a, model_b, X, y, keep,
                               config.learning_rate, epoch)
-        history.append(epoch_row(epoch, model_a, test_ds,
-                                 keep_fraction=keep))
+        fields = {} if disagreement_only else {"keep_fraction": keep}
+        history.append(epoch_row(epoch, model_a, test_ds, **fields))
     return model_a, model_b, history
 
 
@@ -266,21 +265,17 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
 
 
 def train_dual_relabel(ds, config, test_ds=None, warmup_epochs=5):
-    """Full dual-model procedure: capacity-0.8 and capacity-1.25 models
-    warm up on the noisy labels, then alternate training against the store
-    with end-of-epoch relabeling."""
+    """Full dual-model procedure: mlps 0.8 and 1.25 times config.hidden
+    wide warm up on the noisy labels, then alternate training against the
+    store with end-of-epoch relabeling."""
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
-    model_small = init("mlp", ds.dim, ds.num_classes, seed_a,
-                       config.hidden, 0.80)
-    model_large = init("mlp", ds.dim, ds.num_classes, seed_b,
-                       config.hidden, 1.25)
     store = SoftLabelStore(ds.labels, ds.num_classes)
     warm_cfg = replace(config, epochs=warmup_epochs, arch="mlp")
-    model_small, _ = train(ds, replace(warm_cfg, seed=seed_a),
-                           params=model_small)
-    model_large, _ = train(ds, replace(warm_cfg, seed=seed_b),
-                           params=model_large)
+    model_small, _ = train(ds, replace(warm_cfg, seed=seed_a,
+                                       hidden=round(config.hidden * 0.80)))
+    model_large, _ = train(ds, replace(warm_cfg, seed=seed_b,
+                                       hidden=round(config.hidden * 1.25)))
     history = []
     for epoch in range(config.epochs):
         dual_relabel_epoch(model_small, model_large, ds, store, rng,
@@ -327,17 +322,13 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     noisy samples it flags with the base model's prediction.
 
     Each round's seed ensemble trains in lockstep as one stack of models,
-    each exactly as train would with its seed; a re-weight hook, which
-    carries state from sample to sample, cannot be shared across them.
+    each exactly as train would with its seed.
 
     Returns (SoftLabelStore, flag indicator array, meta-classifier params,
     per-round history).
     """
     if ds_clean_small is None or ds_clean_small.true_labels is None:
         raise ValueError("iterative_clean: clean set with true labels required")
-    if config.reweight is not None:
-        raise ValueError("iterative_clean: a re-weight hook cannot train "
-                         "the seed ensemble")
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)

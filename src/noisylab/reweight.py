@@ -13,6 +13,8 @@ import numpy as np
 from .losses import (LossSpec, _check_invertible, loss_and_grad,
                      loss_vector)
 
+SIGMA_FLOOR = 1e-12
+
 
 class RunningLossFilter:
     """Skip a sample when its loss exceeds mean + multiplier*sigma of the
@@ -20,14 +22,12 @@ class RunningLossFilter:
     collapses below the floor. Skipped samples' losses still enter the
     window so it stays an unbiased picture of the stream."""
 
-    def __init__(self, window=100, multiplier=1.5, warmup=30,
-                 sigma_floor=1e-12):
+    def __init__(self, window=100, multiplier=1.5, warmup=30):
         if multiplier <= 0 or window < 1:
             raise ValueError("invalid filter parameters")
         self.buffer = deque(maxlen=window)
         self.multiplier = multiplier
         self.warmup = warmup
-        self.sigma_floor = sigma_floor
 
     def observe(self, loss):
         """Returns 'update' or 'skip'; statistics are computed over the
@@ -39,7 +39,7 @@ class RunningLossFilter:
         if len(self.buffer) >= self.warmup:
             buf = np.fromiter(self.buffer, dtype=np.float64)
             mean, sigma = buf.mean(), buf.std()
-            if sigma > self.sigma_floor and loss > mean + self.multiplier * sigma:
+            if sigma > SIGMA_FLOOR and loss > mean + self.multiplier * sigma:
                 decision = "skip"
         self.buffer.append(loss)
         return decision

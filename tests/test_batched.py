@@ -20,8 +20,7 @@ from noisylab.annotators import (confusion_grads, min_loss_label,
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
                              loss_grad_logits, loss_value)
-from noisylab.model import (DivergedError, TrainConfig, attach_noise_layer,
-                            backward_batch, ensemble_disagreement, fit,
+from noisylab.model import (DivergedError, TrainConfig, backward_batch, ensemble_disagreement, fit,
                             forward_batch, init, minibatches,
                             noise_layer_grads, noise_layer_init, predict,
                             predict_probs, realized_transition, sgd_epoch,
@@ -160,31 +159,14 @@ class TestNoiseLayerBatch:
         q = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0),
                                           min_size=K * K, max_size=K * K)),
                        (K, K))
-        w = np.array(data.draw(st.lists(
-            st.sampled_from([0.0, 1.0, -0.1, 0.5]), min_size=N, max_size=N)))
-        G, gq, values = noise_layer_grads(q, P, y, lambda values: w)
+        G, gq, values = noise_layer_grads(q, P, y)
         ref_gq = np.zeros((K, K))
         for r in range(N):
             g_log, g_q, val = ref_noise_layer(q, P[r], y[r])
             assert np.allclose(values[r], val, rtol=1e-12, atol=1e-12)
-            assert np.allclose(G[r], w[r] * g_log, rtol=1e-12, atol=1e-12)
-            ref_gq += w[r] * g_q
+            assert np.allclose(G[r], g_log, rtol=1e-12, atol=1e-12)
+            ref_gq += g_q
         assert np.allclose(gq, ref_gq, rtol=1e-12, atol=1e-12)
-
-    def test_weights_from_values(self):
-        P, y = softmax(np.array([[1.0, 0.0], [0.0, 2.0]])), np.array([0, 0])
-        q = np.log(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        seen = []
-
-        def weigh(values):
-            seen.append(values)
-            return np.array([1.0, 0.0])
-
-        G, gq, values = noise_layer_grads(q, P, y, weigh)
-        assert np.array_equal(seen[0], values)
-        assert np.array_equal(G[1], np.zeros(2))
-        alone = noise_layer_grads(q, P[:1], y[:1], lambda v: np.ones(1))
-        assert np.allclose(gq, alone[1])
 
 
 class TestLabelDraws:
@@ -563,8 +545,8 @@ class TestDualRelabelBatch:
         batch_size = data.draw(st.integers(1, 8), label="batch_size")
         rng = Rng(seed)
         ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
-        small = init("mlp", 2, K, seed, hidden=4, capacity_scale=0.8)
-        large = init("mlp", 2, K, seed + 1, hidden=4, capacity_scale=1.25)
+        small = init("mlp", 2, K, seed, hidden=3)
+        large = init("mlp", 2, K, seed + 1, hidden=5)
         if data.draw(st.booleans(), label="uniform small model"):
             # uniform predictions: every hard target scores -log(1/K), so
             # the model's own argmax ties with any stored hard label
@@ -591,21 +573,18 @@ class TestDualRelabelBatch:
 
 
 def ref_noise_layer_train(ds, config, test_ds):
-    """The noise-adaptation trainer as model.train ran it: a noise layer
-    attached to fresh params and stepped at lr / N inside each batch's
-    loss, before the step on the classifier."""
-    params = attach_noise_layer(init(config.arch, ds.dim, ds.num_classes,
-                                     config.seed, config.hidden,
-                                     config.capacity_scale))
+    """The noise-adaptation trainer as model.train ran it: a noise layer q
+    next to fresh params, stepped at lr / N inside each batch's loss,
+    before the step on the classifier. Returns (params, q, history)."""
+    q = noise_layer_init(ds.num_classes)
 
     def batch_loss(probs, idx):
-        G, gq, values = noise_layer_grads(params.noise_layer, probs,
-                                          ds.labels[idx],
-                                          lambda v: np.ones(len(v)))
-        params.noise_layer -= (config.learning_rate / len(idx)) * gq
+        G, gq, values = noise_layer_grads(q, probs, ds.labels[idx])
+        q[:] -= (config.learning_rate / len(idx)) * gq
         return values, G
 
-    return fit(ds, config, batch_loss, test_ds, params=params)
+    params, history = fit(ds, config, batch_loss, test_ds)
+    return params, q, history
 
 
 def ref_confusion_train(ds, config, lambda_trace, test_ds):
@@ -660,14 +639,15 @@ class TestNoiseAdaptationAsConfusion:
     @given(small_runs())
     def test_single_annotator_unpenalized_is_the_noise_layer(self, run):
         ds, test_ds, config = run
-        ref_params, ref_history = ref_noise_layer_train(ds, config, test_ds)
+        ref_params, ref_q, ref_history = ref_noise_layer_train(ds, config,
+                                                               test_ds)
         params, model, history = train_with_confusion(
             replace(ds, annotator_labels=ds.labels[:, None]), config, 0.0,
             test_ds)
         assert_same_run(params, history, ref_params, ref_history)
         assert len(model.confusions) == 1
         assert np.array_equal(model.confusions[0].t,
-                              realized_transition(ref_params.noise_layer))
+                              realized_transition(ref_q))
 
     @settings(max_examples=60, deadline=None)
     @given(small_runs(), st.integers(1, 3),
@@ -832,12 +812,3 @@ class TestLockstepIterativeClean:
         for name in ref_meta.arrays:
             assert np.array_equal(meta.arrays[name], ref_meta.arrays[name])
         assert history == ref_history
-
-    def test_reweight_hook_is_refused(self):
-        rng = Rng(0)
-        ds = LabeledDataset(rng.normal((20, 2)), rng.integers(0, 2, size=20),
-                            2, true_labels=rng.integers(0, 2, size=20))
-        config = TrainConfig(epochs=1, reweight={"kind": "running"})
-        with pytest.raises(ValueError, match="re-weight"):
-            iterative_clean(ds.training_view(), ds.subset(np.arange(5)),
-                            config)

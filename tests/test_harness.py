@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from noisylab.harness import (ConfigError, metrics, report_json,
                               write_report)
 from noisylab.cli import cli
 from noisylab.data import load_csv
-from noisylab.model import DivergedError
+from noisylab.model import DivergedError, TrainConfig
 
 
 def base_config(**over):
@@ -266,6 +267,11 @@ class TestConfigSurface:
         ("record_skipped", dict(method={"reweight": {
             "kind": "running", "record_skipped": False}}),
          "method.reweight.record_skipped"),
+        ("capacity_scale", dict(train={"arch": "mlp", "capacity_scale": 0.5}),
+         "train.capacity_scale"),
+        ("disagreement-noise_rate", dict(method={"procedure": {
+            "name": "disagreement", "noise_rate": 0.4}}),
+         "method.procedure.noise_rate"),
     ]
 
     @pytest.mark.parametrize("over, named", [p[1:] for p in PROBES],
@@ -274,6 +280,19 @@ class TestConfigSurface:
                                             over, named):
         cfg = base_config(**over)
         self._rejected(monkeypatch, tmp_path, cfg, re.escape(named))
+
+    # a float seed ran truncated while the report echoed it, true ran as
+    # 1, and a string failed late as a generate-stage error
+    @pytest.mark.parametrize("seed", [7.9, True, "7", -1],
+                             ids=["float", "bool", "string", "negative"])
+    def test_seed_must_be_an_integer(self, monkeypatch, tmp_path, seed):
+        self._rejected(monkeypatch, tmp_path, base_config(seed=seed),
+                       "^seed must be an integer")
+
+    def test_train_keys_are_the_train_config_fields(self):
+        keys = {k.rstrip("!") for k in harness.SCHEMA["train"][1].split()}
+        assert {f.name for f in fields(TrainConfig)} == keys | {"seed",
+                                                                "loss"}
 
     def test_report_echoes_config_as_given(self):
         cfg = base_config(method={"reweight": {"kind": "running"}},
@@ -325,9 +344,6 @@ class TestEveryKeyActs:
         ("procedure", "co_teaching"): {
             "method": {"procedure": {"name": "co_teaching"}},
             "train": {"epochs": 7}},
-        ("procedure", "disagreement"): {
-            "method": {"procedure": {"name": "disagreement"}},
-            "train": {"epochs": 7}},
         ("procedure", "iterative_clean"): {"method": {"procedure": {
             "name": "iterative_clean"}}},
     }
@@ -349,7 +365,6 @@ class TestEveryKeyActs:
         ("train", None, "learning_rate"): 0.3,
         ("train", None, "arch"): "mlp",
         ("train", None, "hidden"): 8,
-        ("train", None, "capacity_scale"): 0.5,
         ("method", "reweight", "base_loss"): {"kind": "mae"},
         ("loss", "imae", "tau"): 2.0,
         ("loss", "smooth_kl", "epsilon"): 0.3,
@@ -366,9 +381,6 @@ class TestEveryKeyActs:
         ("annotator", "confusion", "lambda_trace"): 0.5,
         ("procedure", "mixup", "alpha"): 1.0,
         ("procedure", "co_teaching", "noise_rate"): 0.45,
-        # moves only the history's keep_fraction, which disagreement-only
-        # updates never use (CHANGES.md)
-        ("procedure", "disagreement", "noise_rate"): 0.45,
         ("procedure", "iterative_clean", "clean_fraction"): 0.3,
         ("procedure", "iterative_clean", "rounds"): 1,
         ("procedure", "iterative_clean", "threshold"): 0.9,
@@ -402,8 +414,7 @@ class TestEveryKeyActs:
                              ids=[".".join(filter(None, a)) for a in VALUES])
     def test_key_changes_the_run(self, address):
         name, variant, key = address
-        reach = ("train", "mlp") if key in ("hidden", "capacity_scale") \
-            else (name, variant)
+        reach = ("train", "mlp") if key == "hidden" else (name, variant)
         base = copy.deepcopy({**self.COMMON, **self.REACH.get(reach, {})})
         self._section(base, name).pop(key, None)  # the key at its default
         changed = copy.deepcopy(base)
@@ -508,7 +519,7 @@ class TestRunExperiment:
         real_train = harness.train
 
         def spy(ds, cfg, test_ds=None, **kw):
-            seen.append(cfg.reweight["loss"])
+            seen.append(kw["reweight"]["loss"])
             return real_train(ds, cfg, test_ds, **kw)
 
         monkeypatch.setattr(harness, "train", spy)

@@ -3,12 +3,13 @@ import pytest
 
 from noisylab.data import gen_blobs, split
 from noisylab.losses import LossSpec
-from noisylab.model import (DivergedError, TrainConfig, attach_noise_layer,
-                            backward, ensemble_disagreement, forward,
-                            grad_check, init, load_params, noisy_forward,
-                            realized_transition, save_params, train)
+from noisylab.model import (DivergedError, TrainConfig, backward,
+                            ensemble_disagreement, forward, grad_check, init,
+                            load_params, realized_transition, save_params,
+                            train)
 from noisylab.noise import symmetric_transition
-from noisylab.numerics import Rng, check_prob_vector, softmax
+from noisylab.numerics import Rng, softmax
+from noisylab.procedures import train_dual_relabel
 
 
 class TestInit:
@@ -28,11 +29,13 @@ class TestInit:
         assert m.arrays["W1"].shape == (5, 16)
         assert m.arrays["W2"].shape == (16, 4)
 
-    def test_capacity_scale(self):
-        assert init("mlp", 2, 2, 0, hidden=32,
-                    capacity_scale=0.80).hidden == 26
-        assert init("mlp", 2, 2, 0, hidden=32,
-                    capacity_scale=1.25).hidden == 40
+    def test_dual_relabel_widths(self):
+        ds = gen_blobs(2, 10, 2, 8.0, 0)
+        small, large, _, _ = train_dual_relabel(
+            ds, TrainConfig(epochs=1, hidden=32), warmup_epochs=1)
+        assert (small.hidden, large.hidden) == (26, 40)
+        assert small.arrays["W1"].shape == (2, 26)
+        assert large.arrays["W1"].shape == (2, 40)
 
 
 class TestForward:
@@ -97,32 +100,6 @@ class TestGradCheck:
 
 
 class TestNoiseLayer:
-    def test_identity_layer_passthrough(self):
-        p = init("linear", 2, 2, 3)
-        p = attach_noise_layer(p)
-        # force realized transition to (near) identity
-        p.noise_layer = np.array([[50.0, 0.0], [0.0, 50.0]])
-        x = [1.0, -1.0]
-        assert np.allclose(noisy_forward(p, x), softmax(forward(p, x)),
-                           atol=1e-12)
-
-    def test_matrix_vector_example(self):
-        p = init("linear", 2, 2, 3)
-        p = attach_noise_layer(p)
-        p.noise_layer = np.log(np.array([[0.8, 0.2], [0.3, 0.7]]))
-        # saturate base probs to [1, 0]
-        p.arrays["W"][:] = 0.0
-        p.arrays["b"][:] = [400.0, -400.0]
-        assert np.allclose(noisy_forward(p, [0.0, 0.0]), [0.8, 0.2])
-
-    def test_valid_prob_vector_any_q(self):
-        rng = Rng(5)
-        p = init("mlp", 2, 4, 5)
-        p = attach_noise_layer(p)
-        for _ in range(50):
-            p.noise_layer = 10.0 * rng.normal((4, 4))
-            check_prob_vector(noisy_forward(p, rng.normal(2)))
-
     def test_realized_transition_row_stochastic(self):
         rng = Rng(6)
         for _ in range(20):
@@ -141,7 +118,7 @@ class TestTrain:
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         cfg = TrainConfig(epochs=3, seed=4, learning_rate=0.0)
         before = init("linear", 2, 2, 4)
-        after, _ = train(ds, cfg, params=before)
+        after, _ = train(ds, cfg)
         for name in before.arrays:
             assert np.array_equal(before.arrays[name], after.arrays[name])
 
@@ -194,11 +171,9 @@ class TestEnsembleDisagreement:
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         p = init("mlp", 3, 2, 10)
-        p = attach_noise_layer(p)
         path = tmp_path / "params.json"
         save_params(p, path)
         back = load_params(path)
         assert back.arch == p.arch and back.hidden == p.hidden
         for name in p.arrays:
             assert np.array_equal(back.arrays[name], p.arrays[name])
-        assert np.array_equal(back.noise_layer, p.noise_layer)
