@@ -8,6 +8,7 @@ digits so round trips are lossless at float64 precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,20 @@ class LabeledDataset:
         )
 
 
+def _check_args(fn, integers=None, reals=None):
+    """Raise a ValueError naming the first argument of integers (name ->
+    value) that is not an integer, or of reals that is not a real number;
+    a bool is neither."""
+    for name, value in (integers or {}).items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{fn}: {name} must be an integer, got "
+                             f"{value!r}")
+    for name, value in (reals or {}).items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{fn}: {name} must be a real number, got "
+                             f"{value!r}")
+
+
 def blob_centers(K, d, separation):
     """Deterministic class centers with pairwise distance >= separation.
 
@@ -94,6 +109,8 @@ def blob_centers(K, d, separation):
 
 def gen_blobs(K, n_per_class, d, separation, seed):
     """Isotropic unit-variance Gaussian blobs at fixed separated centers."""
+    _check_args("gen_blobs", {"K": K, "n_per_class": n_per_class, "d": d},
+                {"separation": separation})
     if K < 2 or d < 1 or n_per_class < 1 or separation <= 0:
         raise ValueError("gen_blobs: invalid parameters")
     rng = Rng(seed)
@@ -109,6 +126,8 @@ def gen_blobs(K, n_per_class, d, separation, seed):
 
 def gen_rings(K, n_per_class, noise_std, seed):
     """Concentric rings in 2-d: class c at radius c+1 with radial jitter."""
+    _check_args("gen_rings", {"K": K, "n_per_class": n_per_class},
+                {"noise_std": noise_std})
     if K < 2 or n_per_class < 1 or noise_std < 0:
         raise ValueError("gen_rings: invalid parameters")
     rng = Rng(seed)
@@ -127,6 +146,7 @@ def gen_rings(K, n_per_class, noise_std, seed):
 def split(ds, test_fraction, seed):
     """Stratified train/test split; per-class test counts within 1 of the
     requested fraction. Stratifies by true labels when present."""
+    _check_args("split", reals={"test_fraction": test_fraction})
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("split: test_fraction must be in (0,1)")
     if ds.n < 2:

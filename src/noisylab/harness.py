@@ -226,15 +226,11 @@ def _binary_auc(scores, truth):
     if n_pos == 0 or n_neg == 0:
         return float("nan")
     order = np.argsort(scores, kind="stable")
+    # a tie group of count c starting at sorted position i spans i..i+c-1
+    _, first, counts = np.unique(scores[order], return_index=True,
+                                 return_counts=True, equal_nan=False)
     ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (2 * first + counts - 1) + 1.0, counts)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
 

@@ -35,7 +35,10 @@ class ModelParams:
         self.arch = arch
         self.d = int(d)
         self.K = int(K)
-        self.hidden = max(1, int(round(hidden)))
+        if (not isinstance(hidden, (int, np.integer))
+                or isinstance(hidden, bool) or hidden < 1):
+            raise ValueError(f"hidden must be an integer >= 1, got {hidden!r}")
+        self.hidden = int(hidden)
         self.arrays = {}
         if arch == "linear":
             self.arrays["W"] = np.zeros((d, K))
@@ -212,7 +215,8 @@ class TrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                            ("hidden", 1)):
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer))
                     or isinstance(value, bool) or value < least):

@@ -13,10 +13,10 @@ import numpy as np
 from .data import LabeledDataset
 from .losses import LOG_CLAMP, LossSpec, loss_and_grad
 from .model import (epoch_row, fit, forward_batch, init, minibatches,
-                    predict, predict_probs, sgd_epoch, sgd_step, train,
+                    predict, predict_probs, sgd_epoch, sgd_step, stack, train,
                     unstack)
 from .noise import class_centroids
-from .numerics import Rng, sample_beta
+from .numerics import Rng, sample_beta, softmax
 
 CE = LossSpec("ce")
 
@@ -131,11 +131,6 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
 
 # --- peer-model steps -------------------------------------------------------
 
-def _sgd_step_on(params, X, y, lr, epoch):
-    return sgd_step(params, X, lr, lambda probs: loss_and_grad(CE, probs, y),
-                    epoch)
-
-
 def small_loss_selection(probs, y, keep_fraction):
     """Indices of the keep_fraction smallest-CE samples (predictions plus
     labels only; no other state)."""
@@ -145,15 +140,18 @@ def small_loss_selection(probs, y, keep_fraction):
     return np.sort(order[:n_keep])
 
 
-def co_teach_step(model_a, model_b, X, y, keep_fraction, lr, epoch=0):
-    """Each model picks its smallest-loss samples; the peer updates on that
-    selection. Both selections happen before either update."""
+def co_teach_step(peers, X, y, keep_fraction, lr, epoch=0):
+    """Each of the two stacked peers picks its smallest-loss samples; the
+    other peer updates on that selection. Both selections come from
+    predictions taken before the one step that updates both peers."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0,1]")
-    sel_a = small_loss_selection(predict_probs(model_a, X), y, keep_fraction)
-    sel_b = small_loss_selection(predict_probs(model_b, X), y, keep_fraction)
-    _sgd_step_on(model_b, X[sel_a], y[sel_a], lr, epoch)   # A teaches B
-    _sgd_step_on(model_a, X[sel_b], y[sel_b], lr, epoch)   # B teaches A
+    probs_a, probs_b = predict_probs(peers, X)
+    sel_a = small_loss_selection(probs_a, y, keep_fraction)
+    sel_b = small_loss_selection(probs_b, y, keep_fraction)
+    rows = np.array([sel_b, sel_a])  # B's selection steps A, A's steps B
+    sgd_step(peers, X[rows], lr,
+             lambda probs: loss_and_grad(CE, probs, y[rows].ravel()), epoch)
     return sel_a, sel_b
 
 
@@ -162,14 +160,15 @@ def disagreement_mask(preds_a, preds_b):
     return np.asarray(preds_a) != np.asarray(preds_b)
 
 
-def disagreement_step(model_a, model_b, X, y, lr, epoch=0):
-    """Both models update only where their argmax predictions differ
-    (computed before any update)."""
-    mask = disagreement_mask(predict(model_a, X), predict(model_b, X))
-    idx = np.flatnonzero(mask)
+def disagreement_step(peers, X, y, lr, epoch=0):
+    """Both stacked peers update only where their argmax predictions differ
+    (computed before the update)."""
+    idx = np.flatnonzero(disagreement_mask(*predict(peers, X)))
     if idx.size:
-        _sgd_step_on(model_a, X[idx], y[idx], lr, epoch)
-        _sgd_step_on(model_b, X[idx], y[idx], lr, epoch)
+        rows = np.array([idx, idx])
+        sgd_step(peers, X[rows], lr,
+                 lambda probs: loss_and_grad(CE, probs, y[rows].ravel()),
+                 epoch)
     return idx
 
 
@@ -187,11 +186,13 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
                       disagreement_only=False):
     """Two peer models trained with co-teaching, or with disagreement-only
     updates when disagreement_only is set; only co-teaching keeps a
-    noise_rate schedule and reports its keep_fraction."""
+    noise_rate schedule and reports its keep_fraction. The peers are one
+    stack (see model.stack), stepped once per batch; the history follows
+    the first peer."""
     rng = Rng(config.seed)
-    seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
-    model_a = init(config.arch, ds.dim, ds.num_classes, seed_a, config.hidden)
-    model_b = init(config.arch, ds.dim, ds.num_classes, seed_b, config.hidden)
+    peers = stack([init(config.arch, ds.dim, ds.num_classes,
+                        int(r.integers(0, 2**31)), config.hidden)
+                   for r in rng.split(2)])
     history = []
     for epoch in range(config.epochs):
         keep = co_teaching_keep_schedule(epoch, noise_rate)
@@ -199,14 +200,13 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
         for idx in minibatches(order, config.batch_size):
             X, y = ds.features[idx], ds.labels[idx]
             if disagreement_only:
-                disagreement_step(model_a, model_b, X, y,
-                                  config.learning_rate, epoch)
+                disagreement_step(peers, X, y, config.learning_rate, epoch)
             else:
-                co_teach_step(model_a, model_b, X, y, keep,
-                              config.learning_rate, epoch)
+                co_teach_step(peers, X, y, keep, config.learning_rate, epoch)
         fields = {} if disagreement_only else {"keep_fraction": keep}
-        history.append(epoch_row(epoch, model_a, test_ds, **fields))
-    return model_a, model_b, history
+        history.append(epoch_row(epoch, unstack(peers)[0], test_ds,
+                                 **fields))
+    return (*unstack(peers), history)
 
 
 # --- dual models with iterative label update --------------------------------
@@ -292,23 +292,21 @@ META_FEATURE_NAMES = ("loss", "max_prob", "margin", "disagreement",
                       "centroid_distance")
 
 
-def cleaning_meta_features(models, ds, labels):
-    """Five per-sample features for the cleaning meta-classifier: CE loss of
-    the observed label, max probability, top1-top2 margin, seed-ensemble
-    disagreement, and distance to the observed-class centroid."""
-    probs = predict_probs(models[0], ds.features)
-    n = ds.n
-    loss = -np.log(np.maximum(probs[np.arange(n), labels], LOG_CLAMP))
+def cleaning_meta_features(ensemble, ds, labels):
+    """Five per-sample features for the cleaning meta-classifier, from one
+    forward pass of the stacked seed ensemble (see model.stack): CE loss of
+    the observed label, max probability and top1-top2 margin of the first
+    model, the ensemble's vote disagreement, and distance to the
+    observed-class centroid."""
+    logits, _ = forward_batch(ensemble, ds.features)
+    probs = softmax(logits[0])
+    loss = -np.log(np.maximum(probs[np.arange(ds.n), labels], LOG_CLAMP))
     sorted_p = np.sort(probs, axis=1)
     max_prob = sorted_p[:, -1]
     margin = sorted_p[:, -1] - sorted_p[:, -2]
-    disagree = np.zeros(n)
-    if len(models) > 1:
-        votes = np.column_stack([forward_batch(m, ds.features)[0]
-                                 .argmax(axis=1) for m in models])
-        majority = np.max([np.sum(votes == c, axis=1)
-                           for c in range(models[0].K)], axis=0)
-        disagree = 1.0 - majority / len(models)
+    votes = logits.argmax(axis=-1)  # (E, n)
+    counts = (votes[..., None] == np.arange(ensemble.K)).sum(axis=0)
+    disagree = 1.0 - counts.max(axis=-1) / len(votes)
     cents = class_centroids(ds.features, labels, ds.num_classes)
     dist = np.linalg.norm(ds.features - cents[labels], axis=1)
     return np.column_stack([loss, max_prob, margin, disagree, dist])
@@ -322,7 +320,7 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     noisy samples it flags with the base model's prediction.
 
     Each round's seed ensemble trains in lockstep as one stack of models,
-    each exactly as train would with its seed.
+    each exactly as train would with its seed, and is scored in one pass.
 
     Returns (SoftLabelStore, flag indicator array, meta-classifier params,
     per-round history).
@@ -338,12 +336,11 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         labels = store.hard_labels()
         current = replace(ds_noisy.training_view(), labels=labels)
         seeds = [int(r.integers(0, 2**31)) for r in rng.split(ensemble_size)]
-        stacked, _ = fit(current, config,
-                         lambda probs, idx: loss_and_grad(config.loss, probs,
-                                                          labels[idx]),
-                         seeds=seeds)
-        models = unstack(stacked)
-        feats_clean = cleaning_meta_features(models, ds_clean_small,
+        ensemble, _ = fit(current, config,
+                          lambda probs, idx: loss_and_grad(config.loss, probs,
+                                                           labels[idx]),
+                          seeds=seeds)
+        feats_clean = cleaning_meta_features(ensemble, ds_clean_small,
                                              ds_clean_small.labels)
         target = (ds_clean_small.labels
                   != ds_clean_small.true_labels).astype(np.int64)
@@ -352,10 +349,10 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         meta_cfg = replace(config, arch="linear", epochs=60,
                            seed=config.seed + 1000 + rnd)
         meta_params, _ = train(meta_ds, meta_cfg)
-        feats_noisy = (cleaning_meta_features(models, ds_noisy, labels)
+        feats_noisy = (cleaning_meta_features(ensemble, ds_noisy, labels)
                        - mu) / sd
         p_flip = predict_probs(meta_params, feats_noisy)[:, 1]
-        base_pred = predict(models[0], ds_noisy.features)
+        base_pred = predict(ensemble, ds_noisy.features)[0]
         round_flags = p_flip > threshold
         changed = np.flatnonzero(round_flags & (base_pred != labels))
         for i in changed:

@@ -20,18 +20,21 @@ from noisylab.annotators import (confusion_grads, min_loss_label,
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
                              loss_grad_logits, loss_value)
-from noisylab.model import (DivergedError, TrainConfig, backward_batch, ensemble_disagreement, fit,
+from noisylab.model import (DivergedError, TrainConfig, backward_batch,
+                            ensemble_disagreement, epoch_row, fit,
                             forward_batch, init, minibatches,
                             noise_layer_grads, noise_layer_init, predict,
                             predict_probs, realized_transition, sgd_epoch,
-                            sgd_step, train, unstack)
-from noisylab.noise import (TransitionMatrix, draw_labels, inject,
-                            simulate_annotators)
+                            sgd_step, stack, train, unstack)
+from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
+                            inject, simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (LabelEntry, SoftLabelStore,
                                  _target_loss, _train_epoch_against_store,
-                                 cleaning_meta_features, dual_relabel_epoch,
-                                 iterative_clean)
+                                 cleaning_meta_features,
+                                 co_teaching_keep_schedule, disagreement_step,
+                                 dual_relabel_epoch, iterative_clean,
+                                 small_loss_selection, train_co_teaching)
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -376,7 +379,7 @@ class TestProcedureBatches:
         rng = Rng(seed)
         ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
         models = [init("linear", 2, K, seed + m) for m in range(M)]
-        feats = cleaning_meta_features(models, ds, ds.labels)
+        feats = cleaning_meta_features(stack(models), ds, ds.labels)
         expected = [ensemble_disagreement(models, x) for x in ds.features]
         assert feats[:, 3].tolist() == expected
 
@@ -749,10 +752,31 @@ class TestLockstepFit:
             assert np.array_equal(predict(stacked, X)[e], predict(model, X))
 
 
+def ref_cleaning_meta_features(models, ds, labels):
+    """cleaning_meta_features as it scored a list of models, one forward
+    pass per model."""
+    probs = predict_probs(models[0], ds.features)
+    n = ds.n
+    loss = -np.log(np.maximum(probs[np.arange(n), labels], LOG_CLAMP))
+    sorted_p = np.sort(probs, axis=1)
+    max_prob = sorted_p[:, -1]
+    margin = sorted_p[:, -1] - sorted_p[:, -2]
+    disagree = np.zeros(n)
+    if len(models) > 1:
+        votes = np.column_stack([forward_batch(m, ds.features)[0]
+                                 .argmax(axis=1) for m in models])
+        majority = np.max([np.sum(votes == c, axis=1)
+                           for c in range(models[0].K)], axis=0)
+        disagree = 1.0 - majority / len(models)
+    cents = class_centroids(ds.features, labels, ds.num_classes)
+    dist = np.linalg.norm(ds.features - cents[labels], axis=1)
+    return np.column_stack([loss, max_prob, margin, disagree, dist])
+
+
 def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
                         threshold=0.5, ensemble_size=3):
     """iterative_clean as it trained its seed ensemble before lockstep: one
-    train call per seed."""
+    train call per seed, scored model by model."""
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)
@@ -763,8 +787,8 @@ def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         current = replace(ds_noisy.training_view(), labels=labels)
         seeds = [int(r.integers(0, 2**31)) for r in rng.split(ensemble_size)]
         models = [train(current, replace(config, seed=s))[0] for s in seeds]
-        feats_clean = cleaning_meta_features(models, ds_clean_small,
-                                             ds_clean_small.labels)
+        feats_clean = ref_cleaning_meta_features(models, ds_clean_small,
+                                                 ds_clean_small.labels)
         target = (ds_clean_small.labels
                   != ds_clean_small.true_labels).astype(np.int64)
         mu, sd = feats_clean.mean(axis=0), feats_clean.std(axis=0) + 1e-9
@@ -772,7 +796,7 @@ def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         meta_cfg = replace(config, arch="linear", epochs=60,
                            seed=config.seed + 1000 + rnd)
         meta_params, _ = train(meta_ds, meta_cfg)
-        feats_noisy = (cleaning_meta_features(models, ds_noisy, labels)
+        feats_noisy = (ref_cleaning_meta_features(models, ds_noisy, labels)
                        - mu) / sd
         p_flip = predict_probs(meta_params, feats_noisy)[:, 1]
         base_pred = predict(models[0], ds_noisy.features)
@@ -812,3 +836,92 @@ class TestLockstepIterativeClean:
         for name in ref_meta.arrays:
             assert np.array_equal(meta.arrays[name], ref_meta.arrays[name])
         assert history == ref_history
+
+
+def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
+                          disagreement_only=False):
+    """train_co_teaching as it stepped its peers before they were one
+    stack: two models, one sgd_step each per batch."""
+    def step(params, X, y, epoch):
+        sgd_step(params, X, config.learning_rate,
+                 lambda probs: loss_and_grad(LossSpec("ce"), probs, y), epoch)
+
+    rng = Rng(config.seed)
+    seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
+    model_a = init(config.arch, ds.dim, ds.num_classes, seed_a, config.hidden)
+    model_b = init(config.arch, ds.dim, ds.num_classes, seed_b, config.hidden)
+    history = []
+    for epoch in range(config.epochs):
+        keep = co_teaching_keep_schedule(epoch, noise_rate)
+        order = rng.permutation(ds.n)
+        for idx in minibatches(order, config.batch_size):
+            X, y = ds.features[idx], ds.labels[idx]
+            if disagreement_only:
+                sel = np.flatnonzero(predict(model_a, X)
+                                     != predict(model_b, X))
+                if sel.size:
+                    step(model_a, X[sel], y[sel], epoch)
+                    step(model_b, X[sel], y[sel], epoch)
+            else:
+                sel_a = small_loss_selection(predict_probs(model_a, X), y,
+                                             keep)
+                sel_b = small_loss_selection(predict_probs(model_b, X), y,
+                                             keep)
+                step(model_b, X[sel_a], y[sel_a], epoch)
+                step(model_a, X[sel_b], y[sel_b], epoch)
+        fields = {} if disagreement_only else {"keep_fraction": keep}
+        history.append(epoch_row(epoch, model_a, test_ds, **fields))
+    return model_a, model_b, history
+
+
+@st.composite
+def peer_runs(draw):
+    """(train set, test set, TrainConfig, noise_rate) for a pair of peers:
+    K 2..5, linear or mlp, a short last batch, and up to 8 epochs, so the
+    co-teaching keep fraction falls below 1 after its 5 warmup epochs."""
+    K = draw(st.integers(2, 5), label="K")
+    batch_size = draw(st.integers(2, 8), label="batch_size")
+    n = (batch_size * draw(st.integers(1, 3), label="full batches")
+         + draw(st.integers(1, batch_size - 1), label="last batch"))
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
+    test_ds = LabeledDataset(rng.normal((5, 2)), rng.integers(0, K, size=5),
+                             K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 8), label="epochs"),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4)
+    noise_rate = draw(st.sampled_from([0.2, 0.45]), label="noise_rate")
+    return ds, test_ds, config, noise_rate
+
+
+class TestStackedPeers:
+    @pytest.mark.parametrize("disagreement_only", [False, True],
+                             ids=["co_teaching", "disagreement"])
+    @settings(max_examples=60, deadline=None)
+    @given(run=peer_runs())
+    def test_matches_two_model_loop(self, run, disagreement_only):
+        ds, test_ds, config, noise_rate = run
+        got = train_co_teaching(ds, config, test_ds, noise_rate,
+                                disagreement_only)
+        ref = ref_train_co_teaching(ds, config, test_ds, noise_rate,
+                                    disagreement_only)
+        assert got[2] == ref[2]
+        for model, ref_model in zip(got[:2], ref[:2]):
+            for name in ref_model.arrays:
+                assert np.array_equal(model.arrays[name],
+                                      ref_model.arrays[name])
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=peer_runs())
+    def test_disagreement_on_identical_peers_updates_nothing(self, run):
+        ds, _, config, _ = run
+        model = init(config.arch, ds.dim, ds.num_classes, config.seed, 4)
+        peers = stack([model, model])
+        before = {k: v.copy() for k, v in peers.arrays.items()}
+        assert disagreement_step(peers, ds.features, ds.labels, 0.7).size == 0
+        for name in before:
+            assert np.array_equal(peers.arrays[name], before[name])

@@ -153,3 +153,45 @@ class TestInvariants:
     def test_training_view_strips_truth(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         assert ds.training_view().true_labels is None
+
+
+class TestArgumentTypes:
+    # each of these failed with "'<' not supported ..." or a TypeError deep
+    # in numpy, or ran with a bool taken as 0 / 1
+    BAD = [
+        ("gen_blobs", dict(K="3"), "K must be an integer, got '3'"),
+        ("gen_blobs", dict(K=3.0), "K must be an integer, got 3.0"),
+        ("gen_blobs", dict(K=True), "K must be an integer, got True"),
+        ("gen_blobs", dict(n_per_class=10.0), "n_per_class must be an"),
+        ("gen_blobs", dict(d="2"), "d must be an integer"),
+        ("gen_blobs", dict(separation="8"), "separation must be a real"),
+        ("gen_blobs", dict(separation=True), "separation must be a real"),
+        ("gen_rings", dict(K=2.5), "K must be an integer"),
+        ("gen_rings", dict(n_per_class=False), "n_per_class must be an"),
+        ("gen_rings", dict(noise_std="0.1"), "noise_std must be a real"),
+    ]
+    GOOD = {"gen_blobs": dict(K=3, n_per_class=10, d=2, separation=8.0,
+                              seed=0),
+            "gen_rings": dict(K=2, n_per_class=10, noise_std=0.1, seed=0)}
+
+    @pytest.mark.parametrize("fn, over, named", BAD,
+                             ids=[f"{b[0]}-{b[2].split()[0]}-{i}"
+                                  for i, b in enumerate(BAD)])
+    def test_generator_names_the_argument(self, fn, over, named):
+        gen = {"gen_blobs": gen_blobs, "gen_rings": gen_rings}[fn]
+        with pytest.raises(ValueError, match=f"^{fn}: {named}"):
+            gen(**{**self.GOOD[fn], **over})
+
+    @pytest.mark.parametrize("fraction", ["0.3", None, True])
+    def test_split_names_test_fraction(self, fraction):
+        ds = gen_blobs(2, 10, 2, 8.0, 0)
+        with pytest.raises(ValueError,
+                           match="^split: test_fraction must be a real"):
+            split(ds, fraction, 0)
+
+    def test_numpy_scalars_are_accepted(self):
+        a = gen_blobs(np.int64(3), np.int32(10), 2, np.float64(8.0), 0)
+        b = gen_blobs(3, 10, 2, 8.0, 0)
+        assert np.array_equal(a.features, b.features)
+        tr, _ = split(a, np.float64(0.3), 1)
+        assert np.array_equal(tr.features, split(b, 0.3, 1)[0].features)

@@ -5,6 +5,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisylab.harness as harness
 from noisylab.harness import (ConfigError, metrics, report_json,
@@ -27,6 +29,26 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def ref_binary_auc(scores, truth):
+    """_binary_auc as it gave midranks, one tie group at a time."""
+    pos = truth == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    if n_pos == 0 or n_neg == 0:
+        return float("nan")
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0)
+                 / (n_pos * n_neg))
 
 
 class TestMetrics:
@@ -56,6 +78,19 @@ class TestMetrics:
         probs = np.array([[0.9, 0.1], [0.2, 0.8], [0.4, 0.6], [0.7, 0.3]])
         m = metrics(probs.argmax(axis=1), [0, 1, 1, 0], probs, 2)
         assert m["auc"] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0,
+                                               np.nan, np.inf]),
+                              st.floats(allow_nan=True)),
+                    min_size=1, max_size=30), st.data())
+    def test_binary_auc_matches_midrank_loop(self, scores, data):
+        truth = np.array(data.draw(st.lists(st.integers(0, 1),
+                                            min_size=len(scores),
+                                            max_size=len(scores))))
+        got = harness._binary_auc(np.array(scores), truth)
+        ref = ref_binary_auc(np.array(scores), truth)
+        assert got == ref or (np.isnan(got) and np.isnan(ref))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -289,6 +324,17 @@ class TestConfigSurface:
         self._rejected(monkeypatch, tmp_path, base_config(seed=seed),
                        "^seed must be an integer")
 
+    # a string escaped as a raw TypeError, and 0, -4, 2.5 and true ran as
+    # widths 1, 1, 2 and 1 while the report echoed the value given
+    @pytest.mark.parametrize("hidden", ["8", 0, -4, 2.5, True],
+                             ids=["string", "zero", "negative", "float",
+                                  "bool"])
+    def test_hidden_must_be_a_positive_integer(self, monkeypatch, tmp_path,
+                                               hidden):
+        cfg = base_config(train={"arch": "mlp", "hidden": hidden})
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       "^train.hidden must be an integer >= 1")
+
     def test_train_keys_are_the_train_config_fields(self):
         keys = {k.rstrip("!") for k in harness.SCHEMA["train"][1].split()}
         assert {f.name for f in fields(TrainConfig)} == keys | {"seed",
@@ -436,6 +482,28 @@ class TestGenerateStage:
                           test_fraction=0.001)
         with pytest.raises(harness.PipelineError, match="empty") as info:
             run_experiment(cfg)
+        assert info.value.stage == "generate"
+
+    # each failed with "'<' not supported ..." or a TypeError deep in numpy
+    @pytest.mark.parametrize("over, named", [
+        (dict(dataset={"kind": "blobs", "k": "3", "n_per_class": 50, "d": 2,
+                       "separation": 8.0}),
+         "gen_blobs: K must be an integer, got '3'"),
+        (dict(dataset={"kind": "blobs", "k": 3.0, "n_per_class": 50, "d": 2,
+                       "separation": 8.0}),
+         "gen_blobs: K must be an integer, got 3.0"),
+        (dict(dataset={"kind": "rings", "k": 2, "n_per_class": 50,
+                       "noise_std": "0.1"}),
+         "gen_rings: noise_std must be a real number, got '0.1'"),
+        (dict(test_fraction="0.3"),
+         "split: test_fraction must be a real number, got '0.3'"),
+    ], ids=["k-string", "k-float", "noise_std-string",
+            "test_fraction-string"])
+    def test_wrong_type_is_named(self, monkeypatch, over, named):
+        self._no_training(monkeypatch)
+        with pytest.raises(harness.PipelineError,
+                           match=re.escape(named)) as info:
+            run_experiment(base_config(**over))
         assert info.value.stage == "generate"
 
     def test_nan_feature_in_csv_fails_before_training(self, monkeypatch,

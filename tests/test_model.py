@@ -29,6 +29,12 @@ class TestInit:
         assert m.arrays["W1"].shape == (5, 16)
         assert m.arrays["W2"].shape == (16, 4)
 
+    # 0 and -4 ran as width 1 and 2.5 as width 2; "8" was a TypeError
+    @pytest.mark.parametrize("hidden", ["8", 0, -4, 2.5, True])
+    def test_hidden_must_be_a_positive_integer(self, hidden):
+        with pytest.raises(ValueError, match="hidden must be an integer >= 1"):
+            init("mlp", 2, 3, 0, hidden=hidden)
+
     def test_dual_relabel_widths(self):
         ds = gen_blobs(2, 10, 2, 8.0, 0)
         small, large, _, _ = train_dual_relabel(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisylab.data import gen_blobs, split
-from noisylab.model import TrainConfig, init, train
+from noisylab.model import TrainConfig, init, stack, train
 from noisylab.noise import (feature_dependent_inject, inject,
                             symmetric_transition)
 from noisylab.numerics import Rng, check_prob_vector
@@ -66,15 +66,15 @@ class TestCoTeachStep:
     def test_keep_fraction_one_full_batch(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        sel_a, sel_b = co_teach_step(a, b, ds.features[:8], ds.labels[:8],
-                                     1.0, 0.1)
+        sel_a, sel_b = co_teach_step(stack([a, b]), ds.features[:8],
+                                     ds.labels[:8], 1.0, 0.1)
         assert len(sel_a) == 8 and len(sel_b) == 8
 
     def test_selection_count(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        sel_a, sel_b = co_teach_step(a, b, ds.features[:8], ds.labels[:8],
-                                     0.5, 0.1)
+        sel_a, sel_b = co_teach_step(stack([a, b]), ds.features[:8],
+                                     ds.labels[:8], 0.5, 0.1)
         assert len(sel_a) == 4 and len(sel_b) == 4
 
     def test_selection_from_predictions_and_labels_only(self):
@@ -86,8 +86,8 @@ class TestCoTeachStep:
     def test_invalid_fraction(self):
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
         with pytest.raises(ValueError):
-            co_teach_step(a, b, np.zeros((2, 2)), np.zeros(2, dtype=int),
-                          0.0, 0.1)
+            co_teach_step(stack([a, b]), np.zeros((2, 2)),
+                          np.zeros(2, dtype=int), 0.0, 0.1)
 
     def test_beats_ce_under_heavy_noise(self):
         # frozen seeded oracle run
@@ -115,17 +115,17 @@ class TestDisagreement:
     def test_identical_models_never_update(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a = init("linear", 2, 2, 5)
-        b = a.copy()
-        before = {k: v.copy() for k, v in a.arrays.items()}
-        idx = disagreement_step(a, b, ds.features, ds.labels, 0.5)
+        peers = stack([a, a.copy()])
+        before = {k: v.copy() for k, v in peers.arrays.items()}
+        idx = disagreement_step(peers, ds.features, ds.labels, 0.5)
         assert len(idx) == 0
         for k in before:
-            assert np.array_equal(a.arrays[k], before[k])
+            assert np.array_equal(peers.arrays[k], before[k])
 
     def test_constant_distinct_models_update_everywhere(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         a, b = constant_model(0), constant_model(1)
-        idx = disagreement_step(a, b, ds.features, ds.labels, 0.0)
+        idx = disagreement_step(stack([a, b]), ds.features, ds.labels, 0.0)
         assert len(idx) == ds.n
 
     def test_mask_uses_predictions_only(self):
