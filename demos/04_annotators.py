@@ -26,7 +26,7 @@ truth = ds.true_labels
 per_ann = [float(np.mean(L[:, a] == truth)) for a in range(5)]
 print("single-annotator accuracies:", [f"{a:.3f}" for a in per_ann])
 
-mv = np.array([majority_vote(row) for row in L])
+mv = majority_vote(L)  # one vote per row of the whole N x A panel
 print(f"majority vote accuracy:      {np.mean(mv == truth):.3f}")
 
 # -- STAPLE: EM over a latent true label and per-annotator confusions --------

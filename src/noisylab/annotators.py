@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LOG_CLAMP, LossSpec, loss_and_grad
+from .losses import LossSpec, loss_and_grad, loss_vector
 from .model import (fit, noise_layer_grads, noise_layer_init,
                     realized_transition)
 from .noise import TransitionMatrix
+from .numerics import _check_args
 
 M_STEP_SMOOTHING = 1e-9
 
@@ -36,11 +37,20 @@ class AnnotatorModel:
 
 
 def majority_vote(labels):
-    """Most frequent label; ties go to the lowest class index."""
-    labels = np.asarray(labels)
-    if labels.size < 1:
+    """Most frequent label along the last axis; ties go to the lowest class
+    index. One row of labels gives an int, an (N, A) panel an (N,) array."""
+    L = np.asarray(labels)
+    if L.ndim < 1 or L.size < 1:
         raise ValueError("majority_vote: need at least one label")
-    return int(np.bincount(labels).argmax())
+    if L.min() < 0:
+        raise ValueError("majority_vote: labels must be non-negative")
+    rows = L.reshape(-1, L.shape[-1])
+    K = int(rows.max()) + 1
+    # one bincount over the whole panel, row r's labels offset by r * K
+    counts = np.bincount((np.arange(len(rows))[:, None] * K + rows).ravel(),
+                         minlength=len(rows) * K).reshape(-1, K)
+    fused = counts.argmax(axis=1).reshape(L.shape[:-1])
+    return int(fused) if L.ndim == 1 else fused
 
 
 def _staple_loglik(L, prior, thetas):
@@ -124,8 +134,8 @@ def train_min_loss_label(ds, config, test_ds=None):
     ce = LossSpec("ce")
 
     def batch_loss(probs, idx):
-        per_ann = -np.log(np.maximum(
-            probs[np.arange(len(idx))[:, None], L[idx]], LOG_CLAMP))
+        per_ann = loss_vector("ce", probs)[np.arange(len(idx))[:, None],
+                                           L[idx]]
         _, y_sel = min_loss_labels(per_ann, L[idx])
         return loss_and_grad(ce, probs, y_sel)
 
@@ -161,6 +171,7 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
     """
     if ds.annotator_labels is None:
         raise ValueError("train_with_confusion: dataset has no annotator labels")
+    _check_args("train_with_confusion", reals={"lambda_trace": lambda_trace})
     if lambda_trace < 0:
         raise ValueError("lambda_trace must be >= 0")
     L = ds.annotator_labels

@@ -11,8 +11,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .annotators import majority_vote, staple
 from .data import load_csv, save_csv
 from .harness import (ConfigError, PipelineError, atomic_write_text,
@@ -47,17 +45,16 @@ def _load_config(args):
 
 def cmd_gen(args):
     params = _kv_params(args.params)
+    spec = {"kind": "blobs" if args.blobs else "rings",
+            "k": params.get("k", 2), "n_per_class": params.get("n", 100)}
     if args.blobs:
-        spec = {"kind": "blobs", "k": int(params.get("k", 2)),
-                "n_per_class": int(params.get("n", 100)),
-                "d": int(params.get("d", 2)),
-                "separation": float(params.get("sep", 8.0))}
-    else:
-        spec = {"kind": "rings", "k": int(params.get("k", 2)),
-                "n_per_class": int(params.get("n", 100))}
-        if "noise_std" in params:  # else _make_dataset's default
-            spec["noise_std"] = float(params["noise_std"])
-    ds = _make_dataset(spec, int(params.get("seed", args.seed or 0)))
+        spec.update(d=params.get("d", 2), separation=params.get("sep", 8.0))
+    elif "noise_std" in params:  # else _make_dataset's default
+        spec["noise_std"] = params["noise_std"]
+    try:  # the generators check the values as given
+        ds = _make_dataset(spec, int(params.get("seed", args.seed or 0)))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     save_csv(ds, args.out)
     return 0
 
@@ -93,10 +90,10 @@ def cmd_fuse(args):
         atomic_write_text(args.out,
                           json.dumps(model.to_json(), indent=2) + "\n")
     else:  # majority
-        fused = np.array([majority_vote(row) for row in ds.annotator_labels])
+        fused = majority_vote(ds.annotator_labels)
         atomic_write_text(args.out, json.dumps(
             {"method": "majority"}, indent=2) + "\n")
-    fused_ds = replace(ds, labels=np.asarray(fused, dtype=np.int64))
+    fused_ds = replace(ds, labels=fused)
     labels_path = args.labels_out or (args.out.rsplit(".", 1)[0]
                                       + "_fused.csv")
     save_csv(fused_ds, labels_path)

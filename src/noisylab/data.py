@@ -8,12 +8,11 @@ digits so round trips are lossless at float64 precision.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Rng
+from .numerics import Rng, _check_args
 
 
 @dataclass(frozen=True)
@@ -73,20 +72,6 @@ class LabeledDataset:
             None if self.true_labels is None else self.true_labels[idx],
             None if self.annotator_labels is None else self.annotator_labels[idx],
         )
-
-
-def _check_args(fn, integers=None, reals=None):
-    """Raise a ValueError naming the first argument of integers (name ->
-    value) that is not an integer, or of reals that is not a real number;
-    a bool is neither."""
-    for name, value in (integers or {}).items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{fn}: {name} must be an integer, got "
-                             f"{value!r}")
-    for name, value in (reals or {}).items():
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{fn}: {name} must be a real number, got "
-                             f"{value!r}")
 
 
 def blob_centers(K, d, separation):

@@ -23,7 +23,7 @@ from .losses import LossSpec
 from .model import DivergedError, TrainConfig, predict_probs, train
 from .noise import (TransitionMatrix, feature_dependent_inject, inject,
                     simulate_annotators, symmetric_transition)
-from .numerics import Rng
+from .numerics import Rng, _check_args
 from .procedures import (iterative_clean, train_co_teaching,
                          train_dual_relabel, train_mixup)
 
@@ -328,8 +328,7 @@ def _run_annotator_method(tc, spec, noisy, view, test_ds):
     diagnostics = {}
     if fusion in ("majority", "staple"):
         if fusion == "majority":
-            fused = np.array([majority_vote(row)
-                              for row in view.annotator_labels])
+            fused = majority_vote(view.annotator_labels)
         else:
             _, model, fused, loglik = staple(view.annotator_labels,
                                              view.num_classes)
@@ -372,8 +371,9 @@ def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
             raise ConfigError("iterative_clean needs hidden truth to build "
                               "the small clean set")
         rng = Rng(cfg["seed"] + 7)
-        n_clean = max(2, int(round(kwargs.pop("clean_fraction", 0.1)
-                                   * noisy.n)))
+        frac = kwargs.pop("clean_fraction", 0.1)
+        _check_args("iterative_clean", reals={"clean_fraction": frac})
+        n_clean = max(2, int(round(frac * noisy.n)))
         clean_idx = np.sort(rng.permutation(noisy.n)[:n_clean])
         clean_small = noisy.subset(clean_idx)
         store, flags, _, rounds = iterative_clean(

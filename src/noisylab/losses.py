@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import _check_args
+
 LOG_CLAMP = 1e-12
 COND_LIMIT = 1e8
 
@@ -23,6 +25,7 @@ class LossSpec:
     def __init__(self, kind, tau=8.0, epsilon=0.0, transition=None, base="ce"):
         if kind not in ("ce", "mae", "imae", "smooth_kl", "backward", "forward"):
             raise ValueError(f"unknown loss kind: {kind}")
+        _check_args("LossSpec", reals={"tau": tau, "epsilon": epsilon})
         if tau <= 0:
             raise ValueError("tau must be positive")
         if not 0.0 <= epsilon < 1.0:
@@ -100,10 +103,7 @@ def loss_and_grad(spec, probs, y):
         # KL(q || p) against q = (1 - eps) e_y + eps / K; zero entries of q
         # contribute nothing
         q = spec.epsilon / P.shape[1] + (1.0 - spec.epsilon) * onehot
-        log_q = np.log(np.where(q > 0, q, 1.0))
-        values = np.sum(q * (log_q - np.log(np.maximum(P, LOG_CLAMP))),
-                        axis=1)
-        return values, P - q
+        return kl_to_targets(P, q), P - q
     if spec.kind == "backward":
         # Patrini backward correction: component y of T^{-1} l(p); may be
         # negative, which unbiasedness requires
@@ -130,13 +130,10 @@ def mixed_ce(T, probs, y):
 
 
 def grad_probs_to_logits(probs, dl_dprobs):
-    """Chain a gradient wrt softmax outputs through the softmax Jacobian;
-    rows of (N, K) inputs are chained independently."""
-    p = np.asarray(probs, dtype=np.float64)
-    v = np.asarray(dl_dprobs, dtype=np.float64)
-    if v.ndim == 1:
-        return p * (v - float(v @ p))
-    return p * (v - np.sum(v * p, axis=1, keepdims=True))
+    """Chain (N, K) gradients wrt softmax outputs through the softmax
+    Jacobian, row by row."""
+    return probs * (dl_dprobs - np.sum(dl_dprobs * probs, axis=1,
+                                       keepdims=True))
 
 
 def loss_vector(base, probs):
@@ -148,6 +145,15 @@ def loss_vector(base, probs):
     if base == "mae":
         return 2.0 * (1.0 - p)
     raise ValueError("loss_vector: base must be ce or mae")
+
+
+def kl_to_targets(probs, targets):
+    """KL(q || p) of each target row q against the softmax row p, along
+    the last axis; zero entries of q contribute nothing, so a one-hot q
+    scores the cross-entropy of its label."""
+    nz = targets > 0
+    logs = np.log(np.where(nz, targets, 1.0)) + loss_vector("ce", probs)
+    return np.sum(np.where(nz, targets * logs, 0.0), axis=-1)
 
 
 def loss_value(spec, probs, y):

@@ -5,10 +5,11 @@ and empirical transition estimation from paired labels.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .numerics import _check_args
 
 ROW_ATOL = 1e-9
 
@@ -50,6 +51,7 @@ class TransitionMatrix:
 
 def symmetric_transition(K, rho):
     """Uniform class-independent noise: diag 1-rho, off-diag rho/(K-1)."""
+    _check_args("symmetric_transition", reals={"rho": rho})
     if not 0.0 <= rho < 1.0 or K < 2:
         raise ValueError("symmetric_transition: need 0 <= rho < 1 and K >= 2")
     t = np.full((K, K), rho / (K - 1))
@@ -102,6 +104,8 @@ def feature_dependent_inject(ds, rho_max, beta, rng):
     """Flip sample i to its nearest other-class centroid's class with
     probability min(1, rho_max * exp(-beta * margin_i)): samples near the
     class boundary are mislabeled more often."""
+    _check_args("feature_dependent_inject",
+                reals={"rho_max": rho_max, "beta": beta})
     if not 0.0 <= rho_max < 1.0 or beta < 0:
         raise ValueError("feature_dependent_inject: invalid parameters")
     truth = ds.true_labels if ds.true_labels is not None else ds.labels
@@ -138,13 +142,3 @@ def estimate_transition(pairs, K, laplace=1.0):
                          "laplace=0 gives a degenerate row")
     t = (counts + laplace) / (totals + K * laplace)[:, None]
     return TransitionMatrix(t)
-
-
-def save_transition(T, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(T.to_json(), f, indent=2)
-
-
-def load_transition(path):
-    with open(path, encoding="utf-8") as f:
-        return TransitionMatrix.from_json(json.load(f))

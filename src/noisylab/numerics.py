@@ -9,6 +9,8 @@ SeedSequence spawning.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 PROB_ATOL = 1e-9
@@ -40,6 +42,20 @@ class Rng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+
+def _check_args(fn, integers=None, reals=None):
+    """Raise a ValueError naming the first argument of integers (name ->
+    value) that is not an integer, or of reals that is not a real number;
+    a bool is neither."""
+    for name, value in (integers or {}).items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{fn}: {name} must be an integer, got "
+                             f"{value!r}")
+    for name, value in (reals or {}).items():
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{fn}: {name} must be a real number, got "
+                             f"{value!r}")
 
 
 def softmax(logits):

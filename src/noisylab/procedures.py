@@ -6,35 +6,29 @@ features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .data import LabeledDataset
-from .losses import LOG_CLAMP, LossSpec, loss_and_grad
+from .losses import LossSpec, kl_to_targets, loss_and_grad, loss_vector
 from .model import (epoch_row, fit, forward_batch, init, minibatches,
                     predict, predict_probs, sgd_epoch, sgd_step, stack, train,
                     unstack)
 from .noise import class_centroids
-from .numerics import Rng, sample_beta, softmax
+from .numerics import Rng, _check_args, sample_beta, softmax
 
 CE = LossSpec("ce")
 
 
 # --- soft-label store -------------------------------------------------------
 
-@dataclass
-class LabelEntry:
-    hard: int | None            # exactly one of hard/soft is set
-    soft: np.ndarray | None
-    provenance: dict            # {"kind": "original"} or
-                                # {"kind": "relabeled", "epoch": e, "source": s}
-
-
 class SoftLabelStore:
     """Per-sample label state with provenance; provenance epochs only move
     forward. `targets` (n, K) holds each row's one-hot or soft target and is
-    the single source of truth; `is_soft` says which rows are soft."""
+    the single source of truth; `is_soft` says which rows are soft, and
+    `provenance` holds {"kind": "original"} or {"kind": "relabeled",
+    "epoch": e, "source": s} per row."""
 
     def __init__(self, labels, K):
         self.K = K
@@ -44,14 +38,6 @@ class SoftLabelStore:
 
     def __len__(self):
         return len(self.targets)
-
-    @property
-    def entries(self):
-        """Read-only LabelEntry view of every row."""
-        return [LabelEntry(None, row, prov) if soft
-                else LabelEntry(int(row.argmax()), None, prov)
-                for row, soft, prov in zip(self.targets, self.is_soft,
-                                           self.provenance)]
 
     def relabel_hard(self, i, label, epoch, source):
         self._relabel(i, np.eye(self.K)[int(label)], False, epoch, source)
@@ -76,25 +62,11 @@ class SoftLabelStore:
         return float(np.mean(self.hard_labels() == np.asarray(truth)))
 
     def to_json(self):
-        out = []
-        for e in self.entries:
-            rec = {"provenance": e.provenance}
-            if e.hard is not None:
-                rec["hard"] = e.hard
-            else:
-                rec["soft"] = [format(v, ".17g") for v in e.soft]
-            out.append(rec)
-        return out
-
-
-def _target_loss(probs, entry_probs):
-    """CE for hard one-hot targets, KL(q||p) for soft targets; the two agree
-    up to the constant -H(q). Rows of (N, K) inputs are scored
-    independently."""
-    nz = entry_probs > 0
-    logs = (np.log(np.where(nz, entry_probs, 1.0))
-            - np.log(np.maximum(probs, LOG_CLAMP)))
-    return np.sum(np.where(nz, entry_probs * logs, 0.0), axis=-1)
+        return [{"provenance": prov,
+                 "soft": [format(v, ".17g") for v in row]} if soft
+                else {"provenance": prov, "hard": int(row.argmax())}
+                for row, soft, prov in zip(self.targets, self.is_soft,
+                                           self.provenance)]
 
 
 # --- mixup ------------------------------------------------------------------
@@ -102,6 +74,7 @@ def _target_loss(probs, entry_probs):
 def mixup(X, Y_onehot, alpha, rng):
     """Convex combinations of the batch against a seeded shuffle of itself;
     one Beta(alpha, alpha) coefficient per pair."""
+    _check_args("mixup", reals={"alpha": alpha})
     if alpha <= 0:
         raise ValueError("mixup: alpha must be positive")
     X = np.asarray(X, dtype=np.float64)
@@ -123,7 +96,7 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
                 for idx in minibatches(order, config.batch_size))
 
     def batch_loss(probs, Y_mix):
-        return (-np.sum(Y_mix * np.log(np.maximum(probs, LOG_CLAMP)), axis=1),
+        return (np.sum(Y_mix * loss_vector("ce", probs), axis=1),
                 probs - Y_mix)
 
     return fit(ds, config, batch_loss, test_ds, batches)
@@ -134,7 +107,7 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
 def small_loss_selection(probs, y, keep_fraction):
     """Indices of the keep_fraction smallest-CE samples (predictions plus
     labels only; no other state)."""
-    losses = -np.log(np.maximum(probs[np.arange(len(y)), y], LOG_CLAMP))
+    losses = loss_vector("ce", probs)[np.arange(len(y)), y]
     n_keep = max(1, int(round(keep_fraction * len(y))))
     order = np.argsort(losses, kind="stable")
     return np.sort(order[:n_keep])
@@ -189,6 +162,7 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     noise_rate schedule and reports its keep_fraction. The peers are one
     stack (see model.stack), stepped once per batch; the history follows
     the first peer."""
+    _check_args("train_co_teaching", reals={"noise_rate": noise_rate})
     rng = Rng(config.seed)
     peers = stack([init(config.arch, ds.dim, ds.num_classes,
                         int(r.integers(0, 2**31)), config.hidden)
@@ -219,8 +193,8 @@ def _train_epoch_against_store(params, ds, store, peer_pred_probs, rng, lr,
     peer = np.eye(store.K)[peer_pred_probs.argmax(axis=1)]
 
     def batch_loss(probs, idx):
-        l_stored = _target_loss(probs, stored[idx])
-        l_peer = _target_loss(probs, peer[idx])
+        l_stored = kl_to_targets(probs, stored[idx])
+        l_peer = kl_to_targets(probs, peer[idx])
         use_stored = (l_stored <= l_peer)[:, None]
         return (np.minimum(l_stored, l_peer),
                 probs - np.where(use_stored, stored[idx], peer[idx]))
@@ -249,8 +223,8 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
 
     def wins(probs):
         own = probs.argmax(axis=1)
-        return own, (_target_loss(probs, np.eye(store.K)[own])
-                     < _target_loss(probs, store.targets))
+        return own, (kl_to_targets(probs, np.eye(store.K)[own])
+                     < kl_to_targets(probs, store.targets))
 
     own_small, wins_small = wins(preds_small)
     own_large, wins_large = wins(preds_large)
@@ -297,10 +271,11 @@ def cleaning_meta_features(ensemble, ds, labels):
     forward pass of the stacked seed ensemble (see model.stack): CE loss of
     the observed label, max probability and top1-top2 margin of the first
     model, the ensemble's vote disagreement, and distance to the
-    observed-class centroid."""
+    observed-class centroid. Returns the (n, 5) features and the first
+    model's softmax outputs."""
     logits, _ = forward_batch(ensemble, ds.features)
     probs = softmax(logits[0])
-    loss = -np.log(np.maximum(probs[np.arange(ds.n), labels], LOG_CLAMP))
+    loss = loss_vector("ce", probs)[np.arange(ds.n), labels]
     sorted_p = np.sort(probs, axis=1)
     max_prob = sorted_p[:, -1]
     margin = sorted_p[:, -1] - sorted_p[:, -2]
@@ -309,7 +284,7 @@ def cleaning_meta_features(ensemble, ds, labels):
     disagree = 1.0 - counts.max(axis=-1) / len(votes)
     cents = class_centroids(ds.features, labels, ds.num_classes)
     dist = np.linalg.norm(ds.features - cents[labels], axis=1)
-    return np.column_stack([loss, max_prob, margin, disagree, dist])
+    return np.column_stack([loss, max_prob, margin, disagree, dist]), probs
 
 
 def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
@@ -327,6 +302,8 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     """
     if ds_clean_small is None or ds_clean_small.true_labels is None:
         raise ValueError("iterative_clean: clean set with true labels required")
+    _check_args("iterative_clean", {"rounds": rounds},
+                {"threshold": threshold})
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)
@@ -340,8 +317,8 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
                           lambda probs, idx: loss_and_grad(config.loss, probs,
                                                            labels[idx]),
                           seeds=seeds)
-        feats_clean = cleaning_meta_features(ensemble, ds_clean_small,
-                                             ds_clean_small.labels)
+        feats_clean, _ = cleaning_meta_features(ensemble, ds_clean_small,
+                                                ds_clean_small.labels)
         target = (ds_clean_small.labels
                   != ds_clean_small.true_labels).astype(np.int64)
         mu, sd = feats_clean.mean(axis=0), feats_clean.std(axis=0) + 1e-9
@@ -349,10 +326,10 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         meta_cfg = replace(config, arch="linear", epochs=60,
                            seed=config.seed + 1000 + rnd)
         meta_params, _ = train(meta_ds, meta_cfg)
-        feats_noisy = (cleaning_meta_features(ensemble, ds_noisy, labels)
-                       - mu) / sd
-        p_flip = predict_probs(meta_params, feats_noisy)[:, 1]
-        base_pred = predict(ensemble, ds_noisy.features)[0]
+        feats_noisy, base_probs = cleaning_meta_features(ensemble, ds_noisy,
+                                                         labels)
+        p_flip = predict_probs(meta_params, (feats_noisy - mu) / sd)[:, 1]
+        base_pred = base_probs.argmax(axis=1)
         round_flags = p_flip > threshold
         changed = np.flatnonzero(round_flags & (base_pred != labels))
         for i in changed:

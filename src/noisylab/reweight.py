@@ -12,6 +12,7 @@ import numpy as np
 
 from .losses import (LossSpec, _check_invertible, loss_and_grad,
                      loss_vector)
+from .numerics import _check_args
 
 SIGMA_FLOOR = 1e-12
 
@@ -23,6 +24,8 @@ class RunningLossFilter:
     window so it stays an unbiased picture of the stream."""
 
     def __init__(self, window=100, multiplier=1.5, warmup=30):
+        _check_args("RunningLossFilter", {"window": window},
+                    {"multiplier": multiplier, "warmup": warmup})
         if multiplier <= 0 or window < 1:
             raise ValueError("invalid filter parameters")
         self.buffer = deque(maxlen=window)
@@ -50,6 +53,7 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
     """Remove the least-confident floor(fraction * n) samples, per observed
     class by default; ties remove the lower index first. Returns the kept
     index set."""
+    _check_args("rank_prune", reals={"prune_fraction": prune_fraction})
     if not 0.0 <= prune_fraction < 1.0:
         raise ValueError("prune_fraction must be in [0,1)")
     conf = np.asarray(probs_for_observed_label, dtype=np.float64)
@@ -71,6 +75,7 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
 def trimmed_filter(losses, trim_fraction):
     """Drop the ceil(fraction * N) largest losses; ties drop the higher
     index first. Returns the kept index set."""
+    _check_args("trimmed_filter", reals={"trim_fraction": trim_fraction})
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError("trim_fraction must be in [0,1)")
     losses = np.asarray(losses, dtype=np.float64)
@@ -135,6 +140,7 @@ class _RankPruneHook:
 
 class _PumpoutHook:
     def __init__(self, transition, gamma=0.1, base="ce"):
+        _check_args("pumpout", reals={"gamma": gamma})
         if not 0.0 < gamma < 1.0:
             raise ValueError("gamma must be in (0,1)")
         self.gamma = gamma

@@ -8,18 +8,19 @@ the batched form sums in a different order. A stack of models trained in
 lockstep must reproduce, bit for bit, the same models trained one by one.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab.annotators import (confusion_grads, min_loss_label,
-                                 min_loss_labels, train_with_confusion)
+from noisylab.annotators import (confusion_grads, majority_vote,
+                                 min_loss_label, min_loss_labels,
+                                 train_with_confusion)
 from noisylab.data import LabeledDataset
-from noisylab.losses import (LOG_CLAMP, LossSpec, loss_and_grad,
-                             loss_grad_logits, loss_value)
+from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
+                             loss_and_grad, loss_grad_logits, loss_value)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
                             ensemble_disagreement, epoch_row, fit,
                             forward_batch, init, minibatches,
@@ -29,8 +30,7 @@ from noisylab.model import (DivergedError, TrainConfig, backward_batch,
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
-from noisylab.procedures import (LabelEntry, SoftLabelStore,
-                                 _target_loss, _train_epoch_against_store,
+from noisylab.procedures import (SoftLabelStore, _train_epoch_against_store,
                                  cleaning_meta_features,
                                  co_teaching_keep_schedule, disagreement_step,
                                  dual_relabel_epoch, iterative_clean,
@@ -306,6 +306,35 @@ class TestMinLossSelection:
                             np.zeros((2, 2), dtype=np.int64))
 
 
+class TestMajorityVotePanel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_panel_matches_per_row_bincount(self, data):
+        N = data.draw(st.integers(1, 12))
+        A = data.draw(st.integers(1, 6))
+        K = data.draw(st.integers(1, 5))  # few classes, so ties are common
+        L = np.reshape(data.draw(st.lists(
+            st.integers(0, K - 1), min_size=N * A, max_size=N * A)), (N, A))
+        want = np.array([np.bincount(row).argmax() for row in L])
+        got = majority_vote(L)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for row, label in zip(L, want.tolist()):
+            one = majority_vote(row)
+            assert type(one) is int and one == label
+
+    def test_ties_go_to_the_lowest_label(self):
+        fused = majority_vote([[0, 1], [3, 1], [2, 2], [4, 0]])
+        assert fused.tolist() == [0, 1, 2, 0]
+
+    @pytest.mark.parametrize("labels", [[0, -1], [[0, 1], [2, -1]], [],
+                                        np.zeros((0, 3), dtype=int)],
+                             ids=["negative", "negative-panel", "empty",
+                                  "empty-panel"])
+    def test_invalid_labels_rejected(self, labels):
+        with pytest.raises(ValueError):
+            majority_vote(labels)
+
+
 class TestSgdCore:
     @settings(max_examples=60, deadline=None)
     @given(arch=st.sampled_from(["linear", "mlp"]), n=st.integers(1, 20),
@@ -352,25 +381,50 @@ class TestSgdCore:
                      lambda probs: pytest.fail("loss asked"), 4)
 
 
+def ref_target_loss(probs, entry_probs):
+    """The target loss dual relabeling scored with before it moved into
+    losses as kl_to_targets."""
+    nz = entry_probs > 0
+    logs = (np.log(np.where(nz, entry_probs, 1.0))
+            - np.log(np.maximum(probs, LOG_CLAMP)))
+    return np.sum(np.where(nz, entry_probs * logs, 0.0), axis=-1)
+
+
+def ref_smooth_kl_value(P, q):
+    """The smooth_kl value expression loss_and_grad used before it called
+    kl_to_targets."""
+    log_q = np.log(np.where(q > 0, q, 1.0))
+    return np.sum(q * (log_q - np.log(np.maximum(P, LOG_CLAMP))), axis=1)
+
+
 class TestProcedureBatches:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_target_loss_rows_match_per_sample_form(self, data):
         P, y = data.draw(batches())
         N, K = P.shape
+        # some probabilities at, near and below the log clamp
+        for i in data.draw(st.lists(st.integers(0, N * K - 1))):
+            P.flat[i] = data.draw(st.sampled_from(
+                [0.0, 1e-300, LOG_CLAMP / 3, LOG_CLAMP, 2 * LOG_CLAMP]))
         soft = softmax(np.reshape(data.draw(st.lists(
             st.floats(-3.0, 3.0), min_size=N * K, max_size=N * K)), (N, K)))
         soft = np.where(soft < 0.1, 0.0, soft)   # some exact zeros
         soft /= soft.sum(axis=1, keepdims=True)
-        hard = data.draw(st.lists(st.booleans(), min_size=N, max_size=N))
-        targets = np.where(np.array(hard)[:, None], np.eye(K)[y], soft)
-        got = _target_loss(P, targets)
+        kind = np.array(data.draw(st.lists(st.sampled_from(["hard", "soft",
+                                                            "zero"]),
+                                           min_size=N, max_size=N)))
+        targets = np.where((kind == "hard")[:, None], np.eye(K)[y], soft)
+        targets[kind == "zero"] = 0.0
+        got = kl_to_targets(P, targets)
+        assert got.tobytes() == ref_target_loss(P, targets).tobytes()
+        assert got.tobytes() == ref_smooth_kl_value(P, targets).tobytes()
         for r in range(N):
             q, pc = targets[r], np.maximum(P[r], LOG_CLAMP)
             nz = q > 0
             ref = float(np.sum(q[nz] * (np.log(q[nz]) - np.log(pc[nz]))))
             assert got[r] == ref
-            assert _target_loss(P[r], targets[r]) == ref
+            assert kl_to_targets(P[r], targets[r]) == ref
 
     @settings(max_examples=40, deadline=None)
     @given(M=st.integers(2, 4), K=st.integers(2, 4), n=st.integers(1, 15),
@@ -379,9 +433,16 @@ class TestProcedureBatches:
         rng = Rng(seed)
         ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
         models = [init("linear", 2, K, seed + m) for m in range(M)]
-        feats = cleaning_meta_features(stack(models), ds, ds.labels)
+        feats, _ = cleaning_meta_features(stack(models), ds, ds.labels)
         expected = [ensemble_disagreement(models, x) for x in ds.features]
         assert feats[:, 3].tolist() == expected
+
+
+@dataclass
+class LabelEntry:
+    hard: int | None            # exactly one of hard/soft is set
+    soft: np.ndarray | None
+    provenance: dict
 
 
 class RefStore:
@@ -459,7 +520,7 @@ def ref_dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
                             ("large", preds_large[i])):
             own = np.zeros(store.K)
             own[int(probs.argmax())] = 1.0
-            if _target_loss(probs, own) < _target_loss(probs, stored):
+            if ref_target_loss(probs, own) < ref_target_loss(probs, stored):
                 wins.append((name, probs))
         if len(wins) == 1:
             name, probs = wins[0]
@@ -515,13 +576,8 @@ def assert_stores_equal(store, ref):
     assert len(store) == len(ref.entries)
     assert store.targets.tobytes() == ref.targets.tobytes()
     assert np.array_equal(store.hard_labels(), ref.hard_labels())
+    # hard label or lossless soft row, and provenance, of every entry
     assert store.to_json() == ref.to_json()
-    for got, want in zip(store.entries, ref.entries):
-        assert got.hard == want.hard
-        assert got.provenance == want.provenance
-        assert (got.soft is None) == (want.soft is None)
-        if want.soft is not None:
-            assert got.soft.tobytes() == want.soft.tobytes()
 
 
 class TestSoftLabelStoreArrays:

@@ -39,6 +39,18 @@ class TestGen:
         out = str(tmp_path / "x.csv")
         assert cli(["gen", "--blobs", "--out", out, "bogus"]) == 1
 
+    # the values were truncated to int before gen_blobs saw them: a 2-class,
+    # 10-per-class CSV was written and the command exited 0
+    def test_fractional_counts_are_named(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert cli(["gen", "--blobs", "--out", str(out), "k=2.7",
+                    "n=10.9"]) == 1
+        assert "K must be an integer, got 2.7" in capsys.readouterr().err
+        assert cli(["gen", "--blobs", "--out", str(out), "n=10.9"]) == 1
+        assert ("n_per_class must be an integer, got 10.9"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_unknown_flag(self):
         assert cli(["gen", "--frobnicate"]) == 1
 

@@ -522,6 +522,60 @@ class TestGenerateStage:
         assert info.value.stage == "generate"
 
 
+class TestWrongTypeInMethodOrNoise:
+    # each escaped as a raw TypeError or numpy UFuncTypeError, became a
+    # corrupt-stage error that named no key, or (noise_rate) ran until the
+    # keep schedule read it after warmup
+    CASES = [
+        ("mixup-alpha", None, {"procedure": {"name": "mixup",
+                                             "alpha": "0.2"}}, "alpha"),
+        ("trimmed-fraction", None, {"reweight": {"kind": "trimmed",
+                                                 "fraction": "0.2"}},
+         "trim_fraction"),
+        ("rank_prune-fraction", None, {"reweight": {
+            "kind": "rank_prune", "fraction": "0.2"}}, "prune_fraction"),
+        ("imae-tau", None, {"loss": {"kind": "imae", "tau": "3"}}, "tau"),
+        ("smooth_kl-epsilon", None, {"loss": {"kind": "smooth_kl",
+                                              "epsilon": "0.1"}}, "epsilon"),
+        ("running-window", None, {"reweight": {"kind": "running",
+                                               "window": "10"}}, "window"),
+        ("running-warmup", None, {"reweight": {"kind": "running",
+                                               "warmup": "3"}}, "warmup"),
+        ("iterative_clean-rounds", None, {"procedure": {
+            "name": "iterative_clean", "rounds": "2"}}, "rounds"),
+        ("pumpout-gamma", None, {"reweight": {
+            "kind": "pumpout", "transition": "true", "gamma": "0.1"}},
+         "gamma"),
+        ("confusion-lambda_trace", {"kind": "annotators", "rhos": [0.2, 0.3]},
+         {"annotator": {"fusion": "confusion", "lambda_trace": "0.1"}},
+         "lambda_trace"),
+        ("iterative_clean-threshold", None, {"procedure": {
+            "name": "iterative_clean", "threshold": "0.5"}}, "threshold"),
+        ("iterative_clean-clean_fraction", None, {"procedure": {
+            "name": "iterative_clean", "clean_fraction": "0.1"}},
+         "clean_fraction"),
+        ("co_teaching-noise_rate", None, {"procedure": {
+            "name": "co_teaching", "noise_rate": "0.2"}}, "noise_rate"),
+        ("symmetric-rho", {"kind": "symmetric", "rho": "0.3"}, None, "rho"),
+        ("feature-beta", {"kind": "feature", "rho_max": 0.3, "beta": "1"},
+         None, "beta"),
+    ]
+
+    @pytest.mark.parametrize("noise, method, named",
+                             [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_string_value_is_named(self, noise, method, named):
+        cfg = base_config(
+            dataset={"kind": "blobs", "k": 3, "n_per_class": 20, "d": 2,
+                     "separation": 8.0},
+            noise=noise or {"kind": "symmetric", "rho": 0.3},
+            method=method or {"loss": {"kind": "ce"}}, train={"epochs": 2})
+        pattern = rf"\b{named} must be an? [a-z ]+, got '"
+        with pytest.raises(harness.PipelineError, match=pattern) as info:
+            run_experiment(cfg)
+        assert info.value.stage == ("corrupt" if method is None else "train")
+
+
 class TestRunExperiment:
     def test_baseline_clean_accuracy(self):
         rep = run_experiment(base_config())

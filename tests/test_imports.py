@@ -1,4 +1,5 @@
-"""Every name a noisylab module imports is used in that module.
+"""Every name a noisylab module imports is used in that module, and only
+`losses` reads the log clamp.
 
 A stdlib-only stand-in for a linter's unused-import check: it parses each
 module under src/noisylab/ (the package __init__ re-exports, so it is
@@ -36,6 +37,29 @@ def test_finds_an_unused_import():
               "import os\nimport numpy as np\nfrom .x import a, b\n"
               "print(np.pi, a)\n")
     assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def reads_log_clamp(source):
+    """Whether the source imports or reads LOG_CLAMP, by name or as an
+    attribute."""
+    return any(isinstance(node, ast.Name) and node.id == "LOG_CLAMP"
+               or isinstance(node, ast.Attribute) and node.attr == "LOG_CLAMP"
+               or isinstance(node, ast.alias) and node.name == "LOG_CLAMP"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_finds_a_log_clamp_read():
+    assert reads_log_clamp("from .losses import LOG_CLAMP as c\n")
+    assert reads_log_clamp("from . import losses\nx = losses.LOG_CLAMP\n")
+    assert not reads_log_clamp("from .losses import loss_vector\n")
+
+
+def test_only_losses_reads_the_log_clamp():
+    # every other module scores through losses.loss_vector or
+    # losses.kl_to_targets, so the clamp lives in one place
+    readers = [p.stem for p in sorted(PACKAGE.glob("*.py"))
+               if reads_log_clamp(p.read_text(encoding="utf-8"))]
+    assert readers == ["losses"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

@@ -138,13 +138,12 @@ class TestSoftLabelStore:
     def test_initial_state(self):
         store = SoftLabelStore([0, 1, 2], 3)
         assert np.array_equal(store.hard_labels(), [0, 1, 2])
-        assert all(e.provenance["kind"] == "original"
-                   for e in store.entries)
+        assert all(p["kind"] == "original" for p in store.provenance)
 
     def test_relabel_and_provenance(self):
         store = SoftLabelStore([0, 1], 2)
         store.relabel_hard(0, 1, epoch=3, source="small")
-        assert store.entries[0].provenance["epoch"] == 3
+        assert store.provenance[0]["epoch"] == 3
         store.relabel_soft(0, [0.3, 0.7], epoch=5, source="both")
         assert np.array_equal(store.hard_labels(), [1, 1])
 
@@ -186,7 +185,7 @@ class TestDualRelabel:
         store = SoftLabelStore(labels, 2)
         dual_relabel_epoch(a, b, ds0, store, Rng(3), 0.0, 8, epoch=0)
         assert np.array_equal(store.hard_labels(), labels)
-        assert all(e.provenance["kind"] == "original" for e in store.entries)
+        assert all(p["kind"] == "original" for p in store.provenance)
 
     def test_confident_disagreement_relabels_soft(self):
         from noisylab.procedures import dual_relabel_epoch
@@ -199,7 +198,7 @@ class TestDualRelabel:
         store = SoftLabelStore(labels, 2)
         dual_relabel_epoch(a, b, ds0, store, Rng(5), 0.0, 8, epoch=0)
         assert np.array_equal(store.hard_labels(), np.ones(ds.n, dtype=int))
-        assert all(e.soft is not None for e in store.entries)
+        assert store.is_soft.all()
 
 
 class TestIterativeClean:
