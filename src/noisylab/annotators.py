@@ -9,11 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossSpec, loss_and_grad, loss_vector
-from .model import (fit, noise_layer_grads, noise_layer_init,
-                    realized_transition)
+from .losses import LossSpec, loss_and_grad, loss_vector, mixed_ce
+from .model import fit
 from .noise import TransitionMatrix
-from .numerics import _check_args
+from .numerics import _check_args, softmax
 
 M_STEP_SMOOTHING = 1e-9
 
@@ -31,8 +30,7 @@ class AnnotatorModel:
 
     @classmethod
     def from_json(cls, obj):
-        return cls(tuple(TransitionMatrix(np.asarray(t))
-                         for t in obj["confusions"]),
+        return cls(tuple(TransitionMatrix(t) for t in obj["confusions"]),
                    np.asarray(obj["prior"], dtype=np.float64))
 
 
@@ -142,20 +140,21 @@ def train_min_loss_label(ds, config, test_ds=None):
     return fit(ds, config, batch_loss, test_ds)
 
 
-def confusion_grads(qs, probs, labels):
+def confusion_grads(Q, probs, labels):
     """CE of each annotator's label through its confusion theta_a =
-    row-softmax(q_a), for a batch of base softmax outputs probs (N, K) and
-    annotator labels (N, A): loss values (N, A), dloss/dlogits summed over
-    annotators (N, K), and each annotator's dloss/dq_a summed over the
-    batch."""
-    G = np.zeros_like(probs)
-    values = np.empty(labels.shape)
-    gqs = []
-    for a, q in enumerate(qs):
-        G_a, gq, values[:, a] = noise_layer_grads(q, probs, labels[:, a])
-        G += G_a
-        gqs.append(gq)
-    return values, G, gqs
+    row-softmax(Q_a), for unconstrained confusions Q (A, K, K), a batch of
+    base softmax outputs probs (N, K) and annotator labels (N, A): loss
+    values (N, A), dloss/dlogits summed over annotators (N, K), and each
+    annotator's dloss/dQ_a summed over the batch (A, K, K)."""
+    theta = softmax(Q)  # row-wise
+    values, G, q_y = mixed_ce(theta, probs, labels)
+    # dloss_ra/dtheta_a is -p_r / q_ra in column y_ra, formed as
+    # p_r * (-1 / q_ra) (p_r / -q_ra rounds differently); sum those over
+    # the batch, then chain each row through its softmax
+    dtheta = (np.swapaxes(probs * (-1.0 / q_y.T)[..., None], -1, -2)
+              @ np.eye(theta.shape[-1])[labels.T])
+    gQ = theta * (dtheta - np.sum(dtheta * theta, axis=-1, keepdims=True))
+    return values, G.sum(axis=1), gQ
 
 
 def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
@@ -177,22 +176,26 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
     L = ds.annotator_labels
     K = ds.num_classes
     lr = config.learning_rate
-    qs = [noise_layer_init(K) for _ in range(L.shape[1])]
+    # every theta_a starts at 0.8 on the diagonal and the rest spread evenly
+    # over each row; 1.0 - 0.8 rounds to two ulps below 0.2, and trained
+    # runs start from it
+    Q = np.full((L.shape[1], K, K),
+                np.log(max((1.0 - 0.8) / max(K - 1, 1), 1e-12)))
+    Q[:, np.arange(K), np.arange(K)] = np.log(0.8)
     pen = lambda_trace * np.eye(K)
 
     def batch_loss(probs, idx):
-        values, G, gqs = confusion_grads(qs, probs, L[idx])
-        for q, gq in zip(qs, gqs):
-            step = (lr / len(idx)) * gq
-            if lambda_trace:
-                # gradient of lambda * trace(theta) through the row-softmax
-                theta = realized_transition(q)
-                diag = lambda_trace * np.diag(theta)
-                step += lr * (theta * (pen - diag[:, None]))
-            q -= step
+        values, G, gQ = confusion_grads(Q, probs, L[idx])
+        step = (lr / len(idx)) * gQ
+        if lambda_trace:
+            # gradient of lambda * trace(theta) through the row-softmax
+            theta = softmax(Q)
+            diag = lambda_trace * np.diagonal(theta, axis1=-2, axis2=-1)
+            step += lr * (theta * (pen - diag[..., None]))
+        Q[:] -= step
         return values.ravel(), G
 
     params, history = fit(ds, config, batch_loss, test_ds)
-    model = AnnotatorModel(tuple(TransitionMatrix(realized_transition(q))
-                                 for q in qs), np.full(K, 1.0 / K))
+    model = AnnotatorModel(tuple(TransitionMatrix(t) for t in softmax(Q)),
+                           np.full(K, 1.0 / K))
     return params, model, history

@@ -35,6 +35,18 @@ def _kv_params(pairs):
     return out
 
 
+def _pop_seed(params, default):
+    """The seed parameter (default when absent) as an integer >= 0."""
+    seed = params.pop("seed", default or 0)
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
+
+
+GEN_KEYS = {"blobs": ("k", "n", "d", "sep", "seed"),
+            "rings": ("k", "n", "noise_std", "seed")}
+
+
 def _load_config(args):
     with open(args.config, encoding="utf-8") as f:
         cfg = json.load(f)
@@ -45,14 +57,21 @@ def _load_config(args):
 
 def cmd_gen(args):
     params = _kv_params(args.params)
-    spec = {"kind": "blobs" if args.blobs else "rings",
-            "k": params.get("k", 2), "n_per_class": params.get("n", 100)}
+    kind = "blobs" if args.blobs else "rings"
+    unknown = [k for k in params if k not in GEN_KEYS[kind]]
+    if unknown:
+        raise ConfigError(f"gen --{kind}: unknown parameter(s) "
+                          f"{', '.join(unknown)}; expected "
+                          f"{', '.join(GEN_KEYS[kind])}")
+    seed = _pop_seed(params, args.seed)
+    spec = {"kind": kind, "k": params.get("k", 2),
+            "n_per_class": params.get("n", 100)}
     if args.blobs:
         spec.update(d=params.get("d", 2), separation=params.get("sep", 8.0))
     elif "noise_std" in params:  # else _make_dataset's default
         spec["noise_std"] = params["noise_std"]
     try:  # the generators check the values as given
-        ds = _make_dataset(spec, int(params.get("seed", args.seed or 0)))
+        ds = _make_dataset(spec, seed)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     save_csv(ds, args.out)
@@ -62,7 +81,7 @@ def cmd_gen(args):
 def cmd_noise(args):
     ds = load_csv(args.infile)
     params = _kv_params(args.params)
-    seed = int(params.pop("seed", args.seed or 0))
+    seed = _pop_seed(params, args.seed)
     if "rhos" in params:
         params["rhos"] = [float(r) for r in str(params["rhos"]).split(":")]
     spec = {"kind": args.kind, **params}

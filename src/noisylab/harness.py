@@ -148,7 +148,7 @@ def _noise_transition(noise_spec, K):
     if kind == "symmetric":
         return symmetric_transition(K, noise_spec["rho"])
     if kind == "matrix":
-        return TransitionMatrix(np.asarray(noise_spec["rows"]))
+        return TransitionMatrix(noise_spec["rows"])
     return None
 
 

@@ -114,25 +114,29 @@ def loss_and_grad(spec, probs, y):
         WP = W * P
         return values, 2.0 * (WP.sum(axis=1, keepdims=True) * P - WP)
     if spec.kind == "forward":
-        values, G, _ = mixed_ce(spec.transition.t, P, y)
-        return values, G
+        values, G, _ = mixed_ce(spec.transition.t[None], P, y[:, None])
+        return values[:, 0], G[:, 0]
     raise ValueError(spec.kind)
 
 
 def mixed_ce(T, probs, y):
-    """CE of q = T^T p against label y, batched (Patrini forward correction;
-    also the noise-adaptation layer with T its realized transition). Returns
-    (values, gradients wrt the logits, clamped q_y)."""
-    cols = T[:, y].T  # row r: d q_{y_r} / d p
-    q_y = np.maximum(np.sum(cols * probs, axis=1), LOG_CLAMP)
-    V = -cols / q_y[:, None]
-    return -np.log(q_y), grad_probs_to_logits(probs, V), q_y
+    """CE of q_a = T_a^T p against label y_a for a stack of A transitions T
+    (A, K, K), batched over softmax rows probs (N, K) and labels y (N, A)
+    (Patrini forward correction at A = 1; also the noise-adaptation layer
+    and per-annotator confusions, T their realized transitions). Returns
+    (values (N, A), gradients wrt the logits (N, A, K), clamped q_y
+    (N, A))."""
+    cols = np.swapaxes(T, -1, -2)[np.arange(len(T)), y]  # d q_{y_ra} / d p
+    P = probs[:, None, :]
+    q_y = np.maximum(np.sum(cols * P, axis=-1), LOG_CLAMP)
+    V = -cols / q_y[..., None]
+    return -np.log(q_y), grad_probs_to_logits(P, V), q_y
 
 
 def grad_probs_to_logits(probs, dl_dprobs):
-    """Chain (N, K) gradients wrt softmax outputs through the softmax
-    Jacobian, row by row."""
-    return probs * (dl_dprobs - np.sum(dl_dprobs * probs, axis=1,
+    """Chain gradients wrt softmax outputs through the softmax Jacobian,
+    along the last axis."""
+    return probs * (dl_dprobs - np.sum(dl_dprobs * probs, axis=-1,
                                        keepdims=True))
 
 

@@ -1,7 +1,7 @@
 """Minimal differentiable classifiers: linear softmax and one-hidden-layer
-ReLU network, with hand-derived gradients, the noise-adaptation layer's
-gradient, a deterministic SGD trainer that can step a stack of same-shape
-models in lockstep, and finite-difference gradient verification.
+ReLU network, with hand-derived gradients, a deterministic SGD trainer that
+can step a stack of same-shape models in lockstep, and finite-difference
+gradient verification.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import (LossSpec, loss_and_grad, loss_grad_logits, loss_value,
-                     mixed_ce)
+from .losses import LossSpec, loss_and_grad, loss_grad_logits, loss_value
 from .numerics import Rng, softmax
 
 
@@ -169,37 +168,6 @@ def grad_check(params, x, y, loss_spec, epsilon=1e-6):
             rel = abs(ana - numeric) / max(1e-12, abs(ana) + abs(numeric))
             worst = max(worst, rel)
     return worst
-
-
-# --- noise-adaptation output layer -----------------------------------------
-
-def noise_layer_init(K):
-    """Unconstrained K x K q of a Sukhbaatar-style noise layer, whose
-    row-softmax is the learned transition: 0.8 on the diagonal and the rest
-    spread evenly over each row."""
-    # 1.0 - 0.8 rounds to two ulps below 0.2, and trained runs start from it
-    q = np.full((K, K), np.log(max((1.0 - 0.8) / max(K - 1, 1), 1e-12)))
-    np.fill_diagonal(q, np.log(0.8))
-    return q
-
-
-def realized_transition(q):
-    return softmax(q)  # row-wise
-
-
-def noise_layer_grads(q, probs, observed_y):
-    """CE through the noise layer, the distribution over observed labels
-    being (row-softmax q)^T p, for a batch of base softmax outputs probs
-    (N, K). Returns (dloss/dlogits (N, K), sum of dloss/dq (K, K), loss
-    values (N,))."""
-    A = realized_transition(q)
-    values, G, s_y = mixed_ce(A, probs, observed_y)
-    # dloss_r/dA is -p_r / s_r in column y_r, formed as p_r * (-1 / s_r)
-    # (p_r / -s_r rounds differently); sum those, then chain each row
-    # through its softmax
-    dA = (probs * (-1.0 / s_y)[:, None]).T @ np.eye(len(A))[observed_y]
-    gq = A * (dA - np.sum(dA * A, axis=1, keepdims=True))
-    return G, gq, values
 
 
 # --- training ---------------------------------------------------------------
@@ -375,16 +343,6 @@ def train(ds, config, test_ds=None, reweight=None):
         return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)
-
-
-def ensemble_disagreement(models, x):
-    """1 - fraction of models voting with the ensemble majority class."""
-    if len(models) < 2:
-        raise ValueError("need at least 2 models")
-    votes = np.array([int(np.argmax(forward(m, x))) for m in models])
-    counts = np.bincount(votes, minlength=models[0].K)
-    majority = int(counts.argmax())  # ties to lowest class index
-    return 1.0 - counts[majority] / len(models)
 
 
 def save_params(params, path):

@@ -21,6 +21,11 @@ class TransitionMatrix:
     t: np.ndarray
 
     def __post_init__(self):
+        # a string or bool entry would otherwise be parsed as a number
+        for v in np.ravel(np.array(self.t, dtype=object)):
+            if isinstance(v, (str, bool, np.bool_)):
+                raise ValueError("transition rows must hold real numbers, "
+                                 f"got {type(v).__name__} {v!r}")
         t = np.asarray(self.t, dtype=np.float64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise ValueError("transition matrix must be square")
@@ -39,10 +44,10 @@ class TransitionMatrix:
 
     @classmethod
     def from_json(cls, obj):
-        t = np.asarray(obj["rows"], dtype=np.float64)
-        if t.shape != (obj["k"], obj["k"]):
+        T = cls(obj["rows"])
+        if T.t.shape != (obj["k"], obj["k"]):
             raise ValueError("transition json shape mismatch")
-        return cls(t)
+        return T
 
     @classmethod
     def identity(cls, K):

@@ -54,6 +54,9 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
     class by default; ties remove the lower index first. Returns the kept
     index set."""
     _check_args("rank_prune", reals={"prune_fraction": prune_fraction})
+    if not isinstance(per_class, (bool, np.bool_)):
+        raise ValueError(f"rank_prune: per_class must be a bool, got "
+                         f"{per_class!r}")
     if not 0.0 <= prune_fraction < 1.0:
         raise ValueError("prune_fraction must be in [0,1)")
     conf = np.asarray(probs_for_observed_label, dtype=np.float64)

@@ -1,5 +1,7 @@
 """Equivalence of the batched loss, noise-layer, label-draw, trainer-core,
-annotator and procedure code with the per-sample formulas they replace.
+annotator and procedure code with the per-sample formulas they replace,
+and of the stacked transition-mixing kernel with the per-transition code
+it replaced.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -22,10 +24,8 @@ from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
                              loss_and_grad, loss_grad_logits, loss_value)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
-                            ensemble_disagreement, epoch_row, fit,
-                            forward_batch, init, minibatches,
-                            noise_layer_grads, noise_layer_init, predict,
-                            predict_probs, realized_transition, sgd_epoch,
+                            epoch_row, fit, forward, forward_batch, init,
+                            minibatches, predict, predict_probs, sgd_epoch,
                             sgd_step, stack, train, unstack)
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators)
@@ -81,6 +81,47 @@ def ref_noise_layer(q, p, y):
     dA[:, y] = -p / s_y
     return (p * (v - float(v @ p)),
             A * (dA - np.sum(dA * A, axis=1, keepdims=True)), -np.log(s_y))
+
+
+def ref_mixed_ce(T, probs, y):
+    """losses.mixed_ce as it was before it took a stack of transitions: one
+    T (K, K) against labels y (N,)."""
+    cols = T[:, y].T
+    q_y = np.maximum(np.sum(cols * probs, axis=1), LOG_CLAMP)
+    V = -cols / q_y[:, None]
+    return (-np.log(q_y),
+            probs * (V - np.sum(V * probs, axis=1, keepdims=True)), q_y)
+
+
+def ref_noise_layer_init(K):
+    """The q every confusion started from, as model.noise_layer_init made
+    it."""
+    q = np.full((K, K), np.log(max((1.0 - 0.8) / max(K - 1, 1), 1e-12)))
+    np.fill_diagonal(q, np.log(0.8))
+    return q
+
+
+def ref_noise_layer_grads(q, probs, y):
+    """The noise layer's batch as model.noise_layer_grads ran it: (dloss/
+    dlogits (N, K), summed dloss/dq (K, K), loss values (N,))."""
+    A = softmax(q)
+    values, G, s_y = ref_mixed_ce(A, probs, y)
+    dA = (probs * (-1.0 / s_y)[:, None]).T @ np.eye(len(A))[y]
+    gq = A * (dA - np.sum(dA * A, axis=1, keepdims=True))
+    return G, gq, values
+
+
+def ref_confusion_grads(qs, probs, labels):
+    """annotators.confusion_grads as it was: a loop over a list of
+    annotator q's, each through ref_noise_layer_grads."""
+    G = np.zeros_like(probs)
+    values = np.empty(labels.shape)
+    gqs = []
+    for a, q in enumerate(qs):
+        G_a, gq, values[:, a] = ref_noise_layer_grads(q, probs, labels[:, a])
+        G += G_a
+        gqs.append(gq)
+    return values, G, gqs
 
 
 @st.composite
@@ -162,14 +203,48 @@ class TestNoiseLayerBatch:
         q = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0),
                                           min_size=K * K, max_size=K * K)),
                        (K, K))
-        G, gq, values = noise_layer_grads(q, P, y)
+        # the noise layer is the confusion of one annotator
+        values, G, gQ = confusion_grads(q[None], P, y[:, None])
+        assert values.shape == (N, 1) and gQ.shape == (1, K, K)
         ref_gq = np.zeros((K, K))
         for r in range(N):
             g_log, g_q, val = ref_noise_layer(q, P[r], y[r])
-            assert np.allclose(values[r], val, rtol=1e-12, atol=1e-12)
+            assert np.allclose(values[r, 0], val, rtol=1e-12, atol=1e-12)
             assert np.allclose(G[r], g_log, rtol=1e-12, atol=1e-12)
             ref_gq += g_q
-        assert np.allclose(gq, ref_gq, rtol=1e-12, atol=1e-12)
+        assert np.allclose(gQ[0], ref_gq, rtol=1e-12, atol=1e-12)
+
+
+class TestStackedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forward_matches_the_2d_kernel(self, data):
+        P, y = data.draw(batches())
+        T = data.draw(transitions(P.shape[1]))
+        values, G = loss_and_grad(LossSpec("forward", transition=T), P, y)
+        ref_values, ref_G, _ = ref_mixed_ce(T.t, P, y)
+        assert values.tobytes() == ref_values.tobytes()
+        assert G.tobytes() == ref_G.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_confusion_grads_match_the_per_annotator_loop(self, data):
+        P, _ = data.draw(batches())
+        N, K = P.shape
+        A = data.draw(st.integers(1, 4))
+        Q = np.reshape(data.draw(st.lists(st.floats(-3.0, 3.0),
+                                          min_size=A * K * K,
+                                          max_size=A * K * K)), (A, K, K))
+        L = np.reshape(data.draw(st.lists(st.integers(0, K - 1),
+                                          min_size=N * A, max_size=N * A)),
+                       (N, A))
+        values, G, gQ = confusion_grads(Q, P, L)
+        ref_values, ref_G, ref_gqs = ref_confusion_grads(list(Q), P, L)
+        assert values.tobytes() == ref_values.tobytes()
+        assert G.tobytes() == ref_G.tobytes()
+        assert gQ.shape == (A, K, K)
+        for a in range(A):
+            assert gQ[a].tobytes() == ref_gqs[a].tobytes()
 
 
 class TestLabelDraws:
@@ -272,13 +347,13 @@ class TestConfusionStep:
         L = np.reshape(data.draw(st.lists(st.integers(0, K - 1),
                                           min_size=N * A, max_size=N * A)),
                        (N, A))
-        values, G, gqs = confusion_grads(qs, P, L)
+        values, G, gQ = confusion_grads(np.array(qs), P, L)
         ref_values, ref_G, ref_gqs = ref_confusion_step(qs, P, L)
         assert values.shape == (N, A)
         assert np.allclose(values.ravel(), ref_values, rtol=1e-12, atol=1e-12)
         assert np.allclose(G, ref_G, rtol=1e-12, atol=1e-12)
-        assert len(gqs) == A
-        for gq, ref_gq in zip(gqs, ref_gqs):
+        assert gQ.shape == (A, K, K)
+        for gq, ref_gq in zip(gQ, ref_gqs):
             assert np.allclose(gq, ref_gq, rtol=1e-12, atol=1e-12)
 
 
@@ -397,6 +472,15 @@ def ref_smooth_kl_value(P, q):
     return np.sum(q * (log_q - np.log(np.maximum(P, LOG_CLAMP))), axis=1)
 
 
+def ref_ensemble_disagreement(models, x):
+    """One row's vote disagreement as model.ensemble_disagreement scored
+    it: 1 - fraction of models voting with the ensemble majority class."""
+    votes = np.array([int(np.argmax(forward(m, x))) for m in models])
+    counts = np.bincount(votes, minlength=models[0].K)
+    majority = int(counts.argmax())  # ties to lowest class index
+    return 1.0 - counts[majority] / len(models)
+
+
 class TestProcedureBatches:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -434,7 +518,8 @@ class TestProcedureBatches:
         ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
         models = [init("linear", 2, K, seed + m) for m in range(M)]
         feats, _ = cleaning_meta_features(stack(models), ds, ds.labels)
-        expected = [ensemble_disagreement(models, x) for x in ds.features]
+        expected = [ref_ensemble_disagreement(models, x)
+                    for x in ds.features]
         assert feats[:, 3].tolist() == expected
 
 
@@ -635,10 +720,10 @@ def ref_noise_layer_train(ds, config, test_ds):
     """The noise-adaptation trainer as model.train ran it: a noise layer q
     next to fresh params, stepped at lr / N inside each batch's loss,
     before the step on the classifier. Returns (params, q, history)."""
-    q = noise_layer_init(ds.num_classes)
+    q = ref_noise_layer_init(ds.num_classes)
 
     def batch_loss(probs, idx):
-        G, gq, values = noise_layer_grads(q, probs, ds.labels[idx])
+        G, gq, values = ref_noise_layer_grads(q, probs, ds.labels[idx])
         q[:] -= (config.learning_rate / len(idx)) * gq
         return values, G
 
@@ -647,17 +732,17 @@ def ref_noise_layer_train(ds, config, test_ds):
 
 
 def ref_confusion_train(ds, config, lambda_trace, test_ds):
-    """train_with_confusion with the trace-penalty step always taken, as
-    it was written before the lambda = 0 skip. Returns (params, qs,
-    history)."""
+    """train_with_confusion on a list of annotator q's, each stepped on
+    its own, with the trace-penalty step always taken, as it was written
+    before the lambda = 0 skip. Returns (params, qs, history)."""
     L, K, lr = ds.annotator_labels, ds.num_classes, config.learning_rate
-    qs = [noise_layer_init(K) for _ in range(L.shape[1])]
+    qs = [ref_noise_layer_init(K) for _ in range(L.shape[1])]
     pen = lambda_trace * np.eye(K)
 
     def batch_loss(probs, idx):
-        values, G, gqs = confusion_grads(qs, probs, L[idx])
+        values, G, gqs = ref_confusion_grads(qs, probs, L[idx])
         for q, gq in zip(qs, gqs):
-            theta = realized_transition(q)
+            theta = softmax(q)
             gq_pen = theta * (pen - (lambda_trace * np.diag(theta))[:, None])
             q -= (lr / len(idx)) * gq + lr * gq_pen
         return values.ravel(), G
@@ -706,7 +791,7 @@ class TestNoiseAdaptationAsConfusion:
         assert_same_run(params, history, ref_params, ref_history)
         assert len(model.confusions) == 1
         assert np.array_equal(model.confusions[0].t,
-                              realized_transition(ref_q))
+                              softmax(ref_q))
 
     @settings(max_examples=60, deadline=None)
     @given(small_runs(), st.integers(1, 3),
@@ -724,7 +809,7 @@ class TestNoiseAdaptationAsConfusion:
                                                       lambda_trace, test_ds)
         assert_same_run(params, history, ref_params, ref_history)
         for T, q in zip(model.confusions, ref_qs):
-            assert np.array_equal(T.t, realized_transition(q))
+            assert np.array_equal(T.t, softmax(q))
 
 
 @st.composite

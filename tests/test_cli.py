@@ -1,6 +1,8 @@
 import json
+import re
 
 import numpy as np
+import pytest
 
 from noisylab.cli import cli
 from noisylab.data import load_csv
@@ -54,6 +56,23 @@ class TestGen:
     def test_unknown_flag(self):
         assert cli(["gen", "--frobnicate"]) == 1
 
+    # each ran and exited 0: the unknown key was ignored and the seed
+    # truncated to 2
+    @pytest.mark.parametrize("argv, named", [
+        (["--blobs", "k=3", "sepp=1", "n=5"], "sepp"),
+        (["--blobs", "noise_std=0.1"], "noise_std"),
+        (["--rings", "sep=2"], "sep"),
+        (["--blobs", "k=3", "n=5", "seed=2.9"], "seed"),
+        (["--rings", "seed=-1"], "seed"),
+        (["--rings", "seed=one"], "seed"),
+    ], ids=["blobs-typo", "blobs-rings-key", "rings-blobs-key",
+            "fractional-seed", "negative-seed", "string-seed"])
+    def test_bad_parameter_is_named(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "x.csv"
+        assert cli(["gen", "--out", str(out), *argv]) == 1
+        assert re.search(rf"error: .*\b{named}\b", capsys.readouterr().err)
+        assert not out.exists()
+
 
 class TestNoise:
     def test_symmetric_flips_labels(self, tmp_path):
@@ -75,6 +94,19 @@ class TestNoise:
                     "--out", noisy, "rhos=0.1:0.2:0.3", "seed=6"]) == 0
         ds = load_csv(noisy)
         assert ds.annotator_labels.shape == (100, 3)
+
+    # the seed was truncated to 1 and the noisy CSV written
+    @pytest.mark.parametrize("seed", ["1.7", "-2", "abc"])
+    def test_seed_must_be_a_non_negative_integer(self, tmp_path, capsys,
+                                                 seed):
+        clean = str(tmp_path / "clean.csv")
+        noisy = tmp_path / "noisy.csv"
+        cli(["gen", "--blobs", "--out", clean, "k=2", "n=10", "seed=2"])
+        assert cli(["noise", "--in", clean, "--kind", "symmetric",
+                    "--out", str(noisy), "rho=0.3", f"seed={seed}"]) == 1
+        assert ("seed must be an integer >= 0, got"
+                in capsys.readouterr().err)
+        assert not noisy.exists()
 
     def test_missing_input(self, tmp_path):
         assert cli(["noise", "--in", str(tmp_path / "nope.csv"),

@@ -576,6 +576,48 @@ class TestWrongTypeInMethodOrNoise:
         assert info.value.stage == ("corrupt" if method is None else "train")
 
 
+class TestWrongEntryType:
+    # each trained as if the value were valid: NumPy parsed the strings and
+    # bools of the rows as numbers, and any non-empty per_class string
+    # counted as true
+    TWO_BY_TWO = [["0.7", "0.3"], ["0.3", "0.7"]]
+    CASES = [
+        ("matrix-str", {"kind": "matrix", "rows": TWO_BY_TWO}, None,
+         r"transition rows must hold real numbers, got str '0\.7'",
+         "corrupt"),
+        ("matrix-bool", {"kind": "matrix",
+                         "rows": [[True, False], [False, True]]}, None,
+         "transition rows must hold real numbers, got bool True", "corrupt"),
+        ("matrix-mixed-bool", {"kind": "matrix",
+                               "rows": [[0.9, 0.1], [False, True]]}, None,
+         "transition rows must hold real numbers, got bool False",
+         "corrupt"),
+        ("forward-transition-str", None, {"loss": {
+            "kind": "forward", "transition": {"k": 2, "rows": TWO_BY_TWO}}},
+         r"transition rows must hold real numbers, got str '0\.7'",
+         "train"),
+        ("rank_prune-per_class-str", None, {"reweight": {
+            "kind": "rank_prune", "fraction": 0.2, "per_class": "no"}},
+         "rank_prune: per_class must be a bool, got 'no'", "train"),
+        ("rank_prune-per_class-int", None, {"reweight": {
+            "kind": "rank_prune", "fraction": 0.2, "per_class": 0}},
+         "rank_prune: per_class must be a bool, got 0", "train"),
+    ]
+
+    @pytest.mark.parametrize("noise, method, message, stage",
+                             [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_wrong_type_is_named(self, noise, method, message, stage):
+        cfg = base_config(
+            dataset={"kind": "blobs", "k": 2, "n_per_class": 20, "d": 2,
+                     "separation": 8.0},
+            noise=noise or {"kind": "symmetric", "rho": 0.3},
+            method=method or {"loss": {"kind": "ce"}}, train={"epochs": 2})
+        with pytest.raises(harness.PipelineError, match=message) as info:
+            run_experiment(cfg)
+        assert info.value.stage == stage
+
+
 class TestRunExperiment:
     def test_baseline_clean_accuracy(self):
         rep = run_experiment(base_config())

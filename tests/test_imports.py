@@ -1,5 +1,6 @@
-"""Every name a noisylab module imports is used in that module, and only
-`losses` reads the log clamp.
+"""Every name a noisylab module imports is used in that module, only
+`losses` reads the log clamp, and the transition-mixing kernel is only in
+`losses`.
 
 A stdlib-only stand-in for a linter's unused-import check: it parses each
 module under src/noisylab/ (the package __init__ re-exports, so it is
@@ -66,3 +67,23 @@ def test_only_losses_reads_the_log_clamp():
 def test_module_uses_every_import(path):
     assert MODULES
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_from(source, module):
+    """The names a source binds from `from .<module> import ...`."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for alias in node.names}
+
+
+def test_transition_mixing_lives_in_losses():
+    # the forward correction, the noise-adaptation layer and the annotator
+    # confusions all mix through losses.mixed_ce; model holds no noise
+    # layer, and annotators takes only the SGD core from model
+    model = (PACKAGE / "model.py").read_text(encoding="utf-8")
+    annotators = (PACKAGE / "annotators.py").read_text(encoding="utf-8")
+    assert "mixed_ce" not in imports_from(model, "losses")
+    assert not [node.name for node in ast.walk(ast.parse(model))
+                if isinstance(node, ast.FunctionDef) and "noise" in node.name]
+    assert imports_from(annotators, "model") == {"fit"}
+    assert "mixed_ce" in imports_from(annotators, "losses")

@@ -1,12 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from noisylab.annotators import train_with_confusion
 from noisylab.data import gen_blobs, split
 from noisylab.losses import LossSpec
-from noisylab.model import (DivergedError, TrainConfig, backward,
-                            ensemble_disagreement, forward, grad_check, init,
-                            load_params, realized_transition, save_params,
-                            train)
+from noisylab.model import (DivergedError, TrainConfig, backward, forward,
+                            grad_check, init, load_params, save_params, train)
 from noisylab.noise import symmetric_transition
 from noisylab.numerics import Rng, softmax
 from noisylab.procedures import train_dual_relabel
@@ -106,11 +107,17 @@ class TestGradCheck:
 
 
 class TestNoiseLayer:
+    # the layer is the one-annotator, unpenalized confusion that
+    # annotators.train_with_confusion trains next to the classifier
     def test_realized_transition_row_stochastic(self):
-        rng = Rng(6)
-        for _ in range(20):
-            A = realized_transition(5.0 * rng.normal((3, 3)))
-            assert np.allclose(A.sum(axis=1), 1.0, atol=1e-12)
+        ds = gen_blobs(3, 30, 2, 1.0, 6)
+        ds = replace(ds, annotator_labels=ds.labels[:, None])
+        for lr in (0.1, 5.0):
+            _, model, _ = train_with_confusion(
+                ds, TrainConfig(epochs=3, seed=6, learning_rate=lr), 0.0)
+            (A,) = model.confusions
+            assert np.allclose(A.t.sum(axis=1), 1.0, atol=1e-12)
+            assert np.all(A.t > 0.0)
 
 
 class TestTrain:
@@ -143,35 +150,6 @@ class TestTrain:
         cfg = TrainConfig(epochs=5, seed=8, learning_rate=1e12, arch="mlp")
         with pytest.raises(DivergedError, match="epoch"):
             train(ds, cfg)
-
-
-class TestEnsembleDisagreement:
-    def _constant_model(self, cls, K=3):
-        p = init("linear", 2, K, 0)
-        p.arrays["W"][:] = 0.0
-        p.arrays["b"][:] = 0.0
-        p.arrays["b"][cls] = 10.0
-        return p
-
-    def test_all_agree(self):
-        models = [self._constant_model(1) for _ in range(4)]
-        assert ensemble_disagreement(models, [0.0, 0.0]) == 0.0
-
-    def test_half_agree(self):
-        models = [self._constant_model(0), self._constant_model(0),
-                  self._constant_model(1), self._constant_model(2)]
-        assert ensemble_disagreement(models, [0.0, 0.0]) == 0.5
-
-    def test_range(self):
-        rng = Rng(9)
-        models = [init("linear", 2, 3, s) for s in range(2, 6)]
-        for _ in range(20):
-            v = ensemble_disagreement(models, rng.normal(2))
-            assert 0.0 <= v <= 1.0
-
-    def test_requires_two(self):
-        with pytest.raises(ValueError):
-            ensemble_disagreement([init("linear", 2, 2, 0)], [0.0, 0.0])
 
 
 class TestSerialization:
