@@ -12,7 +12,7 @@ import numpy as np
 from .losses import LossSpec, loss_and_grad, loss_vector, mixed_ce
 from .model import fit
 from .noise import TransitionMatrix
-from .numerics import _check_args, softmax
+from .numerics import _check_args, _check_labels, softmax
 
 M_STEP_SMOOTHING = 1e-9
 
@@ -51,14 +51,6 @@ def majority_vote(labels):
     return int(fused) if L.ndim == 1 else fused
 
 
-def _staple_loglik(L, prior, thetas):
-    n, A = L.shape
-    like = np.tile(prior, (n, 1))
-    for a in range(A):
-        like *= thetas[a][:, L[:, a]].T
-    return float(np.sum(np.log(np.maximum(like.sum(axis=1), 1e-300)))), like
-
-
 def staple(annotator_labels, K, max_iters=100, tol=1e-6):
     """Discrete multi-class STAPLE (Warfield-style EM).
 
@@ -66,43 +58,48 @@ def staple(annotator_labels, K, max_iters=100, tol=1e-6):
     M-step: count-weighted re-estimates with 1e-9 additive smoothing.
     Returns (posteriors N x K, AnnotatorModel, fused labels, log-likelihood
     trace). Initialization is diagonal-dominant (0.8) so EM selects the
-    annotators-are-mostly-right mode.
+    annotators-are-mostly-right mode. The confusions are one (A, K, K) stack.
     """
     L = np.asarray(annotator_labels, dtype=np.int64)
     if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] < 2:
         raise ValueError("staple: need N x A labels with A >= 2")
+    _check_labels("staple", L, K)
     n, A = L.shape
     prior = np.full(K, 1.0 / K)
     off = 0.2 / (K - 1) if K > 1 else 0.0
-    thetas = [np.full((K, K), off) + (0.8 - off) * np.eye(K)
-              for _ in range(A)]
+    theta = np.broadcast_to(np.full((K, K), off) + (0.8 - off) * np.eye(K),
+                            (A, K, K))
+    # the count of (row i, annotator a, class c) goes to bin [a, L_ia, c];
+    # bincount adds each bin's weights in row order, as a masked sum does
+    bins = (((np.arange(A) * K + L) * K)[..., None] + np.arange(K)).ravel()
     loglik_trace = []
+
+    def e_step(prior, theta):
+        like = np.tile(prior, (n, 1))
+        for cols in theta[np.arange(A)[:, None], :, L.T]:  # theta[a, :, L_ia]
+            like *= cols
+        total = like.sum(axis=1)
+        loglik_trace.append(float(np.sum(np.log(np.maximum(total, 1e-300)))))
+        return like / total[:, None]
+
     for _ in range(max_iters):
-        ll, like = _staple_loglik(L, prior, thetas)
-        loglik_trace.append(ll)
-        post = like / like.sum(axis=1, keepdims=True)
-        max_change = 0.0
+        post = e_step(prior, theta)
         new_prior = post.mean(axis=0)
-        max_change = max(max_change, float(np.abs(new_prior - prior).max()))
-        prior = new_prior
-        for a in range(A):
-            counts = np.zeros((K, K))
-            for j in range(K):
-                counts[:, j] = post[L[:, a] == j].sum(axis=0)
-            new_theta = ((counts + M_STEP_SMOOTHING)
-                         / (counts.sum(axis=1, keepdims=True)
-                            + K * M_STEP_SMOOTHING))
-            max_change = max(max_change,
-                             float(np.abs(new_theta - thetas[a]).max()))
-            thetas[a] = new_theta
+        counts = np.bincount(bins, weights=np.broadcast_to(
+            post[:, None], (n, A, K)).ravel(), minlength=A * K * K)
+        counts = np.ascontiguousarray(  # [a, c, j]
+            counts.reshape(A, K, K).swapaxes(1, 2))
+        new_theta = ((counts + M_STEP_SMOOTHING)
+                     / (counts.sum(axis=2, keepdims=True)
+                        + K * M_STEP_SMOOTHING))
+        max_change = max(np.abs(new_prior - prior).max(),
+                         np.abs(new_theta - theta).max())
+        prior, theta = new_prior, new_theta
         if max_change < tol:
             break
-    ll, like = _staple_loglik(L, prior, thetas)
-    loglik_trace.append(ll)
-    post = like / like.sum(axis=1, keepdims=True)
-    fused = post.argmax(axis=1)
-    model = AnnotatorModel(tuple(TransitionMatrix(t) for t in thetas), prior)
-    return post, model, fused, loglik_trace
+    post = e_step(prior, theta)
+    model = AnnotatorModel(tuple(TransitionMatrix(t) for t in theta), prior)
+    return post, model, post.argmax(axis=1), loglik_trace
 
 
 def min_loss_labels(per_annotator_losses, annotator_labels):

@@ -105,6 +105,9 @@ def cmd_fuse(args):
     if ds.annotator_labels is None:
         raise ConfigError("fuse: input CSV has no annotator columns")
     if args.method == "staple":
+        if ds.annotator_labels.shape[1] < 2:
+            raise ConfigError("fuse --method staple: need at least 2 "
+                              "annotator columns")
         _, model, fused, _ = staple(ds.annotator_labels, ds.num_classes)
         atomic_write_text(args.out,
                           json.dumps(model.to_json(), indent=2) + "\n")

@@ -203,12 +203,11 @@ def load_csv(path):
                     anns.append([int(cells[j]) for j in ann_cols])
             except ValueError as e:
                 raise CsvFormatError(f"row {rownum}: non-numeric cell ({e})")
+    if not labels:
+        raise CsvFormatError("no data rows after the header")
     labels = np.asarray(labels, dtype=np.int64)
-    k = int(max(
-        labels.max(initial=0),
-        max(trues) if trues else 0,
-        max(max(r) for r in anns) if anns else 0,
-    )) + 1
+    k = int(max(labels.max(), max(trues, default=0),
+                max(map(max, anns), default=0))) + 1
     return LabeledDataset(
         np.asarray(feats, dtype=np.float64), labels, max(k, 2),
         np.asarray(trues, dtype=np.int64) if ti is not None else None,

@@ -23,7 +23,7 @@ from .losses import LossSpec
 from .model import DivergedError, TrainConfig, predict_probs, train
 from .noise import (TransitionMatrix, feature_dependent_inject, inject,
                     simulate_annotators, symmetric_transition)
-from .numerics import Rng, _check_args
+from .numerics import Rng, _check_args, _check_labels
 from .procedures import (iterative_clean, train_co_teaching,
                          train_dual_relabel, train_mixup)
 
@@ -188,18 +188,16 @@ def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
     if pred.size == 0 or pred.shape != truth.shape:
         raise ValueError("metrics: empty or mismatched inputs")
     K = num_classes or int(max(pred.max(), truth.max())) + 1
+    _check_labels("metrics", np.stack([pred, truth]), K)
     out = {"accuracy": float(np.mean(pred == truth))}
-    f1s, per_class = [], []
-    for c in range(K):
-        tp = np.sum((pred == c) & (truth == c))
-        fp = np.sum((pred == c) & (truth != c))
-        fn = np.sum((pred != c) & (truth == c))
-        f1s.append(2.0 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0)
-        mask = truth == c
-        per_class.append(float(np.mean(pred[mask] == truth[mask]))
-                         if mask.any() else 0.0)
-    out["macro_f1"] = float(np.mean(f1s))
-    out["per_class_accuracy"] = per_class
+    # cm[t, p] counts rows of true class t predicted as p
+    cm = np.bincount(truth * K + pred, minlength=K * K).reshape(K, K)
+    tp, n_true = np.diagonal(cm), cm.sum(axis=1)
+    f1_den = n_true + cm.sum(axis=0)  # 2 tp + fp + fn
+    out["macro_f1"] = float(np.mean(
+        np.where(f1_den > 0, 2.0 * tp / np.maximum(f1_den, 1), 0.0)))
+    out["per_class_accuracy"] = np.where(
+        n_true > 0, tp / np.maximum(n_true, 1), 0.0).tolist()
     if probs is not None:
         probs = np.asarray(probs)
         conf = probs.max(axis=1)

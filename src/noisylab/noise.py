@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import _check_args
+from .numerics import _check_args, _check_labels
 
 ROW_ATOL = 1e-9
 
@@ -136,11 +136,16 @@ def simulate_annotators(ds, confusions, rng):
 def estimate_transition(pairs, K, laplace=1.0):
     """Empirical transition from (reference, noisy) label pairs with
     additive smoothing: t[i][j] = (n_ij + laplace) / (n_i. + K*laplace)."""
+    _check_args("estimate_transition", reals={"laplace": laplace})
     if laplace < 0:
         raise ValueError("estimate_transition: laplace must be >= 0")
-    counts = np.zeros((K, K))
-    for ref, noisy in pairs:
-        counts[int(ref), int(noisy)] += 1
+    P = np.asarray(pairs, dtype=np.int64)
+    if P.size and (P.ndim != 2 or P.shape[1] != 2):
+        raise ValueError("estimate_transition: need (reference, noisy) pairs")
+    P = P.reshape(-1, 2)
+    _check_labels("estimate_transition", P, K)
+    counts = np.bincount(P[:, 0] * K + P[:, 1],
+                         minlength=K * K).reshape(K, K).astype(np.float64)
     totals = counts.sum(axis=1)
     if laplace == 0 and np.any(totals == 0):
         raise ValueError("estimate_transition: empty reference class with "

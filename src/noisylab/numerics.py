@@ -58,6 +58,14 @@ def _check_args(fn, integers=None, reals=None):
                              f"{value!r}")
 
 
+def _check_labels(fn, labels, K):
+    """Raise a ValueError naming the first of labels (an array) outside
+    [0, K)."""
+    bad = labels[(labels < 0) | (labels >= K)]
+    if bad.size:
+        raise ValueError(f"{fn}: label {bad[0]} outside [0, {K})")
+
+
 def softmax(logits):
     """Stable softmax over the last axis (max-subtracted)."""
     logits = np.asarray(logits, dtype=np.float64)

@@ -88,6 +88,11 @@ class TestStaple:
         with pytest.raises(ValueError):
             staple(np.zeros((5, 1), dtype=int), 2)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 7])
+    def test_label_outside_classes_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"label {bad} outside"):
+            staple([[0, 1], [1, bad], [0, 0]], 2)
+
 
 class TestMinLossLabel:
     def test_argmin(self):

@@ -1,7 +1,7 @@
 """Equivalence of the batched loss, noise-layer, label-draw, trainer-core,
 annotator and procedure code with the per-sample formulas they replace,
-and of the stacked transition-mixing kernel with the per-transition code
-it replaced.
+and of the stacked transition-mixing kernel and STAPLE with the
+per-transition and per-annotator code they replaced.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab.annotators import (confusion_grads, majority_vote,
-                                 min_loss_label, min_loss_labels,
+from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
+                                 majority_vote, min_loss_label,
+                                 min_loss_labels, staple,
                                  train_with_confusion)
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
@@ -408,6 +409,73 @@ class TestMajorityVotePanel:
     def test_invalid_labels_rejected(self, labels):
         with pytest.raises(ValueError):
             majority_vote(labels)
+
+
+def ref_staple(L, K, max_iters, tol=1e-6):
+    """STAPLE with a list of per-annotator confusions: one gather per
+    annotator in the E-step, one masked row sum per annotator and observed
+    class in the M-step."""
+    def loglik(prior, thetas):
+        like = np.tile(prior, (len(L), 1))
+        for a, theta in enumerate(thetas):
+            like *= theta[:, L[:, a]].T
+        return (float(np.sum(np.log(np.maximum(like.sum(axis=1), 1e-300)))),
+                like / like.sum(axis=1, keepdims=True))
+
+    prior = np.full(K, 1.0 / K)
+    off = 0.2 / (K - 1)
+    thetas = [np.full((K, K), off) + (0.8 - off) * np.eye(K)
+              for _ in range(L.shape[1])]
+    trace = []
+    for _ in range(max_iters):
+        ll, post = loglik(prior, thetas)
+        trace.append(ll)
+        new_prior = post.mean(axis=0)
+        change = float(np.abs(new_prior - prior).max())
+        prior = new_prior
+        for a in range(len(thetas)):
+            counts = np.zeros((K, K))
+            for j in range(K):
+                counts[:, j] = post[L[:, a] == j].sum(axis=0)
+            theta = ((counts + M_STEP_SMOOTHING)
+                     / (counts.sum(axis=1, keepdims=True)
+                        + K * M_STEP_SMOOTHING))
+            change = max(change, float(np.abs(theta - thetas[a]).max()))
+            thetas[a] = theta
+        if change < tol:
+            break
+    ll, post = loglik(prior, thetas)
+    trace.append(ll)
+    return post, thetas, prior, trace
+
+
+class TestStapleStack:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stack_matches_per_annotator_loop(self, data):
+        K = data.draw(st.integers(2, 5))
+        A = data.draw(st.integers(2, 5))
+        N = data.draw(st.integers(1, 400))
+        # a panel that mostly agrees with a hidden truth
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth = rng.integers(0, K, N)
+        L = np.where(rng.random((N, A)) < data.draw(st.floats(0.0, 1.0)),
+                     rng.integers(0, K, (N, A)), truth[:, None])
+        # annotator 0 never gives the last class, or never a class at all
+        # but one
+        L[:, 0] = np.minimum(L[:, 0], data.draw(st.integers(0, K - 2)))
+        max_iters = data.draw(st.integers(0, 8))
+        tol = data.draw(st.sampled_from([1e-6, 0.0]))
+        post, model, fused, trace = staple(L, K, max_iters, tol)
+        want_post, thetas, prior, want_trace = ref_staple(L, K, max_iters,
+                                                          tol)
+        assert post.tobytes() == want_post.tobytes()
+        assert fused.tobytes() == want_post.argmax(axis=1).tobytes()
+        assert model.prior.tobytes() == prior.tobytes()
+        assert len(model.confusions) == A
+        for T, theta in zip(model.confusions, thetas):
+            assert T.t.tobytes() == theta.tobytes()
+        assert trace == want_trace
 
 
 class TestSgdCore:

@@ -154,6 +154,20 @@ class TestFuse:
         assert cli(["fuse", "--in", clean, "--out",
                     str(tmp_path / "m.json")]) == 1
 
+    def test_staple_needs_two_annotators(self, tmp_path, capsys):
+        clean = str(tmp_path / "clean.csv")
+        noisy = str(tmp_path / "ann.csv")
+        cli(["gen", "--blobs", "--out", clean, "k=2", "n=20", "seed=1"])
+        assert cli(["noise", "--in", clean, "--kind", "annotators",
+                    "--out", noisy, "rhos=0.1", "seed=2"]) == 0
+        assert load_csv(noisy).annotator_labels.shape[1] == 1
+        capsys.readouterr()
+        assert cli(["fuse", "--in", noisy, "--method", "staple",
+                    "--out", str(tmp_path / "m.json")]) == 1
+        assert "need at least 2 annotator columns" in capsys.readouterr().err
+        assert cli(["fuse", "--in", noisy, "--method", "majority",
+                    "--out", str(tmp_path / "m.json")]) == 0
+
 
 class TestSweepAndReport:
     def test_sweep_csv(self, tmp_path):

@@ -129,6 +129,12 @@ class TestCsv:
         with pytest.raises(CsvFormatError):
             load_csv(path)
 
+    def test_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("f0,f1,label\n")
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            load_csv(path)
+
     def test_non_numeric_cell_reports_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\n0.1,0\nfoo,1\n")

@@ -96,6 +96,37 @@ class TestMetrics:
         with pytest.raises(ValueError):
             metrics([], [])
 
+    @pytest.mark.parametrize("pred,truth,k", [([0, -1], [0, 1], None),
+                                              ([0, 1], [-1, 1], None),
+                                              ([0, 2], [0, 1], 2),
+                                              ([0, 1], [0, 3], 3)])
+    def test_labels_outside_classes_rejected(self, pred, truth, k):
+        with pytest.raises(ValueError, match=r"metrics: label -?\d+ outside"):
+            metrics(pred, truth, num_classes=k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_class_metrics_match_per_class_loop(self, data):
+        K = data.draw(st.integers(1, 9))
+        n = data.draw(st.integers(1, 40))
+        pred, truth = (np.array(data.draw(st.lists(
+            st.integers(0, K - 1), min_size=n, max_size=n))) for _ in "pt")
+        num_classes = data.draw(st.sampled_from([None, K]))
+        K = num_classes or int(max(pred.max(), truth.max())) + 1
+        f1s, per_class = [], []
+        for c in range(K):
+            tp = np.sum((pred == c) & (truth == c))
+            fp = np.sum((pred == c) & (truth != c))
+            fn = np.sum((pred != c) & (truth == c))
+            f1s.append(2.0 * tp / (2 * tp + fp + fn)
+                       if (2 * tp + fp + fn) else 0.0)
+            mask = truth == c
+            per_class.append(float(np.mean(pred[mask] == truth[mask]))
+                             if mask.any() else 0.0)
+        m = metrics(pred, truth, num_classes=num_classes)
+        assert repr(m["macro_f1"]) == repr(float(np.mean(f1s)))
+        assert repr(m["per_class_accuracy"]) == repr(per_class)
+
 
 class TestValidation:
     def test_requires_seed(self):

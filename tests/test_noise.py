@@ -150,9 +150,38 @@ class TestEstimateTransition:
         T = estimate_transition([], 4, laplace=1.0)
         assert np.allclose(T.t, 0.25)
 
+    def test_empty_pair_array(self):
+        T = estimate_transition(np.zeros((0, 2), dtype=int), 3)
+        assert np.array_equal(T.t, np.full((3, 3), 1.0 / 3))
+
     def test_degenerate_row_error(self):
         with pytest.raises(ValueError):
             estimate_transition([(0, 0)], 2, laplace=0.0)
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_label_outside_classes_is_named(self, pair):
+        bad = min(pair) if min(pair) < 0 else max(pair)
+        with pytest.raises(ValueError, match=f"label {bad} outside"):
+            estimate_transition([(0, 1), pair], 2)
+
+    @pytest.mark.parametrize("laplace", ["1", None, True])
+    def test_laplace_must_be_real(self, laplace):
+        with pytest.raises(ValueError, match="laplace must be a real"):
+            estimate_transition([(0, 1)], 2, laplace=laplace)
+
+    def test_pairs_must_be_pairs(self):
+        with pytest.raises(ValueError, match="pairs"):
+            estimate_transition([(0, 1, 1)], 2)
+
+    def test_counts_match_pair_loop(self):
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, 4, (500, 2))
+        counts = np.zeros((4, 4))
+        for ref, noisy in pairs:
+            counts[ref, noisy] += 1
+        want = (counts + 0.5) / (counts.sum(axis=1) + 4 * 0.5)[:, None]
+        got = estimate_transition(pairs, 4, laplace=0.5).t
+        assert got.tobytes() == want.tobytes()
 
     def test_recovery_from_samples(self):
         K = 3
