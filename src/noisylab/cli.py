@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from .annotators import majority_vote, staple
-from .data import load_csv, save_csv
+from .data import CsvFormatError, load_csv, save_csv
 from .harness import (ConfigError, PipelineError, atomic_write_text,
                       run_experiment, report_json, strip_wall_time, sweep,
                       sweep_summary_csv, write_report, _apply_noise,
@@ -223,7 +223,8 @@ def cli(argv=None):
         return 1 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as e:
+    except (ConfigError, CsvFormatError, FileNotFoundError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (PipelineError, Exception) as e:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import Rng, _check_args
+from .numerics import Rng, _check_args, _check_labels
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,18 @@ class LabeledDataset:
             raise ValueError(f"non-finite feature in sample {bad[0]}")
         if self.labels.shape != (n,):
             raise ValueError("labels length must match feature rows")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise ValueError("label outside [0, num_classes)")
+        _check_labels("labels", self.labels, self.num_classes)
         if self.true_labels is not None:
             t = np.asarray(self.true_labels, dtype=np.int64)
-            if t.shape != (n,) or (t.size and t.max() >= self.num_classes):
-                raise ValueError("invalid true_labels")
+            if t.shape != (n,):
+                raise ValueError("true_labels length must match feature rows")
+            _check_labels("true_labels", t, self.num_classes)
             object.__setattr__(self, "true_labels", t)
         if self.annotator_labels is not None:
             a = np.asarray(self.annotator_labels, dtype=np.int64)
             if a.ndim != 2 or a.shape[0] != n or a.shape[1] < 1:
                 raise ValueError("annotator_labels must be N x A with A >= 1")
-            if a.size and (a.min() < 0 or a.max() >= self.num_classes):
-                raise ValueError("annotator label outside [0, num_classes)")
+            _check_labels("annotator_labels", a, self.num_classes)
             object.__setattr__(self, "annotator_labels", a)
 
     @property
@@ -60,6 +58,11 @@ class LabeledDataset:
     @property
     def dim(self):
         return self.features.shape[1]
+
+    @property
+    def truth(self):
+        """The hidden truth when present, else the observed labels."""
+        return self.labels if self.true_labels is None else self.true_labels
 
     def training_view(self):
         """Copy with hidden truth stripped; what training code may see."""
@@ -136,11 +139,10 @@ def split(ds, test_fraction, seed):
         raise ValueError("split: test_fraction must be in (0,1)")
     if ds.n < 2:
         raise ValueError("split: need at least 2 samples")
-    strat = ds.true_labels if ds.true_labels is not None else ds.labels
     rng = Rng(seed)
     test_idx = []
     for c in range(ds.num_classes):
-        members = np.flatnonzero(strat == c)
+        members = np.flatnonzero(ds.truth == c)
         if members.size == 0:
             continue
         order = members[rng.permutation(members.size)]
@@ -179,37 +181,48 @@ def save_csv(ds, path):
 
 
 def load_csv(path):
+    """Read a CSV of the module's schema, finding each column by its header
+    name: features f0..f{d-1}, then label, true and the ann columns."""
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
-        n_feat = sum(1 for h in header if h.startswith("f") and h[1:].isdigit())
         if "label" not in header:
             raise CsvFormatError("missing label column in header")
-        li = header.index("label")
-        ti = header.index("true") if "true" in header else None
+        d = sum(1 for h in header if h.startswith("f") and h[1:].isdigit())
+        if d == 0:
+            raise CsvFormatError("header: no feature column f0")
+        for j in range(d):
+            if header.count(f"f{j}") != 1:
+                problem = "repeated" if f"f{j}" in header else "missing"
+                raise CsvFormatError(f"header: feature column f{j} {problem} "
+                                     f"(expected f0..f{d - 1})")
+        feat_cols = [header.index(f"f{j}") for j in range(d)]
         ann_cols = [i for i, h in enumerate(header)
                     if h.startswith("ann") and h[3:].isdigit()]
-        feats, labels, trues, anns = [], [], [], []
+        label_cols = [header.index(h) for h in ("label", "true")
+                      if h in header] + ann_cols
+        feats, labels = [], []  # flat: one row after another
         for rownum, line in enumerate(f, start=2):
             cells = line.rstrip("\n").split(",")
             if len(cells) != len(header):
                 raise CsvFormatError(f"row {rownum}: expected {len(header)} "
                                      f"cells, got {len(cells)}")
             try:
-                feats.append([float(cells[j]) for j in range(n_feat)])
-                labels.append(int(cells[li]))
-                if ti is not None:
-                    trues.append(int(cells[ti]))
-                if ann_cols:
-                    anns.append([int(cells[j]) for j in ann_cols])
+                feats += [float(cells[j]) for j in feat_cols]
+                labels += [int(cells[j]) for j in label_cols]
             except ValueError as e:
                 raise CsvFormatError(f"row {rownum}: non-numeric cell ({e})")
     if not labels:
         raise CsvFormatError("no data rows after the header")
-    labels = np.asarray(labels, dtype=np.int64)
-    k = int(max(labels.max(), max(trues, default=0),
-                max(map(max, anns), default=0))) + 1
+    n = len(labels) // len(label_cols)
+    # columns label[, true], ann0, ...
+    L = np.asarray(labels, dtype=np.int64).reshape(n, len(label_cols))
+    bad = np.argwhere(L < 0)
+    if bad.size:
+        i, j = bad[0]
+        raise CsvFormatError(f"row {i + 2}: {header[label_cols[j]]} "
+                             f"{L[i, j]} is negative")
+    first_ann = len(label_cols) - len(ann_cols)
     return LabeledDataset(
-        np.asarray(feats, dtype=np.float64), labels, max(k, 2),
-        np.asarray(trues, dtype=np.int64) if ti is not None else None,
-        np.asarray(anns, dtype=np.int64) if ann_cols else None,
-    )
+        np.asarray(feats, dtype=np.float64).reshape(n, d), L[:, 0],
+        max(int(L.max()) + 1, 2), L[:, 1] if first_ann == 2 else None,
+        L[:, first_ann:] if ann_cols else None)

@@ -75,7 +75,8 @@ class PipelineError(RuntimeError):
 
 def _check_section(value, path, name):
     """Check one config section, and the sections inside it, against
-    SCHEMA[name]. Returns the paths of its 'transition': 'true' keys."""
+    SCHEMA[name]; a transition must be 'true' or an object of k and rows.
+    Returns the paths of its 'transition': 'true' keys."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path or 'config'} must be an object, got "
                           f"{value!r}")
@@ -103,6 +104,11 @@ def _check_section(value, path, name):
     for k in keys:
         if k.endswith("!") and k[:-1] not in value:
             raise ConfigError(f"{path}.{k[:-1]} is required".lstrip("."))
+    T = value.get("transition", "true")  # absent: nothing to check
+    if T != "true" and not (isinstance(T, dict)
+                            and sorted(T) == ["k", "rows"]):
+        raise ConfigError(f"{path}.transition must be 'true' or an object "
+                          f"with keys k and rows, got {T!r}")
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
     for k, sub in value.items():
@@ -167,17 +173,21 @@ def _apply_noise(train_ds, noise_spec, seed):
     return simulate_annotators(train_ds, confusions, rng)
 
 
-def _resolve_loss(loss_spec_json, true_transition):
-    spec = dict(loss_spec_json)
-    if spec.get("transition") == "true":  # validate_config: one is defined
-        spec["transition"] = true_transition.to_json()
-    return LossSpec.from_json(spec)
-
-
-def _args(spec, selector):
-    """A config section's keys other than its selector, as keyword
-    arguments for the code that takes them."""
-    return {k: v for k, v in spec.items() if k != selector}
+def _resolve(section, true_T):
+    """A copy of a config section as the code that takes it reads it: its
+    'transition' as a TransitionMatrix ('true': the noise model's T) and
+    every nested loss / base_loss section as a LossSpec. The section itself
+    is left as given, since reports echo the config."""
+    out = {}
+    for k, v in section.items():
+        if k == "transition":  # validate_config: 'true' or {k, rows}
+            v = true_T if v == "true" else TransitionMatrix.from_json(v)
+        elif isinstance(v, dict):
+            v = _resolve(v, true_T)
+            if k in ("loss", "base_loss"):
+                v = LossSpec(**v)
+        out[k] = v
+    return out
 
 
 def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
@@ -262,13 +272,13 @@ def run_experiment(cfg):
     try:
         params, history, diagnostics = _run_method(
             cfg, tc, method, method_kind, noisy, test_ds, true_T)
+    except ConfigError:  # a method the generated data cannot serve
+        raise
     except (ValueError, DivergedError) as e:
         raise PipelineError("train", e) from e
     try:
-        truth = test_ds.true_labels if test_ds.true_labels is not None \
-            else test_ds.labels
         probs = predict_probs(params, test_ds.features)
-        final = metrics(probs.argmax(axis=1), truth, probs,
+        final = metrics(probs.argmax(axis=1), test_ds.truth, probs,
                         full.num_classes)
     except Exception as e:
         raise PipelineError("evaluate", e)
@@ -285,47 +295,30 @@ def run_experiment(cfg):
 
 
 def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
-    """Dispatch one method pipeline; returns (params, history, diagnostics).
+    """Run one method pipeline; returns (params, history, diagnostics).
     Training code only ever sees the training view (truth stripped)."""
     view = noisy.training_view()
+    if kind == "annotator" and view.annotator_labels is None:
+        raise ConfigError("annotator method requires annotator labels "
+                          "(noise kind 'annotators')")
+    method = _resolve(method, true_T)
+    if kind in ("annotator", "procedure"):
+        kwargs = method[kind]
+        kind = kwargs.pop(SCHEMA[kind][0])  # the fusion or procedure name
     diagnostics = {}
-    if kind == "loss":
-        tc = replace(tc, loss=_resolve_loss(method["loss"], true_T))
-        params, history = train(view, tc, test_ds)
+    if kind in ("loss", "reweight"):
+        # a loss pipeline trains on its loss, a reweight one on its base_loss
+        loss = method.get("loss", method.get("base_loss", tc.loss))
+        params, history = train(view, replace(tc, loss=loss), test_ds,
+                                reweight=method.get("reweight"))
     elif kind == "noise_adaptation":
         # the observed labels as the one annotator, with no trace penalty
         params, model, history = train_with_confusion(
             replace(view, annotator_labels=view.labels[:, None]), tc, 0.0,
             test_ds)
         diagnostics["learned_transition"] = model.confusions[0].t.tolist()
-    elif kind == "reweight":
-        spec = dict(method["reweight"])
-        if spec.get("transition") == "true":
-            spec["transition"] = true_T
-        elif isinstance(spec.get("transition"), dict):
-            spec["transition"] = TransitionMatrix.from_json(spec["transition"])
-        if "loss" in spec:
-            spec["loss"] = _resolve_loss(spec["loss"], true_T)
-        if "base_loss" in method:
-            tc = replace(tc, loss=_resolve_loss(method["base_loss"], true_T))
-        params, history = train(view, tc, test_ds, reweight=spec)
-    elif kind == "annotator":
-        params, history, diagnostics = _run_annotator_method(
-            tc, method["annotator"], noisy, view, test_ds)
-    else:  # procedure
-        params, history, diagnostics = _run_procedure_method(
-            cfg, tc, method["procedure"], noisy, view, test_ds)
-    return params, history, diagnostics
-
-
-def _run_annotator_method(tc, spec, noisy, view, test_ds):
-    if view.annotator_labels is None:
-        raise ConfigError("annotator method requires annotator labels "
-                          "(noise kind 'annotators')")
-    fusion = spec["fusion"]
-    diagnostics = {}
-    if fusion in ("majority", "staple"):
-        if fusion == "majority":
+    elif kind in ("majority", "staple"):
+        if kind == "majority":
             fused = majority_vote(view.annotator_labels)
         else:
             _, model, fused, loglik = staple(view.annotator_labels,
@@ -337,27 +330,21 @@ def _run_annotator_method(tc, spec, noisy, view, test_ds):
         if noisy.true_labels is not None:
             diagnostics["fused_label_accuracy"] = float(
                 np.mean(fused == noisy.true_labels))
-    elif fusion == "min_loss":
+    elif kind == "min_loss":
         params, history = train_min_loss_label(view, tc, test_ds)
-    else:  # confusion
+    elif kind == "confusion":
         params, model, history = train_with_confusion(
-            view, tc, test_ds=test_ds, **_args(spec, "fusion"))
+            view, tc, test_ds=test_ds, **kwargs)
         diagnostics["annotator_model"] = model.to_json()
-    return params, history, diagnostics
-
-
-def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
-    name, kwargs = spec["name"], _args(spec, "name")
-    diagnostics = {}
-    if name == "mixup":
+    elif kind == "mixup":
         params, history = train_mixup(view, tc, test_ds, **kwargs)
-    elif name in ("co_teaching", "disagreement"):
-        if name == "co_teaching" and "rho" in (cfg.get("noise") or {}):
+    elif kind in ("co_teaching", "disagreement"):
+        if kind == "co_teaching" and "rho" in (cfg.get("noise") or {}):
             kwargs.setdefault("noise_rate", cfg["noise"]["rho"])
         params, _, history = train_co_teaching(
-            view, tc, test_ds, disagreement_only=(name == "disagreement"),
+            view, tc, test_ds, disagreement_only=(kind == "disagreement"),
             **kwargs)
-    elif name == "dual_relabel":
+    elif kind == "dual_relabel":
         params, _, store, history = train_dual_relabel(view, tc, test_ds)
         if noisy.true_labels is not None:
             diagnostics["store_match_truth_final"] = \
@@ -374,14 +361,14 @@ def _run_procedure_method(cfg, tc, spec, noisy, view, test_ds):
         n_clean = max(2, int(round(frac * noisy.n)))
         clean_idx = np.sort(rng.permutation(noisy.n)[:n_clean])
         clean_small = noisy.subset(clean_idx)
-        store, flags, _, rounds = iterative_clean(
-            noisy.training_view(), clean_small, tc, **kwargs)
+        store, flags, _, rounds = iterative_clean(view, clean_small, tc,
+                                                  **kwargs)
         true_flip = noisy.labels != noisy.true_labels
         precision, recall = _flag_precision_recall(flags, true_flip)
         diagnostics["flag_precision"] = precision
         diagnostics["flag_recall"] = recall
         diagnostics["rounds"] = rounds
-        cleaned = replace(noisy.training_view(), labels=store.hard_labels())
+        cleaned = replace(view, labels=store.hard_labels())
         params, history = train(cleaned, tc, test_ds)
     return params, history, diagnostics
 
@@ -438,9 +425,19 @@ def sweep(template, rhos, methods=None):
     """Run the template config across symmetric noise rates (and optional
     method variants); returns (reports, summary rows, quadratic fit R^2 of
     the baseline CE test error vs rho)."""
-    if not rhos:
-        raise ConfigError("sweep: empty grid")
+    if not isinstance(rhos, (list, tuple)) or not rhos:
+        raise ConfigError(f"sweep: rhos must be a non-empty list, got "
+                          f"{rhos!r}")
+    try:
+        _check_args("sweep", reals={f"rhos[{i}]": r
+                                    for i, r in enumerate(rhos)})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    if not all(0.0 <= r < 1.0 for r in rhos):
+        raise ConfigError(f"sweep: every rho must be in [0, 1), got {rhos}")
     methods = methods or [{"loss": {"kind": "ce"}}]
+    for method in methods:  # before the first point runs
+        _check_section(method, "method", "method")
     reports, summary = [], []
     for method in methods:
         for rho in rhos:

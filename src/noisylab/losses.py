@@ -44,27 +44,6 @@ class LossSpec:
         self.transition = transition
         self.base = base
 
-    def to_json(self):
-        obj = {"kind": self.kind}
-        if self.kind == "imae":
-            obj["tau"] = self.tau
-        if self.kind == "smooth_kl":
-            obj["epsilon"] = self.epsilon
-        if self.kind in ("backward", "forward"):
-            obj["transition"] = self.transition.to_json()
-        if self.kind == "backward":
-            obj["base"] = self.base
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        from .noise import TransitionMatrix
-        kw = dict(obj)
-        kind = kw.pop("kind")
-        if "transition" in kw:
-            kw["transition"] = TransitionMatrix.from_json(kw["transition"])
-        return cls(kind, **kw)
-
 
 class SingularTransitionError(ValueError):
     pass

@@ -242,10 +242,9 @@ def epoch_row(epoch, params, test_ds, **fields):
     is attached; a list of E accuracies for a stacked model."""
     row = {"epoch": epoch, **fields}
     if test_ds is not None:
-        truth = (test_ds.true_labels if test_ds.true_labels is not None
-                 else test_ds.labels)
         row["test_accuracy"] = np.mean(
-            predict(params, test_ds.features) == truth, axis=-1).tolist()
+            predict(params, test_ds.features) == test_ds.truth,
+            axis=-1).tolist()
     return row
 
 

@@ -69,7 +69,7 @@ def inject(ds, T, rng):
     original labels are preserved as true_labels."""
     if T.k != ds.num_classes:
         raise ValueError("inject: class count mismatch")
-    truth = ds.true_labels if ds.true_labels is not None else ds.labels
+    truth = ds.truth
     noisy = draw_labels(T, truth, rng)
     return replace(ds, labels=noisy, true_labels=truth.copy())
 
@@ -95,7 +95,7 @@ def class_centroids(features, labels, K):
 def centroid_margins(ds):
     """Per-sample margin: distance to nearest other-class centroid minus
     distance to own centroid, plus the index of that nearest other class."""
-    truth = ds.true_labels if ds.true_labels is not None else ds.labels
+    truth = ds.truth
     cents = class_centroids(ds.features, truth, ds.num_classes)
     dists = np.linalg.norm(ds.features[:, None, :] - cents[None, :, :], axis=2)
     own = dists[np.arange(ds.n), truth]
@@ -113,7 +113,7 @@ def feature_dependent_inject(ds, rho_max, beta, rng):
                 reals={"rho_max": rho_max, "beta": beta})
     if not 0.0 <= rho_max < 1.0 or beta < 0:
         raise ValueError("feature_dependent_inject: invalid parameters")
-    truth = ds.true_labels if ds.true_labels is not None else ds.labels
+    truth = ds.truth
     margin, other = centroid_margins(ds)
     p_flip = np.minimum(1.0, rho_max * np.exp(-beta * margin))
     u = rng.uniform(ds.n)
@@ -126,7 +126,7 @@ def simulate_annotators(ds, confusions, rng):
     for T in confusions:
         if T.k != ds.num_classes:
             raise ValueError("simulate_annotators: class count mismatch")
-    truth = ds.true_labels if ds.true_labels is not None else ds.labels
+    truth = ds.truth
     ann = np.empty((ds.n, len(confusions)), dtype=np.int64)
     for a, T in enumerate(confusions):
         ann[:, a] = draw_labels(T, truth, rng)

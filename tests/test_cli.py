@@ -148,6 +148,28 @@ class TestFuse:
         fused = load_csv(str(tmp_path / "model_fused.csv"))
         assert np.mean(fused.labels == fused.true_labels) > 0.9
 
+    # both exited 2 as runtime errors; the negative cell named neither row
+    # nor value
+    @pytest.mark.parametrize("text, named", [
+        ("f0,label,ann0,ann1\n0.1,0,0,1\n0.2,x,1,1\n",
+         "row 3: non-numeric cell"),
+        ("f0,label,ann0,ann1\n0.1,0,0,1\n0.2,1,-1,1\n",
+         "row 3: ann0 -1 is negative"),
+        ("f1,label,ann0,ann1\n0.1,0,0,1\n", "feature column f0 missing"),
+    ], ids=["non-numeric", "negative", "feature-missing"])
+    @pytest.mark.parametrize("command", [
+        ["fuse", "--method", "majority"],
+        ["noise", "--kind", "symmetric", "rho=0.2"],
+    ], ids=["fuse", "noise"])
+    def test_malformed_csv_is_a_usage_error(self, tmp_path, capsys, text,
+                                            named, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        argv = command + ["--in", str(bad), "--out",
+                          str(tmp_path / "out.csv")]
+        assert cli(argv) == 1
+        assert named in capsys.readouterr().err
+
     def test_fuse_without_annotators(self, tmp_path):
         clean = str(tmp_path / "clean.csv")
         cli(["gen", "--blobs", "--out", clean, "k=2", "n=20", "seed=1"])
@@ -183,6 +205,23 @@ class TestSweepAndReport:
         assert cli(["sweep", "--config", path, "--out", out]) == 0
         lines = open(out).read().splitlines()
         assert len(lines) == 3
+
+    # a string grid exited 2 with "'>' not supported ..." and an unknown
+    # loss kind exited 0 with an error on every summary row
+    @pytest.mark.parametrize("over, named", [
+        ({"rhos": "0.3"}, "rhos must be a non-empty list"),
+        ({"methods": [{"loss": {"kind": "cee"}}]}, "unknown loss kind"),
+        ({"methods": [{"lss": {"kind": "ce"}}]}, "exactly one method"),
+    ], ids=["string-grid", "unknown-loss", "no-pipeline"])
+    def test_bad_sweep_is_a_usage_error(self, tmp_path, capsys, over,
+                                        named):
+        cfg = dict(BASE_CFG, **over)
+        del cfg["method"]
+        out = tmp_path / "sweep.csv"
+        assert cli(["sweep", "--config", write_config(tmp_path, cfg),
+                    "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_prints_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, BASE_CFG)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,43 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="row 3"):
             load_csv(path)
 
+    # each loaded without an error: by position, the label cell became
+    # feature 0 and f1 was dropped, and f0,f2 loaded as d = 2
+    def test_features_read_by_header_name(self, tmp_path):
+        path = tmp_path / "moved.csv"
+        path.write_text("label,true,f1,ann0,f0\n1,0,2.5,1,1.5\n"
+                        "0,0,4.5,0,3.5\n")
+        ds = load_csv(path)
+        assert ds.features.tolist() == [[1.5, 2.5], [3.5, 4.5]]
+        assert ds.labels.tolist() == [1, 0]
+        assert ds.true_labels.tolist() == [0, 0]
+        assert ds.annotator_labels.tolist() == [[1], [0]]
+
+    @pytest.mark.parametrize("header, named", [
+        ("f0,f2,label", "feature column f1 missing"),
+        ("f0,f0,label", "feature column f0 repeated"),
+        ("f1,f2,label", "feature column f0 missing"),
+        ("x0,x1,label", "no feature column f0"),
+    ], ids=["gap", "repeated", "no-f0", "no-features"])
+    def test_feature_columns_must_be_f0_to_f_d(self, tmp_path, header,
+                                               named):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0.1,0.2,0\n")
+        with pytest.raises(CsvFormatError, match=named):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row, named", [
+        ("0.1,-1,0,0", "row 3: label -1 is negative"),
+        ("0.1,1,-2,0", "row 3: true -2 is negative"),
+        ("0.1,1,1,-1", "row 3: ann0 -1 is negative"),
+    ], ids=["label", "true", "annotator"])
+    def test_negative_label_cell_names_row_and_value(self, tmp_path, row,
+                                                     named):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"f0,label,true,ann0\n0.2,0,0,0\n{row}\n")
+        with pytest.raises(CsvFormatError, match=named):
+            load_csv(path)
+
 
 class TestInvariants:
     def test_dataset_validation(self):
@@ -159,6 +198,28 @@ class TestInvariants:
     def test_training_view_strips_truth(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         assert ds.training_view().true_labels is None
+
+    # true_labels=[0, -1, 1] was accepted: split never put that row in the
+    # test set, and inject drew its noisy label from T's last row
+    @pytest.mark.parametrize("over, named", [
+        (dict(labels=[0, -1, 1]), "labels: label -1 outside [0, 2)"),
+        (dict(true_labels=[0, -1, 1]),
+         "true_labels: label -1 outside [0, 2)"),
+        (dict(true_labels=[0, 2, 1]), "true_labels: label 2 outside [0, 2)"),
+        (dict(annotator_labels=[[0], [1], [-3]]),
+         "annotator_labels: label -3 outside [0, 2)"),
+    ], ids=["labels", "true-negative", "true-too-large", "annotator"])
+    def test_one_label_contract(self, over, named):
+        args = dict(features=np.zeros((3, 2)), labels=[0, 1, 1],
+                    num_classes=2)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            LabeledDataset(**{**args, **over})
+
+    def test_truth_is_hidden_truth_else_labels(self):
+        ds = LabeledDataset(np.zeros((3, 2)), [0, 1, 1], 2,
+                            true_labels=[1, 1, 0])
+        assert ds.truth.tolist() == [1, 1, 0]
+        assert ds.training_view().truth.tolist() == [0, 1, 1]
 
 
 class TestArgumentTypes:

@@ -263,6 +263,43 @@ class TestConfigSurface:
                           method=method)
         self._rejected(monkeypatch, tmp_path, cfg, rf"{named} .*bogus")
 
+    # a bare row list and "false" escaped as a raw TypeError or
+    # AttributeError, and an object without k as KeyError: 'k'
+    ROWS = [[0.8, 0.2], [0.2, 0.8]]
+
+    @pytest.mark.parametrize("transition", [
+        ROWS, "false", {"rows": ROWS}, {"k": 2},
+        {"k": 2, "rows": ROWS, "kind": "matrix"}, None, 0.3,
+    ], ids=["row-list", "false", "rows-without-k", "k-without-rows",
+            "extra-key", "null", "number"])
+    @pytest.mark.parametrize("method, named", [
+        ({"loss": {"kind": "forward"}}, "method.loss.transition"),
+        ({"reweight": {"kind": "pumpout"}}, "method.reweight.transition"),
+        ({"reweight": {"kind": "running"},
+          "base_loss": {"kind": "backward"}},
+         "method.base_loss.transition"),
+    ], ids=["forward", "pumpout", "base_loss"])
+    def test_transition_is_true_or_k_and_rows(self, monkeypatch, tmp_path,
+                                              transition, method, named):
+        method = copy.deepcopy(method)
+        section = method.get("base_loss") or next(iter(method.values()))
+        section["transition"] = transition
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method=method)
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       re.escape(f"{named} must be 'true' or an object "
+                                 "with keys k and rows"))
+
+    @pytest.mark.parametrize("transition", ["true", {"k": 2, "rows": ROWS}],
+                             ids=["true", "object"])
+    def test_transition_forms_still_run(self, transition):
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method={"reweight": {"kind": "pumpout",
+                                               "transition": transition}},
+                          train={"epochs": 2})
+        assert run_experiment(cfg)["config"]["method"]["reweight"][
+            "transition"] == transition
+
     @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
     def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
                                             key):
@@ -680,10 +717,28 @@ class TestRunExperiment:
         run_experiment(base_config(noise={"kind": "symmetric", "rho": 0.2}))
         assert seen and all(t is None for t in seen)
 
-    def test_annotator_method_without_labels_fails(self):
+    # both were train-stage PipelineErrors (exit 2); they depend on the
+    # generated data, so they surface after it, but as ConfigErrors
+    def test_annotator_method_without_labels_fails(self, tmp_path):
         cfg = base_config(method={"annotator": {"fusion": "staple"}})
-        with pytest.raises(harness.PipelineError, match="train"):
+        with pytest.raises(ConfigError, match="requires annotator labels"):
             run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
+    def test_iterative_clean_without_truth_fails(self, tmp_path):
+        data = tmp_path / "observed.csv"
+        rows = [f"{i % 7}.5,{i % 5}.0,{i % 2}" for i in range(40)]
+        data.write_text("f0,f1,label\n" + "\n".join(rows) + "\n")
+        cfg = base_config(dataset={"kind": "csv", "path": str(data)},
+                          method={"procedure": {"name": "iterative_clean"}},
+                          train={"epochs": 1})
+        with pytest.raises(ConfigError, match="needs hidden truth"):
+            run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["clean", "--config", str(path)]) == 1
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_is_a_train_stage_error(self):
@@ -759,6 +814,41 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(self.TEMPLATE, [])
+
+    # a string grid failed on its first point with "'>' not supported
+    # ...", a method without a pipeline key raised a bare StopIteration,
+    # and an unknown loss kind gave a summary of error rows
+    @pytest.mark.parametrize("rhos, methods, named", [
+        ("0.3", None, "rhos must be a non-empty list, got '0.3'"),
+        (0.3, None, "rhos must be a non-empty list, got 0.3"),
+        ([0.0, "0.3"], None, "rhos[1] must be a real number, got '0.3'"),
+        ([0.0, True], None, "rhos[1] must be a real number, got True"),
+        ([0.0, 1.0], None, "every rho must be in [0, 1)"),
+        ([-0.1], None, "every rho must be in [0, 1)"),
+        ([0.2], [{"losses": {"kind": "ce"}}],
+         "config must select exactly one method pipeline"),
+        ([0.2], [{"loss": {"kind": "ce"}}, {"loss": {"kind": "cee"}}],
+         "method.loss.kind: unknown loss kind 'cee'"),
+        ([0.2], [{"loss": {"kind": "forward", "transition": "false"}}],
+         "method.loss.transition must be 'true' or an object"),
+    ], ids=["string", "number", "string-rho", "bool-rho", "rho-one",
+            "negative-rho", "no-pipeline", "unknown-loss",
+            "bad-transition"])
+    def test_grid_and_methods_checked_before_any_point(
+            self, monkeypatch, rhos, methods, named):
+        def spy(cfg):
+            pytest.fail("a sweep point ran")
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            sweep(self.TEMPLATE, rhos, methods)
+
+    def test_point_failure_stays_a_summary_row(self):
+        methods = [{"loss": {"kind": "forward", "transition": "true"}}]
+        _, summary, _ = sweep(dict(self.TEMPLATE, train={"epochs": 2}),
+                              [0.0, 0.2], methods)
+        assert "defines no transition" in summary[0]["error"]
+        assert "error" not in summary[1]
 
     def test_summary_row_count(self):
         reports, summary, _ = sweep(self.TEMPLATE, [0.0, 0.2])

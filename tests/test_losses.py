@@ -216,13 +216,3 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec("forward")
 
-    def test_json_round_trip(self):
-        T = symmetric_transition(3, 0.2)
-        for spec in (LossSpec("ce"), LossSpec("imae", tau=4.0),
-                     LossSpec("smooth_kl", epsilon=0.1),
-                     LossSpec("backward", transition=T),
-                     LossSpec("forward", transition=T)):
-            back = LossSpec.from_json(spec.to_json())
-            assert back.kind == spec.kind
-            assert back.tau == spec.tau
-            assert back.epsilon == spec.epsilon
