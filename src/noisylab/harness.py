@@ -8,6 +8,7 @@ field.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import tempfile
 import time
@@ -109,6 +110,11 @@ def _check_section(value, path, name):
                             and sorted(T) == ["k", "rows"]):
         raise ConfigError(f"{path}.transition must be 'true' or an object "
                           f"with keys k and rows, got {T!r}")
+    if T != "true" and not (isinstance(T["k"], numbers.Integral)
+                            and not isinstance(T["k"], bool)
+                            and T["k"] >= 2):
+        raise ConfigError(f"{path}.transition.k must be an integer >= 2, "
+                          f"got {T['k']!r}")
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
     for k, sub in value.items():
@@ -173,17 +179,25 @@ def _apply_noise(train_ds, noise_spec, seed):
     return simulate_annotators(train_ds, confusions, rng)
 
 
-def _resolve(section, true_T):
+def _resolve(section, true_T, K, path):
     """A copy of a config section as the code that takes it reads it: its
     'transition' as a TransitionMatrix ('true': the noise model's T) and
     every nested loss / base_loss section as a LossSpec. The section itself
-    is left as given, since reports echo the config."""
+    is left as given, since reports echo the config. A transition object
+    for other than the data's K classes is a ConfigError naming its
+    path."""
     out = {}
     for k, v in section.items():
         if k == "transition":  # validate_config: 'true' or {k, rows}
-            v = true_T if v == "true" else TransitionMatrix.from_json(v)
+            if v == "true":
+                v = true_T
+            elif v["k"] != K:
+                raise ConfigError(f"{path}.transition has k {v['k']}, but "
+                                  f"the data has {K} classes")
+            else:
+                v = TransitionMatrix.from_json(v)
         elif isinstance(v, dict):
-            v = _resolve(v, true_T)
+            v = _resolve(v, true_T, K, f"{path}.{k}")
             if k in ("loss", "base_loss"):
                 v = LossSpec(**v)
         out[k] = v
@@ -301,7 +315,7 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     if kind == "annotator" and view.annotator_labels is None:
         raise ConfigError("annotator method requires annotator labels "
                           "(noise kind 'annotators')")
-    method = _resolve(method, true_T)
+    method = _resolve(method, true_T, view.num_classes, "method")
     if kind in ("annotator", "procedure"):
         kwargs = method[kind]
         kind = kwargs.pop(SCHEMA[kind][0])  # the fusion or procedure name

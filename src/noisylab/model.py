@@ -312,10 +312,10 @@ def train(ds, config, test_ds=None, reweight=None):
     """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
     Losses and their gradients are computed one batch at a time; the hook
     built from the reweight spec (see reweight.make_reweighter), if any, is
-    asked once per kept sample. Returns (params, history); history rows
-    carry the epoch's mean training loss and clean-test accuracy when a
-    test set is attached. Aborts with DivergedError if the mean epoch loss
-    goes non-finite."""
+    asked once per batch for the weights of the batch's kept rows. Returns
+    (params, history); history rows carry the epoch's mean training loss
+    and clean-test accuracy when a test set is attached. Aborts with
+    DivergedError if the mean epoch loss goes non-finite."""
     from .reweight import make_reweighter
     # made here, not by fit: batches() scores the kept set with them
     params = init(config.arch, ds.dim, ds.num_classes, config.seed,
@@ -337,8 +337,11 @@ def train(ds, config, test_ds=None, reweight=None):
         values, G = loss_and_grad(config.loss, probs, yb)
         w = keep[idx].astype(np.float64)
         if reweighter:
-            for r in np.flatnonzero(w):
-                w[r] *= reweighter.sample_weight(values[r], probs[r], yb[r])
+            rows = np.flatnonzero(w)
+            hook_w = reweighter.batch_weights(values[rows], probs[rows],
+                                              yb[rows])
+            if hook_w is not None:
+                w[rows] = hook_w
         return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)

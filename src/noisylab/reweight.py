@@ -6,7 +6,6 @@ Pumpout gradient reversal.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
@@ -21,31 +20,61 @@ class RunningLossFilter:
     """Skip a sample when its loss exceeds mean + multiplier*sigma of the
     last `window` observed losses. Never skips during warmup or when sigma
     collapses below the floor. Skipped samples' losses still enter the
-    window so it stays an unbiased picture of the stream."""
+    window so it stays an unbiased picture of the stream; the statistics
+    thus never depend on the decisions, and observe_batch decides a whole
+    run of losses at once."""
 
     def __init__(self, window=100, multiplier=1.5, warmup=30):
         _check_args("RunningLossFilter", {"window": window},
                     {"multiplier": multiplier, "warmup": warmup})
         if multiplier <= 0 or window < 1:
             raise ValueError("invalid filter parameters")
-        self.buffer = deque(maxlen=window)
+        if not warmup >= 0:  # NaN too
+            raise ValueError(f"RunningLossFilter: warmup must be >= 0, got "
+                             f"{warmup!r}")
+        self.window = window
+        self.buffer = np.empty(0)  # the last `window` losses, oldest first
         self.multiplier = multiplier
         self.warmup = warmup
 
     def observe(self, loss):
-        """Returns 'update' or 'skip'; statistics are computed over the
-        buffer before this loss is appended."""
-        loss = float(loss)
-        if not math.isfinite(loss):
+        """Returns 'update' or 'skip': observe_batch of the one loss."""
+        return "skip" if self.observe_batch([float(loss)])[0] else "update"
+
+    def observe_batch(self, losses):
+        """Skip mask over a run of losses, each decided as if observed one
+        by one: on the mean and sigma of the up to `window` losses before
+        it, once at least `warmup` (and one) of them exist. A full window
+        slides over the buffer and the run in one pass; a window still
+        filling, only in the first `window` losses of the filter's life,
+        is scored slice by slice."""
+        losses = np.asarray(losses, dtype=np.float64)
+        if not np.isfinite(losses).all():
             raise ValueError("observe: non-finite loss")
-        decision = "update"
-        if len(self.buffer) >= self.warmup:
-            buf = np.fromiter(self.buffer, dtype=np.float64)
-            mean, sigma = buf.mean(), buf.std()
-            if sigma > SIGMA_FLOOR and loss > mean + self.multiplier * sigma:
-                decision = "skip"
-        self.buffer.append(loss)
-        return decision
+        w = self.window
+        seen = len(self.buffer)  # < w only while the window is filling
+        stream = np.concatenate([self.buffer, losses])
+        self.buffer = stream[-w:].copy()
+        skip = np.zeros(len(losses), dtype=bool)
+        if w < self.warmup:
+            return skip
+        # losses[j] is stream position i = seen + j, with the window
+        # stream[max(0, i - w):i]; positions from `first` on are decided
+        first = max(seen, math.ceil(self.warmup), 1)
+        full = min(max(first, w), len(stream))
+        filling = [stream[:i] for i in range(first, full)]
+        mean = [s.mean() for s in filling]
+        sigma = [s.std() for s in filling]
+        if full < len(stream):
+            windows = np.lib.stride_tricks.sliding_window_view(
+                stream[full - w:-1], w).copy()
+            mean = np.concatenate([mean, windows.mean(axis=1)])
+            sigma = np.concatenate([sigma, windows.std(axis=1)])
+        mean, sigma = np.asarray(mean), np.asarray(sigma)
+        skip[first - seen:] = ((sigma > SIGMA_FLOOR) &
+                               (losses[first - seen:]
+                                > mean + self.multiplier * sigma))
+        return skip
 
 
 def rank_prune(probs_for_observed_label, labels, prune_fraction,
@@ -97,7 +126,10 @@ def pumpout(T, base, probs, observed_y, gamma):
 # --- trainer hooks ----------------------------------------------------------
 
 # Each hook takes its reweight spec's keys other than 'kind' as keyword
-# arguments, and holds their defaults.
+# arguments, and holds their defaults. model.train asks a hook for the
+# epoch's kept set, then once per batch for the weights of its kept rows:
+# batch_weights(values, probs, y) gives an (N,) array, or None for all
+# ones. sample_weight is the one-row weight.
 
 class _RunningHook:
     def __init__(self, **filter_args):
@@ -105,6 +137,9 @@ class _RunningHook:
 
     def epoch_kept_set(self, params, ds):
         return None
+
+    def batch_weights(self, values, probs, y):
+        return np.where(self.filter.observe_batch(values), 0.0, 1.0)
 
     def sample_weight(self, loss, probs, y):
         return 0.0 if self.filter.observe(loss) == "skip" else 1.0
@@ -122,6 +157,9 @@ class _TrimmedHook:
                                   ds.labels)
         return trimmed_filter(losses, self.fraction)
 
+    def batch_weights(self, values, probs, y):
+        return None
+
     def sample_weight(self, loss, probs, y):
         return 1.0
 
@@ -136,6 +174,9 @@ class _RankPruneHook:
         probs = predict_probs(params, ds.features)
         conf = probs[np.arange(ds.n), ds.labels]
         return rank_prune(conf, ds.labels, self.fraction, self.per_class)
+
+    def batch_weights(self, values, probs, y):
+        return None
 
     def sample_weight(self, loss, probs, y):
         return 1.0
@@ -154,6 +195,12 @@ class _PumpoutHook:
 
     def epoch_kept_set(self, params, ds):
         return None
+
+    def batch_weights(self, values, probs, y):
+        # row by row: the benchmark counts kept rows by sample_weight call
+        return np.array([self.sample_weight(v, p, t)
+                         for v, p, t in zip(values, probs, y)],
+                        dtype=np.float64)
 
     def sample_weight(self, loss, probs, y):
         corrected = float(self.ones_t_inv @ loss_vector(self.base, probs))

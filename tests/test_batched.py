@@ -1,7 +1,9 @@
 """Equivalence of the batched loss, noise-layer, label-draw, trainer-core,
 annotator and procedure code with the per-sample formulas they replace,
-and of the stacked transition-mixing kernel and STAPLE with the
-per-transition and per-annotator code they replaced.
+of the stacked transition-mixing kernel and STAPLE with the
+per-transition and per-annotator code they replaced, and of the batched
+running-loss filter and re-weight hooks with the per-sample rule and
+per-row hook loop.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -10,6 +12,7 @@ the batched form sums in a different order. A stack of models trained in
 lockstep must reproduce, bit for bit, the same models trained one by one.
 """
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +39,7 @@ from noisylab.procedures import (SoftLabelStore, _train_epoch_against_store,
                                  co_teaching_keep_schedule, disagreement_step,
                                  dual_relabel_epoch, iterative_clean,
                                  small_loss_selection, train_co_teaching)
+from noisylab.reweight import SIGMA_FLOOR, RunningLossFilter, make_reweighter
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -522,6 +526,158 @@ class TestSgdCore:
         with pytest.raises(DivergedError, match="epoch 4"):
             sgd_step(params, np.ones((1, 2)), 0.1,
                      lambda probs: pytest.fail("loss asked"), 4)
+
+
+class RefRunningLossFilter:
+    """The running filter as it decided one loss at a time: mean and std
+    of a copy of the deque of the last `window` losses before it. The one
+    change is that an empty window is not scored, which leaves the decision
+    ("update": a NaN sigma never passes the floor) as it was."""
+
+    def __init__(self, window=100, multiplier=1.5, warmup=30):
+        self.buffer = deque(maxlen=window)
+        self.multiplier = multiplier
+        self.warmup = warmup
+
+    def observe(self, loss):
+        decision = "update"
+        if self.buffer and len(self.buffer) >= self.warmup:
+            buf = np.fromiter(self.buffer, dtype=np.float64)
+            mean, sigma = buf.mean(), buf.std()
+            if sigma > SIGMA_FLOOR and loss > mean + self.multiplier * sigma:
+                decision = "skip"
+        self.buffer.append(float(loss))
+        return decision
+
+
+@st.composite
+def loss_streams(draw):
+    """(filter args, losses, batch split points): squared normals with a
+    run of one repeated loss (a constant window: the sigma floor) and a
+    spike after it, split into batches across window boundaries."""
+    window = draw(st.integers(1, 150), label="window")
+    warmup = draw(st.integers(0, 160), label="warmup")
+    multiplier = draw(st.sampled_from([0.5, 1.5, 3.0]), label="multiplier")
+    n = draw(st.integers(0, 400), label="n")
+    rng = Rng(draw(st.integers(0, 2**16), label="seed"))
+    losses = rng.normal(n) ** 2
+    if n:
+        start = draw(st.integers(0, n - 1), label="constant start")
+        stop = min(n, start + draw(st.integers(1, 2 * window),
+                                   label="constant length"))
+        losses[start:stop] = losses[start]
+        losses[stop:stop + 1] += 10.0
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12),
+                       label="cuts"))
+    return ({"window": window, "multiplier": multiplier, "warmup": warmup},
+            losses, cuts)
+
+
+class TestRunningFilterBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(loss_streams())
+    def test_matches_per_sample_rule(self, stream):
+        args, losses, cuts = stream
+        ref = RefRunningLossFilter(**args)
+        expected = [ref.observe(x) == "skip" for x in losses]
+        f = RunningLossFilter(**args)
+        got = np.concatenate([np.zeros(0, dtype=bool)] + [
+            f.observe_batch(part) for part in np.split(losses, cuts)])
+        assert got.tolist() == expected
+        assert np.array_equal(f.buffer, np.array(ref.buffer))
+        f = RunningLossFilter(**args)
+        assert [f.observe(x) for x in losses] == [
+            "skip" if s else "update" for s in expected]
+
+    def test_ramp_then_full_window_in_one_batch(self):
+        # the first window positions score their own slices, the rest a
+        # full sliding window, within one call
+        losses = Rng(7).normal(40) ** 2
+        ref = RefRunningLossFilter(window=6, multiplier=0.5, warmup=2)
+        f = RunningLossFilter(window=6, multiplier=0.5, warmup=2)
+        assert f.observe_batch(losses).tolist() == [
+            ref.observe(x) == "skip" for x in losses]
+        assert np.array_equal(f.buffer, losses[-6:])
+
+
+@st.composite
+def reweight_runs(draw, kind):
+    """(train set, TrainConfig, reweight spec) on a small random set."""
+    K = draw(st.integers(2, 3), label="K")
+    n = draw(st.integers(4, 60), label="n")
+    d = draw(st.integers(1, 3), label="d")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    ds = LabeledDataset(rng.normal((n, d)) * 2.0,
+                        rng.integers(0, K, size=n), K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3), label="epochs"),
+        batch_size=draw(st.integers(1, 9), label="batch_size"),
+        learning_rate=draw(st.sampled_from([0.1, 0.5]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4)
+    if kind == "running":
+        spec = {"window": draw(st.integers(1, 20), label="window"),
+                "warmup": draw(st.integers(0, 25), label="warmup"),
+                "multiplier": draw(st.sampled_from([0.5, 1.5]),
+                                   label="multiplier")}
+    elif kind == "pumpout":
+        spec = {"transition": draw(transitions(K), label="T"),
+                "gamma": draw(st.sampled_from([0.1, 0.5]), label="gamma")}
+    else:
+        spec = {"fraction": draw(st.sampled_from([0.0, 0.2, 0.5]),
+                                 label="fraction")}
+    return ds, config, {"kind": kind, **spec}
+
+
+def ref_reweighted_train(ds, config, spec):
+    """model.train as it weighted a batch before batch_weights: each kept
+    row's weight asked one by one, the running filter's by the per-sample
+    rule."""
+    hook = make_reweighter(spec)
+    if spec["kind"] == "running":
+        ref = RefRunningLossFilter(**{k: v for k, v in spec.items()
+                                      if k != "kind"})
+
+        def weight(loss, probs, y):
+            return 0.0 if ref.observe(loss) == "skip" else 1.0
+    else:
+        weight = hook.sample_weight
+    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
+                  config.hidden)
+    keep = np.ones(ds.n, dtype=bool)
+
+    def batches(order, rng):
+        kept = hook.epoch_kept_set(params, ds)
+        if kept is not None:
+            keep[:] = False
+            keep[list(kept)] = True
+        return ((ds.features[idx], idx)
+                for idx in minibatches(order, config.batch_size))
+
+    def batch_loss(probs, idx):
+        yb = ds.labels[idx]
+        values, G = loss_and_grad(config.loss, probs, yb)
+        w = keep[idx].astype(np.float64)
+        for r in np.flatnonzero(w):
+            w[r] *= weight(values[r], probs[r], yb[r])
+        return values, G * w[:, None]
+
+    return fit(ds, config, batch_loss, None, batches, params)
+
+
+class TestReweightedTrain:
+    @pytest.mark.parametrize("kind", ["running", "trimmed", "rank_prune",
+                                      "pumpout"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_row_hook_loop(self, kind, data):
+        ds, config, spec = data.draw(reweight_runs(kind))
+        params, history = train(ds, config, reweight=spec)
+        ref, ref_history = ref_reweighted_train(ds, config, spec)
+        for name in ref.arrays:
+            assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
+        assert history == ref_history
 
 
 def ref_target_loss(probs, entry_probs):

@@ -300,6 +300,47 @@ class TestConfigSurface:
         assert run_experiment(cfg)["config"]["method"]["reweight"][
             "transition"] == transition
 
+    # "k": "2" failed at train time as "transition json shape mismatch",
+    # naming neither the key nor the type
+    @pytest.mark.parametrize("k", ["2", 2.0, True, 1, 0, -3, None],
+                             ids=["str", "float", "bool", "one", "zero",
+                                  "negative", "null"])
+    def test_transition_k_is_an_integer_from_2(self, monkeypatch, tmp_path,
+                                               k):
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method={"loss": {"kind": "forward", "transition": {
+                              "k": k, "rows": self.ROWS}}})
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       re.escape("method.loss.transition.k must be an "
+                                 f"integer >= 2, got {k!r}"))
+
+    # on 3-class data a 2-class transition escaped as a raw IndexError
+    # (forward, backward) or a train-stage NumPy matmul error (pumpout)
+    @pytest.mark.parametrize("method, named", [
+        ({"loss": {"kind": "forward"}}, "method.loss.transition"),
+        ({"loss": {"kind": "backward"}}, "method.loss.transition"),
+        ({"reweight": {"kind": "pumpout"}}, "method.reweight.transition"),
+        ({"reweight": {"kind": "running"},
+          "base_loss": {"kind": "backward"}},
+         "method.base_loss.transition"),
+    ], ids=["forward", "backward", "pumpout", "base_loss"])
+    def test_transition_k_must_match_the_classes(self, tmp_path, method,
+                                                 named):
+        method = copy.deepcopy(method)
+        section = method.get("base_loss") or next(iter(method.values()))
+        section["transition"] = {"k": 2, "rows": self.ROWS}
+        cfg = base_config(dataset={"kind": "blobs", "k": 3,
+                                   "n_per_class": 20, "d": 2,
+                                   "separation": 8.0},
+                          noise={"kind": "symmetric", "rho": 0.2},
+                          method=method, train={"epochs": 2})
+        message = re.escape(f"{named} has k 2, but the data has 3 classes")
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
     @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
     def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
                                             key):

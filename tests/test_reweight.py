@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,23 @@ class TestRunningLossFilter:
             f.observe(1.0 + 0.01 * (i % 2))
         f.observe(50.0)
         assert 50.0 in f.buffer
+
+    @pytest.mark.parametrize("warmup", [-1, -0.5, float("nan")])
+    def test_negative_warmup_rejected(self, warmup):
+        with pytest.raises(ValueError, match="warmup must be >= 0"):
+            RunningLossFilter(warmup=warmup)
+
+    def test_zero_warmup_never_scores_an_empty_window(self):
+        # the first loss was decided on the mean and std of no losses:
+        # "Mean of empty slice" under -W error, RuntimeWarnings otherwise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = RunningLossFilter(warmup=0, window=4)
+            assert f.observe(5.0) == "update"   # no losses before it
+            assert f.observe(7.0) == "update"   # sigma 0, floor guard
+            assert f.observe(9.0) == "skip"     # 9 > 6 + 1.5 * 1
+            assert RunningLossFilter(warmup=0).observe_batch(
+                [1.0, 3.0, 9.0]).tolist() == [False, False, True]
 
     def test_gaussian_skip_rate(self):
         # one-sided 1.5 sigma normal tail is ~6.7%
