@@ -115,6 +115,14 @@ def _check_section(value, path, name):
                             and T["k"] >= 2):
         raise ConfigError(f"{path}.transition.k must be an integer >= 2, "
                           f"got {T['k']!r}")
+    if T != "true":
+        try:
+            shape = np.shape(T["rows"])
+        except ValueError:  # rows of unequal lengths
+            shape = "ragged"
+        if shape != (T["k"], T["k"]):
+            raise ConfigError(f"{path}.transition.rows has shape {shape}, "
+                              f"but k {T['k']} needs ({T['k']}, {T['k']})")
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
     for k, sub in value.items():

@@ -66,10 +66,16 @@ class RunningLossFilter:
         mean = [s.mean() for s in filling]
         sigma = [s.std() for s in filling]
         if full < len(stream):
-            windows = np.lib.stride_tricks.sliding_window_view(
-                stream[full - w:-1], w).copy()
-            mean = np.concatenate([mean, windows.mean(axis=1)])
-            sigma = np.concatenate([sigma, windows.std(axis=1)])
+            # one (n, w) gather of the windows, reduced by the ufuncs
+            # ndarray.mean and .std run (so bit-equal to them), with the
+            # mean taken once for both
+            starts = np.arange(full - w, len(stream) - w)
+            windows = stream[starts[:, None] + np.arange(w)]
+            wmean = np.add.reduce(windows, axis=1) / w
+            dev = windows - wmean[:, None]
+            mean = np.concatenate([mean, wmean])
+            sigma = np.concatenate(
+                [sigma, np.sqrt(np.add.reduce(dev * dev, axis=1) / w)])
         mean, sigma = np.asarray(mean), np.asarray(sigma)
         skip[first - seen:] = ((sigma > SIGMA_FLOOR) &
                                (losses[first - seen:]

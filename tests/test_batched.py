@@ -37,8 +37,9 @@ from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (SoftLabelStore, _train_epoch_against_store,
                                  cleaning_meta_features,
                                  co_teaching_keep_schedule, disagreement_step,
-                                 dual_relabel_epoch, iterative_clean,
-                                 small_loss_selection, train_co_teaching)
+                                 dual_relabel_epoch, fit_meta_classifier,
+                                 iterative_clean, small_loss_selection,
+                                 train_co_teaching)
 from noisylab.reweight import SIGMA_FLOOR, RunningLossFilter, make_reweighter
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
@@ -1141,7 +1142,9 @@ def ref_cleaning_meta_features(models, ds, labels):
 def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
                         threshold=0.5, ensemble_size=3):
     """iterative_clean as it trained its seed ensemble before lockstep: one
-    train call per seed, scored model by model."""
+    train call per seed, scored model by model. The meta-classifier is
+    fit by the same fit_meta_classifier: this pins the ensemble, not the
+    meta fit."""
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)
@@ -1157,10 +1160,7 @@ def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         target = (ds_clean_small.labels
                   != ds_clean_small.true_labels).astype(np.int64)
         mu, sd = feats_clean.mean(axis=0), feats_clean.std(axis=0) + 1e-9
-        meta_ds = LabeledDataset((feats_clean - mu) / sd, target, 2)
-        meta_cfg = replace(config, arch="linear", epochs=60,
-                           seed=config.seed + 1000 + rnd)
-        meta_params, _ = train(meta_ds, meta_cfg)
+        meta_params = fit_meta_classifier((feats_clean - mu) / sd, target)
         feats_noisy = (ref_cleaning_meta_features(models, ds_noisy, labels)
                        - mu) / sd
         p_flip = predict_probs(meta_params, feats_noisy)[:, 1]

@@ -314,6 +314,26 @@ class TestConfigSurface:
                        re.escape("method.loss.transition.k must be an "
                                  f"integer >= 2, got {k!r}"))
 
+    # rows not k x k failed at train time as "transition json shape
+    # mismatch", naming neither the key nor either shape
+    @pytest.mark.parametrize("rows, shape", [
+        (ROWS, "(2, 2)"), ([[0.8, 0.2], [0.2]], "ragged"),
+        ([[0.5, 0.3, 0.2]] * 2, "(2, 3)"), (0.5, "()"),
+    ], ids=["2x2", "ragged", "2x3", "number"])
+    @pytest.mark.parametrize("method, named", [
+        ({"loss": {"kind": "forward"}}, "method.loss.transition"),
+        ({"reweight": {"kind": "pumpout"}}, "method.reweight.transition"),
+    ], ids=["forward", "pumpout"])
+    def test_transition_rows_must_be_k_by_k(self, monkeypatch, tmp_path,
+                                            rows, shape, method, named):
+        method = copy.deepcopy(method)
+        next(iter(method.values()))["transition"] = {"k": 3, "rows": rows}
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method=method)
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       re.escape(f"{named}.rows has shape {shape}, but k 3 "
+                                 "needs (3, 3)"))
+
     # on 3-class data a 2-class transition escaped as a raw IndexError
     # (forward, backward) or a train-stage NumPy matmul error (pumpout)
     @pytest.mark.parametrize("method, named", [

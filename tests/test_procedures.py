@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from noisylab import procedures
 from noisylab.data import gen_blobs, split
-from noisylab.model import TrainConfig, init, stack, train
+from noisylab.model import TrainConfig, init, predict_probs, stack, train
 from noisylab.noise import (feature_dependent_inject, inject,
                             symmetric_transition)
 from noisylab.numerics import Rng, check_prob_vector
-from noisylab.procedures import (SoftLabelStore, co_teach_step,
+from noisylab.procedures import (META_RIDGE, SoftLabelStore, co_teach_step,
                                  co_teaching_keep_schedule,
                                  disagreement_mask, disagreement_step,
-                                 iterative_clean, mixup,
+                                 fit_meta_classifier, iterative_clean, mixup,
                                  small_loss_selection, train_co_teaching,
                                  train_dual_relabel, train_mixup)
 
@@ -234,7 +235,76 @@ class TestIterativeClean:
         assert tp / max(flags.sum(), 1) >= 0.7
         assert tp / max(true_flip.sum(), 1) >= 0.7
 
+    def test_two_row_clean_set(self):
+        noisy, _, _ = self._setup(29, noise=True)
+        cfg = TrainConfig(epochs=2, seed=32, learning_rate=0.5)
+        _, flags, meta, history = iterative_clean(
+            noisy.training_view(), noisy.subset(np.array([0, 1])), cfg)
+        assert all(np.isfinite(a).all() for a in meta.arrays.values())
+        assert len(history) == 3 and flags.shape == (noisy.n,)
+
     def test_clean_set_targets_zero_when_matching(self):
         noisy, clean_small, _ = self._setup(63, noise=False)
         target = (clean_small.labels != clean_small.true_labels)
         assert not target.any()
+
+
+def meta_problem(kind, n=400, seed=5):
+    """Standardised features and a 0/1 target: flips scattered at random,
+    flips a feature separates exactly, or no flips at all."""
+    rng = Rng(seed)
+    X = rng.normal((n, 5))
+    X = (X - X.mean(axis=0)) / X.std(axis=0)
+    if kind == "random":
+        target = (rng.uniform(n) < 0.3).astype(np.int64)
+    elif kind == "separable":
+        target = (X[:, 0] > 0.5).astype(np.int64)
+    else:
+        target = np.zeros(n, dtype=np.int64)
+    return X, target
+
+
+class TestMetaClassifierFit:
+    KINDS = ["random", "separable", "no_flips"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_penalised_gradient_vanishes(self, kind):
+        X, target = meta_problem(kind)
+        meta = fit_meta_classifier(X, target)
+        p = predict_probs(meta, X)[:, 1]
+        theta = np.append(meta.arrays["W"][:, 1], meta.arrays["b"][1])
+        Xb = np.column_stack([X, np.ones(len(X))])
+        grad = Xb.T @ (p - target) / len(X) + META_RIDGE * theta
+        assert np.abs(grad).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_converged_before_the_step_cap(self, monkeypatch, kind):
+        X, target = meta_problem(kind)
+        meta = fit_meta_classifier(X, target)
+        monkeypatch.setattr(procedures, "META_MAX_STEPS",
+                            2 * procedures.META_MAX_STEPS)
+        longer = fit_meta_classifier(X, target)
+        for name in meta.arrays:
+            assert np.array_equal(meta.arrays[name], longer.arrays[name])
+
+    def test_class_zero_is_the_reference(self):
+        X, target = meta_problem("random")
+        meta = fit_meta_classifier(X, target)
+        assert not meta.arrays["W"][:, 0].any() and meta.arrays["b"][0] == 0
+        assert (meta.arch, meta.d, meta.K) == ("linear", 5, 2)
+
+    def test_no_flips_gives_finite_low_flip_probability(self):
+        X, target = meta_problem("no_flips")
+        meta = fit_meta_classifier(X, target)
+        assert all(np.isfinite(a).all() for a in meta.arrays.values())
+        assert predict_probs(meta, X)[:, 1].max() < 0.5
+
+    @pytest.mark.parametrize("target", [[0, 1], [1, 1], [0, 0]])
+    def test_two_row_clean_set_gives_finite_params(self, target):
+        # a 2-row clean set standardises to +-1 (or 0) in every feature
+        X = np.array([[1.0, -1.0, 1.0, 0.0, -1.0],
+                      [-1.0, 1.0, -1.0, 0.0, 1.0]])
+        meta = fit_meta_classifier(X, np.array(target))
+        assert all(np.isfinite(a).all() for a in meta.arrays.values())
+        flagged = predict_probs(meta, X)[:, 1] > 0.5
+        assert flagged.tolist() == [bool(t) for t in target]
