@@ -10,9 +10,7 @@ signal.
 import numpy as np
 
 from noisylab.data import gen_blobs, split
-from noisylab.losses import (LossSpec, backward_corrected, ce,
-                             forward_corrected, imae_grad_logits, mae,
-                             mae_grad_logits)
+from noisylab.losses import LossSpec, loss_and_grad, loss_value
 from noisylab.model import TrainConfig, train
 from noisylab.noise import inject, symmetric_transition
 from noisylab.numerics import Rng, softmax
@@ -21,34 +19,37 @@ from noisylab.numerics import Rng, softmax
 p = softmax(np.array([2.0, 0.5, -1.0]))
 y = 0
 print(f"probs = {np.round(p, 4)}, label = {y}")
-print(f"CE  value {ce(p, y):.4f}")
-print(f"MAE value {mae(p, y):.4f} (bounded in [0, 2])")
+print(f"CE  value {loss_value(LossSpec('ce'), p, y):.4f}")
+print(f"MAE value {loss_value(LossSpec('mae'), p, y):.4f} (bounded in [0, 2])")
 
-g_mae = mae_grad_logits(p, y)
+# the losses take a batch: here one row of probabilities and its label
+_, g_mae = loss_and_grad(LossSpec("mae"), p[None, :], [y])
 print(f"MAE gradient l1 norm {np.abs(g_mae).sum():.6f} "
       f"= 4*p_y*(1-p_y) = {4 * p[y] * (1 - p[y]):.6f}")
 print("  -> the MAE update vanishes for both confident fits (p_y ~ 1) and")
 print("     confident misfits (p_y ~ 0), so wrong labels self-silence.")
 
-g_imae = imae_grad_logits(p, y)
+_, g_imae = loss_and_grad(LossSpec("imae", tau=8.0), p[None, :], [y])
 print(f"iMAE gradient l1 norm {np.abs(g_imae).sum():.4f} "
       "(exponentially up-weights confident samples)")
 
 # -- corrections with a known transition matrix ------------------------------
 T = symmetric_transition(3, 0.3)
+# the corrected losses of p for each observed label 0, 1, 2, as one batch
+backward, _ = loss_and_grad(LossSpec("backward", transition=T),
+                            np.tile(p, (3, 1)), np.arange(3))
 print(f"\nbackward-corrected loss for observed label 1: "
-      f"{backward_corrected(T, p, 1):.4f}")
+      f"{backward[1]:.4f}")
 print("  (can be negative for individual samples; only its expectation")
 print("   over the noise process matches the clean loss)")
 print(f"forward-corrected loss for observed label 1:  "
-      f"{forward_corrected(T, p, 1):.4f}")
+      f"{loss_value(LossSpec('forward', transition=T), p, 1):.4f}")
 
 # Monte-Carlo check of backward unbiasedness on this one example.
 rng = Rng(7)
 draws = np.searchsorted(np.cumsum(T.t[y]), rng.uniform(200_000))
-vals = np.array([backward_corrected(T, p, int(k)) for k in range(3)])
-print(f"\nE[backward loss under noise] ~= {vals[draws].mean():.4f}; "
-      f"clean CE = {ce(p, y):.4f}")
+print(f"\nE[backward loss under noise] ~= {backward[draws].mean():.4f}; "
+      f"clean CE = {loss_value(LossSpec('ce'), p, y):.4f}")
 
 # -- training comparison under 30% symmetric noise ---------------------------
 full = gen_blobs(3, 400, 2, 8.0, 41)

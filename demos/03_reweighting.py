@@ -35,7 +35,7 @@ probs = predict_probs(params, view.features)
 conf = probs[np.arange(view.n), view.labels]
 
 kept = rank_prune(conf, view.labels, prune_fraction=0.3)
-flagged = np.array([i not in kept for i in range(view.n)])
+flagged = ~kept  # rank_prune returns the kept mask
 true_flip = noisy.labels != noisy.true_labels
 tp = np.sum(flagged & true_flip)
 print(f"\nrank pruning (drop lowest 30% confidence per class):")
@@ -46,7 +46,7 @@ print(f"  precision {tp / flagged.sum():.3f}, recall "
 # -- trimmed filter: drop the largest losses each epoch ----------------------
 epoch_losses = -np.log(np.clip(conf, 1e-12, None))
 kept_t = trimmed_filter(epoch_losses, trim_fraction=0.3)
-flagged_t = np.array([i not in kept_t for i in range(view.n)])
+flagged_t = ~kept_t
 tp_t = np.sum(flagged_t & true_flip)
 print(f"\nloss trimming (drop top 30% losses): precision "
       f"{tp_t / flagged_t.sum():.3f}, recall {tp_t / true_flip.sum():.3f}")

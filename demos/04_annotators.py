@@ -8,7 +8,7 @@ learns per-annotator confusion matrices alongside the classifier.
 
 import numpy as np
 
-from noisylab.annotators import (majority_vote, min_loss_label, staple,
+from noisylab.annotators import (majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
 from noisylab.data import gen_blobs, split
 from noisylab.model import TrainConfig, predict_probs, train
@@ -43,14 +43,12 @@ for a, (T, rho) in enumerate(zip(model.confusions, rhos)):
 tr, te = split(ds, 0.25, 91)
 params, _ = train(tr.training_view(), TrainConfig(epochs=10, seed=92))
 probs = predict_probs(params, tr.features)
-picks = []
-for i in range(tr.n):
-    losses = [-np.log(max(probs[i, lab], 1e-12))
-              for lab in tr.annotator_labels[i]]
-    _, label = min_loss_label(losses, tr.annotator_labels[i])
-    picks.append(label)
+L_tr = tr.annotator_labels
+# (N, A) CE of each annotator's label under the model
+losses = -np.log(np.maximum(probs[np.arange(tr.n)[:, None], L_tr], 1e-12))
+_, picks = min_loss_labels(losses, L_tr)
 print(f"\nmin-loss label accuracy on train set: "
-      f"{np.mean(np.array(picks) == tr.true_labels):.3f}")
+      f"{np.mean(picks == tr.true_labels):.3f}")
 
 # -- joint confusion estimation with a trace penalty -------------------------
 cfg = TrainConfig(epochs=30, seed=93)

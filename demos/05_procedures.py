@@ -57,9 +57,9 @@ cfg3 = TrainConfig(epochs=40, seed=17, learning_rate=0.1, batch_size=16)
 _, _, store, _ = train_dual_relabel(noisy3, cfg3, te3)
 print(f"\ndual-model relabeling: stored-label agreement with truth "
       f"{start:.3f} -> {store.match_fraction(noisy3.true_labels):.3f}")
-kinds = [p["kind"] for p in store.provenance]
-print(f"  provenance: {kinds.count('original')} original, "
-      f"{kinds.count('relabeled')} relabeled entries")
+original = int(np.equal(store.source, None).sum())  # source None: never
+print(f"  provenance: {original} original, "
+      f"{len(store) - original} relabeled entries")
 
 # -- iterative cleaning with a small trusted set ------------------------------
 full_c = gen_blobs(3, 300, 2, 8.0, 29)

@@ -112,14 +112,6 @@ def min_loss_labels(per_annotator_losses, annotator_labels):
     return a, np.asarray(annotator_labels)[np.arange(len(a)), a]
 
 
-def min_loss_label(per_annotator_losses, annotator_labels):
-    """Annotator with the smallest loss (ties to the lowest index) and that
-    annotator's label."""
-    a, y = min_loss_labels(np.atleast_1d(per_annotator_losses)[None, :],
-                           np.atleast_1d(annotator_labels)[None, :])
-    return int(a[0]), int(y[0])
-
-
 def train_min_loss_label(ds, config, test_ds=None):
     """SGD where each sample back-propagates only the annotator label with
     the smallest current loss (ties to the lowest annotator index)."""

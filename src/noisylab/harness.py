@@ -115,14 +115,17 @@ def _check_section(value, path, name):
                             and T["k"] >= 2):
         raise ConfigError(f"{path}.transition.k must be an integer >= 2, "
                           f"got {T['k']!r}")
-    if T != "true":
-        try:
-            shape = np.shape(T["rows"])
-        except ValueError:  # rows of unequal lengths
-            shape = "ragged"
-        if shape != (T["k"], T["k"]):
-            raise ConfigError(f"{path}.transition.rows has shape {shape}, "
-                              f"but k {T['k']} needs ({T['k']}, {T['k']})")
+    # a transition object's rows must be k x k, a noise matrix's square
+    try:
+        shape = np.shape(T["rows"] if T != "true" else value.get("rows"))
+    except ValueError:  # rows of unequal lengths
+        shape = "ragged"
+    if T != "true" and shape != (T["k"], T["k"]):
+        raise ConfigError(f"{path}.transition.rows has shape {shape}, "
+                          f"but k {T['k']} needs ({T['k']}, {T['k']})")
+    if "rows" in value and (len(shape) != 2 or shape[0] != shape[1]):
+        raise ConfigError(f"{path}.rows must be a square k x k matrix, got "
+                          f"shape {shape}")
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
     for k, sub in value.items():
@@ -168,6 +171,10 @@ def _noise_transition(noise_spec, K):
     if kind == "symmetric":
         return symmetric_transition(K, noise_spec["rho"])
     if kind == "matrix":
+        shape = np.shape(noise_spec["rows"])  # square: _check_section
+        if shape != (K, K):
+            raise ConfigError(f"noise.rows has shape {shape}, but the data's "
+                              f"{K} classes need ({K}, {K})")
         return TransitionMatrix(noise_spec["rows"])
     return None
 
@@ -288,6 +295,8 @@ def run_experiment(cfg):
         raise PipelineError("generate", e)
     try:
         noisy = _apply_noise(train_ds, cfg.get("noise"), seed + 2)
+    except ConfigError:  # a noise matrix for other than the data's classes
+        raise
     except Exception as e:
         raise PipelineError("corrupt", e)
     true_T = _noise_transition(cfg.get("noise"), full.num_classes)

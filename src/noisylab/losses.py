@@ -144,44 +144,12 @@ def loss_value(spec, probs, y):
     return loss_and_grad(spec, np.asarray(probs)[None, :], [y])[0][0]
 
 
-def loss_grad_logits(spec, probs, y):
-    """Gradient wrt the logits of one sample's loss."""
-    return loss_and_grad(spec, np.asarray(probs)[None, :], [y])[1][0]
-
-
-# Per-sample forms of each loss, as named in the papers.
-
-def ce(probs, y):
-    """Cross-entropy -log p_y with the log clamped at 1e-12."""
-    return loss_value(LossSpec("ce"), probs, y)
-
-
-def ce_grad_logits(probs, y):
-    return loss_grad_logits(LossSpec("ce"), probs, y)
-
-
-def mae(probs, y):
-    """l1 distance between one-hot truth and prediction: 2(1 - p_y)."""
-    return loss_value(LossSpec("mae"), probs, y)
-
+# One-row forms that the acceptance tests call, as named in the papers.
 
 def mae_grad_logits(probs, y):
-    """Gradient wrt logits; its l1 norm is exactly 4 p_y (1 - p_y)."""
-    return loss_grad_logits(LossSpec("mae"), probs, y)
-
-
-def imae_grad_logits(probs, y, tau=8.0):
-    """MAE gradient direction rescaled to l1 norm exp(tau*p_y)(1-p_y)."""
-    return loss_grad_logits(LossSpec("imae", tau=tau), probs, y)
-
-
-def smooth_kl(probs, y, epsilon):
-    """KL(q || p) against the smoothed one-hot target q."""
-    return loss_value(LossSpec("smooth_kl", epsilon=epsilon), probs, y)
-
-
-def smooth_kl_grad_logits(probs, y, epsilon):
-    return loss_grad_logits(LossSpec("smooth_kl", epsilon=epsilon), probs, y)
+    """MAE gradient wrt the logits; its l1 norm is exactly 4 p_y (1 - p_y)."""
+    return loss_and_grad(LossSpec("mae"), np.asarray(probs)[None, :],
+                         [y])[1][0]
 
 
 def backward_corrected(T, probs, observed_y, base="ce"):
@@ -191,12 +159,6 @@ def backward_corrected(T, probs, observed_y, base="ce"):
                       observed_y)
 
 
-def forward_corrected(T, probs, observed_y):
-    """Patrini forward correction: CE of q = T^T p against the observed
-    label; q is a valid probability vector by stochastic mixing."""
-    return loss_value(LossSpec("forward", transition=T), probs, observed_y)
-
-
 def has_primitive_value(spec):
-    """Whether finite differences of loss_value recover loss_grad_logits."""
+    """Whether finite differences of loss_value recover its gradient."""
     return spec.kind != "imae"

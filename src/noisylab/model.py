@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .losses import LossSpec, loss_and_grad, loss_grad_logits, loss_value
+from .losses import LossSpec, loss_and_grad, loss_value
 from .numerics import Rng, softmax
 
 
@@ -123,11 +123,6 @@ def backward_batch(params, G, cache):
     return grads
 
 
-def backward(params, x, grad_wrt_logits):
-    logits, cache = forward_batch(params, np.asarray(x)[None, :])
-    return backward_batch(params, np.asarray(grad_wrt_logits)[None, :], cache)
-
-
 def predict_probs(params, X):
     logits, _ = forward_batch(params, X)
     return softmax(logits)
@@ -148,9 +143,8 @@ def grad_check(params, x, y, loss_spec, epsilon=1e-6):
         probs = softmax(forward(params, x))
         return loss_value(loss_spec, probs, y)
 
-    probs = softmax(forward(params, x))
-    G = loss_grad_logits(loss_spec, probs, y)[None, :]
-    _, cache = forward_batch(params, x[None, :])
+    logits, cache = forward_batch(params, x[None, :])
+    _, G = loss_and_grad(loss_spec, softmax(logits), [y])
     analytic = backward_batch(params, G, cache)
 
     worst = 0.0
@@ -311,11 +305,12 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
 def train(ds, config, test_ds=None, reweight=None):
     """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
     Losses and their gradients are computed one batch at a time; the hook
-    built from the reweight spec (see reweight.make_reweighter), if any, is
-    asked once per batch for the weights of the batch's kept rows. Returns
-    (params, history); history rows carry the epoch's mean training loss
-    and clean-test accuracy when a test set is attached. Aborts with
-    DivergedError if the mean epoch loss goes non-finite."""
+    built from the reweight spec (see reweight.make_reweighter), if any,
+    gives each epoch's kept mask and is asked once per batch for the
+    weights of the batch's kept rows. Returns (params, history); history
+    rows carry the epoch's mean training loss and clean-test accuracy when
+    a test set is attached. Aborts with DivergedError if the mean epoch
+    loss goes non-finite."""
     from .reweight import make_reweighter
     # made here, not by fit: batches() scores the kept set with them
     params = init(config.arch, ds.dim, ds.num_classes, config.seed,
@@ -325,11 +320,10 @@ def train(ds, config, test_ds=None, reweight=None):
     keep = np.ones(ds.n, dtype=bool)
 
     def batches(order, rng):
-        # the epoch's kept set is chosen before its first step
+        # the epoch's kept mask is chosen before its first step
         kept = reweighter.epoch_kept_set(params, ds) if reweighter else None
         if kept is not None:
-            keep[:] = False
-            keep[np.fromiter(kept, dtype=np.intp, count=len(kept))] = True
+            keep[:] = kept
         return ((X[idx], idx) for idx in minibatches(order, config.batch_size))
 
     def batch_loss(probs, idx):

@@ -23,35 +23,50 @@ CE = LossSpec("ce")
 # --- soft-label store -------------------------------------------------------
 
 class SoftLabelStore:
-    """Per-sample label state with provenance; provenance epochs only move
-    forward. `targets` (n, K) holds each row's one-hot or soft target and is
-    the single source of truth; `is_soft` says which rows are soft, and
-    `provenance` holds {"kind": "original"} or {"kind": "relabeled",
-    "epoch": e, "source": s} per row."""
+    """Per-sample label state with provenance; a row's provenance epoch only
+    moves forward. `targets` (n, K) holds each row's one-hot or soft target
+    and is the single source of truth; `is_soft` says which rows are soft,
+    and `epoch` and `source` say when and by which rule each row was last
+    relabeled (source None: the row holds its original label)."""
 
     def __init__(self, labels, K):
         self.K = K
         self.targets = np.eye(K)[np.asarray(labels, dtype=np.int64)]
         self.is_soft = np.zeros(len(self.targets), dtype=bool)
-        self.provenance = [{"kind": "original"} for _ in self.targets]
+        self.epoch = np.zeros(len(self.targets), dtype=np.int64)
+        self.source = np.full(len(self.targets), None, dtype=object)
 
     def __len__(self):
         return len(self.targets)
 
-    def relabel_hard(self, i, label, epoch, source):
-        self._relabel(i, np.eye(self.K)[int(label)], False, epoch, source)
+    def relabel_hard(self, rows, labels, epoch, source):
+        """Set the distinct `rows` to the one-hot `labels` (one per row)."""
+        self._relabel(rows, np.eye(self.K)[labels], False, epoch, source)
 
-    def relabel_soft(self, i, probs, epoch, source):
-        self._relabel(i, probs, True, epoch, source)
+    def relabel_soft(self, rows, probs, epoch, source):
+        """Set the distinct `rows` to the soft targets `probs` (m, K)."""
+        self._relabel(rows, probs, True, epoch, source)
 
-    def _relabel(self, i, target, soft, epoch, source):
-        prov = self.provenance[i]
-        if prov["kind"] == "relabeled" and epoch < prov["epoch"]:
+    def _relabel(self, rows, targets, soft, epoch, source):
+        """Write the rows at `epoch` from `source`, one string or one per
+        row. Every row's epoch is checked before any row is written, so a
+        refused call changes nothing."""
+        rows = np.asarray(rows, dtype=np.intp)
+        relabeled = ~np.equal(self.source[rows], None)
+        if np.any(relabeled & (epoch < self.epoch[rows])):
             raise ValueError("provenance epoch cannot move backwards")
-        self.targets[i] = target
-        self.is_soft[i] = soft
-        self.provenance[i] = {"kind": "relabeled", "epoch": epoch,
-                              "source": source}
+        self.targets[rows] = targets
+        self.is_soft[rows] = soft
+        self.epoch[rows] = epoch
+        self.source[rows] = source
+
+    @property
+    def provenance(self):
+        """Per row, {"kind": "original"} or {"kind": "relabeled", "epoch":
+        e, "source": s}: a copy, built from `epoch` and `source`."""
+        return [{"kind": "original"} if s is None else
+                {"kind": "relabeled", "epoch": e, "source": s}
+                for e, s in zip(self.epoch.tolist(), self.source)]
 
     def hard_labels(self):
         """Argmax view (soft entries collapse to their mode)."""
@@ -162,6 +177,8 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     stack (see model.stack), stepped once per batch; the history follows
     the first peer."""
     _check_args("train_co_teaching", reals={"noise_rate": noise_rate})
+    if not 0.0 <= noise_rate < 1.0:
+        raise ValueError(f"noise_rate must be in [0,1), got {noise_rate!r}")
     rng = Rng(config.seed)
     peers = stack([init(config.arch, ds.dim, ds.num_classes,
                         int(r.integers(0, 2**31)), config.hidden)
@@ -184,56 +201,40 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
 
 # --- dual models with iterative label update --------------------------------
 
-def _train_epoch_against_store(params, ds, store, peer_pred_probs, rng, lr,
-                               batch_size, epoch):
-    """One epoch where each sample's target is whichever of (stored label,
-    peer's predicted hard label) currently yields the lower loss."""
-    stored = store.targets
-    peer = np.eye(store.K)[peer_pred_probs.argmax(axis=1)]
-
-    def batch_loss(probs, idx):
-        l_stored = kl_to_targets(probs, stored[idx])
-        l_peer = kl_to_targets(probs, peer[idx])
-        use_stored = (l_stored <= l_peer)[:, None]
-        return (np.minimum(l_stored, l_peer),
-                probs - np.where(use_stored, stored[idx], peer[idx]))
-
-    order = rng.permutation(ds.n)
-    sgd_epoch(params, ((ds.features[idx], idx)
-                       for idx in minibatches(order, batch_size)),
-              lr, batch_loss, epoch)
-
-
 def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
                        batch_size, epoch):
-    """One round of dual-model training plus the end-of-epoch relabel rule:
-    a sample's stored label is replaced by a model's hard prediction when
-    exactly one model's prediction beats the stored label's loss, and by
-    the average of the two predicted distributions (soft) when both do."""
-    preds_small = predict_probs(model_small, ds.features)
-    preds_large = predict_probs(model_large, ds.features)
-    rng_a, rng_b = rng.split(2)
-    _train_epoch_against_store(model_small, ds, store, preds_large, rng_a,
-                               lr, batch_size, epoch)
-    _train_epoch_against_store(model_large, ds, store, preds_small, rng_b,
-                               lr, batch_size, epoch)
-    preds_small = predict_probs(model_small, ds.features)
-    preds_large = predict_probs(model_large, ds.features)
+    """One round of dual-model training plus the end-of-epoch relabel rule.
+    Each model trains one epoch in which a sample's target is whichever of
+    (stored label, the peer's hard prediction from before the round)
+    yields the lower loss. Then a sample's stored label is replaced by a
+    model's hard prediction when exactly one model's prediction beats the
+    stored label's loss, and by the average of the two predicted
+    distributions (soft) when both do."""
+    models = (model_small, model_large)
+    eye = np.eye(store.K)
+    peers = [eye[predict(m, ds.features)] for m in models[::-1]]
 
-    def wins(probs):
-        own = probs.argmax(axis=1)
-        return own, (kl_to_targets(probs, np.eye(store.K)[own])
-                     < kl_to_targets(probs, store.targets))
+    def batch_loss(probs, targets):
+        stored, peer = targets
+        l_stored = kl_to_targets(probs, stored)
+        l_peer = kl_to_targets(probs, peer)
+        return (np.minimum(l_stored, l_peer),
+                probs - np.where((l_stored <= l_peer)[:, None], stored, peer))
 
-    own_small, wins_small = wins(preds_small)
-    own_large, wins_large = wins(preds_large)
-    hard = np.where(wins_small, own_small, own_large)
-    for i in np.flatnonzero(wins_small ^ wins_large):
-        store.relabel_hard(i, hard[i], epoch,
-                           "small" if wins_small[i] else "large")
-    avg = 0.5 * (preds_small + preds_large)
-    for i in np.flatnonzero(wins_small & wins_large):
-        store.relabel_soft(i, avg[i], epoch, "both")
+    for params, peer, stream in zip(models, peers, rng.split(2)):
+        order = stream.permutation(ds.n)
+        batches = ((ds.features[idx], (store.targets[idx], peer[idx]))
+                   for idx in minibatches(order, batch_size))
+        sgd_epoch(params, batches, lr, batch_loss, epoch)
+    preds = np.array([predict_probs(m, ds.features) for m in models])
+    own = preds.argmax(axis=-1)  # (2, n): small's, then large's
+    wins = kl_to_targets(preds, eye[own]) < kl_to_targets(preds, store.targets)
+    one = np.flatnonzero(wins[0] ^ wins[1])
+    store.relabel_hard(one, np.where(wins[0], own[0], own[1])[one], epoch,
+                       np.where(wins[0][one], "small", "large"))
+    both = np.flatnonzero(wins[0] & wins[1])
+    store.relabel_soft(both, 0.5 * (preds[0][both] + preds[1][both]), epoch,
+                       "both")
     return store
 
 
@@ -370,8 +371,7 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         base_pred = base_probs.argmax(axis=1)
         round_flags = p_flip > threshold
         changed = np.flatnonzero(round_flags & (base_pred != labels))
-        for i in changed:
-            store.relabel_hard(i, int(base_pred[i]), rnd, "meta_clean")
+        store.relabel_hard(changed, base_pred[changed], rnd, "meta_clean")
         flags |= round_flags
         history.append({"round": rnd, "flagged": int(round_flags.sum()),
                         "relabeled": len(changed)})

@@ -87,7 +87,7 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
                per_class=True):
     """Remove the least-confident floor(fraction * n) samples, per observed
     class by default; ties remove the lower index first. Returns the kept
-    index set."""
+    mask."""
     _check_args("rank_prune", reals={"prune_fraction": prune_fraction})
     if not isinstance(per_class, (bool, np.bool_)):
         raise ValueError(f"rank_prune: per_class must be a bool, got "
@@ -96,7 +96,7 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
         raise ValueError("prune_fraction must be in [0,1)")
     conf = np.asarray(probs_for_observed_label, dtype=np.float64)
     labels = np.asarray(labels)
-    kept = set(range(len(conf)))
+    kept = np.ones(len(conf), dtype=bool)
     groups = ([np.flatnonzero(labels == c) for c in np.unique(labels)]
               if per_class else [np.arange(len(conf))])
     for members in groups:
@@ -106,13 +106,13 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
         # stable sort ascending by confidence; equal confidences drop the
         # lower original index first
         order = members[np.argsort(conf[members], kind="stable")]
-        kept.difference_update(int(i) for i in order[:n_drop])
+        kept[order[:n_drop]] = False
     return kept
 
 
 def trimmed_filter(losses, trim_fraction):
     """Drop the ceil(fraction * N) largest losses; ties drop the higher
-    index first. Returns the kept index set."""
+    index first. Returns the kept mask."""
     _check_args("trimmed_filter", reals={"trim_fraction": trim_fraction})
     if not 0.0 <= trim_fraction < 1.0:
         raise ValueError("trim_fraction must be in [0,1)")
@@ -120,7 +120,7 @@ def trimmed_filter(losses, trim_fraction):
     n_drop = int(math.ceil(trim_fraction * len(losses)))
     # sort descending by loss, then descending index among ties
     order = np.lexsort((-np.arange(len(losses)), -losses))
-    return set(order[n_drop:].tolist())
+    return np.argsort(order) >= n_drop  # each row's rank in that order
 
 
 def pumpout(T, base, probs, observed_y, gamma):
@@ -133,7 +133,7 @@ def pumpout(T, base, probs, observed_y, gamma):
 
 # Each hook takes its reweight spec's keys other than 'kind' as keyword
 # arguments, and holds their defaults. model.train asks a hook for the
-# epoch's kept set, then once per batch for the weights of its kept rows:
+# epoch's kept mask, then once per batch for the weights of its kept rows:
 # batch_weights(values, probs, y) gives an (N,) array, or None for all
 # ones. sample_weight is the one-row weight.
 

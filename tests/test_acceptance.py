@@ -12,8 +12,9 @@ import numpy as np
 from noisylab.annotators import staple, train_with_confusion
 from noisylab.data import gen_blobs, split
 from noisylab.harness import report_json, run_experiment, strip_wall_time, sweep
-from noisylab.losses import (LossSpec, backward_corrected, ce,
-                             has_primitive_value, mae_grad_logits)
+from noisylab.losses import (LossSpec, backward_corrected,
+                             has_primitive_value, loss_value,
+                             mae_grad_logits)
 from noisylab.model import TrainConfig, forward, grad_check, init, train
 from noisylab.noise import (TransitionMatrix, feature_dependent_inject,
                             inject, simulate_annotators, symmetric_transition)
@@ -85,7 +86,7 @@ class TestCriterion3BackwardUnbiasedness:
             T = TransitionMatrix(np.array(rows))
             p_hat = softmax(rng.normal(K))
             y = int(rng.integers(0, K))
-            clean = ce(p_hat, y)
+            clean = loss_value(LossSpec("ce"), p_hat, y)
             u = rng.uniform(n_draws)
             draws = np.searchsorted(np.cumsum(T.t[y]), u,
                                     side="right").clip(0, K - 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from noisylab.annotators import (AnnotatorModel, majority_vote,
-                                 min_loss_label, staple,
+                                 min_loss_labels, staple,
                                  train_min_loss_label, train_with_confusion)
 from noisylab.data import gen_blobs, split
 from noisylab.model import TrainConfig
@@ -96,17 +96,20 @@ class TestStaple:
 
 class TestMinLossLabel:
     def test_argmin(self):
-        assert min_loss_label([0.2, 0.5, 0.1], [1, 2, 0]) == (2, 0)
+        a, y = min_loss_labels([[0.2, 0.5, 0.1]], [[1, 2, 0]])
+        assert (a.tolist(), y.tolist()) == ([2], [0])
 
     def test_tie_lowest_annotator(self):
-        assert min_loss_label([0.3, 0.3, 0.3], [2, 1, 0]) == (0, 2)
+        a, y = min_loss_labels([[0.3, 0.3, 0.3]], [[2, 1, 0]])
+        assert (a.tolist(), y.tolist()) == ([0], [2])
 
     def test_single_annotator(self):
-        assert min_loss_label([0.7], [1]) == (0, 1)
+        a, y = min_loss_labels([[0.7]], [[1]])
+        assert (a.tolist(), y.tolist()) == ([0], [1])
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
-            min_loss_label([float("inf")], [0])
+            min_loss_labels([[float("inf")]], [[0]])
 
 
 class TestTrainWithConfusion:

@@ -1,9 +1,10 @@
 """Equivalence of the batched loss, noise-layer, label-draw, trainer-core,
 annotator and procedure code with the per-sample formulas they replace,
 of the stacked transition-mixing kernel and STAPLE with the
-per-transition and per-annotator code they replaced, and of the batched
+per-transition and per-annotator code they replaced, of the batched
 running-loss filter and re-weight hooks with the per-sample rule and
-per-row hook loop.
+per-row hook loop, and of the kept masks and the batched label store with
+the index sets and per-row updates they replaced.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -12,6 +13,7 @@ the batched form sums in a different order. A stack of models trained in
 lockstep must reproduce, bit for bit, the same models trained one by one.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -21,12 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
-                                 majority_vote, min_loss_label,
-                                 min_loss_labels, staple,
+                                 majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
 from noisylab.data import LabeledDataset
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
-                             loss_and_grad, loss_grad_logits, loss_value)
+                             loss_and_grad, loss_value)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
                             epoch_row, fit, forward, forward_batch, init,
                             minibatches, predict, predict_probs, sgd_epoch,
@@ -34,13 +35,13 @@ from noisylab.model import (DivergedError, TrainConfig, backward_batch,
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
-from noisylab.procedures import (SoftLabelStore, _train_epoch_against_store,
-                                 cleaning_meta_features,
+from noisylab.procedures import (SoftLabelStore, cleaning_meta_features,
                                  co_teaching_keep_schedule, disagreement_step,
                                  dual_relabel_epoch, fit_meta_classifier,
                                  iterative_clean, small_loss_selection,
                                  train_co_teaching)
-from noisylab.reweight import SIGMA_FLOOR, RunningLossFilter, make_reweighter
+from noisylab.reweight import (SIGMA_FLOOR, RunningLossFilter,
+                               make_reweighter, rank_prune, trimmed_filter)
 
 EXACT = ("ce", "mae", "imae", "smooth_kl")
 
@@ -176,9 +177,9 @@ class TestLossAndGrad:
             assert values.shape == y.shape and G.shape == P.shape
             for r in range(len(y)):
                 ref_v, ref_g = ref_loss_and_grad(spec, P[r], y[r])
-                wrapped = (loss_value(spec, P[r], y[r]),
-                           loss_grad_logits(spec, P[r], y[r]))
-                for v, g in ((ref_v, ref_g), wrapped):
+                one_row = loss_and_grad(spec, P[r:r + 1], y[r:r + 1])
+                assert loss_value(spec, P[r], y[r]) == one_row[0][0]
+                for v, g in ((ref_v, ref_g), (one_row[0][0], one_row[1][0])):
                     if spec.kind in EXACT:
                         assert values[r] == v
                         assert np.array_equal(G[r], g)
@@ -378,7 +379,6 @@ class TestMinLossSelection:
         a, y = min_loss_labels(losses, labels)
         for r in range(N):
             first_min = losses[r].tolist().index(min(losses[r]))
-            assert (a[r], y[r]) == min_loss_label(losses[r], labels[r])
             assert (a[r], y[r]) == (first_min, labels[r, first_min])
 
     def test_nonfinite_row_rejected(self):
@@ -651,8 +651,7 @@ def ref_reweighted_train(ds, config, spec):
     def batches(order, rng):
         kept = hook.epoch_kept_set(params, ds)
         if kept is not None:
-            keep[:] = False
-            keep[list(kept)] = True
+            keep[:] = kept
         return ((ds.features[idx], idx)
                 for idx in minibatches(order, config.batch_size))
 
@@ -679,6 +678,57 @@ class TestReweightedTrain:
         for name in ref.arrays:
             assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
         assert history == ref_history
+
+
+def ref_rank_prune(conf, labels, prune_fraction, per_class=True):
+    """rank_prune as it returned the kept index set."""
+    conf = np.asarray(conf, dtype=np.float64)
+    labels = np.asarray(labels)
+    kept = set(range(len(conf)))
+    groups = ([np.flatnonzero(labels == c) for c in np.unique(labels)]
+              if per_class else [np.arange(len(conf))])
+    for members in groups:
+        n_drop = int(math.floor(prune_fraction * len(members)))
+        if n_drop == 0:
+            continue
+        order = members[np.argsort(conf[members], kind="stable")]
+        kept.difference_update(int(i) for i in order[:n_drop])
+    return kept
+
+
+def ref_trimmed_filter(losses, trim_fraction):
+    """trimmed_filter as it returned the kept index set."""
+    losses = np.asarray(losses, dtype=np.float64)
+    n_drop = int(math.ceil(trim_fraction * len(losses)))
+    order = np.lexsort((-np.arange(len(losses)), -losses))
+    return set(order[n_drop:].tolist())
+
+
+# few distinct values, so exact ties are common
+TIED = st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0, 27.6])
+FRACTIONS = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.99])
+
+
+class TestKeptMasks:
+    @settings(max_examples=200, deadline=None)
+    @given(conf=st.lists(TIED, max_size=40), data=st.data(),
+           fraction=FRACTIONS, per_class=st.booleans())
+    def test_rank_prune_matches_index_set(self, conf, data, fraction,
+                                          per_class):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=len(conf),
+                                    max_size=len(conf)))
+        kept = rank_prune(conf, labels, fraction, per_class)
+        assert kept.dtype == bool and kept.shape == (len(conf),)
+        assert set(np.flatnonzero(kept).tolist()) == ref_rank_prune(
+            conf, labels, fraction, per_class)
+
+    @settings(max_examples=200, deadline=None)
+    @given(losses=st.lists(TIED, max_size=40), fraction=FRACTIONS)
+    def test_trimmed_filter_matches_index_set(self, losses, fraction):
+        kept = trimmed_filter(losses, fraction)
+        assert kept.dtype == bool and kept.shape == (len(losses),)
+        assert set(np.flatnonzero(kept).tolist()) == ref_trimmed_filter(
+            losses, fraction)
 
 
 def ref_target_loss(probs, entry_probs):
@@ -811,16 +861,38 @@ class RefStore:
         return out
 
 
+def ref_train_epoch_against_store(params, ds, store, peer_pred_probs, rng,
+                                   lr, batch_size, epoch):
+    """One model's epoch of dual_relabel_epoch as a function of its own:
+    each sample's target is whichever of (stored label, peer's predicted
+    hard label) currently yields the lower loss."""
+    stored = store.targets
+    peer = np.eye(store.K)[peer_pred_probs.argmax(axis=1)]
+
+    def batch_loss(probs, idx):
+        l_stored = kl_to_targets(probs, stored[idx])
+        l_peer = kl_to_targets(probs, peer[idx])
+        use_stored = (l_stored <= l_peer)[:, None]
+        return (np.minimum(l_stored, l_peer),
+                probs - np.where(use_stored, stored[idx], peer[idx]))
+
+    order = rng.permutation(ds.n)
+    sgd_epoch(params, ((ds.features[idx], idx)
+                       for idx in minibatches(order, batch_size)),
+              lr, batch_loss, epoch)
+
+
 def ref_dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
                            batch_size, epoch):
-    """dual_relabel_epoch with the relabel rule written per sample."""
+    """dual_relabel_epoch with each model's epoch a separate function and
+    the relabel rule written per sample."""
     preds_small = predict_probs(model_small, ds.features)
     preds_large = predict_probs(model_large, ds.features)
     rng_a, rng_b = rng.split(2)
-    _train_epoch_against_store(model_small, ds, store, preds_large, rng_a,
-                               lr, batch_size, epoch)
-    _train_epoch_against_store(model_large, ds, store, preds_small, rng_b,
-                               lr, batch_size, epoch)
+    ref_train_epoch_against_store(model_small, ds, store, preds_large, rng_a,
+                                  lr, batch_size, epoch)
+    ref_train_epoch_against_store(model_large, ds, store, preds_small, rng_b,
+                                  lr, batch_size, epoch)
     preds_small = predict_probs(model_small, ds.features)
     preds_large = predict_probs(model_large, ds.features)
     for i in range(ds.n):
@@ -854,32 +926,46 @@ def soft_rows(draw, K):
 
 @st.composite
 def relabel_ops(draw, n, K, max_epoch):
-    """A sequence of (kind, row, target, epoch, source) store updates."""
+    """A sequence of (kind, rows, targets, epoch, source) store updates:
+    distinct rows, one target per row, and one source for all rows or one
+    per row."""
     ops = []
-    for _ in range(draw(st.integers(0, 3 * n))):
-        i = draw(st.integers(0, n - 1))
+    for _ in range(draw(st.integers(0, 6))):
+        rows = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         epoch = draw(st.integers(0, max_epoch))
-        source = draw(st.sampled_from(["small", "large", "both"]))
+        names = st.sampled_from(["small", "large", "both"])
+        source = draw(names | st.lists(names, min_size=len(rows),
+                                       max_size=len(rows)))
         if draw(st.booleans()):
-            ops.append(("hard", i, draw(st.integers(0, K - 1)), epoch, source))
+            targets = draw(st.lists(st.integers(0, K - 1), min_size=len(rows),
+                                    max_size=len(rows)))
+            ops.append(("hard", rows, np.array(targets, dtype=np.intp), epoch,
+                        source))
         else:
-            ops.append(("soft", i, draw(soft_rows(K)), epoch, source))
+            targets = [draw(soft_rows(K)) for _ in rows]
+            ops.append(("soft", rows, np.reshape(targets, (len(rows), K)),
+                        epoch, source))
     return ops
 
 
-def apply_ops(stores, ops):
-    """Apply each op to every store; a backwards epoch must raise in all of
-    them and change none."""
-    for kind, i, target, epoch, source in ops:
-        raised = []
-        for store in stores:
-            update = (store.relabel_hard if kind == "hard"
-                      else store.relabel_soft)
-            try:
-                update(i, target, epoch, source)
-            except ValueError:
-                raised.append(store)
-        assert raised in ([], stores)
+def apply_ops(store, ref, ops):
+    """Apply each op to the store in one call and to the per-entry reference
+    row by row; an op with a backwards epoch on any row must raise in the
+    store, and is applied to neither."""
+    for kind, rows, targets, epoch, source in ops:
+        update = store.relabel_hard if kind == "hard" else store.relabel_soft
+        try:
+            for i in rows:
+                ref._check_epoch(i, epoch)
+        except ValueError:
+            with pytest.raises(ValueError, match="backwards"):
+                update(rows, targets, epoch, source)
+            continue
+        update(rows, targets, epoch, source)
+        sources = [source] * len(rows) if isinstance(source, str) else source
+        ref_update = ref.relabel_hard if kind == "hard" else ref.relabel_soft
+        for i, target, name in zip(rows, targets, sources):
+            ref_update(i, target, epoch, name)
 
 
 def assert_stores_equal(store, ref):
@@ -899,8 +985,19 @@ class TestSoftLabelStoreArrays:
         labels = data.draw(st.lists(st.integers(0, K - 1), min_size=n,
                                     max_size=n))
         store, ref = SoftLabelStore(labels, K), RefStore(labels, K)
-        apply_ops([store, ref], data.draw(relabel_ops(n, K, 4)))
+        apply_ops(store, ref, data.draw(relabel_ops(n, K, 4)))
         assert_stores_equal(store, ref)
+
+    def test_one_backwards_row_changes_no_row(self):
+        store = SoftLabelStore([0, 1, 2], 3)
+        store.relabel_hard([1], [2], 5, "small")
+        before = (store.targets.copy(), store.is_soft.copy(),
+                  store.provenance)
+        with pytest.raises(ValueError, match="backwards"):
+            store.relabel_soft([0, 1, 2], np.full((3, 3), 1 / 3), 4, "both")
+        assert np.array_equal(store.targets, before[0])
+        assert np.array_equal(store.is_soft, before[1])
+        assert store.provenance == before[2]
 
 
 class TestDualRelabelBatch:
@@ -922,14 +1019,14 @@ class TestDualRelabelBatch:
             for a in small.arrays.values():
                 a[:] = 0.0
         store, ref = SoftLabelStore(ds.labels, K), RefStore(ds.labels, K)
-        apply_ops([store, ref], data.draw(relabel_ops(n, K, 2), label="ops"))
+        apply_ops(store, ref, data.draw(relabel_ops(n, K, 2), label="ops"))
         if data.draw(st.booleans(), label="store the argmax"):
             # with lr 0 the models do not move, so these rows tie exactly
             # with the model's own hard prediction
             own = predict_probs(small, ds.features).argmax(axis=1)
-            rows = data.draw(st.lists(st.integers(0, n - 1)), label="rows")
-            apply_ops([store, ref], [("hard", i, own[i], 2, "small")
-                                     for i in rows])
+            rows = data.draw(st.lists(st.integers(0, n - 1), unique=True),
+                             label="rows")
+            apply_ops(store, ref, [("hard", rows, own[rows], 2, "small")])
         models = (small.copy(), large.copy())
         dual_relabel_epoch(*models, ds, store, Rng(seed + 2), lr, batch_size,
                            epoch=3)
@@ -1142,11 +1239,11 @@ def ref_cleaning_meta_features(models, ds, labels):
 def ref_iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
                         threshold=0.5, ensemble_size=3):
     """iterative_clean as it trained its seed ensemble before lockstep: one
-    train call per seed, scored model by model. The meta-classifier is
-    fit by the same fit_meta_classifier: this pins the ensemble, not the
-    meta fit."""
+    train call per seed, scored model by model, relabeling row by row on
+    the per-entry store. The meta-classifier is fit by the same
+    fit_meta_classifier: this pins the ensemble, not the meta fit."""
     rng = Rng(config.seed)
-    store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
+    store = RefStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)
     meta_params = None
     history = []
@@ -1194,9 +1291,7 @@ class TestLockstepIterativeClean:
         store, flags, meta, history = iterative_clean(*args)
         ref_store, ref_flags, ref_meta, ref_history = \
             ref_iterative_clean(*args)
-        assert np.array_equal(store.targets, ref_store.targets)
-        assert np.array_equal(store.is_soft, ref_store.is_soft)
-        assert store.provenance == ref_store.provenance
+        assert_stores_equal(store, ref_store)
         assert np.array_equal(flags, ref_flags)
         for name in ref_meta.arrays:
             assert np.array_equal(meta.arrays[name], ref_meta.arrays[name])

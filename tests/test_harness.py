@@ -361,6 +361,34 @@ class TestConfigSurface:
         path.write_text(json.dumps(cfg))
         assert cli(["train", "--config", str(path)]) == 1
 
+    # a matrix noise model's rows that were not k x k for the data failed
+    # at the corrupt stage (exit 2) with "inject: class count mismatch",
+    # NumPy's "inhomogeneous shape" or "must be square", naming neither
+    # noise.rows nor a shape
+    @pytest.mark.parametrize("rows, shape", [
+        ([[0.8, 0.2], [0.2]], "ragged"), ([[0.5, 0.5]] * 3, "(3, 2)"),
+    ], ids=["ragged", "3x2"])
+    def test_noise_rows_must_be_square(self, monkeypatch, tmp_path, rows,
+                                       shape):
+        cfg = base_config(noise={"kind": "matrix", "rows": rows})
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       re.escape("noise.rows must be a square k x k "
+                                 f"matrix, got shape {shape}"))
+
+    def test_noise_rows_must_match_the_classes(self, tmp_path):
+        cfg = base_config(dataset={"kind": "blobs", "k": 3,
+                                   "n_per_class": 20, "d": 2,
+                                   "separation": 8.0},
+                          noise={"kind": "matrix", "rows": self.ROWS},
+                          train={"epochs": 2})
+        message = re.escape("noise.rows has shape (2, 2), but the data's "
+                            "3 classes need (3, 3)")
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
     @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
     def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
                                             key):

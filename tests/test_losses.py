@@ -2,49 +2,56 @@ import numpy as np
 import pytest
 
 from noisylab.losses import (LossSpec, SingularTransitionError,
-                             backward_corrected, ce, ce_grad_logits,
-                             forward_corrected, imae_grad_logits, loss_vector,
-                             mae, mae_grad_logits, smooth_kl,
-                             smooth_kl_grad_logits)
+                             backward_corrected, loss_and_grad, loss_value,
+                             loss_vector, mae_grad_logits)
 from noisylab.noise import TransitionMatrix, symmetric_transition
 from noisylab.numerics import Rng, softmax
 
+CE, MAE = LossSpec("ce"), LossSpec("mae")
 
-def random_probs(rng, K):
-    return softmax(3.0 * rng.normal(K))
+
+def random_probs(rng, K, n=None):
+    return softmax(3.0 * rng.normal(K if n is None else (n, K)))
+
+
+def values(spec, P, y):
+    return loss_and_grad(spec, P, y)[0]
+
+
+def grads(spec, P, y):
+    return loss_and_grad(spec, P, y)[1]
 
 
 class TestCE:
     def test_perfect_prediction(self):
         p = np.array([0.0, 1.0, 0.0])
-        assert ce(p, 1) == pytest.approx(0.0, abs=1e-9)
+        assert loss_value(CE, p, 1) == pytest.approx(0.0, abs=1e-9)
 
     def test_hand_value(self):
-        assert ce(np.array([0.5, 0.5]), 0) == pytest.approx(np.log(2))
+        assert loss_value(CE, np.array([0.5, 0.5]), 0) == pytest.approx(
+            np.log(2))
 
     def test_gradient_identity(self):
-        g = ce_grad_logits(np.array([0.25, 0.75]), 0)
-        assert np.allclose(g, [-0.75, 0.75])
+        g = grads(CE, np.array([[0.25, 0.75]]), [0])
+        assert np.allclose(g, [[-0.75, 0.75]])
 
     def test_clamped_log(self):
-        assert np.isfinite(ce(np.array([0.0, 1.0]), 0))
+        assert np.isfinite(loss_value(CE, np.array([0.0, 1.0]), 0))
 
 
 class TestMAE:
     def test_perfect(self):
-        assert mae(np.array([1.0, 0.0]), 0) == 0.0
+        assert loss_value(MAE, np.array([1.0, 0.0]), 0) == 0.0
 
     def test_uniform_k4(self):
-        assert mae(np.full(4, 0.25), 2) == pytest.approx(1.5)
+        assert loss_value(MAE, np.full(4, 0.25), 2) == pytest.approx(1.5)
 
     def test_maximum(self):
-        assert mae(np.array([0.0, 1.0]), 0) == 2.0
+        assert loss_value(MAE, np.array([0.0, 1.0]), 0) == 2.0
 
     def test_bounds(self):
-        rng = Rng(1)
-        for _ in range(100):
-            p = random_probs(rng, 4)
-            assert 0.0 <= mae(p, 0) <= 2.0
+        v = values(MAE, random_probs(Rng(1), 4, 100), np.zeros(100, int))
+        assert np.all((0.0 <= v) & (v <= 2.0))
 
 
 class TestMAEGradient:
@@ -59,63 +66,61 @@ class TestMAEGradient:
 
     def test_norm_identity_1000_random(self):
         rng = Rng(99)
-        for _ in range(1000):
-            K = 2 + int(rng.integers(0, 5))
-            p = random_probs(rng, K)
-            y = int(rng.integers(0, K))
-            norm = np.abs(mae_grad_logits(p, y)).sum()
-            assert abs(norm - 4.0 * p[y] * (1.0 - p[y])) < 1e-10
+        for K in range(2, 7):
+            P = random_probs(rng, K, 200)
+            y = rng.integers(0, K, size=200)
+            norm = np.abs(grads(MAE, P, y)).sum(axis=1)
+            p_y = P[np.arange(200), y]
+            assert np.all(np.abs(norm - 4.0 * p_y * (1.0 - p_y)) < 1e-10)
 
 
 class TestIMAEGradient:
+    IMAE = LossSpec("imae", tau=8.0)
+
     def test_zero_at_confident(self):
-        p = np.array([1.0, 0.0])
-        assert np.allclose(imae_grad_logits(p, 0, 8.0), 0.0)
+        assert np.allclose(grads(self.IMAE, np.array([[1.0, 0.0]]), [0]), 0.0)
 
     def test_norm_at_half(self):
         # exp(8 * 0.5) * 0.5 = e^4 / 2
-        p = np.array([0.5, 0.5])
-        norm = np.abs(imae_grad_logits(p, 0, 8.0)).sum()
+        norm = np.abs(grads(self.IMAE, np.array([[0.5, 0.5]]), [0])).sum()
         assert norm == pytest.approx(np.exp(4.0) * 0.5, rel=1e-12)
 
     def test_confident_correct_dominates(self):
         w_conf = np.exp(8.0 * 0.9) * 0.1
         w_unconf = np.exp(8.0 * 0.1) * 0.9
-        p_conf = np.array([0.9, 0.1])
-        p_unconf = np.array([0.1, 0.9])
-        n_conf = np.abs(imae_grad_logits(p_conf, 0, 8.0)).sum()
-        n_unconf = np.abs(imae_grad_logits(p_unconf, 0, 8.0)).sum()
+        # confident row, then unconfident row, both labelled 0
+        P = np.array([[0.9, 0.1], [0.1, 0.9]])
+        n_conf, n_unconf = np.abs(grads(self.IMAE, P, [0, 0])).sum(axis=1)
         assert n_conf == pytest.approx(w_conf, rel=1e-12)
         assert n_unconf == pytest.approx(w_unconf, rel=1e-12)
         assert n_conf > n_unconf
 
     def test_direction_matches_mae(self):
-        rng = Rng(4)
-        for _ in range(50):
-            p = random_probs(rng, 3)
-            g_mae = mae_grad_logits(p, 1)
-            g_imae = imae_grad_logits(p, 1, 8.0)
+        P = random_probs(Rng(4), 3, 50)
+        y = np.ones(50, int)
+        for g_mae, g_imae in zip(grads(MAE, P, y), grads(self.IMAE, P, y)):
             # positive scalar multiple
-            ratio = g_imae[np.abs(g_mae) > 1e-12] / g_mae[np.abs(g_mae) > 1e-12]
+            nz = np.abs(g_mae) > 1e-12
+            ratio = g_imae[nz] / g_mae[nz]
             assert np.all(ratio > 0)
             assert np.allclose(ratio, ratio[0])
 
 
 class TestSmoothKL:
     def test_epsilon_zero_is_ce_gradient(self):
-        p = np.array([0.2, 0.5, 0.3])
-        assert np.allclose(smooth_kl_grad_logits(p, 1, 0.0),
-                           ce_grad_logits(p, 1))
+        P = np.array([[0.2, 0.5, 0.3]])
+        assert np.allclose(grads(LossSpec("smooth_kl", epsilon=0.0), P, [1]),
+                           grads(CE, P, [1]))
 
     def test_zero_at_matching(self):
         q = np.array([0.9, 0.1])  # (1-0.2)*e_0 + 0.2/2
-        assert smooth_kl(q, 0, 0.2) == pytest.approx(0.0, abs=1e-12)
+        assert loss_value(LossSpec("smooth_kl", epsilon=0.2), q, 0) == \
+            pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative(self):
-        rng = Rng(5)
-        for _ in range(100):
-            p = random_probs(rng, 3)
-            assert smooth_kl(p, 0, 0.1) >= -1e-12
+        P = random_probs(Rng(5), 3, 100)
+        v = values(LossSpec("smooth_kl", epsilon=0.1), P, np.zeros(100, int))
+        assert np.all(v >= -1e-12)
 
 
 class TestLossVector:
@@ -138,7 +143,8 @@ class TestBackwardCorrection:
     def test_identity_reduces_to_base(self):
         p = np.array([0.3, 0.7])
         I = TransitionMatrix.identity(2)
-        assert backward_corrected(I, p, 1) == pytest.approx(ce(p, 1))
+        assert backward_corrected(I, p, 1) == pytest.approx(
+            loss_value(CE, p, 1))
 
     def test_hand_2x2(self):
         # probs engineered so l_ce = [0.1, 2.0]; T^-1 = [[1.4,-0.4],[-0.6,1.6]]
@@ -153,7 +159,7 @@ class TestBackwardCorrection:
 
     def test_negative_values_allowed(self):
         p = np.array([0.99, 0.01])
-        assert backward_corrected(self.T, p, 0) < ce(p, 0)
+        assert backward_corrected(self.T, p, 0) < loss_value(CE, p, 0)
 
     def test_singular_raises_with_condition_number(self):
         bad = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
@@ -168,7 +174,7 @@ class TestBackwardCorrection:
             T = symmetric_transition(K, 0.25)
             p = random_probs(rng, K)
             y = int(rng.integers(0, K))
-            clean = ce(p, y)
+            clean = loss_value(CE, p, y)
             corrected = np.array([backward_corrected(T, p, j)
                                   for j in range(K)])
             exact_expectation = float(T.t[y] @ corrected)
@@ -177,22 +183,21 @@ class TestBackwardCorrection:
 
 class TestForwardCorrection:
     T = TransitionMatrix(np.array([[0.8, 0.2], [0.3, 0.7]]))
+    FORWARD = LossSpec("forward", transition=T)
 
     def test_identity_reduces_to_ce(self):
         p = np.array([0.25, 0.75])
-        I = TransitionMatrix.identity(2)
-        assert forward_corrected(I, p, 1) == pytest.approx(ce(p, 1))
+        spec = LossSpec("forward", transition=TransitionMatrix.identity(2))
+        assert loss_value(spec, p, 1) == pytest.approx(loss_value(CE, p, 1))
 
     def test_hand_value(self):
         # q = T^T [1,0] = [0.8, 0.2]; -ln 0.2
-        got = forward_corrected(self.T, np.array([1.0, 0.0]), 1)
+        got = loss_value(self.FORWARD, np.array([1.0, 0.0]), 1)
         assert got == pytest.approx(-np.log(0.2), rel=1e-12)
 
     def test_nonnegative(self):
-        rng = Rng(7)
-        for _ in range(100):
-            p = random_probs(rng, 2)
-            assert forward_corrected(self.T, p, 0) >= 0.0
+        P = random_probs(Rng(7), 2, 100)
+        assert np.all(values(self.FORWARD, P, np.zeros(100, int)) >= 0.0)
 
     def test_symmetric_preserves_argmax(self):
         # for symmetric T with rho < (K-1)/K, argmax(T^T p) = argmax(p)

@@ -6,8 +6,9 @@ import pytest
 from noisylab.annotators import train_with_confusion
 from noisylab.data import gen_blobs, split
 from noisylab.losses import LossSpec
-from noisylab.model import (DivergedError, TrainConfig, backward, forward,
-                            grad_check, init, load_params, save_params, train)
+from noisylab.model import (DivergedError, TrainConfig, backward_batch,
+                            forward, forward_batch, grad_check, init,
+                            load_params, save_params, train)
 from noisylab.noise import symmetric_transition
 from noisylab.numerics import Rng, softmax
 from noisylab.procedures import train_dual_relabel
@@ -67,14 +68,16 @@ class TestForward:
 class TestBackward:
     def test_zero_upstream(self):
         p = init("mlp", 2, 3, 1)
-        grads = backward(p, [1.0, 2.0], np.zeros(3))
+        _, cache = forward_batch(p, [[1.0, 2.0]])
+        grads = backward_batch(p, np.zeros((1, 3)), cache)
         assert all(np.all(g == 0) for g in grads.values())
 
     def test_linear_outer_product(self):
         p = init("linear", 2, 3, 1)
         x = np.array([1.5, -0.5])
         g = np.array([0.2, -0.1, -0.1])
-        grads = backward(p, x, g)
+        _, cache = forward_batch(p, x[None, :])
+        grads = backward_batch(p, g[None, :], cache)
         assert np.allclose(grads["W"], np.outer(x, g))
         assert np.allclose(grads["b"], g)
 

@@ -102,6 +102,20 @@ class TestCoTeachStep:
         _, h_ce = train(view, cfg, te)
         assert hist[-1]["test_accuracy"] >= h_ce[-1]["test_accuracy"]
 
+    # -0.2 failed only at epoch 5 (keep_fraction 1.02); 1.0 ran 14 epochs
+    # before its keep fraction reached 0
+    @pytest.mark.parametrize("noise_rate", [-0.2, 1.0])
+    def test_noise_rate_outside_unit_interval_fails_first(self, monkeypatch,
+                                                          noise_rate):
+        steps = []
+        monkeypatch.setattr(procedures, "co_teach_step",
+                            lambda *args: steps.append(args))
+        ds = gen_blobs(2, 20, 2, 8.0, 3)
+        with pytest.raises(ValueError, match=r"noise_rate must be in \[0,1\)"):
+            train_co_teaching(ds, TrainConfig(epochs=20), None,
+                              noise_rate=noise_rate)
+        assert steps == []
+
 
 class TestKeepSchedule:
     def test_warmup_and_decay(self):
@@ -143,20 +157,20 @@ class TestSoftLabelStore:
 
     def test_relabel_and_provenance(self):
         store = SoftLabelStore([0, 1], 2)
-        store.relabel_hard(0, 1, epoch=3, source="small")
+        store.relabel_hard([0], [1], epoch=3, source="small")
         assert store.provenance[0]["epoch"] == 3
-        store.relabel_soft(0, [0.3, 0.7], epoch=5, source="both")
+        store.relabel_soft([0], [[0.3, 0.7]], epoch=5, source="both")
         assert np.array_equal(store.hard_labels(), [1, 1])
 
     def test_provenance_never_moves_backwards(self):
         store = SoftLabelStore([0], 2)
-        store.relabel_hard(0, 1, epoch=5, source="large")
+        store.relabel_hard([0], [1], epoch=5, source="large")
         with pytest.raises(ValueError):
-            store.relabel_hard(0, 0, epoch=3, source="small")
+            store.relabel_hard([0], [0], epoch=3, source="small")
 
     def test_json(self):
         store = SoftLabelStore([0, 1], 2)
-        store.relabel_soft(1, [0.4, 0.6], epoch=1, source="both")
+        store.relabel_soft([1], [[0.4, 0.6]], epoch=1, source="both")
         out = store.to_json()
         assert out[0]["hard"] == 0
         assert out[1]["provenance"]["kind"] == "relabeled"

@@ -74,22 +74,22 @@ class TestRunningLossFilter:
 class TestRankPrune:
     def test_ranking(self):
         kept = rank_prune([0.9, 0.1, 0.8, 0.2], [0, 0, 0, 0], 0.5)
-        assert kept == {0, 2}
+        assert kept.tolist() == [True, False, True, False]
 
     def test_zero_fraction(self):
         kept = rank_prune([0.5, 0.5], [0, 1], 0.0)
-        assert kept == {0, 1}
+        assert kept.tolist() == [True, True]
 
     def test_tie_removes_lower_index(self):
         kept = rank_prune([0.5, 0.5, 0.5, 0.5], [0, 0, 0, 0], 0.25)
-        assert kept == {1, 2, 3}
+        assert kept.tolist() == [False, True, True, True]
 
     def test_per_class_protects_small_class(self):
         # global pruning would drop the whole low-confidence class
         conf = [0.9, 0.9, 0.9, 0.1, 0.1]
         labels = [0, 0, 0, 1, 1]
         kept = rank_prune(conf, labels, 0.5, per_class=True)
-        assert any(labels[i] == 1 for i in kept)
+        assert np.any(kept & (np.array(labels) == 1))
 
     def test_flagging_noisy_blobs(self):
         # frozen seeded oracle: MAE model confidences separate flipped labels
@@ -101,7 +101,7 @@ class TestRankPrune:
         probs = predict_probs(p, view.features)
         conf = probs[np.arange(view.n), view.labels]
         kept = rank_prune(conf, view.labels, 0.3)
-        flagged = np.array([i not in kept for i in range(view.n)])
+        flagged = ~kept
         true_flip = noisy.labels != noisy.true_labels
         tp = np.sum(flagged & true_flip)
         prec = tp / max(flagged.sum(), 1)
@@ -116,15 +116,16 @@ class TestRankPrune:
         kept = rank_prune(conf, labels, 0.25)
         perm = rng.permutation(40)
         kept_perm = rank_prune(conf[perm], labels[perm], 0.25)
-        assert {int(perm[i]) for i in kept_perm} == kept
+        assert np.array_equal(kept[perm], kept_perm)
 
 
 class TestTrimmedFilter:
     def test_max_removal(self):
-        assert trimmed_filter([1.0, 9.0, 2.0, 3.0], 0.25) == {0, 2, 3}
+        assert trimmed_filter([1.0, 9.0, 2.0, 3.0], 0.25).tolist() == [
+            True, False, True, True]
 
     def test_zero_fraction_identity(self):
-        assert trimmed_filter([5.0, 1.0], 0.0) == {0, 1}
+        assert trimmed_filter([5.0, 1.0], 0.0).tolist() == [True, True]
 
     def test_kept_size(self):
         rng = Rng(1)
@@ -132,20 +133,18 @@ class TestTrimmedFilter:
             losses = rng.uniform(n)
             for f in (0.1, 0.25, 0.5):
                 kept = trimmed_filter(losses, f)
-                assert len(kept) == n - int(np.ceil(f * n))
+                assert kept.sum() == n - int(np.ceil(f * n))
 
     def test_tie_removes_higher_index(self):
         kept = trimmed_filter([2.0, 2.0, 2.0, 2.0], 0.25)
-        assert kept == {0, 1, 2}
+        assert kept.tolist() == [True, True, True, False]
 
     def test_never_removes_below_quantile(self):
         rng = Rng(2)
         losses = rng.uniform(50)
         kept = trimmed_filter(losses, 0.2)
         cutoff = np.quantile(losses, 0.8)
-        for i in range(50):
-            if losses[i] < cutoff:
-                assert i in kept
+        assert np.all(kept[losses < cutoff])
 
 
 class TestPumpout:
