@@ -12,16 +12,15 @@ from noisylab.losses import LossSpec
 from noisylab.model import TrainConfig, predict_probs, train
 from noisylab.noise import TransitionMatrix, inject, symmetric_transition
 from noisylab.numerics import Rng
-from noisylab.reweight import (RunningLossFilter, pumpout, rank_prune,
-                               trimmed_filter)
+from noisylab.reweight import (RunningLossFilter, make_reweighter,
+                               rank_prune, trimmed_filter)
 
 # -- running loss filter: skip outliers beyond mean + 1.5 sigma --------------
 f = RunningLossFilter(window=100, multiplier=1.5, warmup=30)
 rng = Rng(1)
 losses = 1.0 + 0.2 * rng.normal(500)
 losses[::50] += 3.0  # plant some outliers
-decisions = [f.observe(float(x)) for x in losses]
-n_skip = decisions.count("skip")
+n_skip = f.observe_batch(losses).sum()  # each decided as if one by one
 print(f"running filter: skipped {n_skip}/500 losses "
       f"(planted 10 outliers; ~1.5-sigma tail adds a few more)")
 
@@ -57,7 +56,12 @@ print(f"\nloss trimming (drop top 30% losses): precision "
 T = TransitionMatrix(np.array([[0.9, 0.1], [0.6, 0.4]]))
 p_suspicious = np.exp([-2.0, -0.1])   # losses l = [2.0, 0.1]
 p_benign = np.exp([-0.1, -2.0])
+hook = make_reweighter({"kind": "pumpout", "transition": T, "gamma": 0.1})
+# the weights of a batch of two rows, both observed as class 0 (the rule
+# reads only the probabilities)
+w_benign, w_suspicious = hook.batch_weights(
+    np.zeros(2), np.array([p_benign, p_suspicious]), np.zeros(2, dtype=int))
 print("\nscaled-ascent rule with an asymmetric transition:")
-print(f"  benign sample weight:     {pumpout(T, 'ce', p_benign, 0, 0.1):+.2f}")
+print(f"  benign sample weight:     {w_benign:+.2f}")
 print(f"  suspicious sample weight: "
-      f"{pumpout(T, 'ce', p_suspicious, 0, 0.1):+.2f} (gentle un-learning)")
+      f"{w_suspicious:+.2f} (gentle un-learning)")

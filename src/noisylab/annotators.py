@@ -159,9 +159,8 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
     """
     if ds.annotator_labels is None:
         raise ValueError("train_with_confusion: dataset has no annotator labels")
-    _check_args("train_with_confusion", reals={"lambda_trace": lambda_trace})
-    if lambda_trace < 0:
-        raise ValueError("lambda_trace must be >= 0")
+    _check_args("train_with_confusion",
+                reals={"lambda_trace": (lambda_trace, "[0, inf)")})
     L = ds.annotator_labels
     K = ds.num_classes
     lr = config.learning_rate

@@ -97,10 +97,10 @@ def blob_centers(K, d, separation):
 
 def gen_blobs(K, n_per_class, d, separation, seed):
     """Isotropic unit-variance Gaussian blobs at fixed separated centers."""
-    _check_args("gen_blobs", {"K": K, "n_per_class": n_per_class, "d": d},
-                {"separation": separation})
-    if K < 2 or d < 1 or n_per_class < 1 or separation <= 0:
-        raise ValueError("gen_blobs: invalid parameters")
+    _check_args("gen_blobs", {"K": (K, "[2, inf)"),
+                              "n_per_class": (n_per_class, "[1, inf)"),
+                              "d": (d, "[1, inf)")},
+                {"separation": (separation, "(0, inf)")})
     rng = Rng(seed)
     centers = blob_centers(K, d, separation)
     X = np.empty((K * n_per_class, d))
@@ -114,10 +114,9 @@ def gen_blobs(K, n_per_class, d, separation, seed):
 
 def gen_rings(K, n_per_class, noise_std, seed):
     """Concentric rings in 2-d: class c at radius c+1 with radial jitter."""
-    _check_args("gen_rings", {"K": K, "n_per_class": n_per_class},
-                {"noise_std": noise_std})
-    if K < 2 or n_per_class < 1 or noise_std < 0:
-        raise ValueError("gen_rings: invalid parameters")
+    _check_args("gen_rings", {"K": (K, "[2, inf)"),
+                              "n_per_class": (n_per_class, "[1, inf)")},
+                {"noise_std": (noise_std, "[0, inf)")})
     rng = Rng(seed)
     X = np.empty((K * n_per_class, 2))
     y = np.empty(K * n_per_class, dtype=np.int64)
@@ -134,9 +133,7 @@ def gen_rings(K, n_per_class, noise_std, seed):
 def split(ds, test_fraction, seed):
     """Stratified train/test split; per-class test counts within 1 of the
     requested fraction. Stratifies by true labels when present."""
-    _check_args("split", reals={"test_fraction": test_fraction})
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("split: test_fraction must be in (0,1)")
+    _check_args("split", reals={"test_fraction": (test_fraction, "(0, 1)")})
     if ds.n < 2:
         raise ValueError("split: need at least 2 samples")
     rng = Rng(seed)

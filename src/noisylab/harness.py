@@ -29,6 +29,7 @@ from .procedures import (iterative_clean, train_co_teaching,
                          train_dual_relabel, train_mixup)
 
 SCHEMA_VERSION = 1
+ECE_BINS = 15
 
 # The allowed keys of each config section, for each value of its selector
 # key (None: a section without one; "": the method, selected by which
@@ -219,8 +220,8 @@ def _resolve(section, true_T, K, path):
     return out
 
 
-def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
-    """Accuracy, macro-F1, per-class accuracy, ECE (15 equal-width bins),
+def metrics(predictions, true_labels, probs=None, num_classes=None):
+    """Accuracy, macro-F1, per-class accuracy, ECE (ECE_BINS equal-width bins),
     and one-vs-rest AUC when K=2 and probabilities are supplied."""
     pred = np.asarray(predictions)
     truth = np.asarray(true_labels)
@@ -242,8 +243,8 @@ def metrics(predictions, true_labels, probs=None, num_classes=None, bins=15):
         conf = probs.max(axis=1)
         correct = (pred == truth).astype(np.float64)
         ece = 0.0
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        for b in range(bins):
+        edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
+        for b in range(ECE_BINS):
             lo, hi = edges[b], edges[b + 1]
             mask = (conf > lo) & (conf <= hi) if b else (conf >= lo) & (conf <= hi)
             if mask.any():
@@ -388,7 +389,8 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
                               "the small clean set")
         rng = Rng(cfg["seed"] + 7)
         frac = kwargs.pop("clean_fraction", 0.1)
-        _check_args("iterative_clean", reals={"clean_fraction": frac})
+        _check_args("iterative_clean",
+                    reals={"clean_fraction": (frac, "(0, 1]")})
         n_clean = max(2, int(round(frac * noisy.n)))
         clean_idx = np.sort(rng.permutation(noisy.n)[:n_clean])
         clean_small = noisy.subset(clean_idx)
@@ -460,12 +462,10 @@ def sweep(template, rhos, methods=None):
         raise ConfigError(f"sweep: rhos must be a non-empty list, got "
                           f"{rhos!r}")
     try:
-        _check_args("sweep", reals={f"rhos[{i}]": r
+        _check_args("sweep", reals={f"rhos[{i}]": (r, "[0, 1)")
                                     for i, r in enumerate(rhos)})
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if not all(0.0 <= r < 1.0 for r in rhos):
-        raise ConfigError(f"sweep: every rho must be in [0, 1), got {rhos}")
     methods = methods or [{"loss": {"kind": "ce"}}]
     for method in methods:  # before the first point runs
         _check_section(method, "method", "method")

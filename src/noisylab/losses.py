@@ -25,11 +25,8 @@ class LossSpec:
     def __init__(self, kind, tau=8.0, epsilon=0.0, transition=None, base="ce"):
         if kind not in ("ce", "mae", "imae", "smooth_kl", "backward", "forward"):
             raise ValueError(f"unknown loss kind: {kind}")
-        _check_args("LossSpec", reals={"tau": tau, "epsilon": epsilon})
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        if not 0.0 <= epsilon < 1.0:
-            raise ValueError("epsilon must be in [0,1)")
+        _check_args("LossSpec", reals={"tau": (tau, "(0, inf)"),
+                                       "epsilon": (epsilon, "[0, 1)")})
         if kind in ("backward", "forward") and transition is None:
             raise ValueError(f"{kind} correction requires a transition matrix")
         if base not in ("ce", "mae"):

@@ -7,13 +7,12 @@ gradient verification.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .losses import LossSpec, loss_and_grad, loss_value
-from .numerics import Rng, softmax
+from .numerics import Rng, _check_args, softmax
 
 
 ARCHS = ("linear", "mlp")
@@ -34,9 +33,7 @@ class ModelParams:
         self.arch = arch
         self.d = int(d)
         self.K = int(K)
-        if (not isinstance(hidden, (int, np.integer))
-                or isinstance(hidden, bool) or hidden < 1):
-            raise ValueError(f"hidden must be an integer >= 1, got {hidden!r}")
+        _check_args(None, {"hidden": (hidden, ">= 1")})
         self.hidden = int(hidden)
         self.arrays = {}
         if arch == "linear":
@@ -135,8 +132,7 @@ def predict(params, X):
 def grad_check(params, x, y, loss_spec, epsilon=1e-6):
     """Central finite differences over every parameter entry; returns the
     max relative error against the analytic gradient."""
-    if not 1e-8 <= epsilon <= 1e-4:
-        raise ValueError("epsilon must be in [1e-8, 1e-4]")
+    _check_args("grad_check", reals={"epsilon": (epsilon, "[1e-8, 1e-4]")})
     x = np.asarray(x, dtype=np.float64)
 
     def value():
@@ -177,17 +173,12 @@ class TrainConfig:
     hidden: int = 32
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0),
-                            ("hidden", 1)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer))
-                    or isinstance(value, bool) or value < least):
-                raise ValueError(f"{name} must be an integer >= {least}, "
-                                 f"got {value!r}")
-        lr = self.learning_rate
-        if not (isinstance(lr, numbers.Real) and lr >= 0):
-            raise ValueError("learning_rate must be a number >= 0, got "
-                             f"{lr!r}")
+        # the config's train keys: named as given, without a prefix
+        _check_args(None, {"epochs": (self.epochs, ">= 1"),
+                           "batch_size": (self.batch_size, ">= 1"),
+                           "seed": (self.seed, ">= 0"),
+                           "hidden": (self.hidden, ">= 1")},
+                    {"learning_rate": (self.learning_rate, ">= 0")})
         if self.arch not in ARCHS:
             raise ValueError(f"arch must be one of {', '.join(ARCHS)}, got "
                              f"{self.arch!r}")

@@ -56,9 +56,8 @@ class TransitionMatrix:
 
 def symmetric_transition(K, rho):
     """Uniform class-independent noise: diag 1-rho, off-diag rho/(K-1)."""
-    _check_args("symmetric_transition", reals={"rho": rho})
-    if not 0.0 <= rho < 1.0 or K < 2:
-        raise ValueError("symmetric_transition: need 0 <= rho < 1 and K >= 2")
+    _check_args("symmetric_transition", {"K": (K, "[2, inf)")},
+                {"rho": (rho, "[0, 1)")})
     t = np.full((K, K), rho / (K - 1))
     np.fill_diagonal(t, 1.0 - rho)
     return TransitionMatrix(t)
@@ -110,9 +109,8 @@ def feature_dependent_inject(ds, rho_max, beta, rng):
     probability min(1, rho_max * exp(-beta * margin_i)): samples near the
     class boundary are mislabeled more often."""
     _check_args("feature_dependent_inject",
-                reals={"rho_max": rho_max, "beta": beta})
-    if not 0.0 <= rho_max < 1.0 or beta < 0:
-        raise ValueError("feature_dependent_inject: invalid parameters")
+                reals={"rho_max": (rho_max, "[0, 1)"),
+                       "beta": (beta, "[0, inf)")})
     truth = ds.truth
     margin, other = centroid_margins(ds)
     p_flip = np.minimum(1.0, rho_max * np.exp(-beta * margin))
@@ -136,9 +134,8 @@ def simulate_annotators(ds, confusions, rng):
 def estimate_transition(pairs, K, laplace=1.0):
     """Empirical transition from (reference, noisy) label pairs with
     additive smoothing: t[i][j] = (n_ij + laplace) / (n_i. + K*laplace)."""
-    _check_args("estimate_transition", reals={"laplace": laplace})
-    if laplace < 0:
-        raise ValueError("estimate_transition: laplace must be >= 0")
+    _check_args("estimate_transition",
+                reals={"laplace": (laplace, "[0, inf)")})
     P = np.asarray(pairs, dtype=np.int64)
     if P.size and (P.ndim != 2 or P.shape[1] != 2):
         raise ValueError("estimate_transition: need (reference, noisy) pairs")

@@ -9,6 +9,8 @@ SeedSequence spawning.
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 
 import numpy as np
@@ -45,17 +47,40 @@ class Rng:
 
 
 def _check_args(fn, integers=None, reals=None):
-    """Raise a ValueError naming the first argument of integers (name ->
-    value) that is not an integer, or of reals that is not a real number;
-    a bool is neither."""
-    for name, value in (integers or {}).items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ValueError(f"{fn}: {name} must be an integer, got "
-                             f"{value!r}")
-    for name, value in (reals or {}).items():
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{fn}: {name} must be a real number, got "
-                             f"{value!r}")
+    """Raise a ValueError naming the first argument that is not of its type
+    or not in its interval. integers and reals map each name to (value,
+    interval); a bool is neither an integer nor a real number. An interval
+    is written like "(0, 1]": a bracket closes its end, a parenthesis opens
+    it, and an end may be inf (always open). NaN and +-inf lie in no
+    interval. Messages: "<fn>: <name> must be an integer, got <value!r>"
+    (or "a real number") and "<fn>: <name> must be in <interval>, got
+    <value!r>". An interval written ">= lo" is [lo, inf) named with the
+    type, "<name> must be an integer >= lo", for either failure. fn None
+    leaves out "<fn>: "."""
+    for noun, kind, args in (("an integer", numbers.Integral, integers),
+                             ("a real number", numbers.Real, reals)):
+        for name, (value, interval) in (args or {}).items():
+            typed = isinstance(value, kind) and not isinstance(value, bool)
+            if typed:
+                lo, hi, closed_lo, closed_hi = _ends(interval)
+                # NaN fails every comparison
+                if ((lo <= value if closed_lo else lo < value)
+                        and (value <= hi if closed_hi else value < hi)):
+                    continue
+            must = (f"{noun} {interval}" if interval.startswith(">= ")
+                    else f"in {interval}" if typed else noun)
+            prefix = f"{fn}: " if fn else ""
+            raise ValueError(f"{prefix}{name} must be {must}, got {value!r}")
+
+
+@functools.cache
+def _ends(interval):
+    """(lo, hi, whether lo is in, whether hi is in) of an interval."""
+    if interval.startswith(">= "):
+        interval = f"[{interval[3:]}, inf)"
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (lo, hi, interval[0] == "[" and math.isfinite(lo),
+            interval[-1] == "]" and math.isfinite(hi))
 
 
 def _check_labels(fn, labels, K):

@@ -88,9 +88,7 @@ class SoftLabelStore:
 def mixup(X, Y_onehot, alpha, rng):
     """Convex combinations of the batch against a seeded shuffle of itself;
     one Beta(alpha, alpha) coefficient per pair."""
-    _check_args("mixup", reals={"alpha": alpha})
-    if alpha <= 0:
-        raise ValueError("mixup: alpha must be positive")
+    _check_args("mixup", reals={"alpha": (alpha, "(0, inf)")})
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y_onehot, dtype=np.float64)
     perm = rng.permutation(len(X))
@@ -131,8 +129,8 @@ def co_teach_step(peers, X, y, keep_fraction, lr, epoch=0):
     """Each of the two stacked peers picks its smallest-loss samples; the
     other peer updates on that selection. Both selections come from
     predictions taken before the one step that updates both peers."""
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0,1]")
+    _check_args("co_teach_step",
+                reals={"keep_fraction": (keep_fraction, "(0, 1]")})
     probs_a, probs_b = predict_probs(peers, X)
     sel_a = small_loss_selection(probs_a, y, keep_fraction)
     sel_b = small_loss_selection(probs_b, y, keep_fraction)
@@ -159,13 +157,17 @@ def disagreement_step(peers, X, y, lr, epoch=0):
     return idx
 
 
-def co_teaching_keep_schedule(epoch, noise_rate, warm_epochs=5,
-                              decay_epochs=10):
-    """Keep everything for the warmup epochs, then decay linearly to
-    1 - noise_rate over decay_epochs."""
-    if epoch < warm_epochs:
+CO_TEACHING_WARM_EPOCHS = 5
+CO_TEACHING_DECAY_EPOCHS = 10
+
+
+def co_teaching_keep_schedule(epoch, noise_rate):
+    """Keep everything for CO_TEACHING_WARM_EPOCHS epochs, then decay
+    linearly to 1 - noise_rate over CO_TEACHING_DECAY_EPOCHS."""
+    if epoch < CO_TEACHING_WARM_EPOCHS:
         return 1.0
-    frac = min(1.0, (epoch - warm_epochs + 1) / decay_epochs)
+    frac = min(1.0, (epoch - CO_TEACHING_WARM_EPOCHS + 1)
+               / CO_TEACHING_DECAY_EPOCHS)
     return 1.0 - frac * noise_rate
 
 
@@ -176,9 +178,8 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     noise_rate schedule and reports its keep_fraction. The peers are one
     stack (see model.stack), stepped once per batch; the history follows
     the first peer."""
-    _check_args("train_co_teaching", reals={"noise_rate": noise_rate})
-    if not 0.0 <= noise_rate < 1.0:
-        raise ValueError(f"noise_rate must be in [0,1), got {noise_rate!r}")
+    _check_args("train_co_teaching",
+                reals={"noise_rate": (noise_rate, "[0, 1)")})
     rng = Rng(config.seed)
     peers = stack([init(config.arch, ds.dim, ds.num_classes,
                         int(r.integers(0, 2**31)), config.hidden)
@@ -344,8 +345,8 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     """
     if ds_clean_small is None or ds_clean_small.true_labels is None:
         raise ValueError("iterative_clean: clean set with true labels required")
-    _check_args("iterative_clean", {"rounds": rounds},
-                {"threshold": threshold})
+    _check_args("iterative_clean", {"rounds": (rounds, "[1, inf)")},
+                {"threshold": (threshold, "[0, 1]")})
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)
     flags = np.zeros(ds_noisy.n, dtype=bool)

@@ -25,21 +25,13 @@ class RunningLossFilter:
     run of losses at once."""
 
     def __init__(self, window=100, multiplier=1.5, warmup=30):
-        _check_args("RunningLossFilter", {"window": window},
-                    {"multiplier": multiplier, "warmup": warmup})
-        if multiplier <= 0 or window < 1:
-            raise ValueError("invalid filter parameters")
-        if not warmup >= 0:  # NaN too
-            raise ValueError(f"RunningLossFilter: warmup must be >= 0, got "
-                             f"{warmup!r}")
+        _check_args("RunningLossFilter", {"window": (window, "[1, inf)")},
+                    {"multiplier": (multiplier, "(0, inf)"),
+                     "warmup": (warmup, "[0, inf)")})
         self.window = window
         self.buffer = np.empty(0)  # the last `window` losses, oldest first
         self.multiplier = multiplier
         self.warmup = warmup
-
-    def observe(self, loss):
-        """Returns 'update' or 'skip': observe_batch of the one loss."""
-        return "skip" if self.observe_batch([float(loss)])[0] else "update"
 
     def observe_batch(self, losses):
         """Skip mask over a run of losses, each decided as if observed one
@@ -50,7 +42,7 @@ class RunningLossFilter:
         is scored slice by slice."""
         losses = np.asarray(losses, dtype=np.float64)
         if not np.isfinite(losses).all():
-            raise ValueError("observe: non-finite loss")
+            raise ValueError("observe_batch: non-finite loss")
         w = self.window
         seen = len(self.buffer)  # < w only while the window is filling
         stream = np.concatenate([self.buffer, losses])
@@ -88,12 +80,11 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
     """Remove the least-confident floor(fraction * n) samples, per observed
     class by default; ties remove the lower index first. Returns the kept
     mask."""
-    _check_args("rank_prune", reals={"prune_fraction": prune_fraction})
+    _check_args("rank_prune",
+                reals={"prune_fraction": (prune_fraction, "[0, 1)")})
     if not isinstance(per_class, (bool, np.bool_)):
         raise ValueError(f"rank_prune: per_class must be a bool, got "
                          f"{per_class!r}")
-    if not 0.0 <= prune_fraction < 1.0:
-        raise ValueError("prune_fraction must be in [0,1)")
     conf = np.asarray(probs_for_observed_label, dtype=np.float64)
     labels = np.asarray(labels)
     kept = np.ones(len(conf), dtype=bool)
@@ -113,20 +104,13 @@ def rank_prune(probs_for_observed_label, labels, prune_fraction,
 def trimmed_filter(losses, trim_fraction):
     """Drop the ceil(fraction * N) largest losses; ties drop the higher
     index first. Returns the kept mask."""
-    _check_args("trimmed_filter", reals={"trim_fraction": trim_fraction})
-    if not 0.0 <= trim_fraction < 1.0:
-        raise ValueError("trim_fraction must be in [0,1)")
+    _check_args("trimmed_filter",
+                reals={"trim_fraction": (trim_fraction, "[0, 1)")})
     losses = np.asarray(losses, dtype=np.float64)
     n_drop = int(math.ceil(trim_fraction * len(losses)))
     # sort descending by loss, then descending index among ties
     order = np.lexsort((-np.arange(len(losses)), -losses))
     return np.argsort(order) >= n_drop  # each row's rank in that order
-
-
-def pumpout(T, base, probs, observed_y, gamma):
-    """Gradient multiplier: -gamma (scaled ascent) when 1^T T^{-1} l(p) < 0,
-    which flags a likely-incorrect label; +1 otherwise."""
-    return _PumpoutHook(T, gamma, base).sample_weight(None, probs, observed_y)
 
 
 # --- trainer hooks ----------------------------------------------------------
@@ -148,7 +132,7 @@ class _RunningHook:
         return np.where(self.filter.observe_batch(values), 0.0, 1.0)
 
     def sample_weight(self, loss, probs, y):
-        return 0.0 if self.filter.observe(loss) == "skip" else 1.0
+        return 0.0 if self.filter.observe_batch([loss])[0] else 1.0
 
 
 class _TrimmedHook:
@@ -189,10 +173,11 @@ class _RankPruneHook:
 
 
 class _PumpoutHook:
+    """Weight -gamma (scaled ascent) where 1^T T^{-1} l(p) < 0, which flags
+    a likely-incorrect label; +1 otherwise."""
+
     def __init__(self, transition, gamma=0.1, base="ce"):
-        _check_args("pumpout", reals={"gamma": gamma})
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("gamma must be in (0,1)")
+        _check_args("pumpout", reals={"gamma": (gamma, "(0, 1)")})
         self.gamma = gamma
         self.base = base
         t = transition.t

@@ -1,0 +1,20 @@
+import signal
+
+import pytest
+
+DEADLINE_S = 20
+
+
+@pytest.fixture
+def deadline():
+    """Fail the test if it runs past DEADLINE_S seconds, so that a loop
+    that never ends (mixup's Beta draws on a non-finite alpha) is a
+    failure instead of a hang."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(DEADLINE_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

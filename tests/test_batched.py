@@ -586,9 +586,8 @@ class TestRunningFilterBatch:
             f.observe_batch(part) for part in np.split(losses, cuts)])
         assert got.tolist() == expected
         assert np.array_equal(f.buffer, np.array(ref.buffer))
-        f = RunningLossFilter(**args)
-        assert [f.observe(x) for x in losses] == [
-            "skip" if s else "update" for s in expected]
+        f = RunningLossFilter(**args)  # one loss per call
+        assert [bool(f.observe_batch([x])[0]) for x in losses] == expected
 
     def test_ramp_then_full_window_in_one_batch(self):
         # the first window positions score their own slices, the rest a

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import noisylab.harness as harness
+import noisylab.model as model
 from noisylab.harness import (ConfigError, metrics, report_json,
                               run_experiment, strip_wall_time, sweep,
                               sweep_summary_csv, validate_config,
@@ -733,6 +734,66 @@ class TestWrongTypeInMethodOrNoise:
         assert info.value.stage == ("corrupt" if method is None else "train")
 
 
+class TestOutOfRangeValueIsNamed:
+    # mixup's alpha hung run_experiment; the running multiplier, feature
+    # beta and cleaning threshold ran with a rule that never fired;
+    # clean_fraction 5 took the whole training set as the clean set and -1
+    # took 2 rows; rounds 0 ran no round; tau and lambda_trace failed late
+    # as a divergence naming no key
+    NAN, INF = float("nan"), float("inf")
+    CASES = [
+        ("mixup-alpha-inf", None, {"procedure": {"name": "mixup",
+                                                 "alpha": INF}},
+         "mixup: alpha must be in (0, inf), got inf"),
+        ("mixup-alpha-nan", None, {"procedure": {"name": "mixup",
+                                                 "alpha": NAN}},
+         "mixup: alpha must be in (0, inf), got nan"),
+        ("running-multiplier-nan", None, {"reweight": {
+            "kind": "running", "multiplier": NAN}},
+         "RunningLossFilter: multiplier must be in (0, inf), got nan"),
+        ("feature-beta-nan", {"kind": "feature", "rho_max": 0.3,
+                              "beta": NAN}, None,
+         "feature_dependent_inject: beta must be in [0, inf), got nan"),
+        ("iterative_clean-threshold-nan", None, {"procedure": {
+            "name": "iterative_clean", "threshold": NAN}},
+         "iterative_clean: threshold must be in [0, 1], got nan"),
+        ("iterative_clean-clean_fraction-5", None, {"procedure": {
+            "name": "iterative_clean", "clean_fraction": 5}},
+         "iterative_clean: clean_fraction must be in (0, 1], got 5"),
+        ("iterative_clean-clean_fraction-negative", None, {"procedure": {
+            "name": "iterative_clean", "clean_fraction": -1}},
+         "iterative_clean: clean_fraction must be in (0, 1], got -1"),
+        ("iterative_clean-rounds-0", None, {"procedure": {
+            "name": "iterative_clean", "rounds": 0}},
+         "iterative_clean: rounds must be in [1, inf), got 0"),
+        ("imae-tau-nan", None, {"loss": {"kind": "imae", "tau": NAN}},
+         "LossSpec: tau must be in (0, inf), got nan"),
+        ("confusion-lambda_trace-nan", {"kind": "annotators",
+                                        "rhos": [0.2, 0.3]},
+         {"annotator": {"fusion": "confusion", "lambda_trace": NAN}},
+         "train_with_confusion: lambda_trace must be in [0, inf), got nan"),
+    ]
+
+    @pytest.mark.parametrize("noise, method, message",
+                             [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_fails_before_any_step(self, monkeypatch, deadline, noise,
+                                   method, message):
+        def no_step(*args):
+            pytest.fail("a training step ran")
+
+        monkeypatch.setattr(model, "sgd_step", no_step)
+        cfg = base_config(
+            dataset={"kind": "blobs", "k": 3, "n_per_class": 40, "d": 2,
+                     "separation": 8.0},
+            noise=noise or {"kind": "symmetric", "rho": 0.3},
+            method=method or {"loss": {"kind": "ce"}}, train={"epochs": 3})
+        with pytest.raises(harness.PipelineError) as info:
+            run_experiment(cfg)
+        assert str(info.value.cause) == message
+        assert info.value.stage == ("corrupt" if method is None else "train")
+
+
 class TestWrongEntryType:
     # each trained as if the value were valid: NumPy parsed the strings and
     # bools of the rows as numbers, and any non-empty per_class string
@@ -912,8 +973,8 @@ class TestSweep:
         (0.3, None, "rhos must be a non-empty list, got 0.3"),
         ([0.0, "0.3"], None, "rhos[1] must be a real number, got '0.3'"),
         ([0.0, True], None, "rhos[1] must be a real number, got True"),
-        ([0.0, 1.0], None, "every rho must be in [0, 1)"),
-        ([-0.1], None, "every rho must be in [0, 1)"),
+        ([0.0, 1.0], None, "sweep: rhos[1] must be in [0, 1), got 1.0"),
+        ([-0.1], None, "sweep: rhos[0] must be in [0, 1), got -0.1"),
         ([0.2], [{"losses": {"kind": "ce"}}],
          "config must select exactly one method pipeline"),
         ([0.2], [{"loss": {"kind": "ce"}}, {"loss": {"kind": "cee"}}],

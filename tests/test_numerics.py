@@ -1,10 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab.numerics import (Rng, check_prob_vector, sample_beta,
-                               sample_categorical, softmax)
+from noisylab.annotators import train_with_confusion
+from noisylab.data import gen_blobs, gen_rings, split
+from noisylab.harness import PipelineError, run_experiment, sweep
+from noisylab.losses import LossSpec
+from noisylab.model import ModelParams, TrainConfig, grad_check, init, stack
+from noisylab.noise import (estimate_transition, feature_dependent_inject,
+                            symmetric_transition)
+from noisylab.numerics import (Rng, _check_args, check_prob_vector,
+                               sample_beta, sample_categorical, softmax)
+from noisylab.procedures import (co_teach_step, iterative_clean, mixup,
+                                 train_co_teaching)
+from noisylab.reweight import (RunningLossFilter, make_reweighter,
+                               rank_prune, trimmed_filter)
 
 
 class TestSoftmax:
@@ -110,3 +123,183 @@ class TestSampleBeta:
         r1, r2 = Rng(9), Rng(9)
         assert ([sample_beta(0.2, r1) for _ in range(50)]
                 == [sample_beta(0.2, r2) for _ in range(50)])
+
+
+# --- argument checks ---------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _blobs():
+    return gen_blobs(3, 4, 2, 8.0, 0)
+
+
+def _clean_fraction(clean_fraction):
+    cfg = {"seed": 1, "dataset": {"kind": "blobs", "k": 2, "n_per_class": 10,
+                                  "d": 2, "separation": 8.0},
+           "noise": {"kind": "symmetric", "rho": 0.2},
+           "method": {"procedure": {"name": "iterative_clean",
+                                    "clean_fraction": clean_fraction}}}
+    try:
+        run_experiment(cfg)
+    except PipelineError as e:
+        raise e.cause
+
+
+# One call per checked site: the argument under test takes the value, every
+# other argument is valid.
+SITES = {
+    "gen_blobs": lambda **kw: gen_blobs(
+        **{"K": 3, "n_per_class": 4, "d": 2, "separation": 8.0, "seed": 0,
+           **kw}),
+    "gen_rings": lambda **kw: gen_rings(
+        **{"K": 2, "n_per_class": 4, "noise_std": 0.1, "seed": 0, **kw}),
+    "split": lambda **kw: split(_blobs(), seed=0, **kw),
+    "symmetric_transition": lambda **kw: symmetric_transition(
+        **{"K": 3, "rho": 0.2, **kw}),
+    "feature_dependent_inject": lambda **kw: feature_dependent_inject(
+        _blobs(), **{"rho_max": 0.2, "beta": 1.0, **kw}, rng=Rng(0)),
+    "estimate_transition": lambda **kw: estimate_transition([[0, 1]], 2,
+                                                            **kw),
+    "LossSpec": lambda **kw: LossSpec("ce", **kw),
+    "TrainConfig": lambda **kw: TrainConfig(**kw),
+    "ModelParams": lambda **kw: ModelParams("mlp", 2, 3, **kw),
+    "grad_check": lambda **kw: grad_check(init("linear", 2, 2, 0),
+                                          np.zeros(2), 0, LossSpec("ce"),
+                                          **kw),
+    "RunningLossFilter": lambda **kw: RunningLossFilter(**kw),
+    "rank_prune": lambda **kw: rank_prune(np.ones(4), np.zeros(4, int),
+                                          **kw),
+    "trimmed_filter": lambda **kw: trimmed_filter(np.ones(4), **kw),
+    "pumpout": lambda **kw: make_reweighter(
+        {"kind": "pumpout", "transition": symmetric_transition(2, 0.2),
+         **kw}),
+    "train_with_confusion": lambda **kw: train_with_confusion(
+        replace(_blobs(), annotator_labels=np.zeros((12, 1), int)),
+        TrainConfig(epochs=1), **kw),
+    "mixup": lambda **kw: mixup(np.zeros((2, 2)), np.eye(2), rng=Rng(0),
+                                **kw),
+    "co_teach_step": lambda **kw: co_teach_step(
+        stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)]),
+        np.zeros((2, 2)), np.zeros(2, int), lr=0.1, **kw),
+    "train_co_teaching": lambda **kw: train_co_teaching(
+        _blobs(), TrainConfig(epochs=1), **kw),
+    "iterative_clean": lambda **kw: iterative_clean(
+        _blobs(), _blobs(), TrainConfig(epochs=1), **kw),
+    "harness": _clean_fraction,
+    "sweep": lambda **kw: sweep({"seed": 1}, [kw["rhos[0]"]]),
+}
+
+# (site, message prefix, argument, type, interval): every argument that
+# goes through _check_args, with the interval it must lie in
+CHECKED = [
+    ("gen_blobs", "gen_blobs", "K", int, "[2, inf)"),
+    ("gen_blobs", "gen_blobs", "n_per_class", int, "[1, inf)"),
+    ("gen_blobs", "gen_blobs", "d", int, "[1, inf)"),
+    ("gen_blobs", "gen_blobs", "separation", float, "(0, inf)"),
+    ("gen_rings", "gen_rings", "K", int, "[2, inf)"),
+    ("gen_rings", "gen_rings", "n_per_class", int, "[1, inf)"),
+    ("gen_rings", "gen_rings", "noise_std", float, "[0, inf)"),
+    ("split", "split", "test_fraction", float, "(0, 1)"),
+    ("symmetric_transition", "symmetric_transition", "K", int, "[2, inf)"),
+    ("symmetric_transition", "symmetric_transition", "rho", float, "[0, 1)"),
+    ("feature_dependent_inject", "feature_dependent_inject", "rho_max",
+     float, "[0, 1)"),
+    ("feature_dependent_inject", "feature_dependent_inject", "beta", float,
+     "[0, inf)"),
+    ("estimate_transition", "estimate_transition", "laplace", float,
+     "[0, inf)"),
+    ("LossSpec", "LossSpec", "tau", float, "(0, inf)"),
+    ("LossSpec", "LossSpec", "epsilon", float, "[0, 1)"),
+    ("TrainConfig", None, "epochs", int, ">= 1"),
+    ("TrainConfig", None, "batch_size", int, ">= 1"),
+    ("TrainConfig", None, "seed", int, ">= 0"),
+    ("TrainConfig", None, "hidden", int, ">= 1"),
+    ("TrainConfig", None, "learning_rate", float, ">= 0"),
+    ("ModelParams", None, "hidden", int, ">= 1"),
+    ("grad_check", "grad_check", "epsilon", float, "[1e-8, 1e-4]"),
+    ("RunningLossFilter", "RunningLossFilter", "window", int, "[1, inf)"),
+    ("RunningLossFilter", "RunningLossFilter", "multiplier", float,
+     "(0, inf)"),
+    ("RunningLossFilter", "RunningLossFilter", "warmup", float, "[0, inf)"),
+    ("rank_prune", "rank_prune", "prune_fraction", float, "[0, 1)"),
+    ("trimmed_filter", "trimmed_filter", "trim_fraction", float, "[0, 1)"),
+    ("pumpout", "pumpout", "gamma", float, "(0, 1)"),
+    ("train_with_confusion", "train_with_confusion", "lambda_trace", float,
+     "[0, inf)"),
+    ("mixup", "mixup", "alpha", float, "(0, inf)"),
+    ("co_teach_step", "co_teach_step", "keep_fraction", float, "(0, 1]"),
+    ("train_co_teaching", "train_co_teaching", "noise_rate", float,
+     "[0, 1)"),
+    ("iterative_clean", "iterative_clean", "rounds", int, "[1, inf)"),
+    ("iterative_clean", "iterative_clean", "threshold", float, "[0, 1]"),
+    ("harness", "iterative_clean", "clean_fraction", float, "(0, 1]"),
+    ("sweep", "sweep", "rhos[0]", float, "[0, 1)"),
+]
+
+
+def _outside(kind, interval):
+    """(case, value, whether it fails the type) for values outside the
+    interval: below it, above it (when it has a finite upper end), NaN,
+    +-inf, a string and a bool."""
+    ends = f"[{interval[3:]}, inf)" if interval.startswith(">= ") else interval
+    lo, hi = (float(end) for end in ends[1:-1].split(","))
+    if kind is int:  # every integer interval is closed below
+        cases = [("below", int(lo) - 1, False)]
+    else:
+        cases = [("below", lo if ends[0] == "(" else np.nextafter(lo, -INF),
+                  False)]
+        if hi < INF:
+            cases.append(("above", hi if ends[-1] == ")"
+                          else np.nextafter(hi, INF), False))
+    cases += [(case, v, kind is int) for case, v in
+              (("nan", NAN), ("inf", INF), ("-inf", -INF))]
+    return cases + [("string", "0.5", True), ("bool", True, True)]
+
+
+CASES = [(site, fn, name, kind, interval, value, bad_type)
+         for site, fn, name, kind, interval in CHECKED
+         for _, value, bad_type in _outside(kind, interval)]
+
+
+@pytest.mark.parametrize(
+    "site, fn, name, kind, interval, value, bad_type", CASES,
+    ids=[f"{site}-{name}-{case}" for site, _, name, kind, interval in CHECKED
+         for case, _, _ in _outside(kind, interval)])
+def test_every_checked_argument_refuses_what_is_outside_its_interval(
+        deadline, site, fn, name, kind, interval, value, bad_type):
+    noun = "an integer" if kind is int else "a real number"
+    if interval.startswith(">= "):  # type and bound named in one phrase
+        must = f"{noun} {interval}"
+    else:
+        must = noun if bad_type else f"in {interval}"
+    prefix = f"{fn}: " if fn else ""
+    with pytest.raises(ValueError) as info:
+        SITES[site](**{name: value})
+    assert str(info.value) == f"{prefix}{name} must be {must}, got {value!r}"
+
+
+@pytest.mark.parametrize("interval, inside, outside", [
+    ("[0, 1)", [0, 0.0, 0.5, np.nextafter(1.0, 0.0)], [1.0, -5e-324]),
+    ("(0, 1]", [5e-324, 1, 1.0], [0.0, np.nextafter(1.0, 2.0)]),
+    ("(0, inf)", [5e-324, 1e308, np.float32(2.0)], [0.0, INF, NAN]),
+    ("[1e-8, 1e-4]", [1e-8, 1e-4], [np.nextafter(1e-8, 0.0), 1.0001e-4]),
+    (">= 0", [0, 1e308], [-5e-324, INF, NAN]),
+    ("[0, inf]", [0, 1e308], [INF, NAN]),  # an infinite end is open
+])
+def test_interval_ends(interval, inside, outside):
+    for value in inside:
+        _check_args("f", reals={"x": (value, interval)})
+    for value in outside:
+        with pytest.raises(ValueError, match="^f: x must be"):
+            _check_args("f", reals={"x": (value, interval)})
+
+
+def test_integers_of_any_size_and_numpy_scalars():
+    _check_args("f", {"n": (10**400, "[1, inf)"),
+                      "m": (np.int64(2), "[2, inf)")},
+                {"x": (np.float64(0.5), "(0, 1)")})
+    with pytest.raises(ValueError, match=r"^f: n must be an integer, got "):
+        _check_args("f", {"n": (np.float64(2.0), "[1, inf)")})
+    with pytest.raises(ValueError, match=r"^f: b must be a real number"):
+        _check_args("f", reals={"b": (np.bool_(True), "[0, 1]")})

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,14 @@ class TestMixup:
         with pytest.raises(ValueError):
             mixup(np.zeros((2, 2)), np.eye(2), 0.0, Rng(0))
 
+    # inf and NaN passed the old alpha > 0 check, and the Beta draw's
+    # rejection loop never accepted a sample: mixup hung
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+    def test_non_finite_alpha_fails_at_once(self, deadline, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mixup: alpha must be in (0, inf), got {alpha!r}")):
+            mixup(np.zeros((2, 2)), np.eye(2), alpha, Rng(0))
+
     def test_training_runs(self):
         full = gen_blobs(2, 100, 2, 8.0, 5)
         tr, te = split(full, 0.25, 6)
@@ -111,7 +121,9 @@ class TestCoTeachStep:
         monkeypatch.setattr(procedures, "co_teach_step",
                             lambda *args: steps.append(args))
         ds = gen_blobs(2, 20, 2, 8.0, 3)
-        with pytest.raises(ValueError, match=r"noise_rate must be in \[0,1\)"):
+        with pytest.raises(ValueError, match=re.escape(
+                "train_co_teaching: noise_rate must be in [0, 1), "
+                f"got {noise_rate!r}")):
             train_co_teaching(ds, TrainConfig(epochs=20), None,
                               noise_rate=noise_rate)
         assert steps == []

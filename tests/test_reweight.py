@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -8,8 +9,21 @@ from noisylab.losses import LossSpec, SingularTransitionError
 from noisylab.model import TrainConfig, predict_probs, train
 from noisylab.noise import TransitionMatrix, inject, symmetric_transition
 from noisylab.numerics import Rng
-from noisylab.reweight import (RunningLossFilter, pumpout, rank_prune,
+from noisylab.reweight import (RunningLossFilter, _PumpoutHook, rank_prune,
                                trimmed_filter)
+
+
+def skipped(f, loss):
+    """The filter's decision on one loss."""
+    return bool(f.observe_batch([loss])[0])
+
+
+def pumpout_weight(T, base, probs, gamma):
+    """The pumpout hook's weight of one row (observed label 0; the rule
+    reads only the probabilities)."""
+    hook = _PumpoutHook(T, gamma, base)
+    return hook.batch_weights(np.zeros(1), np.asarray(probs)[None, :],
+                              np.zeros(1, dtype=int))[0]
 
 
 class TestRunningLossFilter:
@@ -17,37 +31,38 @@ class TestRunningLossFilter:
         f = RunningLossFilter(warmup=30)
         # wildly varying losses during warmup never skip
         for i in range(30):
-            assert f.observe(float(i * 100)) == "update"
+            assert not skipped(f, float(i * 100))
 
     def test_threshold_arithmetic(self):
         f = RunningLossFilter(warmup=30, multiplier=1.5)
         # buffer: mean 1.0, sigma 0.2 (alternating 0.8 / 1.2)
         for i in range(40):
-            f.observe(0.8 if i % 2 == 0 else 1.2)
-        assert f.observe(1.4) == "skip"    # 1.4 > 1.0 + 1.5*0.2
-        assert f.observe(1.25) == "update"
+            skipped(f, 0.8 if i % 2 == 0 else 1.2)
+        assert skipped(f, 1.4)    # 1.4 > 1.0 + 1.5*0.2
+        assert not skipped(f, 1.25)
 
     def test_constant_buffer_sigma_floor(self):
         f = RunningLossFilter(warmup=30)
         for _ in range(50):
-            assert f.observe(1.0) == "update"
-        assert f.observe(1e9) == "update"  # sigma 0, floor guard
+            assert not skipped(f, 1.0)
+        assert not skipped(f, 1e9)  # sigma 0, floor guard
 
     def test_nonfinite_rejected(self):
         f = RunningLossFilter()
         with pytest.raises(ValueError):
-            f.observe(float("nan"))
+            skipped(f, float("nan"))
 
     def test_skipped_losses_enter_window(self):
         f = RunningLossFilter(warmup=5, window=100)
         for i in range(10):
-            f.observe(1.0 + 0.01 * (i % 2))
-        f.observe(50.0)
+            skipped(f, 1.0 + 0.01 * (i % 2))
+        skipped(f, 50.0)
         assert 50.0 in f.buffer
 
     @pytest.mark.parametrize("warmup", [-1, -0.5, float("nan")])
     def test_negative_warmup_rejected(self, warmup):
-        with pytest.raises(ValueError, match="warmup must be >= 0"):
+        with pytest.raises(ValueError, match=re.escape(
+                "RunningLossFilter: warmup must be in [0, inf), got")):
             RunningLossFilter(warmup=warmup)
 
     def test_zero_warmup_never_scores_an_empty_window(self):
@@ -56,9 +71,9 @@ class TestRunningLossFilter:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             f = RunningLossFilter(warmup=0, window=4)
-            assert f.observe(5.0) == "update"   # no losses before it
-            assert f.observe(7.0) == "update"   # sigma 0, floor guard
-            assert f.observe(9.0) == "skip"     # 9 > 6 + 1.5 * 1
+            assert not skipped(f, 5.0)   # no losses before it
+            assert not skipped(f, 7.0)   # sigma 0, floor guard
+            assert skipped(f, 9.0)       # 9 > 6 + 1.5 * 1
             assert RunningLossFilter(warmup=0).observe_batch(
                 [1.0, 3.0, 9.0]).tolist() == [False, False, True]
 
@@ -67,7 +82,7 @@ class TestRunningLossFilter:
         rng = Rng(99)
         f = RunningLossFilter()
         xs = 5.0 + rng.normal(100_000)
-        skips = sum(1 for x in xs if f.observe(float(x)) == "skip")
+        skips = sum(1 for x in xs if skipped(f, float(x)))
         assert abs(skips / 100_000 - 0.067) < 0.01
 
 
@@ -156,26 +171,26 @@ class TestPumpout:
         from noisylab.numerics import softmax
         for _ in range(50):
             p = softmax(rng.normal(3))
-            assert pumpout(I, "ce", p, 0, 0.1) == 1.0
+            assert pumpout_weight(I, "ce", p, 0.1) == 1.0
 
     def test_hand_2x2(self):
         # l = [0.1, 2.0] -> T^-1 l = [-0.66, 3.14], sum 2.48 >= 0
         p = np.exp([-0.1, -2.0])
-        assert pumpout(self.T, "ce", p, 0, 0.1) == 1.0
+        assert pumpout_weight(self.T, "ce", p, 0.1) == 1.0
 
     def test_flagged_sample_scaled_ascent(self):
         # T = [[0.9,0.1],[0.6,0.4]]: columns of T^-1 sum to [-2/3, 8/3],
         # so l = [2.0, 0.1] gives 1^T T^-1 l = -1.067 < 0 -> flagged
         T = TransitionMatrix(np.array([[0.9, 0.1], [0.6, 0.4]]))
         p = np.exp([-2.0, -0.1])
-        assert pumpout(T, "ce", p, 0, 0.1) == -0.1
-        assert pumpout(T, "ce", p, 0, 0.25) == -0.25
+        assert pumpout_weight(T, "ce", p, 0.1) == -0.1
+        assert pumpout_weight(T, "ce", p, 0.25) == -0.25
 
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
-            pumpout(self.T, "ce", np.array([0.5, 0.5]), 0, 1.0)
+            pumpout_weight(self.T, "ce", np.array([0.5, 0.5]), 1.0)
 
     def test_singular_raises(self):
         bad = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(SingularTransitionError):
-            pumpout(bad, "ce", np.array([0.5, 0.5]), 0, 0.1)
+            pumpout_weight(bad, "ce", np.array([0.5, 0.5]), 0.1)
