@@ -17,6 +17,7 @@ from .harness import (ConfigError, PipelineError, atomic_write_text,
                       run_experiment, report_json, strip_wall_time, sweep,
                       sweep_summary_csv, write_report, _apply_noise,
                       _check_section, _make_dataset)
+from .numerics import _check_args
 
 
 def _kv_params(pairs):
@@ -38,8 +39,10 @@ def _kv_params(pairs):
 def _pop_seed(params, default):
     """The seed parameter (default when absent) as an integer >= 0."""
     seed = params.pop("seed", default or 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    try:
+        _check_args(None, {"seed": (seed, ">= 0")})
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     return seed
 
 

@@ -1,5 +1,5 @@
-"""Deterministic numerical primitives: stable softmax, categorical and beta
-sampling, and a seeded splittable random generator.
+"""Deterministic numerical primitives: stable softmax, categorical sampling,
+and a seeded splittable random generator.
 
 All floating point work is float64. The random generator wraps numpy's
 Philox counter-based bit generator; identical seeds give identical streams
@@ -44,6 +44,9 @@ class Rng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+    def beta(self, a, b, size=None):
+        return self._gen.beta(a, b, size)
 
 
 def _check_args(fn, integers=None, reals=None):
@@ -102,11 +105,11 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def check_prob_vector(p, atol=PROB_ATOL):
+def check_prob_vector(p):
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -atol) or np.any(p > 1 + atol):
+    if p.ndim != 1 or np.any(p < -PROB_ATOL) or np.any(p > 1 + PROB_ATOL):
         raise ValueError("invalid probability vector: entries outside [0,1]")
-    if abs(p.sum() - 1.0) > atol:
+    if abs(p.sum() - 1.0) > PROB_ATOL:
         raise ValueError("invalid probability vector: does not sum to 1")
     return p
 
@@ -116,17 +119,3 @@ def sample_categorical(p, rng):
     p = check_prob_vector(p)
     u = rng.uniform()
     return int(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))
-
-
-def sample_beta(alpha, rng):
-    """Symmetric Beta(alpha, alpha) draw via Johnk's algorithm."""
-    alpha = float(alpha)
-    if alpha <= 0:
-        raise ValueError("sample_beta: alpha must be positive")
-    inv = 1.0 / alpha
-    while True:
-        u, v = rng.uniform(), rng.uniform()
-        x, y = u**inv, v**inv
-        s = x + y
-        if 0 < s <= 1.0:
-            return x / s

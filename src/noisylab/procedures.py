@@ -15,7 +15,7 @@ from .model import (DivergedError, ModelParams, epoch_row, fit,
                     forward_batch, init, minibatches, predict, predict_probs,
                     sgd_epoch, sgd_step, stack, train, unstack)
 from .noise import class_centroids
-from .numerics import Rng, _check_args, sample_beta, softmax
+from .numerics import Rng, _check_args, softmax
 
 CE = LossSpec("ce")
 
@@ -87,12 +87,12 @@ class SoftLabelStore:
 
 def mixup(X, Y_onehot, alpha, rng):
     """Convex combinations of the batch against a seeded shuffle of itself;
-    one Beta(alpha, alpha) coefficient per pair."""
+    one Beta(alpha, alpha) coefficient per pair, all drawn in one call."""
     _check_args("mixup", reals={"alpha": (alpha, "(0, inf)")})
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y_onehot, dtype=np.float64)
     perm = rng.permutation(len(X))
-    lam = np.array([sample_beta(alpha, rng) for _ in range(len(X))])
+    lam = rng.beta(alpha, alpha, len(X))
     X_mix = lam[:, None] * X + (1.0 - lam[:, None]) * X[perm]
     Y_mix = lam[:, None] * Y + (1.0 - lam[:, None]) * Y[perm]
     return X_mix, Y_mix
@@ -345,7 +345,9 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     """
     if ds_clean_small is None or ds_clean_small.true_labels is None:
         raise ValueError("iterative_clean: clean set with true labels required")
-    _check_args("iterative_clean", {"rounds": (rounds, "[1, inf)")},
+    _check_args("iterative_clean", {"rounds": (rounds, "[1, inf)"),
+                                     "ensemble_size": (ensemble_size,
+                                                       "[1, inf)")},
                 {"threshold": (threshold, "[0, 1]")})
     rng = Rng(config.seed)
     store = SoftLabelStore(ds_noisy.labels, ds_noisy.num_classes)

@@ -8,8 +8,7 @@ DEADLINE_S = 20
 @pytest.fixture
 def deadline():
     """Fail the test if it runs past DEADLINE_S seconds, so that a loop
-    that never ends (mixup's Beta draws on a non-finite alpha) is a
-    failure instead of a hang."""
+    that never ends is a failure instead of a hang."""
     def expire(signum, frame):
         raise TimeoutError(f"still running after {DEADLINE_S} s")
 

@@ -5,6 +5,7 @@ import pytest
 
 from noisylab import procedures
 from noisylab.data import gen_blobs, split
+from noisylab.harness import run_experiment
 from noisylab.model import TrainConfig, init, predict_probs, stack, train
 from noisylab.noise import (feature_dependent_inject, inject,
                             symmetric_transition)
@@ -64,6 +65,21 @@ class TestMixup:
         with pytest.raises(ValueError, match=re.escape(
                 f"mixup: alpha must be in (0, inf), got {alpha!r}")):
             mixup(np.zeros((2, 2)), np.eye(2), alpha, Rng(0))
+
+    # a large finite alpha: Johnk's accept rate Gamma(a+1)^2 / Gamma(2a+1)
+    # is ~7e-12 at alpha 20, so a per-row rejection loop never returned
+    def test_large_alpha_returns(self, deadline):
+        X = np.arange(8.0).reshape(4, 2)
+        X_mix, Y_mix = mixup(X, np.eye(2)[[0, 1, 0, 1]], 20.0, Rng(0))
+        assert X_mix.shape == (4, 2)
+        for row in Y_mix:
+            check_prob_vector(row)
+        report = run_experiment({
+            "seed": 1, "dataset": {"kind": "blobs", "k": 3, "n_per_class": 40,
+                                   "d": 2, "separation": 8.0},
+            "train": {"epochs": 1},
+            "method": {"procedure": {"name": "mixup", "alpha": 20}}})
+        assert len(report["history"]) == 1
 
     def test_training_runs(self):
         full = gen_blobs(2, 100, 2, 8.0, 5)
