@@ -53,6 +53,8 @@ GEN_KEYS = {"blobs": ("k", "n", "d", "sep", "seed"),
 def _load_config(args):
     with open(args.config, encoding="utf-8") as f:
         cfg = json.load(f)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be an object, got {cfg!r}")
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
     return cfg

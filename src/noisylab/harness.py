@@ -8,7 +8,6 @@ field.
 from __future__ import annotations
 
 import json
-import numbers
 import os
 import tempfile
 import time
@@ -111,22 +110,14 @@ def _check_section(value, path, name):
                             and sorted(T) == ["k", "rows"]):
         raise ConfigError(f"{path}.transition must be 'true' or an object "
                           f"with keys k and rows, got {T!r}")
-    if T != "true" and not (isinstance(T["k"], numbers.Integral)
-                            and not isinstance(T["k"], bool)
-                            and T["k"] >= 2):
-        raise ConfigError(f"{path}.transition.k must be an integer >= 2, "
-                          f"got {T['k']!r}")
-    # a transition object's rows must be k x k, a noise matrix's square
-    try:
-        shape = np.shape(T["rows"] if T != "true" else value.get("rows"))
-    except ValueError:  # rows of unequal lengths
-        shape = "ragged"
-    if T != "true" and shape != (T["k"], T["k"]):
-        raise ConfigError(f"{path}.transition.rows has shape {shape}, "
-                          f"but k {T['k']} needs ({T['k']}, {T['k']})")
-    if "rows" in value and (len(shape) != 2 or shape[0] != shape[1]):
-        raise ConfigError(f"{path}.rows must be a square k x k matrix, got "
-                          f"shape {shape}")
+    try:  # TransitionMatrix checks k, the shape and every entry and row
+        if T != "true":
+            TransitionMatrix.from_json(T)
+        if "rows" in value:  # a matrix noise model
+            TransitionMatrix(value["rows"])
+    except ValueError as e:
+        where = "transition." if T != "true" else ""
+        raise ConfigError(f"{path}.{where}{e}") from e
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
     for k, sub in value.items():
@@ -172,11 +163,11 @@ def _noise_transition(noise_spec, K):
     if kind == "symmetric":
         return symmetric_transition(K, noise_spec["rho"])
     if kind == "matrix":
-        shape = np.shape(noise_spec["rows"])  # square: _check_section
-        if shape != (K, K):
-            raise ConfigError(f"noise.rows has shape {shape}, but the data's "
-                              f"{K} classes need ({K}, {K})")
-        return TransitionMatrix(noise_spec["rows"])
+        T = TransitionMatrix(noise_spec["rows"])  # checked: _check_section
+        if T.k != K:
+            raise ConfigError(f"noise.rows has shape {T.t.shape}, but the "
+                              f"data's {K} classes need ({K}, {K})")
+        return T
     return None
 
 
@@ -205,13 +196,10 @@ def _resolve(section, true_T, K, path):
     out = {}
     for k, v in section.items():
         if k == "transition":  # validate_config: 'true' or {k, rows}
-            if v == "true":
-                v = true_T
-            elif v["k"] != K:
+            if v != "true" and v["k"] != K:
                 raise ConfigError(f"{path}.transition has k {v['k']}, but "
                                   f"the data has {K} classes")
-            else:
-                v = TransitionMatrix.from_json(v)
+            v = true_T if v == "true" else TransitionMatrix.from_json(v)
         elif isinstance(v, dict):
             v = _resolve(v, true_T, K, f"{path}.{k}")
             if k in ("loss", "base_loss"):
@@ -333,6 +321,10 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     if kind == "annotator" and view.annotator_labels is None:
         raise ConfigError("annotator method requires annotator labels "
                           "(noise kind 'annotators')")
+    if (kind == "annotator" and method["annotator"]["fusion"] == "staple"
+            and view.annotator_labels.shape[1] < 2):
+        raise ConfigError("method.annotator.fusion 'staple' needs at least 2 "
+                          f"annotators, got {view.annotator_labels.shape[1]}")
     method = _resolve(method, true_T, view.num_classes, "method")
     if kind in ("annotator", "procedure"):
         kwargs = method[kind]

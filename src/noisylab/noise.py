@@ -5,13 +5,14 @@ and empirical transition estimation from paired labels.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import _check_args, _check_labels
+from .numerics import _check_args, _check_labels, check_prob_vector
 
-ROW_ATOL = 1e-9
+TRANSITION_LAPLACE = 1.0  # estimate_transition's additive smoothing
 
 
 @dataclass(frozen=True)
@@ -21,32 +22,38 @@ class TransitionMatrix:
     t: np.ndarray
 
     def __post_init__(self):
-        # a string or bool entry would otherwise be parsed as a number
+        try:
+            shape = np.shape(self.t)
+        except ValueError:  # rows of unequal lengths
+            shape = "ragged"
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError("rows must be a square k x k matrix, got shape "
+                             f"{shape}")
+        # NumPy would parse a string or bool as a number and None as NaN
         for v in np.ravel(np.array(self.t, dtype=object)):
-            if isinstance(v, (str, bool, np.bool_)):
-                raise ValueError("transition rows must hold real numbers, "
-                                 f"got {type(v).__name__} {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError("rows must hold real numbers, got "
+                                 f"{type(v).__name__} {v!r}")
         t = np.asarray(self.t, dtype=np.float64)
-        if t.ndim != 2 or t.shape[0] != t.shape[1]:
-            raise ValueError("transition matrix must be square")
-        if np.any(t < -ROW_ATOL) or np.any(t > 1 + ROW_ATOL):
-            raise ValueError("transition entries outside [0,1]")
-        if np.any(np.abs(t.sum(axis=1) - 1.0) > ROW_ATOL):
-            raise ValueError("transition rows must sum to 1")
+        for i, row in enumerate(t):
+            try:
+                check_prob_vector(row)
+            except ValueError as e:
+                raise ValueError(f"rows[{i}]: {e}") from e
         object.__setattr__(self, "t", t)
 
     @property
     def k(self):
         return self.t.shape[0]
 
-    def to_json(self):
-        return {"k": self.k, "rows": self.t.tolist()}
-
     @classmethod
     def from_json(cls, obj):
+        k = obj["k"]
+        _check_args(None, {"k": (k, ">= 2")})
         T = cls(obj["rows"])
-        if T.t.shape != (obj["k"], obj["k"]):
-            raise ValueError("transition json shape mismatch")
+        if T.k != k:
+            raise ValueError(f"rows has shape {T.t.shape}, but k {k} needs "
+                             f"({k}, {k})")
         return T
 
     @classmethod
@@ -131,11 +138,9 @@ def simulate_annotators(ds, confusions, rng):
     return replace(ds, annotator_labels=ann, true_labels=truth.copy())
 
 
-def estimate_transition(pairs, K, laplace=1.0):
-    """Empirical transition from (reference, noisy) label pairs with
-    additive smoothing: t[i][j] = (n_ij + laplace) / (n_i. + K*laplace)."""
-    _check_args("estimate_transition",
-                reals={"laplace": (laplace, "[0, inf)")})
+def estimate_transition(pairs, K):
+    """Empirical transition from (reference, noisy) label pairs, smoothed:
+    t[i][j] = (n_ij + L) / (n_i. + K*L) with L = TRANSITION_LAPLACE."""
     P = np.asarray(pairs, dtype=np.int64)
     if P.size and (P.ndim != 2 or P.shape[1] != 2):
         raise ValueError("estimate_transition: need (reference, noisy) pairs")
@@ -144,8 +149,6 @@ def estimate_transition(pairs, K, laplace=1.0):
     counts = np.bincount(P[:, 0] * K + P[:, 1],
                          minlength=K * K).reshape(K, K).astype(np.float64)
     totals = counts.sum(axis=1)
-    if laplace == 0 and np.any(totals == 0):
-        raise ValueError("estimate_transition: empty reference class with "
-                         "laplace=0 gives a degenerate row")
-    t = (counts + laplace) / (totals + K * laplace)[:, None]
+    t = ((counts + TRANSITION_LAPLACE)
+         / (totals + K * TRANSITION_LAPLACE)[:, None])
     return TransitionMatrix(t)

@@ -107,9 +107,9 @@ def softmax(logits):
 
 def check_prob_vector(p):
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or np.any(p < -PROB_ATOL) or np.any(p > 1 + PROB_ATOL):
+    if p.ndim != 1 or not np.all((p >= -PROB_ATOL) & (p <= 1 + PROB_ATOL)):
         raise ValueError("invalid probability vector: entries outside [0,1]")
-    if abs(p.sum() - 1.0) > PROB_ATOL:
+    if not abs(p.sum() - 1.0) <= PROB_ATOL:
         raise ValueError("invalid probability vector: does not sum to 1")
     return p
 

@@ -18,6 +18,7 @@ from .noise import class_centroids
 from .numerics import Rng, _check_args, softmax
 
 CE = LossSpec("ce")
+DUAL_RELABEL_WARMUP_EPOCHS = 5  # each model's, before the first relabel
 
 
 # --- soft-label store -------------------------------------------------------
@@ -239,14 +240,14 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
     return store
 
 
-def train_dual_relabel(ds, config, test_ds=None, warmup_epochs=5):
+def train_dual_relabel(ds, config, test_ds=None):
     """Full dual-model procedure: mlps 0.8 and 1.25 times config.hidden
-    wide warm up on the noisy labels, then alternate training against the
-    store with end-of-epoch relabeling."""
+    wide warm up on the noisy labels for DUAL_RELABEL_WARMUP_EPOCHS, then
+    alternate training against the store with end-of-epoch relabeling."""
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
     store = SoftLabelStore(ds.labels, ds.num_classes)
-    warm_cfg = replace(config, epochs=warmup_epochs, arch="mlp")
+    warm_cfg = replace(config, epochs=DUAL_RELABEL_WARMUP_EPOCHS, arch="mlp")
     model_small, _ = train(ds, replace(warm_cfg, seed=seed_a,
                                        hidden=round(config.hidden * 0.80)))
     model_large, _ = train(ds, replace(warm_cfg, seed=seed_b,

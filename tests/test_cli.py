@@ -133,6 +133,22 @@ class TestTrain:
         assert cli(["train", "--config", path]) == 1
 
 
+class TestConfigMustBeAnObject:
+    # sweep and clean exited 2 with "pop expected at most 1 argument" and
+    # "'list' object has no attribute 'setdefault'", and --seed with train
+    # with "list indices must be integers or slices, not str"
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["clean"], ["--seed", "3", "train"], ["train"],
+    ], ids=["sweep", "clean", "seed-train", "train"])
+    def test_list_config_is_a_usage_error(self, tmp_path, capsys, argv):
+        path = write_config(tmp_path, [1, 2])
+        assert cli(argv + ["--config", path, "--out",
+                           str(tmp_path / "out")]) == 1
+        assert ("error: config must be an object, got [1, 2]"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
 class TestFuse:
     def test_staple_outputs(self, tmp_path):
         clean = str(tmp_path / "clean.csv")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import re
 from dataclasses import fields
@@ -316,24 +317,28 @@ class TestConfigSurface:
                                  f"integer >= 2, got {k!r}"))
 
     # rows not k x k failed at train time as "transition json shape
-    # mismatch", naming neither the key nor either shape
-    @pytest.mark.parametrize("rows, shape", [
-        (ROWS, "(2, 2)"), ([[0.8, 0.2], [0.2]], "ragged"),
-        ([[0.5, 0.3, 0.2]] * 2, "(2, 3)"), (0.5, "()"),
+    # mismatch", naming neither the key nor either shape; rows that are
+    # not square fail as any malformed matrix does, before k is compared
+    @pytest.mark.parametrize("rows, fault", [
+        (ROWS, "has shape (2, 2), but k 3 needs (3, 3)"),
+        ([[0.8, 0.2], [0.2]],
+         "must be a square k x k matrix, got shape ragged"),
+        ([[0.5, 0.3, 0.2]] * 2,
+         "must be a square k x k matrix, got shape (2, 3)"),
+        (0.5, "must be a square k x k matrix, got shape ()"),
     ], ids=["2x2", "ragged", "2x3", "number"])
     @pytest.mark.parametrize("method, named", [
         ({"loss": {"kind": "forward"}}, "method.loss.transition"),
         ({"reweight": {"kind": "pumpout"}}, "method.reweight.transition"),
     ], ids=["forward", "pumpout"])
     def test_transition_rows_must_be_k_by_k(self, monkeypatch, tmp_path,
-                                            rows, shape, method, named):
+                                            rows, fault, method, named):
         method = copy.deepcopy(method)
         next(iter(method.values()))["transition"] = {"k": 3, "rows": rows}
         cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
                           method=method)
         self._rejected(monkeypatch, tmp_path, cfg,
-                       re.escape(f"{named}.rows has shape {shape}, but k 3 "
-                                 "needs (3, 3)"))
+                       re.escape(f"{named}.rows {fault}"))
 
     # on 3-class data a 2-class transition escaped as a raw IndexError
     # (forward, backward) or a train-stage NumPy matmul error (pumpout)
@@ -389,6 +394,62 @@ class TestConfigSurface:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli(["train", "--config", str(path)]) == 1
+
+    # a transition or noise matrix's entries and rows were checked only
+    # when the pipeline built it after the data: a string, bool or
+    # out-of-range entry or a row not summing to 1 was a train-stage
+    # (transition) or corrupt-stage (noise) PipelineError, exit 2
+    PLACES = [
+        ("forward", {"loss": {"kind": "forward"}}, "method.loss.transition"),
+        ("backward", {"loss": {"kind": "backward"}},
+         "method.loss.transition"),
+        ("base_loss", {"reweight": {"kind": "running"},
+                       "base_loss": {"kind": "backward"}},
+         "method.base_loss.transition"),
+        ("pumpout", {"reweight": {"kind": "pumpout"}},
+         "method.reweight.transition"),
+        ("matrix-noise", None, "noise"),
+    ]
+    FAULTS = [
+        ("str", [[0.8, "0.2"], [0.2, 0.8]], 2,
+         "rows must hold real numbers, got str '0.2'"),
+        ("bool", [[True, False], [False, True]], 2,
+         "rows must hold real numbers, got bool True"),
+        ("negative", [[0.8, 0.2], [-0.2, 1.0]], 2,
+         "rows[1]: invalid probability vector: entries outside [0,1]"),
+        ("above-one", [[1.1, 0.0], [0.2, 0.8]], 2,
+         "rows[0]: invalid probability vector: entries outside [0,1]"),
+        ("row-sum", [[0.8, 0.2], [0.5, 0.6]], 2,
+         "rows[1]: invalid probability vector: does not sum to 1"),
+        ("ragged", [[0.8, 0.2], [0.2]], 2,
+         "rows must be a square k x k matrix, got shape ragged"),
+        ("non-square", [[0.5, 0.3, 0.2]] * 2, 2,
+         "rows must be a square k x k matrix, got shape (2, 3)"),
+        ("k-float", ROWS, 2.0, "k must be an integer >= 2, got 2.0"),
+        ("k-mismatch", ROWS, 3, "rows has shape (2, 2), but k 3 needs "
+                                "(3, 3)"),
+    ]
+    # a noise matrix has no k: its rows give it
+    MATRIX_CASES = [(f"{place}-{fid}", method, path, rows, k, fault)
+                    for (place, method, path), (fid, rows, k, fault)
+                    in itertools.product(PLACES, FAULTS)
+                    if method or not fid.startswith("k-")]
+
+    @pytest.mark.parametrize("method, path, rows, k, fault",
+                             [c[1:] for c in MATRIX_CASES],
+                             ids=[c[0] for c in MATRIX_CASES])
+    def test_malformed_matrix_is_named_before_any_data(
+            self, monkeypatch, tmp_path, method, path, rows, k, fault):
+        if method is None:
+            cfg = base_config(noise={"kind": "matrix", "rows": rows})
+        else:
+            method = copy.deepcopy(method)
+            section = method.get("base_loss") or next(iter(method.values()))
+            section["transition"] = {"k": k, "rows": rows}
+            cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                              method=method)
+        self._rejected(monkeypatch, tmp_path, cfg,
+                       "^" + re.escape(f"{path}.{fault}") + "$")
 
     @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
     def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
@@ -797,23 +858,22 @@ class TestOutOfRangeValueIsNamed:
 class TestWrongEntryType:
     # each trained as if the value were valid: NumPy parsed the strings and
     # bools of the rows as numbers, and any non-empty per_class string
-    # counted as true
+    # counted as true. A matrix is checked whole before any data (stage
+    # None: a ConfigError naming its path); per_class only where it is read
     TWO_BY_TWO = [["0.7", "0.3"], ["0.3", "0.7"]]
     CASES = [
         ("matrix-str", {"kind": "matrix", "rows": TWO_BY_TWO}, None,
-         r"transition rows must hold real numbers, got str '0\.7'",
-         "corrupt"),
+         r"^noise\.rows must hold real numbers, got str '0\.7'$", None),
         ("matrix-bool", {"kind": "matrix",
                          "rows": [[True, False], [False, True]]}, None,
-         "transition rows must hold real numbers, got bool True", "corrupt"),
+         r"^noise\.rows must hold real numbers, got bool True$", None),
         ("matrix-mixed-bool", {"kind": "matrix",
                                "rows": [[0.9, 0.1], [False, True]]}, None,
-         "transition rows must hold real numbers, got bool False",
-         "corrupt"),
+         r"^noise\.rows must hold real numbers, got bool False$", None),
         ("forward-transition-str", None, {"loss": {
             "kind": "forward", "transition": {"k": 2, "rows": TWO_BY_TWO}}},
-         r"transition rows must hold real numbers, got str '0\.7'",
-         "train"),
+         r"^method\.loss\.transition\.rows must hold real numbers, "
+         r"got str '0\.7'$", None),
         ("rank_prune-per_class-str", None, {"reweight": {
             "kind": "rank_prune", "fraction": 0.2, "per_class": "no"}},
          "rank_prune: per_class must be a bool, got 'no'", "train"),
@@ -825,15 +885,28 @@ class TestWrongEntryType:
     @pytest.mark.parametrize("noise, method, message, stage",
                              [c[1:] for c in CASES],
                              ids=[c[0] for c in CASES])
-    def test_wrong_type_is_named(self, noise, method, message, stage):
+    def test_wrong_type_is_named(self, monkeypatch, noise, method, message,
+                                 stage):
+        generated = []
+        real_make = harness._make_dataset
+
+        def spy(spec, seed):
+            generated.append(spec)
+            return real_make(spec, seed)
+
+        monkeypatch.setattr(harness, "_make_dataset", spy)
         cfg = base_config(
             dataset={"kind": "blobs", "k": 2, "n_per_class": 20, "d": 2,
                      "separation": 8.0},
             noise=noise or {"kind": "symmetric", "rho": 0.3},
             method=method or {"loss": {"kind": "ce"}}, train={"epochs": 2})
-        with pytest.raises(harness.PipelineError, match=message) as info:
+        error = ConfigError if stage is None else harness.PipelineError
+        with pytest.raises(error, match=message) as info:
             run_experiment(cfg)
-        assert info.value.stage == stage
+        if stage is None:
+            assert generated == []
+        else:
+            assert info.value.stage == stage
 
 
 class TestRunExperiment:
@@ -876,6 +949,27 @@ class TestRunExperiment:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert cli(["train", "--config", str(path)]) == 1
+
+    # staple on one annotator was a train-stage PipelineError (exit 2),
+    # though noisylab fuse --method staple refused it as a usage error
+    def test_staple_needs_two_annotators(self, tmp_path):
+        cfg = base_config(noise={"kind": "annotators", "rhos": [0.3]},
+                          method={"annotator": {"fusion": "staple"}},
+                          train={"epochs": 2})
+        with pytest.raises(ConfigError, match=re.escape(
+                "method.annotator.fusion 'staple' needs at least 2 "
+                "annotators, got 1")):
+            run_experiment(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli(["train", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize("fusion", ["majority", "min_loss", "confusion"])
+    def test_other_fusions_run_on_one_annotator(self, fusion):
+        cfg = base_config(noise={"kind": "annotators", "rhos": [0.3]},
+                          method={"annotator": {"fusion": fusion}},
+                          train={"epochs": 2})
+        assert len(run_experiment(cfg)["history"]) == 2
 
     def test_iterative_clean_without_truth_fails(self, tmp_path):
         data = tmp_path / "observed.csv"
@@ -981,9 +1075,15 @@ class TestSweep:
          "method.loss.kind: unknown loss kind 'cee'"),
         ([0.2], [{"loss": {"kind": "forward", "transition": "false"}}],
          "method.loss.transition must be 'true' or an object"),
+        ([0.2], [{"loss": {"kind": "ce"}},
+                 {"loss": {"kind": "forward", "transition": {
+                     "k": 3, "rows": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],
+                                      [0.1, 0.1, 0.9]]}}}],
+         "method.loss.transition.rows[2]: invalid probability vector: "
+         "does not sum to 1"),
     ], ids=["string", "number", "string-rho", "bool-rho", "rho-one",
             "negative-rho", "no-pipeline", "unknown-loss",
-            "bad-transition"])
+            "bad-transition", "bad-transition-rows"])
     def test_grid_and_methods_checked_before_any_point(
             self, monkeypatch, rhos, methods, named):
         def spy(cfg):

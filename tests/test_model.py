@@ -40,7 +40,7 @@ class TestInit:
     def test_dual_relabel_widths(self):
         ds = gen_blobs(2, 10, 2, 8.0, 0)
         small, large, _, _ = train_dual_relabel(
-            ds, TrainConfig(epochs=1, hidden=32), warmup_epochs=1)
+            ds, TrainConfig(epochs=1, hidden=32))
         assert (small.hidden, large.hidden) == (26, 40)
         assert small.arrays["W1"].shape == (2, 26)
         assert large.arrays["W1"].shape == (2, 40)

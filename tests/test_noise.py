@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from noisylab.data import gen_blobs
-from noisylab.noise import (TransitionMatrix, centroid_margins,
-                            estimate_transition, feature_dependent_inject,
-                            inject, simulate_annotators, symmetric_transition)
+from noisylab.noise import (TRANSITION_LAPLACE, TransitionMatrix,
+                            centroid_margins, estimate_transition,
+                            feature_dependent_inject, inject,
+                            simulate_annotators, symmetric_transition)
 from noisylab.numerics import Rng
 
 
@@ -38,9 +39,47 @@ class TestTransitionMatrix:
 
     def test_json_round_trip(self):
         T = symmetric_transition(3, 0.2)
-        back = TransitionMatrix.from_json(T.to_json())
+        back = TransitionMatrix.from_json({"k": 3, "rows": T.t.tolist()})
         assert np.array_equal(back.t, T.t)
-        assert T.to_json()["k"] == 3
+
+    # the matrix's own checks; the harness prefixes each message with the
+    # config path of the matrix (e.g. method.loss.transition.)
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.4], [0.3, 0.7]],
+         "rows[0]: invalid probability vector: does not sum to 1"),
+        ([[0.5, 0.5], [1.2, -0.2]],
+         "rows[1]: invalid probability vector: entries outside [0,1]"),
+        ([[1.0, 0.0], [float("nan"), 1.0]],
+         "rows[1]: invalid probability vector: entries outside [0,1]"),
+        ([[0.7, 0.3], [0.3, "0.7"]], "rows must hold real numbers, got str "
+                                     "'0.7'"),
+        ([[1.0, 0.0], [None, 1.0]], "rows must hold real numbers, got "
+                                    "NoneType None"),
+        ([[1.0, 0.0], [False, True]], "rows must hold real numbers, got "
+                                      "bool False"),
+        ([[1.0, 0.0], [1.0]], "rows must be a square k x k matrix, got "
+                              "shape ragged"),
+        ([[0.5, 0.5]] * 3, "rows must be a square k x k matrix, got shape "
+                           "(3, 2)"),
+        ([0.5, 0.5], "rows must be a square k x k matrix, got shape (2,)"),
+    ], ids=["row-sum", "row-entries", "nan", "str", "none", "bool", "ragged",
+            "3x2", "vector"])
+    def test_malformed_rows_are_named(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            TransitionMatrix(rows)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"k": 3, "rows": np.eye(2)},
+         "rows has shape (2, 2), but k 3 needs (3, 3)"),
+        ({"k": 2.0, "rows": np.eye(2)}, "k must be an integer >= 2, got 2.0"),
+        ({"k": 2, "rows": [[0.5, 0.6], [0.0, 1.0]]},
+         "rows[0]: invalid probability vector: does not sum to 1"),
+    ], ids=["k-mismatch", "k-float", "row-sum"])
+    def test_json_k_and_shape_are_named(self, obj, message):
+        with pytest.raises(ValueError) as info:
+            TransitionMatrix.from_json(obj)
+        assert str(info.value) == message
 
 
 class TestInject:
@@ -143,31 +182,22 @@ class TestSimulateAnnotators:
 class TestEstimateTransition:
     def test_counts_arithmetic(self):
         pairs = ([(0, 0)] * 8 + [(0, 1)] * 2 + [(1, 0)] * 1 + [(1, 1)] * 9)
-        T = estimate_transition(pairs, 2, laplace=0.0)
-        assert np.allclose(T.t, [[0.8, 0.2], [0.1, 0.9]])
+        T = estimate_transition(pairs, 2)
+        assert np.allclose(T.t, [[9 / 12, 3 / 12], [2 / 12, 10 / 12]])
 
     def test_smoothing_limit(self):
-        T = estimate_transition([], 4, laplace=1.0)
+        T = estimate_transition([], 4)
         assert np.allclose(T.t, 0.25)
 
     def test_empty_pair_array(self):
         T = estimate_transition(np.zeros((0, 2), dtype=int), 3)
         assert np.array_equal(T.t, np.full((3, 3), 1.0 / 3))
 
-    def test_degenerate_row_error(self):
-        with pytest.raises(ValueError):
-            estimate_transition([(0, 0)], 2, laplace=0.0)
-
     @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (2, 0), (0, 2)])
     def test_label_outside_classes_is_named(self, pair):
         bad = min(pair) if min(pair) < 0 else max(pair)
         with pytest.raises(ValueError, match=f"label {bad} outside"):
             estimate_transition([(0, 1), pair], 2)
-
-    @pytest.mark.parametrize("laplace", ["1", None, True])
-    def test_laplace_must_be_real(self, laplace):
-        with pytest.raises(ValueError, match="laplace must be a real"):
-            estimate_transition([(0, 1)], 2, laplace=laplace)
 
     def test_pairs_must_be_pairs(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -179,8 +209,9 @@ class TestEstimateTransition:
         counts = np.zeros((4, 4))
         for ref, noisy in pairs:
             counts[ref, noisy] += 1
-        want = (counts + 0.5) / (counts.sum(axis=1) + 4 * 0.5)[:, None]
-        got = estimate_transition(pairs, 4, laplace=0.5).t
+        L = TRANSITION_LAPLACE
+        want = (counts + L) / (counts.sum(axis=1) + 4 * L)[:, None]
+        got = estimate_transition(pairs, 4).t
         assert got.tobytes() == want.tobytes()
 
     def test_recovery_from_samples(self):
@@ -192,5 +223,5 @@ class TestEstimateTransition:
             for _ in range(10_000):
                 from noisylab.numerics import sample_categorical
                 pairs.append((c, sample_categorical(T.t[c], rng)))
-        est = estimate_transition(pairs, K, laplace=1.0)
+        est = estimate_transition(pairs, K)
         assert np.abs(est.t - T.t).sum(axis=1).max() < 0.03

@@ -10,7 +10,7 @@ from noisylab.data import gen_blobs, gen_rings, split
 from noisylab.harness import PipelineError, run_experiment, sweep
 from noisylab.losses import LossSpec
 from noisylab.model import ModelParams, TrainConfig, grad_check, init, stack
-from noisylab.noise import (estimate_transition, feature_dependent_inject,
+from noisylab.noise import (TransitionMatrix, feature_dependent_inject,
                             symmetric_transition)
 from noisylab.numerics import (Rng, _check_args, check_prob_vector,
                                sample_categorical, softmax)
@@ -97,6 +97,15 @@ class TestSampleCategorical:
         with pytest.raises(ValueError):
             sample_categorical([0.5, 0.4], Rng(0))
 
+    # a matrix is not a vector (TransitionMatrix checks its rows one by
+    # one), and a NaN entry passed both checks and drew a class
+    @pytest.mark.parametrize("p", [[[0.5, 0.5]], [np.nan, 1.0],
+                                   [0.5, 0.5, np.nan]],
+                             ids=["2-D", "nan-entry", "nan-sum"])
+    def test_refuses_a_matrix_and_nan(self, p):
+        with pytest.raises(ValueError, match="invalid probability vector"):
+            sample_categorical(p, Rng(0))
+
 
 def johnk_beta(alpha, rng):
     """Reference: one symmetric Beta(alpha, alpha) draw by Johnk's rejection
@@ -179,8 +188,8 @@ SITES = {
         **{"K": 3, "rho": 0.2, **kw}),
     "feature_dependent_inject": lambda **kw: feature_dependent_inject(
         _blobs(), **{"rho_max": 0.2, "beta": 1.0, **kw}, rng=Rng(0)),
-    "estimate_transition": lambda **kw: estimate_transition([[0, 1]], 2,
-                                                            **kw),
+    "TransitionMatrix.from_json": lambda **kw: TransitionMatrix.from_json(
+        {"rows": np.eye(2), **kw}),
     "LossSpec": lambda **kw: LossSpec("ce", **kw),
     "TrainConfig": lambda **kw: TrainConfig(**kw),
     "ModelParams": lambda **kw: ModelParams("mlp", 2, 3, **kw),
@@ -227,8 +236,7 @@ CHECKED = [
      float, "[0, 1)"),
     ("feature_dependent_inject", "feature_dependent_inject", "beta", float,
      "[0, inf)"),
-    ("estimate_transition", "estimate_transition", "laplace", float,
-     "[0, inf)"),
+    ("TransitionMatrix.from_json", None, "k", int, ">= 2"),
     ("LossSpec", "LossSpec", "tau", float, "(0, inf)"),
     ("LossSpec", "LossSpec", "epsilon", float, "[0, 1)"),
     ("TrainConfig", None, "epochs", int, ">= 1"),
