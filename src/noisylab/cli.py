@@ -91,7 +91,7 @@ def cmd_noise(args):
         params["rhos"] = [float(r) for r in str(params["rhos"]).split(":")]
     spec = {"kind": args.kind, **params}
     _check_section(spec, "noise", "noise")
-    save_csv(_apply_noise(ds, spec, seed), args.out)
+    save_csv(_apply_noise(ds, spec, seed)[0], args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ from . import __version__
 from .annotators import (majority_vote, staple, train_min_loss_label,
                          train_with_confusion)
 from .data import gen_blobs, gen_rings, load_csv, split
-from .losses import LossSpec
+from .losses import LossSpec, SingularTransitionError, _check_invertible
 from .model import DivergedError, TrainConfig, predict_probs, train
 from .noise import (TransitionMatrix, feature_dependent_inject, inject,
                     simulate_annotators, symmetric_transition)
@@ -112,11 +112,14 @@ def _check_section(value, path, name):
                           f"with keys k and rows, got {T!r}")
     try:  # TransitionMatrix checks k, the shape and every entry and row
         if T != "true":
-            TransitionMatrix.from_json(T)
+            t = TransitionMatrix.from_json(T).t
+            if value.get("kind") in ("backward", "pumpout"):  # inverted
+                _check_invertible(t)
         if "rows" in value:  # a matrix noise model
             TransitionMatrix(value["rows"])
     except ValueError as e:
-        where = "transition." if T != "true" else ""
+        sep = ": " if isinstance(e, SingularTransitionError) else "."
+        where = f"transition{sep}" if T != "true" else ""
         raise ConfigError(f"{path}.{where}{e}") from e
     true_T = ([f"{path}.transition"] if value.get("transition") == "true"
               else [])
@@ -158,32 +161,28 @@ def _make_dataset(spec, seed):
     return load_csv(spec["path"])  # csv
 
 
-def _noise_transition(noise_spec, K):
-    kind = (noise_spec or {}).get("kind")
+def _apply_noise(train_ds, noise_spec, seed):
+    """(the corrupted set, the noise model's transition or None); a matrix
+    for other than the data's classes is a ConfigError."""
+    if noise_spec is None:
+        return train_ds, None
+    K, kind = train_ds.num_classes, noise_spec["kind"]
+    rng = Rng(seed).split(1)[0]
+    if kind == "feature":
+        return feature_dependent_inject(train_ds, noise_spec["rho_max"],
+                                        noise_spec.get("beta", 1.0),
+                                        rng), None
+    if kind == "annotators":
+        confusions = [symmetric_transition(K, r) for r in noise_spec["rhos"]]
+        return simulate_annotators(train_ds, confusions, rng), None
     if kind == "symmetric":
-        return symmetric_transition(K, noise_spec["rho"])
-    if kind == "matrix":
+        T = symmetric_transition(K, noise_spec["rho"])
+    else:
         T = TransitionMatrix(noise_spec["rows"])  # checked: _check_section
         if T.k != K:
             raise ConfigError(f"noise.rows has shape {T.t.shape}, but the "
                               f"data's {K} classes need ({K}, {K})")
-        return T
-    return None
-
-
-def _apply_noise(train_ds, noise_spec, seed):
-    if noise_spec is None:
-        return train_ds
-    rng = Rng(seed).split(1)[0]
-    T = _noise_transition(noise_spec, train_ds.num_classes)
-    if T is not None:
-        return inject(train_ds, T, rng)
-    if noise_spec["kind"] == "feature":
-        return feature_dependent_inject(train_ds, noise_spec["rho_max"],
-                                        noise_spec.get("beta", 1.0), rng)
-    confusions = [symmetric_transition(train_ds.num_classes, r)  # annotators
-                  for r in noise_spec["rhos"]]
-    return simulate_annotators(train_ds, confusions, rng)
+    return inject(train_ds, T, rng), T
 
 
 def _resolve(section, true_T, K, path):
@@ -283,12 +282,11 @@ def run_experiment(cfg):
     except Exception as e:
         raise PipelineError("generate", e)
     try:
-        noisy = _apply_noise(train_ds, cfg.get("noise"), seed + 2)
+        noisy, true_T = _apply_noise(train_ds, cfg.get("noise"), seed + 2)
     except ConfigError:  # a noise matrix for other than the data's classes
         raise
     except Exception as e:
         raise PipelineError("corrupt", e)
-    true_T = _noise_transition(cfg.get("noise"), full.num_classes)
     try:
         params, history, diagnostics = _run_method(
             cfg, tc, method, method_kind, noisy, test_ds, true_T)

@@ -214,11 +214,11 @@ def sgd_step(params, X, lr, batch_loss, epoch):
 
 def sgd_epoch(params, batches, lr, batch_loss, epoch):
     """sgd_step over (X_batch, key) pairs, batch_loss(probs, key) seeing
-    each batch's key (its indices, or its mixed targets). Returns the loss
-    values of the epoch, concatenated along the last axis."""
-    return np.concatenate([
-        sgd_step(params, X, lr, lambda probs: batch_loss(probs, key), epoch)
-        for X, key in batches], axis=-1)
+    each batch's key (its indices, or its mixed targets). Returns the
+    epoch's loss values joined along the last axis (None: no batch)."""
+    values = [sgd_step(params, X, lr, lambda p: batch_loss(p, key), epoch)
+              for X, key in batches]
+    return np.concatenate(values, axis=-1) if values else None
 
 
 def epoch_row(epoch, params, test_ds, **fields):
@@ -259,14 +259,18 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
     seeded with config.seed. batches(order, rng) is called at the start of
     each epoch with its shuffled row order and gives the (X_batch, key)
     pairs; by default each minibatch's rows keyed by their indices.
-    Returns (params, history), one epoch_row with the mean training loss
-    per epoch; raises DivergedError if that mean is non-finite.
+    Returns (params, history), one epoch_row per epoch with the mean
+    training loss of its steps, if any; raises DivergedError if that mean
+    is non-finite.
 
-    Given E seeds, fit trains a stack of E models in lockstep, each
+    A stack of E models trains in lockstep, and the history's train_loss
+    and test_accuracy are lists over the models; unstack splits the
+    returned params. Given E seeds, fit makes the stack, each model
     initialized from and shuffled by its own seed, exactly as E separate
-    fits with config.seed set to each: order is then (E, n), rng the list
-    of the E streams, and the history's train_loss and test_accuracy are
-    lists over the models. unstack splits the returned params."""
+    fits with config.seed set to each: order is then (E, n) and rng the
+    list of the E streams. A stack given as params without seeds shares
+    config.seed's one shuffle, and batches gives each model's rows as an
+    (E, m, d) block."""
     stacked = seeds is not None
     seeds = list(seeds) if stacked else [config.seed]
     if params is None:
@@ -285,11 +289,13 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
         order = np.array(orders) if stacked else orders[0]
         values = sgd_epoch(params, batches(order, rng),
                            config.learning_rate, batch_loss, epoch)
-        mean_loss = np.mean(values, axis=-1)
-        if not np.all(np.isfinite(mean_loss)):
-            raise DivergedError(f"training diverged at epoch {epoch}")
-        history.append(epoch_row(epoch, params, test_ds,
-                                 train_loss=mean_loss.tolist()))
+        fields = {}
+        if values is not None:
+            mean_loss = np.mean(values, axis=-1)
+            if not np.all(np.isfinite(mean_loss)):
+                raise DivergedError(f"training diverged at epoch {epoch}")
+            fields["train_loss"] = mean_loss.tolist()
+        history.append(epoch_row(epoch, params, test_ds, **fields))
     return params, history
 
 

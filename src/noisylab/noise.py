@@ -34,13 +34,12 @@ class TransitionMatrix:
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise ValueError("rows must hold real numbers, got "
                                  f"{type(v).__name__} {v!r}")
-        t = np.asarray(self.t, dtype=np.float64)
-        for i, row in enumerate(t):
-            try:
+        for i, row in enumerate(self.t):
+            try:  # an integer too large for a float overflows
                 check_prob_vector(row)
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:
                 raise ValueError(f"rows[{i}]: {e}") from e
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "t", np.asarray(self.t, dtype=np.float64))
 
     @property
     def k(self):

@@ -13,7 +13,7 @@ import numpy as np
 from .losses import LossSpec, kl_to_targets, loss_and_grad, loss_vector
 from .model import (DivergedError, ModelParams, epoch_row, fit,
                     forward_batch, init, minibatches, predict, predict_probs,
-                    sgd_epoch, sgd_step, stack, train, unstack)
+                    sgd_epoch, stack, train, unstack)
 from .noise import class_centroids
 from .numerics import Rng, _check_args, softmax
 
@@ -115,7 +115,7 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
     return fit(ds, config, batch_loss, test_ds, batches)
 
 
-# --- peer-model steps -------------------------------------------------------
+# --- peer models ------------------------------------------------------------
 
 def small_loss_selection(probs, y, keep_fraction):
     """Indices of the keep_fraction smallest-CE samples (predictions plus
@@ -126,36 +126,21 @@ def small_loss_selection(probs, y, keep_fraction):
     return np.sort(order[:n_keep])
 
 
-def co_teach_step(peers, X, y, keep_fraction, lr, epoch=0):
-    """Each of the two stacked peers picks its smallest-loss samples; the
-    other peer updates on that selection. Both selections come from
-    predictions taken before the one step that updates both peers."""
-    _check_args("co_teach_step",
+def peer_rows(peers, X, y, keep_fraction=None):
+    """The batch rows each of the two stacked peers steps on, as a (2, m)
+    index array, from predictions taken before the step. Given
+    keep_fraction, co-teaching: each peer steps on the other's
+    keep_fraction smallest-CE rows. Without, disagreement: both step on the
+    rows where their argmax predictions differ; the labels play no part."""
+    probs = predict_probs(peers, X)
+    if keep_fraction is None:
+        preds_a, preds_b = probs.argmax(axis=-1)
+        return np.tile(np.flatnonzero(preds_a != preds_b), (2, 1))
+    _check_args("peer_rows",
                 reals={"keep_fraction": (keep_fraction, "(0, 1]")})
-    probs_a, probs_b = predict_probs(peers, X)
-    sel_a = small_loss_selection(probs_a, y, keep_fraction)
-    sel_b = small_loss_selection(probs_b, y, keep_fraction)
-    rows = np.array([sel_b, sel_a])  # B's selection steps A, A's steps B
-    sgd_step(peers, X[rows], lr,
-             lambda probs: loss_and_grad(CE, probs, y[rows].ravel()), epoch)
-    return sel_a, sel_b
-
-
-def disagreement_mask(preds_a, preds_b):
-    """Update mask from the two models' predictions only."""
-    return np.asarray(preds_a) != np.asarray(preds_b)
-
-
-def disagreement_step(peers, X, y, lr, epoch=0):
-    """Both stacked peers update only where their argmax predictions differ
-    (computed before the update)."""
-    idx = np.flatnonzero(disagreement_mask(*predict(peers, X)))
-    if idx.size:
-        rows = np.array([idx, idx])
-        sgd_step(peers, X[rows], lr,
-                 lambda probs: loss_and_grad(CE, probs, y[rows].ravel()),
-                 epoch)
-    return idx
+    # B's selection steps A, A's steps B
+    return np.array([small_loss_selection(probs[1], y, keep_fraction),
+                     small_loss_selection(probs[0], y, keep_fraction)])
 
 
 CO_TEACHING_WARM_EPOCHS = 5
@@ -177,27 +162,38 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     """Two peer models trained with co-teaching, or with disagreement-only
     updates when disagreement_only is set; only co-teaching keeps a
     noise_rate schedule and reports its keep_fraction. The peers are one
-    stack (see model.stack), stepped once per batch; the history follows
-    the first peer."""
+    stack (see model.stack) that fit steps on the rows peer_rows gives
+    each, skipping a batch that gives none. The history follows the first
+    peer."""
     _check_args("train_co_teaching",
                 reals={"noise_rate": (noise_rate, "[0, 1)")})
     rng = Rng(config.seed)
     peers = stack([init(config.arch, ds.dim, ds.num_classes,
                         int(r.integers(0, 2**31)), config.hidden)
                    for r in rng.split(2)])
-    history = []
-    for epoch in range(config.epochs):
-        keep = co_teaching_keep_schedule(epoch, noise_rate)
-        order = rng.permutation(ds.n)
+    keeps = [None if disagreement_only
+             else co_teaching_keep_schedule(epoch, noise_rate)
+             for epoch in range(config.epochs)]
+    schedule = iter(keeps)
+
+    def batches(order, rng):
+        # lazy, so each batch's rows come from the peers as last stepped
+        keep = next(schedule)
         for idx in minibatches(order, config.batch_size):
-            X, y = ds.features[idx], ds.labels[idx]
-            if disagreement_only:
-                disagreement_step(peers, X, y, config.learning_rate, epoch)
-            else:
-                co_teach_step(peers, X, y, keep, config.learning_rate, epoch)
-        fields = {} if disagreement_only else {"keep_fraction": keep}
-        history.append(epoch_row(epoch, unstack(peers)[0], test_ds,
-                                 **fields))
+            rows = idx[peer_rows(peers, ds.features[idx], ds.labels[idx],
+                                 keep)]
+            if rows.size:
+                yield ds.features[rows], ds.labels[rows].ravel()
+
+    # fit's stream is Rng(config.seed) too: split leaves it where it was
+    peers, history = fit(ds, config,
+                         lambda probs, y: loss_and_grad(CE, probs, y),
+                         test_ds, batches, peers)
+    for row, keep in zip(history, keeps):
+        row.update({k: row[k][0] for k in ("train_loss", "test_accuracy")
+                    if k in row})
+        if keep is not None:
+            row["keep_fraction"] = keep
     return (*unstack(peers), history)
 
 

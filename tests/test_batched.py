@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisylab import procedures
 from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
                                  majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
@@ -36,7 +37,7 @@ from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators)
 from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (SoftLabelStore, cleaning_meta_features,
-                                 co_teaching_keep_schedule, disagreement_step,
+                                 co_teaching_keep_schedule,
                                  dual_relabel_epoch, fit_meta_classifier,
                                  iterative_clean, small_loss_selection,
                                  train_co_teaching)
@@ -1300,10 +1301,13 @@ class TestLockstepIterativeClean:
 def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
                           disagreement_only=False):
     """train_co_teaching as it stepped its peers before they were one
-    stack: two models, one sgd_step each per batch."""
+    stack: two models, one sgd_step each per batch. The history follows
+    model A, with its mean step loss as train_loss on an epoch that
+    stepped."""
     def step(params, X, y, epoch):
-        sgd_step(params, X, config.learning_rate,
-                 lambda probs: loss_and_grad(LossSpec("ce"), probs, y), epoch)
+        return sgd_step(params, X, config.learning_rate,
+                        lambda probs: loss_and_grad(LossSpec("ce"), probs, y),
+                        epoch)
 
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
@@ -1313,13 +1317,14 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     for epoch in range(config.epochs):
         keep = co_teaching_keep_schedule(epoch, noise_rate)
         order = rng.permutation(ds.n)
+        values_a = []
         for idx in minibatches(order, config.batch_size):
             X, y = ds.features[idx], ds.labels[idx]
             if disagreement_only:
                 sel = np.flatnonzero(predict(model_a, X)
                                      != predict(model_b, X))
                 if sel.size:
-                    step(model_a, X[sel], y[sel], epoch)
+                    values_a.append(step(model_a, X[sel], y[sel], epoch))
                     step(model_b, X[sel], y[sel], epoch)
             else:
                 sel_a = small_loss_selection(predict_probs(model_a, X), y,
@@ -1327,8 +1332,10 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
                 sel_b = small_loss_selection(predict_probs(model_b, X), y,
                                              keep)
                 step(model_b, X[sel_a], y[sel_a], epoch)
-                step(model_a, X[sel_b], y[sel_b], epoch)
+                values_a.append(step(model_a, X[sel_b], y[sel_b], epoch))
         fields = {} if disagreement_only else {"keep_fraction": keep}
+        if values_a:
+            fields["train_loss"] = float(np.mean(np.concatenate(values_a)))
         history.append(epoch_row(epoch, model_a, test_ds, **fields))
     return model_a, model_b, history
 
@@ -1377,10 +1384,14 @@ class TestStackedPeers:
     @settings(max_examples=30, deadline=None)
     @given(run=peer_runs())
     def test_disagreement_on_identical_peers_updates_nothing(self, run):
-        ds, _, config, _ = run
+        ds, test_ds, config, _ = run
         model = init(config.arch, ds.dim, ds.num_classes, config.seed, 4)
-        peers = stack([model, model])
-        before = {k: v.copy() for k, v in peers.arrays.items()}
-        assert disagreement_step(peers, ds.features, ds.labels, 0.7).size == 0
-        for name in before:
-            assert np.array_equal(peers.arrays[name], before[name])
+        with pytest.MonkeyPatch.context() as mp:  # both peers start as model
+            mp.setattr(procedures, "init", lambda *args: model.copy())
+            *peers, history = train_co_teaching(ds, config, test_ds,
+                                                disagreement_only=True)
+        for peer in peers:
+            for name in model.arrays:
+                assert np.array_equal(peer.arrays[name], model.arrays[name])
+        assert [sorted(row) for row in history] == (
+            [["epoch", "test_accuracy"]] * config.epochs)

@@ -425,6 +425,9 @@ class TestConfigSurface:
          "rows must be a square k x k matrix, got shape ragged"),
         ("non-square", [[0.5, 0.3, 0.2]] * 2, 2,
          "rows must be a square k x k matrix, got shape (2, 3)"),
+        # escaped as a raw OverflowError from NumPy's float conversion
+        ("huge-int", [[0.8, 0.2], [10**400, 0.0]], 2,
+         "rows[1]: int too large to convert to float"),
         ("k-float", ROWS, 2.0, "k must be an integer >= 2, got 2.0"),
         ("k-mismatch", ROWS, 3, "rows has shape (2, 2), but k 3 needs "
                                 "(3, 3)"),
@@ -450,6 +453,41 @@ class TestConfigSurface:
                               method=method)
         self._rejected(monkeypatch, tmp_path, cfg,
                        "^" + re.escape(f"{path}.{fault}") + "$")
+
+    # a singular transition that a backward loss or pumpout inverts was a
+    # train-stage SingularTransitionError (exit 2), raised after the data
+    @pytest.mark.parametrize("method, path",
+                             [c[1:] for c in PLACES[1:4]],
+                             ids=[c[0] for c in PLACES[1:4]])
+    def test_singular_inverted_transition_is_named_before_any_data(
+            self, monkeypatch, tmp_path, method, path):
+        method = copy.deepcopy(method)
+        section = method.get("base_loss") or next(iter(method.values()))
+        section["transition"] = {"k": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.2},
+                          method=method)
+        named = "^" + re.escape(f"{path}: transition matrix ill-conditioned")
+        with pytest.raises(ConfigError, match=named):
+            validate_config(cfg)
+        self._rejected(monkeypatch, tmp_path, cfg, named)
+
+    def test_singular_transition_forward_is_not_inverted(self):
+        # the forward correction only mixes by T, so T may be singular
+        cfg = base_config(method={"loss": {"kind": "forward", "transition": {
+            "k": 2, "rows": [[0.5, 0.5], [0.5, 0.5]]}}}, train={"epochs": 1})
+        validate_config(cfg)
+
+    def test_singular_true_transition_stays_a_train_stage_error(self):
+        # 'true' is the noise model's T, known only with the data's classes
+        cfg = base_config(noise={"kind": "symmetric", "rho": 0.5},
+                          method={"loss": {"kind": "backward",
+                                           "transition": "true"}},
+                          train={"epochs": 1})
+        validate_config(cfg)
+        with pytest.raises(harness.PipelineError) as info:
+            run_experiment(cfg)
+        assert info.value.stage == "train"
+        assert "ill-conditioned" in str(info.value.cause)
 
     @pytest.mark.parametrize("key", ["trian", "methods", "rhos"])
     def test_unknown_top_level_key_is_named(self, monkeypatch, tmp_path,
@@ -928,6 +966,29 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert rep["final_metrics"]["accuracy"] >= 0.95
 
+    @pytest.mark.parametrize("noise", [
+        {"kind": "symmetric", "rho": 0.3},
+        {"kind": "matrix", "rows": [[0.8, 0.2], [0.3, 0.7]]},
+    ], ids=["symmetric", "matrix"])
+    def test_noise_transition_built_once(self, monkeypatch, noise):
+        # the T that corrupts the labels is the object 'true' resolves to
+        seen = {}
+
+        def spy(name, real):
+            def call(*args):
+                seen[name] = args
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(harness, "inject", spy("inject", harness.inject))
+        monkeypatch.setattr(harness, "_run_method",
+                            spy("run", harness._run_method))
+        cfg = base_config(noise=noise, method={"loss": {
+            "kind": "forward", "transition": "true"}}, train={"epochs": 1})
+        rep = run_experiment(cfg)
+        assert seen["run"][-1] is seen["inject"][1]
+        assert rep["final_metrics"]["accuracy"] >= 0.9
+
     def test_training_never_sees_truth(self, monkeypatch):
         seen = []
         real_train = harness.train
@@ -1043,6 +1104,27 @@ class TestReportIO:
         assert loaded["schema_version"] == 1
         lines = open(csv_path).read().splitlines()
         assert len(lines) == 1 + len(rep["history"])
+
+    @pytest.mark.parametrize("name", ["co_teaching", "disagreement"])
+    def test_peer_history_rows_are_scalar(self, tmp_path, name):
+        # the history follows the first peer: a list cell would print as
+        # "[a, b]" and split the CSV line into more cells than its header
+        rep = run_experiment(base_config(
+            noise={"kind": "symmetric", "rho": 0.3},
+            method={"procedure": {"name": name}}, train={"epochs": 7}))
+        keys = ["test_accuracy"] + (["train_loss", "keep_fraction"]
+                                    if name == "co_teaching" else [])
+        for row in rep["history"]:
+            for key in keys:
+                assert isinstance(row[key], float), (row["epoch"], key)
+            assert all(not isinstance(v, list) for v in row.values())
+        if name == "co_teaching":
+            assert rep["history"][-1]["keep_fraction"] < 1.0
+        header, *lines = open(write_report(
+            rep, tmp_path / "rep.json")).read().splitlines()
+        assert len(lines) == len(rep["history"])
+        assert all(len(line.split(",")) == len(header.split(","))
+                   for line in lines)
 
 
 class TestSweep:

@@ -14,7 +14,7 @@ from noisylab.noise import (TransitionMatrix, feature_dependent_inject,
                             symmetric_transition)
 from noisylab.numerics import (Rng, _check_args, check_prob_vector,
                                sample_categorical, softmax)
-from noisylab.procedures import (co_teach_step, iterative_clean, mixup,
+from noisylab.procedures import (iterative_clean, mixup, peer_rows,
                                  train_co_teaching)
 from noisylab.reweight import (RunningLossFilter, make_reweighter,
                                rank_prune, trimmed_filter)
@@ -208,9 +208,9 @@ SITES = {
         TrainConfig(epochs=1), **kw),
     "mixup": lambda **kw: mixup(np.zeros((2, 2)), np.eye(2), rng=Rng(0),
                                 **kw),
-    "co_teach_step": lambda **kw: co_teach_step(
+    "peer_rows": lambda **kw: peer_rows(
         stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)]),
-        np.zeros((2, 2)), np.zeros(2, int), lr=0.1, **kw),
+        np.zeros((2, 2)), np.zeros(2, int), **kw),
     "train_co_teaching": lambda **kw: train_co_teaching(
         _blobs(), TrainConfig(epochs=1), **kw),
     "iterative_clean": lambda **kw: iterative_clean(
@@ -256,7 +256,7 @@ CHECKED = [
     ("train_with_confusion", "train_with_confusion", "lambda_trace", float,
      "[0, inf)"),
     ("mixup", "mixup", "alpha", float, "(0, inf)"),
-    ("co_teach_step", "co_teach_step", "keep_fraction", float, "(0, 1]"),
+    ("peer_rows", "peer_rows", "keep_fraction", float, "(0, 1]"),
     ("train_co_teaching", "train_co_teaching", "noise_rate", float,
      "[0, 1)"),
     ("iterative_clean", "iterative_clean", "rounds", int, "[1, inf)"),

@@ -3,19 +3,19 @@ import re
 import numpy as np
 import pytest
 
-from noisylab import procedures
+from noisylab import model, procedures
 from noisylab.data import gen_blobs, split
 from noisylab.harness import run_experiment
 from noisylab.model import TrainConfig, init, predict_probs, stack, train
 from noisylab.noise import (feature_dependent_inject, inject,
                             symmetric_transition)
 from noisylab.numerics import Rng, check_prob_vector
-from noisylab.procedures import (META_RIDGE, SoftLabelStore, co_teach_step,
+from noisylab.procedures import (META_RIDGE, SoftLabelStore,
                                  co_teaching_keep_schedule,
-                                 disagreement_mask, disagreement_step,
                                  fit_meta_classifier, iterative_clean, mixup,
-                                 small_loss_selection, train_co_teaching,
-                                 train_dual_relabel, train_mixup)
+                                 peer_rows, small_loss_selection,
+                                 train_co_teaching, train_dual_relabel,
+                                 train_mixup)
 
 
 def constant_model(cls, K=2, d=2):
@@ -89,20 +89,29 @@ class TestMixup:
         assert hist[-1]["test_accuracy"] >= 0.95
 
 
-class TestCoTeachStep:
+class TestCoTeachingRows:
     def test_keep_fraction_one_full_batch(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        sel_a, sel_b = co_teach_step(stack([a, b]), ds.features[:8],
-                                     ds.labels[:8], 1.0, 0.1)
-        assert len(sel_a) == 8 and len(sel_b) == 8
+        rows = peer_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 1.0)
+        assert rows.shape == (2, 8)
+        assert all(list(r) == list(range(8)) for r in rows)
 
     def test_selection_count(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        sel_a, sel_b = co_teach_step(stack([a, b]), ds.features[:8],
-                                     ds.labels[:8], 0.5, 0.1)
-        assert len(sel_a) == 4 and len(sel_b) == 4
+        rows = peer_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 0.5)
+        assert rows.shape == (2, 4)
+
+    def test_each_peer_steps_on_the_other_peers_selection(self):
+        ds = gen_blobs(2, 20, 2, 8.0, 1)
+        a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
+        X, y = ds.features[:8], ds.labels[:8]
+        rows = peer_rows(stack([a, b]), X, y, 0.5)
+        assert list(rows[0]) == list(
+            small_loss_selection(predict_probs(b, X), y, 0.5))
+        assert list(rows[1]) == list(
+            small_loss_selection(predict_probs(a, X), y, 0.5))
 
     def test_selection_from_predictions_and_labels_only(self):
         # the masking primitive takes (probs, labels) and nothing else
@@ -113,8 +122,8 @@ class TestCoTeachStep:
     def test_invalid_fraction(self):
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
         with pytest.raises(ValueError):
-            co_teach_step(stack([a, b]), np.zeros((2, 2)),
-                          np.zeros(2, dtype=int), 0.0, 0.1)
+            peer_rows(stack([a, b]), np.zeros((2, 2)),
+                      np.zeros(2, dtype=int), 0.0)
 
     def test_beats_ce_under_heavy_noise(self):
         # frozen seeded oracle run
@@ -134,7 +143,7 @@ class TestCoTeachStep:
     def test_noise_rate_outside_unit_interval_fails_first(self, monkeypatch,
                                                           noise_rate):
         steps = []
-        monkeypatch.setattr(procedures, "co_teach_step",
+        monkeypatch.setattr(model, "sgd_step",
                             lambda *args: steps.append(args))
         ds = gen_blobs(2, 20, 2, 8.0, 3)
         with pytest.raises(ValueError, match=re.escape(
@@ -154,27 +163,28 @@ class TestKeepSchedule:
         assert co_teaching_keep_schedule(30, 0.4) == pytest.approx(0.6)
 
 
-class TestDisagreement:
-    def test_identical_models_never_update(self):
+class TestDisagreementRows:
+    def test_identical_models_give_no_rows(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a = init("linear", 2, 2, 5)
-        peers = stack([a, a.copy()])
-        before = {k: v.copy() for k, v in peers.arrays.items()}
-        idx = disagreement_step(peers, ds.features, ds.labels, 0.5)
-        assert len(idx) == 0
-        for k in before:
-            assert np.array_equal(peers.arrays[k], before[k])
+        rows = peer_rows(stack([a, a.copy()]), ds.features, ds.labels)
+        assert rows.shape == (2, 0)
 
-    def test_constant_distinct_models_update_everywhere(self):
+    def test_constant_distinct_models_give_every_row(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         a, b = constant_model(0), constant_model(1)
-        idx = disagreement_step(stack([a, b]), ds.features, ds.labels, 0.0)
-        assert len(idx) == ds.n
+        rows = peer_rows(stack([a, b]), ds.features, ds.labels)
+        assert all(list(r) == list(range(ds.n)) for r in rows)
 
-    def test_mask_uses_predictions_only(self):
-        # the mask function signature admits no labels
-        mask = disagreement_mask([0, 1, 1], [0, 0, 1])
-        assert list(mask) == [False, True, False]
+    def test_only_predictions_decide(self):
+        # any labels, even of no class, give the same rows
+        ds = gen_blobs(2, 20, 2, 8.0, 1)
+        peers = stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)])
+        rows = peer_rows(peers, ds.features, ds.labels)
+        for y in (1 - ds.labels, np.full(ds.n, -1), None):
+            assert np.array_equal(peer_rows(peers, ds.features, y), rows)
+        preds = predict_probs(peers, ds.features).argmax(axis=-1)
+        assert list(rows[0]) == list(np.flatnonzero(preds[0] != preds[1]))
 
 
 class TestSoftLabelStore:
