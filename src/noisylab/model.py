@@ -326,13 +326,13 @@ def train(ds, config, test_ds=None, reweight=None):
     def batch_loss(probs, idx):
         yb = y[idx]
         values, G = loss_and_grad(config.loss, probs, yb)
+        if reweighter is None:
+            return values, G
         w = keep[idx].astype(np.float64)
-        if reweighter:
-            rows = np.flatnonzero(w)
-            hook_w = reweighter.batch_weights(values[rows], probs[rows],
-                                              yb[rows])
-            if hook_w is not None:
-                w[rows] = hook_w
+        rows = np.flatnonzero(w)
+        hook_w = reweighter.batch_weights(values[rows], probs[rows], yb[rows])
+        if hook_w is not None:
+            w[rows] = hook_w
         return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)

@@ -93,6 +93,24 @@ class TestStaple:
         with pytest.raises(ValueError, match=f"label {bad} outside"):
             staple([[0, 1], [1, bad], [0, 0]], 2)
 
+    # max_iters=2.5 escaped as a raw TypeError and True ran one iteration;
+    # a NaN or negative tol ran silently to the cap
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": True}, "max_iters must be an integer, got True"),
+        ({"tol": float("nan")}, "tol must be in [0, inf), got nan"),
+        ({"tol": -1.0}, "tol must be in [0, inf), got -1.0"),
+    ], ids=["fractional-iters", "bool-iters", "nan-tol", "negative-tol"])
+    def test_loop_arguments_are_checked(self, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            staple([[0, 1], [1, 1], [0, 0]], 2, **kwargs)
+        assert str(info.value) == f"staple: {message}"
+
+    def test_zero_iterations_and_integer_tol_accepted(self):
+        L = [[0, 1], [1, 1], [0, 0]]
+        _, _, _, loglik = staple(L, 2, max_iters=np.int64(0), tol=0)
+        assert len(loglik) == 1
+
 
 class TestMinLossLabel:
     def test_argmin(self):

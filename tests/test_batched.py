@@ -26,7 +26,7 @@ from noisylab import procedures
 from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
                                  majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
-from noisylab.data import LabeledDataset
+from noisylab.data import LabeledDataset, gen_blobs, split
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
                              loss_and_grad, loss_value)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
@@ -34,7 +34,8 @@ from noisylab.model import (DivergedError, TrainConfig, backward_batch,
                             minibatches, predict, predict_probs, sgd_epoch,
                             sgd_step, stack, train, unstack)
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
-                            inject, simulate_annotators)
+                            inject, simulate_annotators,
+                            symmetric_transition)
 from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (SoftLabelStore, cleaning_meta_features,
                                  co_teaching_keep_schedule,
@@ -483,6 +484,70 @@ class TestStapleStack:
             assert T.t.tobytes() == theta.tobytes()
         assert trace == want_trace
 
+
+def assert_staple_is_ref(L, K, max_iters=100, tol=1e-6):
+    """staple equals ref_staple bit for bit: posteriors, fused labels,
+    prior, confusions and log-likelihood trace. Returns the trace."""
+    post, model, fused, trace = staple(L, K, max_iters, tol)
+    want_post, thetas, prior, want_trace = ref_staple(L, K, max_iters, tol)
+    assert post.tobytes() == want_post.tobytes()
+    assert fused.tobytes() == want_post.argmax(axis=1).tobytes()
+    assert model.prior.tobytes() == prior.tobytes()
+    assert [T.t.tobytes() for T in model.confusions] == [
+        theta.tobytes() for theta in thetas]
+    assert trace == want_trace
+    return trace
+
+
+class TestStaplePatterns:
+    """staple's E-step runs once per distinct row of labels; panels whose
+    rows repeat must still match the row-by-row EM bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_many_rows_per_pattern(self, data):
+        K = data.draw(st.integers(2, 3))
+        A = data.draw(st.integers(2, 3))
+        N = data.draw(st.integers(K ** A, 3000))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        truth = rng.integers(0, K, N)
+        L = np.where(rng.random((N, A)) < data.draw(st.floats(0.0, 1.0)),
+                     rng.integers(0, K, (N, A)), truth[:, None])
+        assert_staple_is_ref(L, K, data.draw(st.integers(0, 12)),
+                             data.draw(st.sampled_from([1e-6, 0.0])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_pattern(self, data):
+        K = data.draw(st.integers(2, 5))
+        A = data.draw(st.integers(2, 5))
+        row = data.draw(st.lists(st.integers(0, K - 1), min_size=A,
+                                 max_size=A))
+        L = np.tile(row, (data.draw(st.integers(1, 500)), 1))
+        assert_staple_is_ref(L, K, data.draw(st.integers(0, 12)),
+                             data.draw(st.sampled_from([1e-6, 0.0])))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_row(self, data):
+        K = data.draw(st.integers(2, 5))
+        A = data.draw(st.integers(2, 5))
+        L = np.array([data.draw(st.lists(st.integers(0, K - 1), min_size=A,
+                                         max_size=A))])
+        assert_staple_is_ref(L, K, data.draw(st.integers(0, 12)),
+                             data.draw(st.sampled_from([1e-6, 0.0])))
+
+    def test_bench_panel(self):
+        # the fusion panel of the benchmark's seed-1 run: 3 blobs x 4,500,
+        # the harness's split, annotators at rho 0.2, 0.3 and 0.4
+        full = gen_blobs(3, 4500, 2, 3.0, 1)
+        train, _ = split(full, 0.25, 2)
+        L = simulate_annotators(
+            train, [symmetric_transition(3, r) for r in (0.2, 0.3, 0.4)],
+            Rng(3).split(1)[0]).annotator_labels
+        assert L.shape == (10125, 3)
+        assert len(np.unique(L, axis=0)) == 27
+        assert len(assert_staple_is_ref(L, 3)) == 101  # stopped by the cap
 
 class TestSgdCore:
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab.annotators import train_with_confusion
+from noisylab.annotators import staple, train_with_confusion
 from noisylab.data import gen_blobs, gen_rings, split
 from noisylab.harness import PipelineError, run_experiment, sweep
 from noisylab.losses import LossSpec
@@ -203,6 +203,7 @@ SITES = {
     "pumpout": lambda **kw: make_reweighter(
         {"kind": "pumpout", "transition": symmetric_transition(2, 0.2),
          **kw}),
+    "staple": lambda **kw: staple(np.zeros((3, 2), int), **{"K": 2, **kw}),
     "train_with_confusion": lambda **kw: train_with_confusion(
         replace(_blobs(), annotator_labels=np.zeros((12, 1), int)),
         TrainConfig(epochs=1), **kw),
@@ -253,6 +254,9 @@ CHECKED = [
     ("rank_prune", "rank_prune", "prune_fraction", float, "[0, 1)"),
     ("trimmed_filter", "trimmed_filter", "trim_fraction", float, "[0, 1)"),
     ("pumpout", "pumpout", "gamma", float, "(0, 1)"),
+    ("staple", "staple", "K", int, "[1, inf)"),
+    ("staple", "staple", "max_iters", int, "[0, inf)"),
+    ("staple", "staple", "tol", float, "[0, inf)"),
     ("train_with_confusion", "train_with_confusion", "lambda_trace", float,
      "[0, inf)"),
     ("mixup", "mixup", "alpha", float, "(0, inf)"),
