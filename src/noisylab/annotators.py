@@ -28,11 +28,6 @@ class AnnotatorModel:
         return {"prior": self.prior.tolist(),
                 "confusions": [T.t.tolist() for T in self.confusions]}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls(tuple(TransitionMatrix(t) for t in obj["confusions"]),
-                   np.asarray(obj["prior"], dtype=np.float64))
-
 
 def majority_vote(labels):
     """Most frequent label along the last axis; ties go to the lowest class
@@ -165,8 +160,9 @@ def confusion_grads(Q, probs, labels, *, theta=None):
     # the batch, then chain each row through its softmax
     dtheta = (np.swapaxes(probs * (-1.0 / q_y.T)[..., None], -1, -2)
               @ np.eye(theta.shape[-1])[labels.T])
-    gQ = theta * (dtheta - np.sum(dtheta * theta, axis=-1, keepdims=True))
-    return values, G.sum(axis=1), gQ
+    gQ = theta * (dtheta - np.add.reduce(dtheta * theta, axis=-1,
+                                         keepdims=True))
+    return values, np.add.reduce(G, axis=1), gQ
 
 
 def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):

@@ -20,7 +20,7 @@ class LabeledDataset:
     """Feature matrix plus observed labels, optional hidden truth and
     per-annotator labels."""
 
-    features: np.ndarray          # (N, d) float64
+    features: np.ndarray          # (N, d) float64, d >= 1
     labels: np.ndarray            # (N,) int
     num_classes: int
     true_labels: np.ndarray | None = None       # (N,) int, evaluation only
@@ -31,6 +31,9 @@ class LabeledDataset:
                            np.asarray(self.features, dtype=np.float64))
         object.__setattr__(self, "labels",
                            np.asarray(self.labels, dtype=np.int64))
+        if self.features.ndim != 2 or self.features.shape[1] < 1:
+            raise ValueError("features must be an (N, d) array with d >= 1, "
+                             f"got shape {self.features.shape}")
         n = self.features.shape[0]
         bad = np.flatnonzero(~np.isfinite(self.features).all(axis=-1))
         if bad.size:

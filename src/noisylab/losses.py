@@ -4,7 +4,8 @@ and transition-matrix backward/forward corrections.
 Every loss exposes a value and a gradient with respect to the logits; the
 gradient is what the trainer consumes. iMAE is defined only at gradient
 level: it keeps the MAE gradient direction but rescales the l1 norm to
-exp(tau * p_y) * (1 - p_y), so confidently-fit samples dominate.
+exp(tau * p_y) * (1 - p_y), so confidently-fit samples dominate. Row
+sums run at every SGD step: they call np.add.reduce, not its np.sum wrapper.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def loss_and_grad(spec, probs, y):
     y = np.asarray(y, dtype=np.intp)
     rows = np.arange(len(y))
     p_y = P[rows, y]
-    onehot = np.zeros_like(P)
-    onehot[rows, y] = 1.0
     if spec.kind == "ce":
-        return -np.log(np.maximum(p_y, LOG_CLAMP)), P - onehot
+        G = P.copy()  # P minus the one-hot labels, as p - 0.0 is p
+        G[rows, y] = p_y - 1.0
+        return -np.log(np.maximum(p_y, LOG_CLAMP)), G
+    onehot = np.zeros(P.shape)
+    onehot[rows, y] = 1.0
     if spec.kind in ("mae", "imae"):
         # MAE's gradient has l1 norm 4 p_y (1 - p_y). iMAE keeps its
         # direction, scaled to l1 norm exp(tau p_y)(1 - p_y) since
@@ -84,11 +87,12 @@ def loss_and_grad(spec, probs, y):
         # Patrini backward correction: component y of T^{-1} l(p); may be
         # negative, which unbiasedness requires
         W = spec.t_inv[y]
-        values = np.sum(W * loss_vector(spec.base, P), axis=1)
+        values = np.add.reduce(W * loss_vector(spec.base, P), axis=1)
         if spec.base == "ce":
-            return values, W.sum(axis=1, keepdims=True) * P - W
+            return values, np.add.reduce(W, axis=1, keepdims=True) * P - W
         WP = W * P
-        return values, 2.0 * (WP.sum(axis=1, keepdims=True) * P - WP)
+        return values, 2.0 * (np.add.reduce(WP, axis=1, keepdims=True) * P
+                              - WP)
     if spec.kind == "forward":
         values, G, _ = mixed_ce(spec.transition.t[None], P, y[:, None])
         return values[:, 0], G[:, 0]
@@ -104,16 +108,10 @@ def mixed_ce(T, probs, y):
     (N, A))."""
     cols = np.swapaxes(T, -1, -2)[np.arange(len(T)), y]  # d q_{y_ra} / d p
     P = probs[:, None, :]
-    q_y = np.maximum(np.sum(cols * P, axis=-1), LOG_CLAMP)
-    V = -cols / q_y[..., None]
-    return -np.log(q_y), grad_probs_to_logits(P, V), q_y
-
-
-def grad_probs_to_logits(probs, dl_dprobs):
-    """Chain gradients wrt softmax outputs through the softmax Jacobian,
-    along the last axis."""
-    return probs * (dl_dprobs - np.sum(dl_dprobs * probs, axis=-1,
-                                       keepdims=True))
+    q_y = np.maximum(np.add.reduce(cols * P, axis=-1), LOG_CLAMP)
+    V = -cols / q_y[..., None]  # dloss/dp, then chained through the softmax
+    return (-np.log(q_y),
+            P * (V - np.add.reduce(V * P, axis=-1, keepdims=True)), q_y)
 
 
 def loss_vector(base, probs):
@@ -133,7 +131,7 @@ def kl_to_targets(probs, targets):
     scores the cross-entropy of its label."""
     nz = targets > 0
     logs = np.log(np.where(nz, targets, 1.0)) + loss_vector("ce", probs)
-    return np.sum(np.where(nz, targets * logs, 0.0), axis=-1)
+    return np.add.reduce(np.where(nz, targets * logs, 0.0), axis=-1)
 
 
 def loss_value(spec, probs, y):

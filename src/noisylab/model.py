@@ -6,7 +6,6 @@ gradient verification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,21 +50,6 @@ class ModelParams:
         out.arrays = {k: v.copy() for k, v in self.arrays.items()}
         return out
 
-    def to_json(self):
-        return {"arch": self.arch, "d": self.d, "K": self.K,
-                "hidden": self.hidden,
-                "arrays": {k: [format(v, ".17g") for v in a.ravel()]
-                           for k, a in self.arrays.items()},
-                "shapes": {k: list(a.shape) for k, a in self.arrays.items()}}
-
-    @classmethod
-    def from_json(cls, obj):
-        out = cls(obj["arch"], obj["d"], obj["K"], hidden=obj["hidden"])
-        for k, flat in obj["arrays"].items():
-            out.arrays[k] = np.array([float(v) for v in flat]).reshape(
-                obj["shapes"][k])
-        return out
-
 
 def init(arch, d, K, seed, hidden=32):
     """Scaled-uniform weight init U(-1/sqrt(fan_in), 1/sqrt(fan_in)),
@@ -86,6 +70,11 @@ def forward_batch(params, X):
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[-1] != params.d:
         raise ValueError(f"expected {params.d} features, got {X.shape[-1]}")
+    return _forward(params, X)
+
+
+def _forward(params, X):
+    """forward_batch on a float64 batch already checked against params."""
     if params.arch == "linear":
         return (X @ params.arrays["W"] + params.arrays["b"][..., None, :],
                 {"X": X})
@@ -109,14 +98,14 @@ def backward_batch(params, G, cache):
     grads = {}
     if params.arch == "linear":
         grads["W"] = X.swapaxes(-1, -2) @ G
-        grads["b"] = G.sum(axis=-2)
+        grads["b"] = np.add.reduce(G, axis=-2)
         return grads
     h = cache["h"]
     grads["W2"] = h.swapaxes(-1, -2) @ G
-    grads["b2"] = G.sum(axis=-2)
+    grads["b2"] = np.add.reduce(G, axis=-2)
     Gh = (G @ params.arrays["W2"].swapaxes(-1, -2)) * (cache["a1"] > 0)
     grads["W1"] = X.swapaxes(-1, -2) @ Gh
-    grads["b1"] = Gh.sum(axis=-2)
+    grads["b1"] = np.add.reduce(Gh, axis=-2)
     return grads
 
 
@@ -187,8 +176,18 @@ class TrainConfig:
 def minibatches(order, batch_size):
     """Consecutive index slices of `order` along its last axis; the last
     may be short. An (E, n) order of E models gives (E, B) index blocks."""
+    return (batch[0] for batch in epoch_batches(order, batch_size))
+
+
+def epoch_batches(order, batch_size, *arrays):
+    """Each minibatch of `order` as a list [indices, *rows]: every array is
+    gathered once in epoch order, array[order], and a batch's rows are a
+    slice of that along order's last axis ((E, B, ...) for an (E, n) order)."""
+    gathered = [order, *(a[order] for a in arrays)]
+    lead = (slice(None),) * (order.ndim - 1)
     for start in range(0, order.shape[-1], batch_size):
-        yield order[..., start:start + batch_size]
+        rows = lead + (slice(start, start + batch_size),)
+        yield [g[rows] for g in gathered]
 
 
 def sgd_step(params, X, lr, batch_loss, epoch):
@@ -198,8 +197,9 @@ def sgd_step(params, X, lr, batch_loss, epoch):
     batch rows per model. A stacked model's (E, B, d) batch steps its E
     models in lockstep; batch_loss still sees N = E * B rows, model by
     model. Returns the loss values, a row per model when stacked; raises
-    DivergedError naming the epoch on a non-finite logit."""
-    logits, cache = forward_batch(params, X)
+    DivergedError naming the epoch on a non-finite logit. X (dataset rows)
+    is used as given; forward_batch is the one that converts and checks."""
+    logits, cache = _forward(params, X)
     try:
         probs = softmax(logits.reshape(-1, params.K))  # rejects non-finite
     except ValueError as e:
@@ -270,19 +270,21 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
     fits with config.seed set to each: order is then (E, n) and rng the
     list of the E streams. A stack given as params without seeds shares
     config.seed's one shuffle, and batches gives each model's rows as an
-    (E, m, d) block."""
+    (E, m, d) block; fit checks the model's feature count against ds once."""
     stacked = seeds is not None
     seeds = list(seeds) if stacked else [config.seed]
     if params is None:
         models = [init(config.arch, ds.dim, ds.num_classes, s, config.hidden)
                   for s in seeds]
         params = stack(models) if stacked else models[0]
+    if params.d != ds.dim:
+        raise ValueError(f"expected {params.d} features, got {ds.dim}")
     streams = [Rng(s) for s in seeds]
     rng = streams if stacked else streams[0]
     if batches is None:
         def batches(order, rng):
-            return ((ds.features[idx], idx.ravel())
-                    for idx in minibatches(order, config.batch_size))
+            return ((X, idx.ravel()) for idx, X in
+                    epoch_batches(order, config.batch_size, ds.features))
     history = []
     for epoch in range(config.epochs):
         orders = [r.permutation(ds.n) for r in streams]
@@ -313,7 +315,6 @@ def train(ds, config, test_ds=None, reweight=None):
     params = init(config.arch, ds.dim, ds.num_classes, config.seed,
                   config.hidden)
     reweighter = make_reweighter(reweight)
-    X, y = ds.features, ds.labels
     keep = np.ones(ds.n, dtype=bool)
 
     def batches(order, rng):
@@ -321,28 +322,19 @@ def train(ds, config, test_ds=None, reweight=None):
         kept = reweighter.epoch_kept_set(params, ds) if reweighter else None
         if kept is not None:
             keep[:] = kept
-        return ((X[idx], idx) for idx in minibatches(order, config.batch_size))
+        return ((X, (yb, kb)) for _, X, yb, kb in epoch_batches(
+            order, config.batch_size, ds.features, ds.labels, keep))
 
-    def batch_loss(probs, idx):
-        yb = y[idx]
+    def batch_loss(probs, key):
+        yb, kb = key
         values, G = loss_and_grad(config.loss, probs, yb)
         if reweighter is None:
             return values, G
-        w = keep[idx].astype(np.float64)
-        rows = np.flatnonzero(w)
+        w = kb.astype(np.float64)
+        rows = w.nonzero()[0]
         hook_w = reweighter.batch_weights(values[rows], probs[rows], yb[rows])
         if hook_w is not None:
             w[rows] = hook_w
         return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)
-
-
-def save_params(params, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(params.to_json(), f, indent=2)
-
-
-def load_params(path):
-    with open(path, encoding="utf-8") as f:
-        return ModelParams.from_json(json.load(f))

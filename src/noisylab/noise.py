@@ -55,10 +55,6 @@ class TransitionMatrix:
                              f"({k}, {k})")
         return T
 
-    @classmethod
-    def identity(cls, K):
-        return cls(np.eye(K))
-
 
 def symmetric_transition(K, rho):
     """Uniform class-independent noise: diag 1-rho, off-diag rho/(K-1)."""

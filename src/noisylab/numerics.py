@@ -97,12 +97,12 @@ def _check_labels(fn, labels, K):
 def softmax(logits):
     """Stable softmax over the last axis (max-subtracted)."""
     logits = np.asarray(logits, dtype=np.float64)
-    # array methods, not np.all / np.max / np.sum: the same reductions
-    # without their Python wrappers, once per SGD step
-    if not np.isfinite(logits).all():
+    # the ufuncs' own reductions: np.all / np.max / np.sum and the array
+    # methods reach the same ones through Python wrappers, once per SGD step
+    if not np.logical_and.reduce(np.isfinite(logits), axis=None):
         raise ValueError("softmax: non-finite logits")
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def check_prob_vector(p):

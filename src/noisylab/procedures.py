@@ -11,8 +11,8 @@ from dataclasses import replace
 import numpy as np
 
 from .losses import LossSpec, kl_to_targets, loss_and_grad, loss_vector
-from .model import (DivergedError, ModelParams, epoch_row, fit,
-                    forward_batch, init, minibatches, predict, predict_probs,
+from .model import (DivergedError, ModelParams, epoch_batches, epoch_row,
+                    fit, forward_batch, init, predict, predict_probs,
                     sgd_epoch, stack, train, unstack)
 from .noise import class_centroids
 from .numerics import Rng, _check_args, softmax
@@ -105,11 +105,11 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
 
     def batches(order, rng):
         # lazy, so each batch's mixing draws follow the previous step
-        return (mixup(ds.features[idx], Y[idx], alpha, rng)
-                for idx in minibatches(order, config.batch_size))
+        return (mixup(X, Yb, alpha, rng) for _, X, Yb in
+                epoch_batches(order, config.batch_size, ds.features, Y))
 
     def batch_loss(probs, Y_mix):
-        return (np.sum(Y_mix * loss_vector("ce", probs), axis=1),
+        return (np.add.reduce(Y_mix * loss_vector("ce", probs), axis=1),
                 probs - Y_mix)
 
     return fit(ds, config, batch_loss, test_ds, batches)
@@ -179,11 +179,11 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     def batches(order, rng):
         # lazy, so each batch's rows come from the peers as last stepped
         keep = next(schedule)
-        for idx in minibatches(order, config.batch_size):
-            rows = idx[peer_rows(peers, ds.features[idx], ds.labels[idx],
-                                 keep)]
+        for _, X, y in epoch_batches(order, config.batch_size, ds.features,
+                                     ds.labels):
+            rows = peer_rows(peers, X, y, keep)
             if rows.size:
-                yield ds.features[rows], ds.labels[rows].ravel()
+                yield X[rows], y[rows].ravel()
 
     # fit's stream is Rng(config.seed) too: split leaves it where it was
     peers, history = fit(ds, config,
@@ -200,29 +200,40 @@ def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
 # --- dual models with iterative label update --------------------------------
 
 def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
-                       batch_size, epoch):
+                       batch_size, epoch, own=None):
     """One round of dual-model training plus the end-of-epoch relabel rule.
     Each model trains one epoch in which a sample's target is whichever of
     (stored label, the peer's hard prediction from before the round)
     yields the lower loss. Then a sample's stored label is replaced by a
     model's hard prediction when exactly one model's prediction beats the
     stored label's loss, and by the average of the two predicted
-    distributions (soft) when both do."""
+    distributions (soft) when both do. own holds the models' (2, n) argmax
+    predictions on ds, small's first, as the last round left them (None:
+    predicted here); returns them as this round leaves them."""
     models = (model_small, model_large)
+    if own is None:
+        own = np.array([predict(m, ds.features) for m in models])
+    # kl_to_targets against the store, its log terms taken once (the store
+    # changes only after training); a one-hot peer target's KL is exactly
+    # the CE of its label
+    nz = store.targets > 0
+    log_stored = np.log(np.where(nz, store.targets, 1.0))
     eye = np.eye(store.K)
-    peers = [eye[predict(m, ds.features)] for m in models[::-1]]
 
-    def batch_loss(probs, targets):
-        stored, peer = targets
-        l_stored = kl_to_targets(probs, stored)
-        l_peer = kl_to_targets(probs, peer)
+    def batch_loss(probs, key):
+        nz, stored, log_stored, peer = key
+        ce = loss_vector("ce", probs)
+        l_stored = np.add.reduce(np.where(nz, stored * (log_stored + ce),
+                                          0.0), axis=-1)
+        l_peer = ce[np.arange(len(ce)), peer]
         return (np.minimum(l_stored, l_peer),
-                probs - np.where((l_stored <= l_peer)[:, None], stored, peer))
+                probs - np.where((l_stored <= l_peer)[:, None], stored,
+                                 eye[peer]))
 
-    for params, peer, stream in zip(models, peers, rng.split(2)):
-        order = stream.permutation(ds.n)
-        batches = ((ds.features[idx], (store.targets[idx], peer[idx]))
-                   for idx in minibatches(order, batch_size))
+    for params, peer, stream in zip(models, own[::-1], rng.split(2)):
+        batches = ((X, key) for _, X, *key in epoch_batches(
+            stream.permutation(ds.n), batch_size, ds.features, nz,
+            store.targets, log_stored, peer))
         sgd_epoch(params, batches, lr, batch_loss, epoch)
     preds = np.array([predict_probs(m, ds.features) for m in models])
     own = preds.argmax(axis=-1)  # (2, n): small's, then large's
@@ -233,13 +244,14 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
     both = np.flatnonzero(wins[0] & wins[1])
     store.relabel_soft(both, 0.5 * (preds[0][both] + preds[1][both]), epoch,
                        "both")
-    return store
+    return own
 
 
 def train_dual_relabel(ds, config, test_ds=None):
     """Full dual-model procedure: mlps 0.8 and 1.25 times config.hidden
     wide warm up on the noisy labels for DUAL_RELABEL_WARMUP_EPOCHS, then
-    alternate training against the store with end-of-epoch relabeling."""
+    alternate training against the store with end-of-epoch relabeling,
+    each round's peer targets the predictions the last round ended on."""
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
     store = SoftLabelStore(ds.labels, ds.num_classes)
@@ -248,10 +260,11 @@ def train_dual_relabel(ds, config, test_ds=None):
                                        hidden=round(config.hidden * 0.80)))
     model_large, _ = train(ds, replace(warm_cfg, seed=seed_b,
                                        hidden=round(config.hidden * 1.25)))
-    history = []
+    history, own = [], None
     for epoch in range(config.epochs):
-        dual_relabel_epoch(model_small, model_large, ds, store, rng,
-                           config.learning_rate, config.batch_size, epoch)
+        own = dual_relabel_epoch(model_small, model_large, ds, store, rng,
+                                 config.learning_rate, config.batch_size,
+                                 epoch, own)
         fields = ({} if ds.true_labels is None else
                   {"store_match_truth": store.match_fraction(ds.true_labels)})
         history.append(epoch_row(epoch, model_small, test_ds, **fields))

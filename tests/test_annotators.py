@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from noisylab.annotators import (AnnotatorModel, majority_vote,
-                                 min_loss_labels, staple,
+from noisylab.annotators import (majority_vote, min_loss_labels, staple,
                                  train_min_loss_label, train_with_confusion)
 from noisylab.data import gen_blobs, split
 from noisylab.model import TrainConfig
@@ -174,12 +173,3 @@ class TestTrainMinLossLabel:
         params, hist = train_min_loss_label(ds.training_view(), cfg, te)
         assert hist[-1]["test_accuracy"] >= 0.95
 
-
-class TestAnnotatorModelJson:
-    def test_round_trip(self):
-        conf = (symmetric_transition(3, 0.1), symmetric_transition(3, 0.2))
-        model = AnnotatorModel(conf, np.array([0.5, 0.3, 0.2]))
-        back = AnnotatorModel.from_json(model.to_json())
-        assert np.allclose(back.prior, model.prior)
-        for a, b in zip(back.confusions, model.confusions):
-            assert np.allclose(a.t, b.t)

@@ -3,8 +3,9 @@ annotator and procedure code with the per-sample formulas they replace,
 of the stacked transition-mixing kernel and STAPLE with the
 per-transition and per-annotator code they replaced, of the batched
 running-loss filter and re-weight hooks with the per-sample rule and
-per-row hook loop, and of the kept masks and the batched label store with
-the index sets and per-row updates they replaced.
+per-row hook loop, of the kept masks and the batched label store with
+the index sets and per-row updates they replaced, and of the trainers'
+once-per-epoch row gathers with the per-batch index gathers they replaced.
 
 The per-sample reference functions below are the direct one-sample forms
 of each formula: a loop over rows of them is what the batched code must
@@ -28,7 +29,7 @@ from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
                                  train_with_confusion)
 from noisylab.data import LabeledDataset, gen_blobs, split
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
-                             loss_and_grad, loss_value)
+                             loss_and_grad, loss_value, loss_vector)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
                             epoch_row, fit, forward, forward_batch, init,
                             minibatches, predict, predict_probs, sgd_epoch,
@@ -40,8 +41,9 @@ from noisylab.numerics import Rng, sample_categorical, softmax
 from noisylab.procedures import (SoftLabelStore, cleaning_meta_features,
                                  co_teaching_keep_schedule,
                                  dual_relabel_epoch, fit_meta_classifier,
-                                 iterative_clean, small_loss_selection,
-                                 train_co_teaching)
+                                 iterative_clean, mixup,
+                                 small_loss_selection, train_co_teaching,
+                                 train_mixup)
 from noisylab.reweight import (SIGMA_FLOOR, RunningLossFilter,
                                make_reweighter, rank_prune, trimmed_filter)
 
@@ -1160,9 +1162,10 @@ def small_runs(draw):
 
 
 def assert_same_run(params, history, ref_params, ref_history):
+    """Equal histories and bitwise-equal parameter arrays."""
     assert history == ref_history
-    for name in ref_params.arrays:
-        assert np.array_equal(params.arrays[name], ref_params.arrays[name])
+    for name, ref in ref_params.arrays.items():
+        assert params.arrays[name].tobytes() == ref.tobytes()
 
 
 class TestNoiseAdaptationAsConfusion:
@@ -1408,16 +1411,18 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
 @st.composite
 def peer_runs(draw):
     """(train set, test set, TrainConfig, noise_rate) for a pair of peers:
-    K 2..5, linear or mlp, a short last batch, and up to 8 epochs, so the
-    co-teaching keep fraction falls below 1 after its 5 warmup epochs."""
+    K 2..5, d 1..3, linear or mlp, a short last batch (the only one when n
+    is below the batch size), and up to 8 epochs, so the co-teaching keep
+    fraction falls below 1 after its 5 warmup epochs."""
     K = draw(st.integers(2, 5), label="K")
+    d = draw(st.integers(1, 3), label="d")
     batch_size = draw(st.integers(2, 8), label="batch_size")
-    n = (batch_size * draw(st.integers(1, 3), label="full batches")
+    n = (batch_size * draw(st.integers(0, 3), label="full batches")
          + draw(st.integers(1, batch_size - 1), label="last batch"))
     seed = draw(st.integers(0, 2**16), label="seed")
     rng = Rng(seed)
-    ds = LabeledDataset(rng.normal((n, 2)), rng.integers(0, K, size=n), K)
-    test_ds = LabeledDataset(rng.normal((5, 2)), rng.integers(0, K, size=5),
+    ds = LabeledDataset(rng.normal((n, d)), rng.integers(0, K, size=n), K)
+    test_ds = LabeledDataset(rng.normal((5, d)), rng.integers(0, K, size=5),
                              K)
     config = TrainConfig(
         epochs=draw(st.integers(1, 8), label="epochs"),
@@ -1460,3 +1465,213 @@ class TestStackedPeers:
                 assert np.array_equal(peer.arrays[name], model.arrays[name])
         assert [sorted(row) for row in history] == (
             [["epoch", "test_accuracy"]] * config.epochs)
+
+
+@st.composite
+def ragged_runs(draw):
+    """(train set, test set, TrainConfig) whose batch size does not divide
+    n, so every epoch ends on a short batch; d 1..3, K 2..4, linear or
+    mlp, any of the exact loss kinds."""
+    K = draw(st.integers(2, 4), label="K")
+    d = draw(st.integers(1, 3), label="d")
+    batch_size = draw(st.integers(2, 9), label="batch_size")
+    n = (batch_size * draw(st.integers(0, 3), label="full batches")
+         + draw(st.integers(1, batch_size - 1), label="last batch"))
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    ds = LabeledDataset(rng.normal((n, d)) * 2.0, rng.integers(0, K, size=n),
+                        K)
+    test_ds = LabeledDataset(rng.normal((5, d)), rng.integers(0, K, size=5),
+                             K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3), label="epochs"),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4,
+        loss=draw(st.sampled_from([LossSpec("ce"), LossSpec("mae"),
+                                   LossSpec("imae"),
+                                   LossSpec("smooth_kl", epsilon=0.1)]),
+                  label="loss"))
+    return ds, test_ds, config
+
+
+def index_gather_batches(ds, batch_size):
+    """fit's default batches as they gathered each batch's rows by index:
+    minibatches(order, batch_size) and features[idx]."""
+    return lambda order, rng: ((ds.features[idx], idx.ravel())
+                               for idx in minibatches(order, batch_size))
+
+
+def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
+    """model.train as it gathered each batch's features, labels and kept
+    rows by index."""
+    hook = make_reweighter(reweight)
+    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
+                  config.hidden)
+    keep = np.ones(ds.n, dtype=bool)
+
+    def batches(order, rng):
+        kept = hook.epoch_kept_set(params, ds) if hook else None
+        if kept is not None:
+            keep[:] = kept
+        return ((ds.features[idx], idx)
+                for idx in minibatches(order, config.batch_size))
+
+    def batch_loss(probs, idx):
+        yb = ds.labels[idx]
+        values, G = loss_and_grad(config.loss, probs, yb)
+        if hook is None:
+            return values, G
+        w = keep[idx].astype(np.float64)
+        rows = np.flatnonzero(w)
+        hook_w = hook.batch_weights(values[rows], probs[rows], yb[rows])
+        if hook_w is not None:
+            w[rows] = hook_w
+        return values, G * w[:, None]
+
+    return fit(ds, config, batch_loss, test_ds, batches, params)
+
+
+def ref_index_gather_mixup(ds, config, test_ds, alpha):
+    """train_mixup as it gathered each batch's rows and targets by
+    index."""
+    Y = np.eye(ds.num_classes)[ds.labels]
+
+    def batches(order, rng):
+        return (mixup(ds.features[idx], Y[idx], alpha, rng)
+                for idx in minibatches(order, config.batch_size))
+
+    def batch_loss(probs, Y_mix):
+        return (np.sum(Y_mix * loss_vector("ce", probs), axis=1),
+                probs - Y_mix)
+
+    return fit(ds, config, batch_loss, test_ds, batches)
+
+
+class TestEpochGather:
+    """Each epoch's rows gathered once and sliced per batch give the runs
+    that gathering each batch's rows by index gave, bit for bit (the
+    peers' runs: TestStackedPeers, whose reference gathers by index)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=ragged_runs(), stacked=st.booleans())
+    def test_fit(self, run, stacked):
+        ds, test_ds, config = run
+        seeds = [config.seed, config.seed + 1, 7] if stacked else None
+
+        def batch_loss(probs, idx):
+            return loss_and_grad(config.loss, probs, ds.labels[idx])
+
+        assert_same_run(
+            *fit(ds, config, batch_loss, test_ds, seeds=seeds),
+            *fit(ds, config, batch_loss, test_ds,
+                 index_gather_batches(ds, config.batch_size), seeds=seeds))
+
+    @pytest.mark.parametrize("kind", [None, "running", "trimmed",
+                                      "rank_prune", "pumpout"])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_train_with_each_hook(self, kind, data):
+        ds, config, spec = data.draw(reweight_runs(kind or "trimmed"))
+        spec = spec if kind else None
+        assert_same_run(*train(ds, config, ds, spec),
+                        *ref_index_gather_train(ds, config, ds, spec))
+
+    @settings(max_examples=40, deadline=None)
+    @given(run=ragged_runs(), alpha=st.sampled_from([0.2, 1.0]))
+    def test_mixup(self, run, alpha):
+        ds, test_ds, config = run
+        assert_same_run(*train_mixup(ds, config, test_ds, alpha),
+                        *ref_index_gather_mixup(ds, config, test_ds, alpha))
+
+
+def ref_recomputed_dual_relabel_epoch(model_small, model_large, ds, store,
+                                      rng, lr, batch_size, epoch):
+    """dual_relabel_epoch as it predicted the peers at the start of every
+    round, scored both targets of a step by kl_to_targets and gathered each
+    batch's rows by index."""
+    models = (model_small, model_large)
+    eye = np.eye(store.K)
+    peers = [eye[predict(m, ds.features)] for m in models[::-1]]
+
+    def batch_loss(probs, targets):
+        stored, peer = targets
+        l_stored = kl_to_targets(probs, stored)
+        l_peer = kl_to_targets(probs, peer)
+        return (np.minimum(l_stored, l_peer),
+                probs - np.where((l_stored <= l_peer)[:, None], stored, peer))
+
+    for params, peer, stream in zip(models, peers, rng.split(2)):
+        order = stream.permutation(ds.n)
+        sgd_epoch(params, ((ds.features[idx], (store.targets[idx], peer[idx]))
+                           for idx in minibatches(order, batch_size)),
+                  lr, batch_loss, epoch)
+    preds = np.array([predict_probs(m, ds.features) for m in models])
+    own = preds.argmax(axis=-1)
+    wins = kl_to_targets(preds, eye[own]) < kl_to_targets(preds, store.targets)
+    one = np.flatnonzero(wins[0] ^ wins[1])
+    store.relabel_hard(one, np.where(wins[0], own[0], own[1])[one], epoch,
+                       np.where(wins[0][one], "small", "large"))
+    both = np.flatnonzero(wins[0] & wins[1])
+    store.relabel_soft(both, 0.5 * (preds[0][both] + preds[1][both]), epoch,
+                       "both")
+
+
+def ref_recomputed_dual_relabel(ds, config, test_ds, warm_up):
+    """train_dual_relabel as it ran ref_recomputed_dual_relabel_epoch
+    each round, its models warmed up by warm_up."""
+    rng = Rng(config.seed)
+    seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
+    store = SoftLabelStore(ds.labels, ds.num_classes)
+    warm_cfg = replace(config, epochs=procedures.DUAL_RELABEL_WARMUP_EPOCHS,
+                       arch="mlp")
+    small, _ = warm_up(ds, replace(warm_cfg, seed=seed_a,
+                                   hidden=round(config.hidden * 0.80)))
+    large, _ = warm_up(ds, replace(warm_cfg, seed=seed_b,
+                                   hidden=round(config.hidden * 1.25)))
+    history = []
+    for epoch in range(config.epochs):
+        ref_recomputed_dual_relabel_epoch(small, large, ds, store, rng,
+                                          config.learning_rate,
+                                          config.batch_size, epoch)
+        history.append(epoch_row(
+            epoch, small, test_ds,
+            store_match_truth=store.match_fraction(ds.true_labels)))
+    return small, large, store, history
+
+
+def zeroed(train_fn):
+    """train_fn with every trained parameter set to 0: a uniform model."""
+    def train_zeroed(*args, **kwargs):
+        params, history = train_fn(*args, **kwargs)
+        for a in params.arrays.values():
+            a[:] = 0.0
+        return params, history
+    return train_zeroed
+
+
+class TestDualRelabelPeerReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(run=ragged_runs(), epochs=st.integers(2, 4),
+           uniform=st.booleans())
+    def test_matches_recomputed_predictions(self, run, epochs, uniform):
+        ds, test_ds, config = run
+        ds = replace(ds, true_labels=np.roll(ds.labels, 1))
+        config = replace(config, epochs=epochs, hidden=5)
+        warm_up = ref_index_gather_train
+        with pytest.MonkeyPatch.context() as mp:
+            if uniform:
+                # uniform peers at lr 0: every label's loss ties, so each
+                # step takes the stored target and no row is relabeled
+                config = replace(config, learning_rate=0.0)
+                mp.setattr(procedures, "train", zeroed(train))
+                warm_up = zeroed(warm_up)
+            *models, store, history = procedures.train_dual_relabel(
+                ds, config, test_ds)
+        *ref_models, ref_store, ref_history = ref_recomputed_dual_relabel(
+            ds, config, test_ds, warm_up)
+        assert store.targets.tobytes() == ref_store.targets.tobytes()
+        assert store.to_json() == ref_store.to_json()
+        for model, ref_model in zip(models, ref_models):
+            assert_same_run(model, history, ref_model, ref_history)

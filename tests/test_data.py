@@ -195,6 +195,17 @@ class TestInvariants:
         with pytest.raises(ValueError, match="non-finite feature in sample 2"):
             LabeledDataset(X, [0, 1, 0], 2)
 
+    # each was accepted: 1-d features failed later in .dim with an
+    # IndexError, 3-d ones in train with a broadcast error, and d = 0
+    # trained a bias-only model
+    @pytest.mark.parametrize("shape", [(4,), (4, 2, 2), (4, 0)],
+                             ids=["1-d", "3-d", "no-feature"])
+    def test_features_must_be_n_by_d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"features must be an (N, d) array with d >= 1, got shape "
+                f"{shape}")):
+            LabeledDataset(np.zeros(shape), [0, 1, 0, 1], 2)
+
     def test_training_view_strips_truth(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         assert ds.training_view().true_labels is None

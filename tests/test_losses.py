@@ -142,7 +142,7 @@ class TestBackwardCorrection:
 
     def test_identity_reduces_to_base(self):
         p = np.array([0.3, 0.7])
-        I = TransitionMatrix.identity(2)
+        I = TransitionMatrix(np.eye(2))
         assert backward_corrected(I, p, 1) == pytest.approx(
             loss_value(CE, p, 1))
 
@@ -187,7 +187,7 @@ class TestForwardCorrection:
 
     def test_identity_reduces_to_ce(self):
         p = np.array([0.25, 0.75])
-        spec = LossSpec("forward", transition=TransitionMatrix.identity(2))
+        spec = LossSpec("forward", transition=TransitionMatrix(np.eye(2)))
         assert loss_value(spec, p, 1) == pytest.approx(loss_value(CE, p, 1))
 
     def test_hand_value(self):

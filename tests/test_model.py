@@ -6,9 +6,8 @@ import pytest
 from noisylab.annotators import train_with_confusion
 from noisylab.data import gen_blobs, split
 from noisylab.losses import LossSpec
-from noisylab.model import (DivergedError, TrainConfig, backward_batch,
-                            forward, forward_batch, grad_check, init,
-                            load_params, save_params, train)
+from noisylab.model import (DivergedError, TrainConfig, backward_batch, fit,
+                            forward, forward_batch, grad_check, init, train)
 from noisylab.noise import symmetric_transition
 from noisylab.numerics import Rng, softmax
 from noisylab.procedures import train_dual_relabel
@@ -63,6 +62,15 @@ class TestForward:
         p = init("linear", 2, 3, 1)
         with pytest.raises(ValueError):
             forward(p, [1.0, 2.0, 3.0])
+
+    def test_fit_checks_the_model_against_the_data_once(self):
+        # the steps no longer check their batches: fit refuses a model
+        # of another feature count before the first one
+        ds = gen_blobs(3, 5, 2, 8.0, 0)
+        with pytest.raises(ValueError, match="expected 3 features, got 2"):
+            fit(ds, TrainConfig(epochs=1),
+                lambda probs, idx: pytest.fail("stepped"),
+                params=init("linear", 3, 3, 1))
 
 
 class TestBackward:
@@ -154,13 +162,3 @@ class TestTrain:
         with pytest.raises(DivergedError, match="epoch"):
             train(ds, cfg)
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        p = init("mlp", 3, 2, 10)
-        path = tmp_path / "params.json"
-        save_params(p, path)
-        back = load_params(path)
-        assert back.arch == p.arch and back.hidden == p.hidden
-        for name in p.arrays:
-            assert np.array_equal(back.arrays[name], p.arrays[name])

@@ -85,7 +85,7 @@ class TestTransitionMatrix:
 class TestInject:
     def test_identity_unchanged(self):
         ds = gen_blobs(3, 50, 2, 8.0, 1)
-        out = inject(ds, TransitionMatrix.identity(3), Rng(2))
+        out = inject(ds, TransitionMatrix(np.eye(3)), Rng(2))
         assert np.array_equal(out.labels, ds.labels)
 
     def test_preserves_features_and_truth(self):
@@ -150,7 +150,7 @@ class TestFeatureDependent:
 class TestSimulateAnnotators:
     def test_identity_annotators(self):
         ds = gen_blobs(3, 50, 2, 8.0, 1)
-        out = simulate_annotators(ds, [TransitionMatrix.identity(3)] * 4,
+        out = simulate_annotators(ds, [TransitionMatrix(np.eye(3))] * 4,
                                   Rng(2))
         for a in range(4):
             assert np.array_equal(out.annotator_labels[:, a], ds.labels)

@@ -167,7 +167,7 @@ class TestPumpout:
 
     def test_identity_never_flags_ce(self):
         rng = Rng(4)
-        I = TransitionMatrix.identity(3)
+        I = TransitionMatrix(np.eye(3))
         from noisylab.numerics import softmax
         for _ in range(50):
             p = softmax(rng.normal(3))
