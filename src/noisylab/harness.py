@@ -7,6 +7,7 @@ field.
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import tempfile
@@ -29,6 +30,9 @@ from .procedures import (iterative_clean, train_co_teaching,
 
 SCHEMA_VERSION = 1
 ECE_BINS = 15
+# open during a sweep call: (num_classes, train set, test set) by the JSON of
+# [dataset, seed, test_fraction], made at the first point that needs them
+_SWEEP_DATA = contextvars.ContextVar("_SWEEP_DATA", default=None)
 
 # The allowed keys of each config section, for each value of its selector
 # key (None: a section without one; "": the method, selected by which
@@ -275,10 +279,17 @@ def run_experiment(cfg):
     method, method_kind, tc = validate_config(cfg)
     t0 = time.monotonic()
     seed = cfg["seed"]
+    memo, fraction = _SWEEP_DATA.get(), cfg.get("test_fraction", 0.25)
     try:
-        full = _make_dataset(cfg["dataset"], seed)
-        train_ds, test_ds = split(full, cfg.get("test_fraction", 0.25),
-                                  seed + 1)
+        key = memo is not None and json.dumps([cfg["dataset"], seed, fraction],
+                                              sort_keys=True)
+        data = memo.get(key) if memo else None
+        if data is None:
+            full = _make_dataset(cfg["dataset"], seed)
+            data = (full.num_classes, *split(full, fraction, seed + 1))
+            if memo is not None:  # kept only once it has succeeded
+                memo[key] = data
+        num_classes, train_ds, test_ds = data
     except Exception as e:
         raise PipelineError("generate", e)
     try:
@@ -297,7 +308,7 @@ def run_experiment(cfg):
     try:
         probs = predict_probs(params, test_ds.features)
         final = metrics(probs.argmax(axis=1), test_ds.truth, probs,
-                        full.num_classes)
+                        num_classes)
     except Exception as e:
         raise PipelineError("evaluate", e)
     report = {
@@ -447,7 +458,8 @@ def strip_wall_time(report):
 def sweep(template, rhos, methods=None):
     """Run the template config across symmetric noise rates (and optional
     method variants); returns (reports, summary rows, quadratic fit R^2 of
-    the baseline CE test error vs rho)."""
+    the baseline CE test error vs rho). The points share one generated or
+    read dataset and split, made at the first point that needs it."""
     if not isinstance(rhos, (list, tuple)) or not rhos:
         raise ConfigError(f"sweep: rhos must be a non-empty list, got "
                           f"{rhos!r}")
@@ -460,22 +472,26 @@ def sweep(template, rhos, methods=None):
     for method in methods:  # before the first point runs
         _check_section(method, "method", "method")
     reports, summary = [], []
-    for method in methods:
-        for rho in rhos:
-            cfg = json.loads(json.dumps(template))
-            cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
-                            else None)
-            cfg["method"] = method
-            row = {"method": _method_name(method), "rho": rho}
-            try:
-                rep = run_experiment(cfg)
-                reports.append(rep)
-                row["test_accuracy"] = rep["final_metrics"]["accuracy"]
-                row["test_error"] = 1.0 - row["test_accuracy"]
-                row["macro_f1"] = rep["final_metrics"]["macro_f1"]
-            except Exception as e:
-                row["error"] = str(e)
-            summary.append(row)
+    token = _SWEEP_DATA.set({})  # run_experiment shares the data through it
+    try:
+        for method in methods:
+            for rho in rhos:
+                cfg = json.loads(json.dumps(template))
+                cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
+                                else None)
+                cfg["method"] = method
+                row = {"method": _method_name(method), "rho": rho}
+                try:
+                    rep = run_experiment(cfg)
+                    reports.append(rep)
+                    row["test_accuracy"] = rep["final_metrics"]["accuracy"]
+                    row["test_error"] = 1.0 - row["test_accuracy"]
+                    row["macro_f1"] = rep["final_metrics"]["macro_f1"]
+                except Exception as e:
+                    row["error"] = str(e)
+                summary.append(row)
+    finally:
+        _SWEEP_DATA.reset(token)
     r2 = _quadratic_fit_r2([r for r in summary
                             if r["method"] == _method_name(methods[0])
                             and "test_error" in r])

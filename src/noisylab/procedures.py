@@ -131,13 +131,16 @@ def peer_rows(peers, X, y, keep_fraction=None):
     index array, from predictions taken before the step. Given
     keep_fraction, co-teaching: each peer steps on the other's
     keep_fraction smallest-CE rows. Without, disagreement: both step on the
-    rows where their argmax predictions differ; the labels play no part."""
-    probs = predict_probs(peers, X)
+    rows where their argmax predictions differ; the labels play no part.
+    A keep_fraction that keeps the whole batch gives every row unranked."""
     if keep_fraction is None:
-        preds_a, preds_b = probs.argmax(axis=-1)
+        preds_a, preds_b = predict_probs(peers, X).argmax(axis=-1)
         return np.tile(np.flatnonzero(preds_a != preds_b), (2, 1))
     _check_args("peer_rows",
                 reals={"keep_fraction": (keep_fraction, "(0, 1]")})
+    if max(1, int(round(keep_fraction * len(y)))) == len(y):
+        return np.tile(np.arange(len(y)), (2, 1))
+    probs = predict_probs(peers, X)
     # B's selection steps A, A's steps B
     return np.array([small_loss_selection(probs[1], y, keep_fraction),
                      small_loss_selection(probs[0], y, keep_fraction)])

@@ -16,7 +16,7 @@ from noisylab.harness import (ConfigError, metrics, report_json,
                               sweep_summary_csv, validate_config,
                               write_report)
 from noisylab.cli import cli
-from noisylab.data import load_csv
+from noisylab.data import gen_blobs, load_csv, save_csv
 from noisylab.model import DivergedError, TrainConfig
 
 
@@ -1197,3 +1197,130 @@ class TestSweep:
         text = sweep_summary_csv(summary)
         assert text.splitlines()[0].startswith("method,rho")
         assert len(text.splitlines()) == 3
+
+
+class TestSweepSharesItsData:
+    """A sweep generates or reads, and splits, its dataset once, at its
+    first point; every point's report is the one a standalone run gives."""
+
+    METHODS = [{"loss": {"kind": "ce"}},
+               {"reweight": {"kind": "trimmed", "fraction": 0.2}},
+               {"noise_adaptation": True},
+               {"procedure": {"name": "mixup"}},
+               {"procedure": {"name": "co_teaching"}},
+               {"procedure": {"name": "dual_relabel"}},
+               {"procedure": {"name": "iterative_clean"}}]
+    RHOS = [0.0, 0.3]
+
+    @pytest.fixture
+    def csv_template(self, tmp_path):
+        path = tmp_path / "data.csv"
+        save_csv(gen_blobs(3, 30, 2, 3.0, 4), path)
+        return {"seed": 5, "dataset": {"kind": "csv", "path": str(path)},
+                "test_fraction": 0.25, "train": {"epochs": 2}}
+
+    @staticmethod
+    def count_reads(monkeypatch):
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return load_csv(path)
+
+        monkeypatch.setattr(harness, "load_csv", counted)
+        return reads
+
+    def test_csv_is_read_once_per_sweep(self, monkeypatch, csv_template):
+        reads = self.count_reads(monkeypatch)
+        sweep(csv_template, self.RHOS, self.METHODS[:3])
+        assert len(reads) == 1
+        sweep(csv_template, self.RHOS, self.METHODS[:3])
+        assert len(reads) == 2
+        run_experiment(dict(csv_template, method=self.METHODS[0]))
+        run_experiment(dict(csv_template, method=self.METHODS[0]))
+        assert len(reads) == 4  # outside a sweep, every run reads
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @pytest.mark.parametrize("kind", ["csv", "blobs"])
+    def test_points_match_standalone_runs(self, csv_template, kind, arch):
+        # a point that wrote into the shared arrays would move the later ones
+        template = dict(csv_template, train={"epochs": 2, "arch": arch,
+                                             "hidden": 4})
+        if kind == "blobs":
+            template["dataset"] = {"kind": "blobs", "k": 3, "n_per_class": 30,
+                                   "d": 2, "separation": 3.0}
+        reports, summary, _ = sweep(template, self.RHOS, self.METHODS)
+        expected_reports, expected_summary = [], []
+        for method in self.METHODS:
+            for rho in self.RHOS:
+                cfg = dict(copy.deepcopy(template), method=method,
+                           noise={"kind": "symmetric", "rho": rho}
+                           if rho else None)
+                row = {"method": harness._method_name(method), "rho": rho}
+                try:
+                    rep = run_experiment(cfg)
+                except Exception as e:
+                    row["error"] = str(e)
+                else:
+                    expected_reports.append(rep)
+                    acc = rep["final_metrics"]["accuracy"]
+                    row.update(test_accuracy=acc, test_error=1.0 - acc,
+                               macro_f1=rep["final_metrics"]["macro_f1"])
+                expected_summary.append(row)
+        assert [report_json(strip_wall_time(r)) for r in reports] == [
+            report_json(strip_wall_time(r)) for r in expected_reports]
+        assert sweep_summary_csv(summary) == sweep_summary_csv(
+            expected_summary)
+        assert len(reports) >= len(self.METHODS)
+
+    @pytest.mark.parametrize("vary", ["dataset", "seed", "test_fraction"])
+    def test_points_share_only_the_same_data(self, monkeypatch, csv_template,
+                                             vary):
+        # a sweep's points differ only in noise and method; points made to
+        # differ in data, seed or split get their own
+        values = {"dataset": [csv_template["dataset"], {
+                      "kind": "blobs", "k": 3, "n_per_class": 30, "d": 2,
+                      "separation": 3.0}],
+                  "seed": [5, 6], "test_fraction": [0.25, 0.3]}[vary]
+        points = itertools.cycle(values)
+        reports = []
+
+        def varied(cfg):
+            cfg[vary] = next(points)
+            reports.append(run_experiment(cfg))
+            return reports[-1]
+
+        monkeypatch.setattr(harness, "run_experiment", varied)
+        sweep(csv_template, [0.0, 0.1, 0.2, 0.3], self.METHODS[:1])
+        monkeypatch.undo()
+        assert [report_json(strip_wall_time(r)) for r in reports] == [
+            report_json(strip_wall_time(run_experiment(r["config"])))
+            for r in reports]
+        assert len({json.dumps(r["config"][vary]) for r in reports}) == 2
+
+    def test_missing_csv_fails_every_point_at_generate(self, monkeypatch,
+                                                       csv_template):
+        reads = self.count_reads(monkeypatch)
+        template = dict(csv_template, dataset={"kind": "csv",
+                                               "path": "no/such.csv"})
+        reports, summary, _ = sweep(template, self.RHOS, self.METHODS[:2])
+        assert reports == [] and len(summary) == 4
+        assert all(row["error"].startswith("pipeline stage 'generate' failed")
+                   for row in summary)
+        assert len(reads) == 4  # a failed read is not remembered
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_memo_is_closed_after_a_point_raises(self, monkeypatch,
+                                                 csv_template, error):
+        def fail(cfg):
+            assert harness._SWEEP_DATA.get() == {}
+            raise error("point failed")
+
+        monkeypatch.setattr(harness, "run_experiment", fail)
+        try:
+            _, summary, _ = sweep(csv_template, self.RHOS)
+        except KeyboardInterrupt:
+            assert error is KeyboardInterrupt
+        else:
+            assert [row["error"] for row in summary] == ["point failed"] * 2
+        assert harness._SWEEP_DATA.get() is None

@@ -2,11 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noisylab import model, procedures
 from noisylab.data import gen_blobs, split
 from noisylab.harness import run_experiment
-from noisylab.model import TrainConfig, init, predict_probs, stack, train
+from noisylab.model import (TrainConfig, init, predict_probs, stack, train,
+                            unstack)
 from noisylab.noise import (feature_dependent_inject, inject,
                             symmetric_transition)
 from noisylab.numerics import Rng, check_prob_vector
@@ -118,6 +121,45 @@ class TestCoTeachingRows:
         probs = np.array([[0.9, 0.1], [0.1, 0.9], [0.6, 0.4], [0.4, 0.6]])
         sel = small_loss_selection(probs, np.array([0, 0, 0, 0]), 0.5)
         assert list(sel) == [0, 2]
+
+    # keep fractions that round up to the batch, and short batches
+    @pytest.mark.parametrize("n, keep", [(8, 1.0), (8, 0.95), (7, 0.93),
+                                         (1, 0.3)])
+    def test_full_keep_makes_no_forward(self, monkeypatch, n, keep):
+        def no_forward(*args):
+            pytest.fail("peer_rows predicted a batch it keeps whole")
+
+        monkeypatch.setattr(procedures, "predict_probs", no_forward)
+        ds = gen_blobs(2, 20, 2, 8.0, 1)
+        peers = stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)])
+        rows = peer_rows(peers, ds.features[:n], ds.labels[:n], keep)
+        assert rows.tolist() == [list(range(n))] * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_full_keep_matches_ranking(self, data):
+        # whatever the probabilities, ties included, ranking keeps every row
+        n = data.draw(st.integers(1, 64), label="batch")
+        keep = data.draw(st.one_of(
+            st.floats(max(1e-9, (n - 0.5) / n), 1.0),
+            st.floats(1e-9, 1.0)), label="keep")
+        assume(max(1, int(round(keep * n))) == n)
+        K = data.draw(st.integers(2, 4), label="K")
+        levels = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=n * K,
+            max_size=n * K), label="levels")).reshape(n, K) + 0.1
+        y = np.array(data.draw(st.lists(st.integers(0, K - 1), min_size=n,
+                                        max_size=n), label="y"))
+        probs = levels / levels.sum(axis=1, keepdims=True)
+        ranked = small_loss_selection(probs, y, keep)
+        peers = stack([init("linear", 2, K, 1), init("linear", 2, K, 2)])
+        X = Rng(n).normal(size=(n, 2))
+        rows = peer_rows(peers, X, y, keep)
+        assert rows.tolist() == [ranked.tolist()] * 2
+        a, b = unstack(peers)  # B's selection steps A, A's steps B
+        assert rows.tolist() == [
+            small_loss_selection(predict_probs(p, X), y, keep).tolist()
+            for p in (b, a)]
 
     def test_invalid_fraction(self):
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)

@@ -1,7 +1,8 @@
 """Pinned trajectories: the sha256 of every stripped report (wall time
 removed) of the 20 benchmark pipelines on 3 blobs x 60 rows, 2 epochs,
-seeds 1 and 2, and of one 3-method noise-rate sweep (its reports and its
-summary CSV).
+seeds 1 and 2; of co-teaching run for 8 epochs, long enough to keep fewer
+than every row; and of one 3-method noise-rate sweep (its reports and its
+summary CSV) over blobs and over a CSV file.
 
 A digest here may change only together with a CHANGES.md entry that names
 the trajectory it moves and argues why the new trajectory is correct. A
@@ -13,6 +14,7 @@ import hashlib
 
 import pytest
 
+from noisylab.data import gen_blobs, save_csv
 from noisylab.harness import (report_json, run_experiment, strip_wall_time,
                               sweep, sweep_summary_csv)
 
@@ -130,6 +132,16 @@ DIGESTS = {
 }
 SWEEP_DIGEST = (
     "2d42201f595202d78d4f68330c8ce0f4819244fe911d53f12ebbac2e77b4ae3e")
+# co-teaching keeps every row for its first 5 epochs; from the sixth it
+# ranks the peers' losses on full batches (round(0.97 * 32) = 31) and still
+# keeps a whole short last batch (135 = 4 * 32 + 7 training rows)
+CO_TEACHING_EPOCHS = 8
+CO_TEACHING_DIGESTS = {
+    1: "41d7741ac4e9056d97af72075640c85771bfb358f8965c89f86d99c8424f339e",
+    2: "9f7288e836e2e2d53941dc70403015001de74aa10c5f4183deca15f55d88f8dd",
+}
+CSV_SWEEP_DIGEST = (
+    "cde61660036188532ae4d2222a89f3aabca6e08d35f435a8ed22ce27f4276a48")
 
 
 def config(name, seed):
@@ -147,10 +159,10 @@ def report_digest(report):
     return digest(report_json(strip_wall_time(report)))
 
 
-def sweep_digest():
+def sweep_digest(dataset=DATASET):
     """One digest over the sweep's stripped reports, in order, and its
     summary CSV."""
-    template = {"seed": 1, "dataset": dict(DATASET), "test_fraction": 0.25,
+    template = {"seed": 1, "dataset": dict(dataset), "test_fraction": 0.25,
                 "train": {"epochs": 2}}
     reports, summary, _ = sweep(template, SWEEP_RHOS, SWEEP_METHODS)
     return digest("\n".join([report_digest(r) for r in reports]
@@ -166,3 +178,20 @@ def test_pipeline_report_is_pinned(name, seed):
 
 def test_sweep_reports_and_summary_are_pinned():
     assert sweep_digest() == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_co_teaching_past_its_warm_up_is_pinned(seed):
+    cfg = config("procedure:co_teaching", seed)
+    cfg["train"] = {"epochs": CO_TEACHING_EPOCHS}
+    report = run_experiment(cfg)
+    assert report["history"][-1]["keep_fraction"] < 1.0
+    assert report_digest(report) == CO_TEACHING_DIGESTS[seed]
+
+
+def test_csv_sweep_reports_and_summary_are_pinned(tmp_path, monkeypatch):
+    # a relative path, so the reports echo the same config wherever it runs
+    monkeypatch.chdir(tmp_path)
+    save_csv(gen_blobs(3, 60, 2, 3.0, 1), "data.csv")
+    assert sweep_digest({"kind": "csv", "path": "data.csv"}) == \
+        CSV_SWEEP_DIGEST
