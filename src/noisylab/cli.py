@@ -88,7 +88,11 @@ def cmd_noise(args):
     params = _kv_params(args.params)
     seed = _pop_seed(params, args.seed)
     if "rhos" in params:
-        params["rhos"] = [float(r) for r in str(params["rhos"]).split(":")]
+        try:
+            params["rhos"] = [float(r) for r in str(params["rhos"]).split(":")]
+        except ValueError as e:
+            raise ConfigError("noise.rhos must be numbers joined by ':', got "
+                              f"{params['rhos']!r} ({e})") from e
     spec = {"kind": args.kind, **params}
     _check_section(spec, "noise", "noise")
     save_csv(_apply_noise(ds, spec, seed)[0], args.out)

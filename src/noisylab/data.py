@@ -35,8 +35,8 @@ class LabeledDataset:
             raise ValueError("features must be an (N, d) array with d >= 1, "
                              f"got shape {self.features.shape}")
         n = self.features.shape[0]
-        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=-1))
-        if bad.size:
+        if not np.isfinite(self.features).all():  # then name the first row
+            bad = np.flatnonzero(~np.isfinite(self.features).all(axis=-1))
             raise ValueError(f"non-finite feature in sample {bad[0]}")
         if self.labels.shape != (n,):
             raise ValueError("labels length must match feature rows")

@@ -7,7 +7,6 @@ field.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import os
 import tempfile
@@ -30,9 +29,11 @@ from .procedures import (iterative_clean, train_co_teaching,
 
 SCHEMA_VERSION = 1
 ECE_BINS = 15
-# open during a sweep call: (num_classes, train set, test set) by the JSON of
-# [dataset, seed, test_fraction], made at the first point that needs them
-_SWEEP_DATA = contextvars.ContextVar("_SWEEP_DATA", default=None)
+# One-entry memos, so that experiments on the same data share one copy: the
+# last (num_classes, train set, test set) by the key of [dataset, seed,
+# test_fraction, a CSV's stat stamp], and the last (corrupted train set,
+# noise T) by that key and the key of the noise section
+_DATA_MEMO, _NOISE_MEMO = {}, {}
 
 # The allowed keys of each config section, for each value of its selector
 # key (None: a section without one; "": the method, selected by which
@@ -165,6 +166,31 @@ def _make_dataset(spec, seed):
     return load_csv(spec["path"])  # csv
 
 
+def _split_dataset(spec, seed, fraction):
+    full = _make_dataset(spec, seed)
+    return (full.num_classes, *split(full, fraction, seed + 1))
+
+
+def _key(*parts):
+    """Canonical JSON of parts, NumPy values as the numbers they hold."""
+    return json.dumps(parts, sort_keys=True, default=lambda v: v.tolist())
+
+
+def _memo(memo, key, make, *args):
+    """memo[key], on a miss the value of make(*args) with every array in it
+    set read-only (the runs that hit share them), then kept as memo's one
+    entry; a make that raises leaves memo as it was."""
+    if key not in memo:
+        value = make(*args)
+        for obj in value:  # datasets, a TransitionMatrix, None or K
+            for a in getattr(obj, "__dict__", {}).values():
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+        memo.clear()
+        memo[key] = value
+    return memo[key]
+
+
 def _apply_noise(train_ds, noise_spec, seed):
     """(the corrupted set, the noise model's transition or None); a matrix
     for other than the data's classes is a ConfigError."""
@@ -279,21 +305,21 @@ def run_experiment(cfg):
     method, method_kind, tc = validate_config(cfg)
     t0 = time.monotonic()
     seed = cfg["seed"]
-    memo, fraction = _SWEEP_DATA.get(), cfg.get("test_fraction", 0.25)
+    fraction, spec, noise = (cfg.get("test_fraction", 0.25), cfg["dataset"],
+                             cfg.get("noise"))
     try:
-        key = memo is not None and json.dumps([cfg["dataset"], seed, fraction],
-                                              sort_keys=True)
-        data = memo.get(key) if memo else None
-        if data is None:
-            full = _make_dataset(cfg["dataset"], seed)
-            data = (full.num_classes, *split(full, fraction, seed + 1))
-            if memo is not None:  # kept only once it has succeeded
-                memo[key] = data
-        num_classes, train_ds, test_ds = data
+        stamp = None  # a CSV is read again once edited or replaced
+        if spec["kind"] == "csv":  # a missing one raises open's error here
+            st = os.stat(spec["path"])
+            stamp = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns]
+        data_key = _key(spec, seed, fraction, stamp)
+        num_classes, train_ds, test_ds = _memo(
+            _DATA_MEMO, data_key, _split_dataset, spec, seed, fraction)
     except Exception as e:
         raise PipelineError("generate", e)
     try:
-        noisy, true_T = _apply_noise(train_ds, cfg.get("noise"), seed + 2)
+        noisy, true_T = _memo(_NOISE_MEMO, (data_key, _key(noise)),
+                              _apply_noise, train_ds, noise, seed + 2)
     except ConfigError:  # a noise matrix for other than the data's classes
         raise
     except Exception as e:
@@ -459,7 +485,7 @@ def sweep(template, rhos, methods=None):
     """Run the template config across symmetric noise rates (and optional
     method variants); returns (reports, summary rows, quadratic fit R^2 of
     the baseline CE test error vs rho). The points share one generated or
-    read dataset and split, made at the first point that needs it."""
+    read dataset and split through run_experiment's memo."""
     if not isinstance(rhos, (list, tuple)) or not rhos:
         raise ConfigError(f"sweep: rhos must be a non-empty list, got "
                           f"{rhos!r}")
@@ -472,26 +498,22 @@ def sweep(template, rhos, methods=None):
     for method in methods:  # before the first point runs
         _check_section(method, "method", "method")
     reports, summary = [], []
-    token = _SWEEP_DATA.set({})  # run_experiment shares the data through it
-    try:
-        for method in methods:
-            for rho in rhos:
-                cfg = json.loads(json.dumps(template))
-                cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
-                                else None)
-                cfg["method"] = method
-                row = {"method": _method_name(method), "rho": rho}
-                try:
-                    rep = run_experiment(cfg)
-                    reports.append(rep)
-                    row["test_accuracy"] = rep["final_metrics"]["accuracy"]
-                    row["test_error"] = 1.0 - row["test_accuracy"]
-                    row["macro_f1"] = rep["final_metrics"]["macro_f1"]
-                except Exception as e:
-                    row["error"] = str(e)
-                summary.append(row)
-    finally:
-        _SWEEP_DATA.reset(token)
+    for method in methods:
+        for rho in rhos:
+            cfg = json.loads(json.dumps(template))
+            cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
+                            else None)
+            cfg["method"] = method
+            row = {"method": _method_name(method), "rho": rho}
+            try:
+                rep = run_experiment(cfg)
+                reports.append(rep)
+                row["test_accuracy"] = rep["final_metrics"]["accuracy"]
+                row["test_error"] = 1.0 - row["test_accuracy"]
+                row["macro_f1"] = rep["final_metrics"]["macro_f1"]
+            except Exception as e:
+                row["error"] = str(e)
+            summary.append(row)
     r2 = _quadratic_fit_r2([r for r in summary
                             if r["method"] == _method_name(methods[0])
                             and "test_error" in r])
@@ -508,8 +530,9 @@ def _method_name(method):
 
 def _quadratic_fit_r2(rows):
     """R^2 of a least-squares quadratic of test error in rho (reported,
-    never asserted)."""
-    if len(rows) < 3:
+    never asserted); None for fewer than 3 distinct rho, which a quadratic
+    fits exactly."""
+    if len({r["rho"] for r in rows}) < 3:
         return None
     x = np.array([r["rho"] for r in rows])
     y = np.array([r["test_error"] for r in rows])

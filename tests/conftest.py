@@ -17,3 +17,13 @@ def deadline():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start every test with the harness's dataset and noise memos empty,
+    so that no test depends on what an earlier one ran."""
+    from noisylab import harness
+
+    harness._DATA_MEMO.clear()
+    harness._NOISE_MEMO.clear()

@@ -108,6 +108,19 @@ class TestNoise:
                 in capsys.readouterr().err)
         assert not noisy.exists()
 
+    # "runtime error: could not convert string to float: 'abc'", exit 2
+    @pytest.mark.parametrize("rhos", ["0.2:abc", "abc", "0.2::0.3"])
+    def test_rhos_must_be_numbers(self, tmp_path, capsys, rhos):
+        clean = str(tmp_path / "clean.csv")
+        noisy = tmp_path / "ann.csv"
+        cli(["gen", "--blobs", "--out", clean, "k=2", "n=10", "seed=2"])
+        assert cli(["noise", "--in", clean, "--kind", "annotators",
+                    "--out", str(noisy), f"rhos={rhos}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: noise.rhos must be numbers joined by "
+                              f"':', got '{rhos}'")
+        assert not noisy.exists()
+
     def test_missing_input(self, tmp_path):
         assert cli(["noise", "--in", str(tmp_path / "nope.csv"),
                     "--kind", "symmetric", "--out",

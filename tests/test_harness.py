@@ -1192,6 +1192,13 @@ class TestSweep:
         errs = [r["test_error"] for r in summary]
         assert all(b >= a - 0.02 for a, b in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("rhos", [[0.0, 0.0, 0.3], [0.2, 0.2, 0.2, 0.2]])
+    def test_r2_needs_three_distinct_rhos(self, rhos):
+        # a quadratic through two rho values fits exactly: it was R^2 1.0
+        template = dict(self.TEMPLATE, train={"epochs": 2})
+        _, summary, r2 = sweep(template, rhos)
+        assert len(summary) == len(rhos) and r2 is None
+
     def test_summary_csv(self):
         _, summary, _ = sweep(self.TEMPLATE, [0.0, 0.2])
         text = sweep_summary_csv(summary)
@@ -1199,9 +1206,16 @@ class TestSweep:
         assert len(text.splitlines()) == 3
 
 
+def fresh_run(cfg):
+    """run_experiment on data made anew: both memos emptied first."""
+    harness._DATA_MEMO.clear()
+    harness._NOISE_MEMO.clear()
+    return run_experiment(cfg)
+
+
 class TestSweepSharesItsData:
     """A sweep generates or reads, and splits, its dataset once, at its
-    first point; every point's report is the one a standalone run gives."""
+    first point; every point's report is the one a fresh run gives."""
 
     METHODS = [{"loss": {"kind": "ce"}},
                {"reweight": {"kind": "trimmed", "fraction": 0.2}},
@@ -1230,15 +1244,13 @@ class TestSweepSharesItsData:
         monkeypatch.setattr(harness, "load_csv", counted)
         return reads
 
-    def test_csv_is_read_once_per_sweep(self, monkeypatch, csv_template):
+    def test_unchanged_csv_is_read_once(self, monkeypatch, csv_template):
         reads = self.count_reads(monkeypatch)
         sweep(csv_template, self.RHOS, self.METHODS[:3])
-        assert len(reads) == 1
         sweep(csv_template, self.RHOS, self.METHODS[:3])
-        assert len(reads) == 2
         run_experiment(dict(csv_template, method=self.METHODS[0]))
         run_experiment(dict(csv_template, method=self.METHODS[0]))
-        assert len(reads) == 4  # outside a sweep, every run reads
+        assert len(reads) == 1  # across sweeps and runs alike
 
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     @pytest.mark.parametrize("kind", ["csv", "blobs"])
@@ -1258,7 +1270,7 @@ class TestSweepSharesItsData:
                            if rho else None)
                 row = {"method": harness._method_name(method), "rho": rho}
                 try:
-                    rep = run_experiment(cfg)
+                    rep = fresh_run(cfg)
                 except Exception as e:
                     row["error"] = str(e)
                 else:
@@ -1294,7 +1306,7 @@ class TestSweepSharesItsData:
         sweep(csv_template, [0.0, 0.1, 0.2, 0.3], self.METHODS[:1])
         monkeypatch.undo()
         assert [report_json(strip_wall_time(r)) for r in reports] == [
-            report_json(strip_wall_time(run_experiment(r["config"])))
+            report_json(strip_wall_time(fresh_run(r["config"])))
             for r in reports]
         assert len({json.dumps(r["config"][vary]) for r in reports}) == 2
 
@@ -1305,22 +1317,155 @@ class TestSweepSharesItsData:
                                                "path": "no/such.csv"})
         reports, summary, _ = sweep(template, self.RHOS, self.METHODS[:2])
         assert reports == [] and len(summary) == 4
-        assert all(row["error"].startswith("pipeline stage 'generate' failed")
-                   for row in summary)
-        assert len(reads) == 4  # a failed read is not remembered
+        # the stat stamp of the key raises open's own error, before any read
+        with pytest.raises(FileNotFoundError) as opened:
+            open("no/such.csv", encoding="utf-8")
+        assert [row["error"] for row in summary] == [
+            f"pipeline stage 'generate' failed: {opened.value}"] * 4
+        assert reads == [] and harness._DATA_MEMO == {}
+
+
+class TestRunsShareTheirData:
+    """run_experiment keeps the last dataset and split, and the last
+    corrupted copy, each in a one-entry memo by a canonical-JSON key. A hit
+    gives the report a fresh run gives; a failure keeps nothing; the kept
+    arrays are read-only."""
+
+    NOISE = {"kind": "symmetric", "rho": 0.3}
+
+    @staticmethod
+    def count_makes(monkeypatch):
+        made = {"data": 0, "split": 0, "noise": 0}
+
+        def counted(name, real):
+            def call(*args):
+                made[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(harness, "_make_dataset",
+                            counted("data", harness._make_dataset))
+        monkeypatch.setattr(harness, "split", counted("split", harness.split))
+        monkeypatch.setattr(harness, "_apply_noise",
+                            counted("noise", harness._apply_noise))
+        return made
+
+    def config(self, **over):
+        return base_config(**{"noise": self.NOISE, "train": {"epochs": 2},
+                              **over})
+
+    def test_runs_on_the_same_data_hit(self, monkeypatch):
+        made = self.count_makes(monkeypatch)
+        for method in ({"loss": {"kind": "ce"}},
+                       {"loss": {"kind": "forward", "transition": "true"}},
+                       {"reweight": {"kind": "trimmed", "fraction": 0.2}}):
+            run_experiment(self.config(method=method))
+        assert made == {"data": 1, "split": 1, "noise": 1}
+
+    @pytest.mark.parametrize("vary, other", [
+        ("dataset", {"kind": "blobs", "k": 2, "n_per_class": 90, "d": 2,
+                     "separation": 8.0}),
+        ("dataset", {"kind": "rings", "k": 2, "n_per_class": 100}),
+        ("seed", 8), ("test_fraction", 0.3),
+        ("noise", {"kind": "symmetric", "rho": 0.2}), ("noise", None),
+    ], ids=["blobs", "rings", "seed", "test_fraction", "rho", "no-noise"])
+    def test_keys_split_by_data_seed_fraction_and_noise(self, monkeypatch,
+                                                        vary, other):
+        made = self.count_makes(monkeypatch)
+        first, second = self.config(), self.config(**{vary: other})
+        reports = [run_experiment(cfg) for cfg in (first, second, first)]
+        data = 1 if vary == "noise" else 3
+        assert made == {"data": data, "split": data, "noise": 3}
+        monkeypatch.undo()
+        assert [report_json(strip_wall_time(r)) for r in reports] == [
+            report_json(strip_wall_time(fresh_run(cfg)))
+            for cfg in (first, second, first)]
+
+    def test_numpy_values_key_as_the_numbers_they_hold(self, monkeypatch):
+        # a library caller may pass NumPy scalars and arrays, which JSON
+        # cannot write; they make the key of the plain numbers
+        made = self.count_makes(monkeypatch)
+        rows = [[0.8, 0.2], [0.3, 0.7]]
+        plain = self.config(noise={"kind": "matrix", "rows": rows})
+        numpy = self.config(seed=np.int64(7), noise={"kind": "matrix",
+                                                     "rows": np.array(rows)})
+        numpy["dataset"] = dict(numpy["dataset"], n_per_class=np.int64(100),
+                                separation=np.float64(8.0))
+        reports = [run_experiment(cfg) for cfg in (numpy, plain)]
+        assert made == {"data": 1, "split": 1, "noise": 1}
+        assert reports[0]["history"] == reports[1]["history"]
+
+    def test_rewritten_csv_is_read_again(self, monkeypatch, tmp_path):
+        path = tmp_path / "data.csv"
+        cfg = self.config(dataset={"kind": "csv", "path": str(path)})
+        reports = []
+        for n in (30, 40):  # a new size, so the stat stamp moves
+            save_csv(gen_blobs(2, n, 2, 3.0, 4), path)
+            reports.append(report_json(strip_wall_time(run_experiment(cfg))))
+        assert reports[0] != reports[1]
+        assert reports[1] == report_json(strip_wall_time(fresh_run(cfg)))
 
     @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_memo_is_closed_after_a_point_raises(self, monkeypatch,
-                                                 csv_template, error):
-        def fail(cfg):
-            assert harness._SWEEP_DATA.get() == {}
-            raise error("point failed")
+    @pytest.mark.parametrize("stage", ["generate", "corrupt"])
+    def test_a_failure_keeps_nothing(self, monkeypatch, stage, error):
+        cfg = self.config()
+        kept = run_experiment(cfg)
+        memos = dict(harness._DATA_MEMO), dict(harness._NOISE_MEMO)
 
-        monkeypatch.setattr(harness, "run_experiment", fail)
-        try:
-            _, summary, _ = sweep(csv_template, self.RHOS)
-        except KeyboardInterrupt:
-            assert error is KeyboardInterrupt
-        else:
-            assert [row["error"] for row in summary] == ["point failed"] * 2
-        assert harness._SWEEP_DATA.get() is None
+        def fail(*args):
+            raise error("made nothing")
+
+        monkeypatch.setattr(harness, "split" if stage == "generate"
+                            else "_apply_noise", fail)
+        other = self.config(seed=8) if stage == "generate" else self.config(
+            noise={"kind": "symmetric", "rho": 0.2})
+        with pytest.raises(harness.PipelineError if error is ValueError
+                           else KeyboardInterrupt) as info:
+            run_experiment(other)
+        if error is ValueError:
+            assert info.value.stage == stage
+        assert (harness._DATA_MEMO, harness._NOISE_MEMO) == memos
+        monkeypatch.undo()
+        assert report_json(strip_wall_time(run_experiment(other))) == \
+            report_json(strip_wall_time(fresh_run(other)))
+        assert report_json(strip_wall_time(run_experiment(cfg))) == \
+            report_json(strip_wall_time(kept))
+
+    def test_noise_matrix_for_other_classes_keeps_nothing(self):
+        run_experiment(self.config())
+        memo = dict(harness._NOISE_MEMO)
+        with pytest.raises(ConfigError, match="noise.rows has shape"):
+            run_experiment(self.config(noise={"kind": "matrix", "rows": [
+                [0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}))
+        assert harness._NOISE_MEMO == memo
+
+    @pytest.mark.parametrize("noise", [
+        {"kind": "symmetric", "rho": 0.3},
+        {"kind": "annotators", "rhos": [0.2, 0.3]},
+    ], ids=["symmetric", "annotators"])
+    def test_kept_arrays_are_read_only(self, noise):
+        run_experiment(self.config(noise=noise))
+        (_, train_ds, test_ds), = harness._DATA_MEMO.values()
+        (noisy, true_T), = harness._NOISE_MEMO.values()
+        arrays = [a for obj in (train_ds, test_ds, noisy, true_T)
+                  if obj is not None for a in vars(obj).values()
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 9
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = a.flat[0]
+
+    def test_reports_equal_fresh_runs(self):
+        # every pipeline in turn on warm memos, against each on empty ones
+        methods = [*TestSweepSharesItsData.METHODS,
+                   {"loss": {"kind": "forward", "transition": "true"}},
+                   {"reweight": {"kind": "pumpout", "transition": "true"}},
+                   {"procedure": {"name": "disagreement"}}]
+        panel = {"kind": "annotators", "rhos": [0.2, 0.3, 0.4]}
+        configs = [self.config(method=m) for m in methods] + [
+            self.config(method={"annotator": {"fusion": f}}, noise=panel)
+            for f in ("majority", "staple", "min_loss", "confusion")]
+        warm = [report_json(strip_wall_time(run_experiment(cfg)))
+                for cfg in configs + configs]
+        assert warm == [report_json(strip_wall_time(fresh_run(cfg)))
+                        for cfg in configs + configs]

@@ -51,6 +51,23 @@ class TestSoftmax:
     def test_always_valid_prob_vector(self, logits):
         check_prob_vector(softmax(logits))
 
+    # the row max comes from a transposed copy; max is exact whatever the
+    # order, so every shape gives the bits of the last-axis reduction
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           st.integers(1, 12), st.data())
+    def test_equals_the_last_axis_max(self, lead, K, data):
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1e300, -1e300]),
+                           st.floats(-700, 700))
+        n = int(np.prod(lead)) * K
+        logits = np.array(data.draw(st.lists(
+            values, min_size=n, max_size=n))).reshape(*lead, K)
+        e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+        expected = e / np.add.reduce(e, axis=-1, keepdims=True)
+        out = softmax(logits)
+        assert out.shape == logits.shape
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestRng:
     def test_equal_seeds_equal_streams(self):
