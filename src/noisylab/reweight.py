@@ -58,16 +58,20 @@ class RunningLossFilter:
         mean = [s.mean() for s in filling]
         sigma = [s.std() for s in filling]
         if full < len(stream):
-            # one (n, w) gather of the windows, reduced by the ufuncs
-            # ndarray.mean and .std run (so bit-equal to them), with the
-            # mean taken once for both
-            starts = np.arange(full - w, len(stream) - w)
-            windows = stream[starts[:, None] + np.arange(w)]
+            # the (n, w) windows as one read-only strided view of the
+            # contiguous stream, reduced by the ufuncs ndarray.mean and
+            # .std run (so bit-equal to them), with the mean taken once
+            windows = np.ndarray((len(stream) - full, w), stream.dtype, stream,
+                                 (full - w) * stream.itemsize,
+                                 stream.strides * 2)
+            windows.flags.writeable = False
             wmean = np.add.reduce(windows, axis=1) / w
             dev = windows - wmean[:, None]
-            mean = np.concatenate([mean, wmean])
-            sigma = np.concatenate(
-                [sigma, np.sqrt(np.add.reduce(dev * dev, axis=1) / w)])
+            wsigma = np.sqrt(np.add.reduce(dev * dev, axis=1) / w)
+            if filling:
+                wmean = np.concatenate([mean, wmean])
+                wsigma = np.concatenate([sigma, wsigma])
+            mean, sigma = wmean, wsigma
         mean, sigma = np.asarray(mean), np.asarray(sigma)
         skip[first - seen:] = ((sigma > SIGMA_FLOOR) &
                                (losses[first - seen:]
@@ -110,7 +114,9 @@ def trimmed_filter(losses, trim_fraction):
     n_drop = int(math.ceil(trim_fraction * len(losses)))
     # sort descending by loss, then descending index among ties
     order = np.lexsort((-np.arange(len(losses)), -losses))
-    return np.argsort(order) >= n_drop  # each row's rank in that order
+    kept = np.ones(len(losses), dtype=bool)
+    kept[order[:n_drop]] = False
+    return kept
 
 
 # --- trainer hooks ----------------------------------------------------------
@@ -119,7 +125,8 @@ def trimmed_filter(losses, trim_fraction):
 # arguments, and holds their defaults. model.train asks a hook for the
 # epoch's kept mask, then once per batch for the weights of its kept rows:
 # batch_weights(values, probs, y) gives an (N,) array, or None for all
-# ones. sample_weight is the one-row weight.
+# ones. sample_weight is the one-row weight; pumpout's takes the row's
+# corrected loss, which its batch_weights scores for the whole batch.
 
 class _RunningHook:
     def __init__(self, **filter_args):
@@ -174,7 +181,9 @@ class _RankPruneHook:
 
 class _PumpoutHook:
     """Weight -gamma (scaled ascent) where 1^T T^{-1} l(p) < 0, which flags
-    a likely-incorrect label; +1 otherwise."""
+    a likely-incorrect label; +1 otherwise. batch_weights scores every
+    row's corrected loss 1^T T^{-1} l(p) at once; sample_weight is the
+    sign test on one of them."""
 
     def __init__(self, transition, gamma=0.1, base="ce"):
         _check_args("pumpout", reals={"gamma": (gamma, "(0, 1)")})
@@ -188,13 +197,16 @@ class _PumpoutHook:
         return None
 
     def batch_weights(self, values, probs, y):
-        # row by row: the benchmark counts kept rows by sample_weight call
-        return np.array([self.sample_weight(v, p, t)
-                         for v, p, t in zip(values, probs, y)],
+        # a stack of (1, K) @ (K,) dots is bit-equal to the one-row
+        # ones_t_inv @ l(p); the (N, K) @ (K,) gemv is not
+        corrected = (loss_vector(self.base, probs)[:, None, :]
+                     @ self.ones_t_inv)[:, 0]
+        # the sign test row by row: the benchmark counts kept rows by
+        # sample_weight call
+        return np.array([self.sample_weight(c) for c in corrected.tolist()],
                         dtype=np.float64)
 
-    def sample_weight(self, loss, probs, y):
-        corrected = float(self.ones_t_inv @ loss_vector(self.base, probs))
+    def sample_weight(self, corrected):
         return -self.gamma if corrected < 0.0 else 1.0
 
 

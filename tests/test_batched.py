@@ -698,10 +698,18 @@ def reweight_runs(draw, kind):
     return ds, config, {"kind": kind, **spec}
 
 
+def ref_pumpout_row(T, base, gamma, p):
+    """Pumpout's rule on one row, as the hook applied it row by row: the
+    corrected loss 1^T T^{-1} l(p) and the row's weight."""
+    ones_t_inv = np.linalg.solve(T.t.T, np.ones(T.k))
+    corrected = float(ones_t_inv @ loss_vector(base, p))
+    return corrected, (-gamma if corrected < 0.0 else 1.0)
+
+
 def ref_reweighted_train(ds, config, spec):
     """model.train as it weighted a batch before batch_weights: each kept
     row's weight asked one by one, the running filter's by the per-sample
-    rule."""
+    rule and pumpout's by its one-row rule."""
     hook = make_reweighter(spec)
     if spec["kind"] == "running":
         ref = RefRunningLossFilter(**{k: v for k, v in spec.items()
@@ -709,6 +717,10 @@ def ref_reweighted_train(ds, config, spec):
 
         def weight(loss, probs, y):
             return 0.0 if ref.observe(loss) == "skip" else 1.0
+    elif spec["kind"] == "pumpout":
+        def weight(loss, probs, y):
+            return ref_pumpout_row(spec["transition"], "ce", spec["gamma"],
+                                   probs)[1]
     else:
         weight = hook.sample_weight
     params = init(config.arch, ds.dim, ds.num_classes, config.seed,
@@ -745,6 +757,91 @@ class TestReweightedTrain:
         for name in ref.arrays:
             assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
         assert history == ref_history
+
+
+@st.composite
+def flaggable_transitions(draw, K):
+    """Row-stochastic K x K matrix that is not doubly stochastic: the
+    identity mixed, up to 0.9, with sparse random rows. Often some
+    component of 1^T T^{-1} is negative or above K, so that pumpout can
+    flag a row under CE or MAE."""
+    raw = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=K * K,
+                                   max_size=K * K)), (K, K))
+    raw = np.where(raw < 0.5, 0.0, raw) + np.eye(K) * 1e-3
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    mix = draw(st.floats(0.0, 0.9))
+    return TransitionMatrix((1.0 - mix) * np.eye(K) + mix * rows)
+
+
+def sign_boundary_rows(corrected_of, p_neg, p_pos, steps=60):
+    """The two rows, one on each side, that bisection along the segment
+    from p_neg (corrected loss < 0) to p_pos (>= 0) closes in on where the
+    corrected loss changes sign."""
+    lo, hi = 0.0, 1.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if corrected_of((1.0 - mid) * p_neg + mid * p_pos) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return [(1.0 - t) * p_neg + t * p_pos for t in (lo, hi)]
+
+
+class TestPumpoutRule:
+    def check(self, T, base, gamma, P):
+        """batch_weights on the rows P against the one-row rule: every
+        corrected loss handed to sample_weight bit-equal, and equal
+        weights. Returns the weights."""
+        hook = make_reweighter({"kind": "pumpout", "transition": T,
+                                "gamma": gamma, "base": base})
+        seen = []
+        sample_weight = hook.sample_weight
+        hook.sample_weight = lambda c: seen.append(c) or sample_weight(c)
+        got = hook.batch_weights(np.zeros(len(P)), P,
+                                 np.zeros(len(P), dtype=int))
+        ref = [ref_pumpout_row(T, base, gamma, p) for p in P]
+        assert (np.array(seen, dtype=np.float64).tobytes()
+                == np.array([c for c, _ in ref], dtype=np.float64).tobytes())
+        assert got.dtype == np.float64 and got.shape == (len(P),)
+        assert got.tolist() == [w for _, w in ref]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_batch_matches_one_row_rule(self, data):
+        K = data.draw(st.integers(2, 6), label="K")
+        T = data.draw(st.one_of(transitions(K), flaggable_transitions(K)),
+                      label="T")
+        base = data.draw(st.sampled_from(["ce", "mae"]), label="base")
+        gamma = data.draw(st.sampled_from([0.1, 0.5]), label="gamma")
+        n = data.draw(st.integers(1, 20), label="n")
+        raw = np.reshape(data.draw(st.lists(
+            st.floats(0.0, 1.0), min_size=n * K, max_size=n * K),
+            label="rows"), (n, K)) + 1e-9
+        eye = np.eye(K, dtype=bool)
+        eps = 1e-6  # rows near each vertex, and near zero at each label
+        P = np.vstack([raw / raw.sum(axis=1, keepdims=True),
+                       np.where(eye, 1.0 - eps, eps / (K - 1)),
+                       np.where(eye, eps, (1.0 - eps) / (K - 1))])
+        def corrected_of(p):
+            return ref_pumpout_row(T, base, gamma, p)[0]
+
+        corrected = [corrected_of(p) for p in P]
+        if min(corrected) < 0.0 <= max(corrected):
+            P = np.vstack([P] + sign_boundary_rows(
+                corrected_of, P[int(np.argmin(corrected))],
+                P[int(np.argmax(corrected))]))
+        self.check(T, base, gamma, P)
+
+    @pytest.mark.parametrize("base", ["ce", "mae"])
+    def test_rows_at_the_sign_boundary(self, base):
+        # columns of T^-1 sum to [-2/3, 8/3]: flags under CE and MAE
+        T = TransitionMatrix(np.array([[0.9, 0.1], [0.6, 0.4]]))
+        # confident in class 1 (flagged) and in class 0 (not)
+        neg, pos = np.array([0.001, 0.999]), np.array([0.999, 0.001])
+        rows = np.array(sign_boundary_rows(
+            lambda p: ref_pumpout_row(T, base, 0.1, p)[0], neg, pos))
+        assert self.check(T, base, 0.1, rows).tolist() == [-0.1, 1.0]
 
 
 def ref_rank_prune(conf, labels, prune_fraction, per_class=True):

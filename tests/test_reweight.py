@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -194,3 +195,39 @@ class TestPumpout:
         bad = TransitionMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(SingularTransitionError):
             pumpout_weight(bad, "ce", np.array([0.5, 0.5]), 0.1)
+
+    def test_train_asks_sample_weight_once_per_weighted_row(self,
+                                                            monkeypatch):
+        # the benchmark counts kept rows by sample_weight call, so each
+        # batch must ask it once per weighted row, in order, and use
+        # exactly what it returns
+        batches = []
+        sample_weight = _PumpoutHook.sample_weight
+        batch_weights = _PumpoutHook.batch_weights
+
+        def spy_sample(hook, corrected):
+            w = sample_weight(hook, corrected)
+            batches[-1]["asked"].append(w)
+            return w
+
+        def spy_batch(hook, values, probs, y):
+            batches.append({"rows": len(values), "asked": []})
+            w = batch_weights(hook, values, probs, y)
+            batches[-1]["weights"] = w
+            return w
+
+        monkeypatch.setattr(_PumpoutHook, "sample_weight", spy_sample)
+        monkeypatch.setattr(_PumpoutHook, "batch_weights", spy_batch)
+        # T^-1's columns sum to [-2/3, 8/3]: rows confident in class 1
+        # flag
+        T = TransitionMatrix(np.array([[0.9, 0.1], [0.6, 0.4]]))
+        ds = gen_blobs(2, 60, 2, 3.0, 8)
+        train(ds, TrainConfig(epochs=3, batch_size=16, seed=8),
+              reweight={"kind": "pumpout", "transition": T, "gamma": 0.25})
+        assert len(batches) == 3 * math.ceil(ds.n / 16)
+        assert sum(b["rows"] for b in batches) == 3 * ds.n
+        for b in batches:
+            assert len(b["asked"]) == b["rows"]
+            assert b["weights"].tolist() == b["asked"]
+        weights = np.concatenate([b["weights"] for b in batches])
+        assert set(weights.tolist()) == {-0.25, 1.0}  # both branches ran
