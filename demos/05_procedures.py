@@ -59,7 +59,7 @@ print(f"\ndual-model relabeling: stored-label agreement with truth "
       f"{start:.3f} -> {store.match_fraction(noisy3.true_labels):.3f}")
 original = int(np.equal(store.source, None).sum())  # source None: never
 print(f"  provenance: {original} original, "
-      f"{len(store) - original} relabeled entries")
+      f"{len(store.source) - original} relabeled entries")
 
 # -- iterative cleaning with a small trusted set ------------------------------
 full_c = gen_blobs(3, 300, 2, 8.0, 29)

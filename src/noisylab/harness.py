@@ -495,7 +495,9 @@ def sweep(template, rhos, methods=None):
     except ValueError as e:
         raise ConfigError(str(e)) from e
     methods = methods or [{"loss": {"kind": "ce"}}]
-    for method in methods:  # before the first point runs
+    # before the first point runs: the template, then each method
+    validate_config(dict(template, noise=None, method={"loss": {"kind": "ce"}}))
+    for method in methods:
         _check_section(method, "method", "method")
     reports, summary = [], []
     for method in methods:

@@ -173,12 +173,6 @@ class TrainConfig:
                              f"{self.arch!r}")
 
 
-def minibatches(order, batch_size):
-    """Consecutive index slices of `order` along its last axis; the last
-    may be short. An (E, n) order of E models gives (E, B) index blocks."""
-    return (batch[0] for batch in epoch_batches(order, batch_size))
-
-
 def epoch_batches(order, batch_size, *arrays):
     """Each minibatch of `order` as a list [indices, *rows]: every array is
     gathered once in epoch order, array[order], and a batch's rows are a
@@ -190,34 +184,30 @@ def epoch_batches(order, batch_size, *arrays):
         yield [g[rows] for g in gathered]
 
 
-def sgd_step(params, X, lr, batch_loss, epoch):
-    """One SGD step on the batch X, the only place parameters are updated:
-    forward, softmax, batch_loss(probs) -> (loss values (N,), dloss/dlogits
-    (N, K)), backward, and a step of lr / B on every parameter array, B the
-    batch rows per model. A stacked model's (E, B, d) batch steps its E
-    models in lockstep; batch_loss still sees N = E * B rows, model by
-    model. Returns the loss values, a row per model when stacked; raises
-    DivergedError naming the epoch on a non-finite logit. X (dataset rows)
-    is used as given; forward_batch is the one that converts and checks."""
-    logits, cache = _forward(params, X)
-    try:
-        probs = softmax(logits.reshape(-1, params.K))  # rejects non-finite
-    except ValueError as e:
-        raise DivergedError(f"training diverged at epoch {epoch}") from e
-    values, G = batch_loss(probs)
-    grads = backward_batch(params, G, cache)
-    scale = lr / X.shape[-2]
-    for name, a in params.arrays.items():
-        a -= scale * grads[name]
-    return values.reshape(X.shape[:-2] + (-1,))
-
-
 def sgd_epoch(params, batches, lr, batch_loss, epoch):
-    """sgd_step over (X_batch, key) pairs, batch_loss(probs, key) seeing
-    each batch's key (its indices, or its mixed targets). Returns the
-    epoch's loss values joined along the last axis (None: no batch)."""
-    values = [sgd_step(params, X, lr, lambda p: batch_loss(p, key), epoch)
-              for X, key in batches]
+    """One SGD step per (X, key) pair of batches, the only place parameters
+    are updated: forward, softmax, batch_loss(probs, key) -> (loss values
+    (N,), dloss/dlogits (N, K)), backward, and a step of lr / B on every
+    parameter array, B the batch rows per model. The key is the batch's
+    indices or its mixed targets. A stacked model's (E, B, d) batch steps
+    its E models in lockstep; batch_loss still sees N = E * B rows, model
+    by model. Returns the epoch's loss values joined along the last axis, a
+    row per model when stacked (None: no batch); raises DivergedError
+    naming the epoch on a non-finite logit. X (dataset rows) is used as
+    given; forward_batch is the one that converts and checks."""
+    values = []
+    for X, key in batches:
+        logits, cache = _forward(params, X)
+        try:
+            probs = softmax(logits.reshape(-1, params.K))  # rejects non-finite
+        except ValueError as e:
+            raise DivergedError(f"training diverged at epoch {epoch}") from e
+        step_values, G = batch_loss(probs, key)
+        grads = backward_batch(params, G, cache)
+        scale = lr / X.shape[-2]
+        for name, a in params.arrays.items():
+            a -= scale * grads[name]
+        values.append(step_values.reshape(X.shape[:-2] + (-1,)))
     return np.concatenate(values, axis=-1) if values else None
 
 
@@ -235,7 +225,7 @@ def epoch_row(epoch, params, test_ds, **fields):
 
 def stack(models):
     """One ModelParams whose arrays carry a leading model axis E over the
-    given same-shape models, so sgd_step trains them in lockstep."""
+    given same-shape models, so sgd_epoch trains them in lockstep."""
     out = models[0].copy()
     out.arrays = {k: np.stack([m.arrays[k] for m in models])
                   for k in out.arrays}

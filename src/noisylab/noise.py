@@ -76,9 +76,9 @@ def inject(ds, T, rng):
 
 
 def draw_labels(T, truth, rng):
-    """One draw per sample from row truth[i] of T, consuming one uniform
-    each in order: the stream sample_categorical gives per sample, through
-    the same searchsorted side="right" rule and clamp to K - 1."""
+    """One draw per sample from row truth[i] of T, consuming one uniform u
+    each in order: the first class whose cumulative probability exceeds u
+    (searchsorted's side="right" rule), clamped to K - 1."""
     u = rng.uniform(len(truth))
     drawn = np.sum(np.cumsum(T.t, axis=1)[truth] <= u[:, None], axis=1)
     return np.minimum(drawn, T.k - 1).astype(np.int64)

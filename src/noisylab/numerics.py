@@ -1,5 +1,5 @@
-"""Deterministic numerical primitives: stable softmax, categorical sampling,
-and a seeded splittable random generator.
+"""Deterministic numerical primitives: stable softmax, argument and
+probability-vector checks, and a seeded splittable random generator.
 
 All floating point work is float64. The random generator wraps numpy's
 Philox counter-based bit generator; identical seeds give identical streams
@@ -115,10 +115,3 @@ def check_prob_vector(p):
     if not abs(p.sum() - 1.0) <= PROB_ATOL:
         raise ValueError("invalid probability vector: does not sum to 1")
     return p
-
-
-def sample_categorical(p, rng):
-    """Draw a class index with probabilities p, consuming one uniform."""
-    p = check_prob_vector(p)
-    u = rng.uniform()
-    return int(min(np.searchsorted(np.cumsum(p), u, side="right"), len(p) - 1))

@@ -37,9 +37,6 @@ class SoftLabelStore:
         self.epoch = np.zeros(len(self.targets), dtype=np.int64)
         self.source = np.full(len(self.targets), None, dtype=object)
 
-    def __len__(self):
-        return len(self.targets)
-
     def relabel_hard(self, rows, labels, epoch, source):
         """Set the distinct `rows` to the one-hot `labels` (one per row)."""
         self._relabel(rows, np.eye(self.K)[labels], False, epoch, source)
@@ -61,27 +58,12 @@ class SoftLabelStore:
         self.epoch[rows] = epoch
         self.source[rows] = source
 
-    @property
-    def provenance(self):
-        """Per row, {"kind": "original"} or {"kind": "relabeled", "epoch":
-        e, "source": s}: a copy, built from `epoch` and `source`."""
-        return [{"kind": "original"} if s is None else
-                {"kind": "relabeled", "epoch": e, "source": s}
-                for e, s in zip(self.epoch.tolist(), self.source)]
-
     def hard_labels(self):
         """Argmax view (soft entries collapse to their mode)."""
         return self.targets.argmax(axis=1)
 
     def match_fraction(self, truth):
         return float(np.mean(self.hard_labels() == np.asarray(truth)))
-
-    def to_json(self):
-        return [{"provenance": prov,
-                 "soft": [format(v, ".17g") for v in row]} if soft
-                else {"provenance": prov, "hard": int(row.argmax())}
-                for row, soft, prov in zip(self.targets, self.is_soft,
-                                           self.provenance)]
 
 
 # --- mixup ------------------------------------------------------------------

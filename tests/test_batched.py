@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab import procedures
+from noisylab import procedures, reweight
 from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
                                  majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
@@ -31,13 +31,13 @@ from noisylab.data import LabeledDataset, gen_blobs, split
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
                              loss_and_grad, loss_value, loss_vector)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
-                            epoch_row, fit, forward, forward_batch, init,
-                            minibatches, predict, predict_probs, sgd_epoch,
-                            sgd_step, stack, train, unstack)
+                            epoch_batches, epoch_row, fit, forward,
+                            forward_batch, init, predict, predict_probs,
+                            sgd_epoch, stack, train, unstack)
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators,
                             symmetric_transition)
-from noisylab.numerics import Rng, sample_categorical, softmax
+from noisylab.numerics import Rng, check_prob_vector, softmax
 from noisylab.procedures import (SoftLabelStore, cleaning_meta_features,
                                  co_teaching_keep_schedule,
                                  dual_relabel_epoch, fit_meta_classifier,
@@ -258,10 +258,19 @@ class TestStackedKernel:
             assert gQ[a].tobytes() == ref_gqs[a].tobytes()
 
 
+def ref_sample_categorical(p, rng):
+    """One class index drawn with probabilities p from one uniform: the
+    per-sample draw that draw_labels batches."""
+    p = check_prob_vector(p)
+    u = rng.uniform()
+    drawn = np.searchsorted(np.cumsum(p), u, side="right")
+    return int(min(drawn, len(p) - 1))
+
+
 class TestLabelDraws:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_matches_sample_categorical_stream(self, data):
+    def test_matches_per_sample_draw_stream(self, data):
         K = data.draw(st.integers(2, 6))
         T = data.draw(transitions(K, zeros=data.draw(st.booleans())))
         n = data.draw(st.integers(0, 40))
@@ -270,7 +279,7 @@ class TestLabelDraws:
                          dtype=np.int64)
         seed = data.draw(st.integers(0, 2**32 - 1))
         ref_rng = Rng(seed)
-        expected = [sample_categorical(T.t[c], ref_rng) for c in truth]
+        expected = [ref_sample_categorical(T.t[c], ref_rng) for c in truth]
         rng = Rng(seed)
         got = draw_labels(T, truth, rng)
         assert got.dtype == np.int64
@@ -278,7 +287,7 @@ class TestLabelDraws:
         # both consumed exactly one uniform per sample
         assert rng.uniform() == ref_rng.uniform()
 
-    def test_ties_and_clamp_follow_sample_categorical(self):
+    def test_ties_and_clamp_follow_per_sample_draw(self):
         class Fixed:
             """Stand-in stream returning chosen uniforms."""
 
@@ -297,7 +306,7 @@ class TestLabelDraws:
         truth = np.array([0, 0, 1, 1, 2, 2])
         u = [0.0, 0.5, 0.3, 0.2999999999999999, 1.0 - 2**-53,
              float(np.cumsum(T.t[2])[1])]
-        expected = [sample_categorical(T.t[c], Fixed([v]))
+        expected = [ref_sample_categorical(T.t[c], Fixed([v]))
                     for c, v in zip(truth, u)]
         assert draw_labels(T, truth, Fixed(u)).tolist() == expected
         assert expected == [1, 2, 2, 0, 2, 2]
@@ -317,7 +326,7 @@ class TestLabelDraws:
         ann = simulate_annotators(ds, [T, T], Rng(9)).annotator_labels
         assert np.array_equal(noisy, ann[:, 0])
         ref = Rng(9)
-        assert [sample_categorical(T.t[c], ref) for c in ds.labels] \
+        assert [ref_sample_categorical(T.t[c], ref) for c in ds.labels] \
             == noisy.tolist()
 
 
@@ -577,24 +586,25 @@ class TestSgdCore:
             ref_values.extend(-np.log(np.maximum(
                 probs[np.arange(len(idx)), y[idx]], LOG_CLAMP)))
         values = sgd_epoch(
-            params, ((X[idx], idx) for idx in minibatches(order, batch_size)),
+            params,
+            ((X[idx], idx) for idx, in epoch_batches(order, batch_size)),
             lr, lambda probs, idx: loss_and_grad(LossSpec("ce"), probs,
                                                  y[idx]), 0)
         assert np.array_equal(values, ref_values)
         for name in ref.arrays:
             assert np.array_equal(params.arrays[name], ref.arrays[name])
 
-    def test_minibatches_cover_order_once(self):
+    def test_epoch_batches_cover_order_once(self):
         order = np.array([4, 0, 3, 1, 2])
-        got = list(minibatches(order, 2))
+        got = [idx for idx, in epoch_batches(order, 2)]
         assert [b.tolist() for b in got] == [[4, 0], [3, 1], [2]]
 
     def test_non_finite_logits_name_the_epoch(self):
         params = init("linear", 2, 2, 0)
         params.arrays["W"][:] = np.inf
         with pytest.raises(DivergedError, match="epoch 4"):
-            sgd_step(params, np.ones((1, 2)), 0.1,
-                     lambda probs: pytest.fail("loss asked"), 4)
+            sgd_epoch(params, [(np.ones((1, 2)), None)], 0.1,
+                      lambda probs, key: pytest.fail("loss asked"), 4)
 
 
 class RefRunningLossFilter:
@@ -732,7 +742,7 @@ def ref_reweighted_train(ds, config, spec):
         if kept is not None:
             keep[:] = kept
         return ((ds.features[idx], idx)
-                for idx in minibatches(order, config.batch_size))
+                for idx, in epoch_batches(order, config.batch_size))
 
     def batch_loss(probs, idx):
         yb = ds.labels[idx]
@@ -753,6 +763,32 @@ class TestReweightedTrain:
     def test_matches_per_row_hook_loop(self, kind, data):
         ds, config, spec = data.draw(reweight_runs(kind))
         params, history = train(ds, config, reweight=spec)
+        ref, ref_history = ref_reweighted_train(ds, config, spec)
+        for name in ref.arrays:
+            assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
+        assert history == ref_history
+
+    def test_pumpout_ascent_rows(self, monkeypatch):
+        # the training set of the pinned pumpout ascent trajectory (seed 1:
+        # data 1, split 2, noise 3), whose asymmetric T and step of 1.0
+        # weight some rows -gamma; the drawn examples above reach none
+        T = TransitionMatrix(np.array([[0.6, 0.4, 0.0], [0.1, 0.9, 0.0],
+                                       [0.0, 0.4, 0.6]]))
+        train_ds, _ = split(gen_blobs(3, 60, 2, 8.0, 1), 0.25, 2)
+        ds = inject(train_ds, T, Rng(3).split(1)[0]).training_view()
+        config = TrainConfig(epochs=2, learning_rate=1.0, seed=1)
+        spec = {"kind": "pumpout", "transition": T, "gamma": 0.1}
+        flagged = []
+        batch_weights = reweight._PumpoutHook.batch_weights
+
+        def spy(hook, *args):
+            weights = batch_weights(hook, *args)
+            flagged.extend(weights[weights == -hook.gamma].tolist())
+            return weights
+
+        monkeypatch.setattr(reweight._PumpoutHook, "batch_weights", spy)
+        params, history = train(ds, config, reweight=spec)
+        assert flagged
         ref, ref_history = ref_reweighted_train(ds, config, spec)
         for name in ref.arrays:
             assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
@@ -1013,16 +1049,12 @@ class RefStore:
                          else int(e.soft.argmax()) for e in self.entries],
                         dtype=np.int64)
 
-    def to_json(self):
-        out = []
-        for e in self.entries:
-            rec = {"provenance": e.provenance}
-            if e.hard is not None:
-                rec["hard"] = e.hard
-            else:
-                rec["soft"] = [format(v, ".17g") for v in e.soft]
-            out.append(rec)
-        return out
+    def arrays(self):
+        """The entries as SoftLabelStore's is_soft, epoch and source (an
+        original entry: epoch 0, source None)."""
+        return ([e.soft is not None for e in self.entries],
+                [e.provenance.get("epoch", 0) for e in self.entries],
+                [e.provenance.get("source") for e in self.entries])
 
 
 def ref_train_epoch_against_store(params, ds, store, peer_pred_probs, rng,
@@ -1042,7 +1074,7 @@ def ref_train_epoch_against_store(params, ds, store, peer_pred_probs, rng,
 
     order = rng.permutation(ds.n)
     sgd_epoch(params, ((ds.features[idx], idx)
-                       for idx in minibatches(order, batch_size)),
+                       for idx, in epoch_batches(order, batch_size)),
               lr, batch_loss, epoch)
 
 
@@ -1133,11 +1165,13 @@ def apply_ops(store, ref, ops):
 
 
 def assert_stores_equal(store, ref):
-    assert len(store) == len(ref.entries)
+    # every entry's hard label or soft row, bit for bit, and provenance
     assert store.targets.tobytes() == ref.targets.tobytes()
     assert np.array_equal(store.hard_labels(), ref.hard_labels())
-    # hard label or lossless soft row, and provenance, of every entry
-    assert store.to_json() == ref.to_json()
+    is_soft, epoch, source = ref.arrays()
+    assert store.is_soft.tolist() == is_soft
+    assert store.epoch.tolist() == epoch
+    assert store.source.tolist() == source
 
 
 class TestSoftLabelStoreArrays:
@@ -1155,13 +1189,13 @@ class TestSoftLabelStoreArrays:
     def test_one_backwards_row_changes_no_row(self):
         store = SoftLabelStore([0, 1, 2], 3)
         store.relabel_hard([1], [2], 5, "small")
-        before = (store.targets.copy(), store.is_soft.copy(),
-                  store.provenance)
+        before = [a.copy() for a in (store.targets, store.is_soft,
+                                     store.epoch, store.source)]
         with pytest.raises(ValueError, match="backwards"):
             store.relabel_soft([0, 1, 2], np.full((3, 3), 1 / 3), 4, "both")
-        assert np.array_equal(store.targets, before[0])
-        assert np.array_equal(store.is_soft, before[1])
-        assert store.provenance == before[2]
+        for got, want in zip((store.targets, store.is_soft, store.epoch,
+                              store.source), before):
+            assert np.array_equal(got, want)
 
 
 class TestDualRelabelBatch:
@@ -1358,9 +1392,9 @@ class TestLockstepFit:
                              arch=arch)
         assert_lockstep_matches_separate(ds, ds, config, [11, 12, 13], "ce")
 
-    def test_minibatches_of_a_stacked_order(self):
+    def test_epoch_batches_of_a_stacked_order(self):
         order = np.array([[4, 0, 3, 1, 2], [0, 1, 2, 3, 4]])
-        got = list(minibatches(order, 2))
+        got = [idx for idx, in epoch_batches(order, 2)]
         assert [b.tolist() for b in got] == [[[4, 0], [0, 1]],
                                              [[3, 1], [2, 3]], [[2], [4]]]
 
@@ -1466,13 +1500,13 @@ class TestLockstepIterativeClean:
 def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
                           disagreement_only=False):
     """train_co_teaching as it stepped its peers before they were one
-    stack: two models, one sgd_step each per batch. The history follows
+    stack: two models, one SGD step each per batch. The history follows
     model A, with its mean step loss as train_loss on an epoch that
     stepped."""
     def step(params, X, y, epoch):
-        return sgd_step(params, X, config.learning_rate,
-                        lambda probs: loss_and_grad(LossSpec("ce"), probs, y),
-                        epoch)
+        return sgd_epoch(params, [(X, y)], config.learning_rate,
+                         lambda probs, y: loss_and_grad(LossSpec("ce"), probs,
+                                                        y), epoch)
 
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
@@ -1483,7 +1517,7 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
         keep = co_teaching_keep_schedule(epoch, noise_rate)
         order = rng.permutation(ds.n)
         values_a = []
-        for idx in minibatches(order, config.batch_size):
+        for idx, in epoch_batches(order, config.batch_size):
             X, y = ds.features[idx], ds.labels[idx]
             if disagreement_only:
                 sel = np.flatnonzero(predict(model_a, X)
@@ -1595,9 +1629,9 @@ def ragged_runs(draw):
 
 def index_gather_batches(ds, batch_size):
     """fit's default batches as they gathered each batch's rows by index:
-    minibatches(order, batch_size) and features[idx]."""
+    the index column of epoch_batches(order, batch_size) and features[idx]."""
     return lambda order, rng: ((ds.features[idx], idx.ravel())
-                               for idx in minibatches(order, batch_size))
+                               for idx, in epoch_batches(order, batch_size))
 
 
 def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
@@ -1613,7 +1647,7 @@ def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
         if kept is not None:
             keep[:] = kept
         return ((ds.features[idx], idx)
-                for idx in minibatches(order, config.batch_size))
+                for idx, in epoch_batches(order, config.batch_size))
 
     def batch_loss(probs, idx):
         yb = ds.labels[idx]
@@ -1637,7 +1671,7 @@ def ref_index_gather_mixup(ds, config, test_ds, alpha):
 
     def batches(order, rng):
         return (mixup(ds.features[idx], Y[idx], alpha, rng)
-                for idx in minibatches(order, config.batch_size))
+                for idx, in epoch_batches(order, config.batch_size))
 
     def batch_loss(probs, Y_mix):
         return (np.sum(Y_mix * loss_vector("ce", probs), axis=1),
@@ -1702,7 +1736,7 @@ def ref_recomputed_dual_relabel_epoch(model_small, model_large, ds, store,
     for params, peer, stream in zip(models, peers, rng.split(2)):
         order = stream.permutation(ds.n)
         sgd_epoch(params, ((ds.features[idx], (store.targets[idx], peer[idx]))
-                           for idx in minibatches(order, batch_size)),
+                           for idx, in epoch_batches(order, batch_size)),
                   lr, batch_loss, epoch)
     preds = np.array([predict_probs(m, ds.features) for m in models])
     own = preds.argmax(axis=-1)
@@ -1769,6 +1803,8 @@ class TestDualRelabelPeerReuse:
         *ref_models, ref_store, ref_history = ref_recomputed_dual_relabel(
             ds, config, test_ds, warm_up)
         assert store.targets.tobytes() == ref_store.targets.tobytes()
-        assert store.to_json() == ref_store.to_json()
+        for name in ("is_soft", "epoch", "source"):
+            assert np.array_equal(getattr(store, name),
+                                  getattr(ref_store, name))
         for model, ref_model in zip(models, ref_models):
             assert_same_run(model, history, ref_model, ref_history)

@@ -235,13 +235,15 @@ class TestSweepAndReport:
         lines = open(out).read().splitlines()
         assert len(lines) == 3
 
-    # a string grid exited 2 with "'>' not supported ..." and an unknown
-    # loss kind exited 0 with an error on every summary row
+    # a string grid exited 2 with "'>' not supported ...", and an unknown
+    # loss kind or a typo in the template's train section exited 0 with
+    # an error on every summary row
     @pytest.mark.parametrize("over, named", [
         ({"rhos": "0.3"}, "rhos must be a non-empty list"),
         ({"methods": [{"loss": {"kind": "cee"}}]}, "unknown loss kind"),
         ({"methods": [{"lss": {"kind": "ce"}}]}, "exactly one method"),
-    ], ids=["string-grid", "unknown-loss", "no-pipeline"])
+        ({"train": {"epoch": 2}}, "train has unknown key(s): train.epoch"),
+    ], ids=["string-grid", "unknown-loss", "no-pipeline", "template-typo"])
     def test_bad_sweep_is_a_usage_error(self, tmp_path, capsys, over,
                                         named):
         cfg = dict(BASE_CFG, **over)

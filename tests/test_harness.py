@@ -881,7 +881,7 @@ class TestOutOfRangeValueIsNamed:
         def no_step(*args):
             pytest.fail("a training step ran")
 
-        monkeypatch.setattr(model, "sgd_step", no_step)
+        monkeypatch.setattr(model, "backward_batch", no_step)
         cfg = base_config(
             dataset={"kind": "blobs", "k": 3, "n_per_class": 40, "d": 2,
                      "separation": 8.0},
@@ -1174,6 +1174,21 @@ class TestSweep:
         monkeypatch.setattr(harness, "run_experiment", spy)
         with pytest.raises(ConfigError, match=re.escape(named)):
             sweep(self.TEMPLATE, rhos, methods)
+
+    # a fault of the template was caught in every point's run_experiment,
+    # and the sweep returned a summary of error rows
+    @pytest.mark.parametrize("train, named", [
+        ({"epoch": 2}, "train has unknown key(s): train.epoch"),
+        ({"epochs": 0}, "train.epochs must be an integer >= 1, got 0"),
+    ], ids=["unknown-key", "bad-value"])
+    def test_template_checked_before_any_point(self, monkeypatch, train,
+                                               named):
+        def spy(cfg):
+            pytest.fail("a sweep point ran")
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            sweep(dict(self.TEMPLATE, train=train), [0.0, 0.2])
 
     def test_point_failure_stays_a_summary_row(self):
         methods = [{"loss": {"kind": "forward", "transition": "true"}}]

@@ -1,11 +1,13 @@
-"""Every name a noisylab module imports is used in that module, only
+"""Every name a noisylab module imports is used in that module, every
+public module-level function is read by the program or a demo, only
 `losses` reads the log clamp, and the transition-mixing kernel is only in
 `losses`.
 
-A stdlib-only stand-in for a linter's unused-import check: it parses each
-module under src/noisylab/ (the package __init__ re-exports, so it is
-skipped) and collects every name an import statement binds, then every
-name the module reads.
+Stdlib-only stand-ins for a linter's unused-import and dead-code checks:
+they parse each module under src/noisylab/ (the package __init__
+re-exports, so the import check skips it) and collect every name an
+import statement binds or a top-level def defines, then every name the
+code reads.
 """
 
 import ast
@@ -13,8 +15,13 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noisylab"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noisylab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# one-row forms that only the acceptance gate calls, beside their batched
+# replacements
+UNREAD_ALLOWED = ["backward_corrected", "grad_check", "has_primitive_value",
+                  "mae_grad_logits"]
 
 
 def unused_imports(source):
@@ -38,6 +45,53 @@ def test_finds_an_unused_import():
               "import os\nimport numpy as np\nfrom .x import a, b\n"
               "print(np.pi, a)\n")
     assert unused_imports(source) == [(2, "os"), (4, "b")]
+
+
+def unread_functions(defining, reading):
+    """The public module-level functions the `defining` sources define
+    that no `reading` source reads, by name or as an attribute, outside
+    the function's own def."""
+    defined = {node.name for source in defining
+               for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)
+               and not node.name.startswith("_")}
+    read = set()
+    for source in reading:
+        for top in ast.parse(source).body:
+            names = {node.id if isinstance(node, ast.Name) else node.attr
+                     for node in ast.walk(top)
+                     if isinstance(node, ast.Name)
+                     and isinstance(node.ctx, ast.Load)
+                     or isinstance(node, ast.Attribute)}
+            if isinstance(top, ast.FunctionDef):
+                names.discard(top.name)
+            read |= names
+    return sorted(defined - read)
+
+
+def test_finds_an_unread_function():
+    module = ("def calls_itself(n):\n    return calls_itself(n - 1)\n"
+              "def stored():\n    pass\n"
+              "def valued():\n    pass\n"
+              "def by_attribute():\n    pass\n"
+              "def _private():\n    pass\n"
+              "stored = 1\nhandlers = [valued]\n")
+    demo = "import m\nm.by_attribute()\n"
+    assert unread_functions([module], [module, demo]) == ["calls_itself",
+                                                         "stored"]
+    assert unread_functions([module], [module]) == ["by_attribute",
+                                                    "calls_itself", "stored"]
+
+
+def test_every_public_function_is_read():
+    # a function that only tests call is a second form of something the
+    # program already does; the allowed ones are the acceptance gate's
+    src = [p.read_text(encoding="utf-8")
+           for p in sorted(PACKAGE.glob("*.py"))]
+    demos = [p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "demos").glob("*.py"))]
+    assert demos
+    assert unread_functions(src, src + demos) == UNREAD_ALLOWED
 
 
 def reads_log_clamp(source):

@@ -3,7 +3,7 @@ import pytest
 
 from noisylab.data import gen_blobs
 from noisylab.noise import (TRANSITION_LAPLACE, TransitionMatrix,
-                            centroid_margins, estimate_transition,
+                            centroid_margins, draw_labels, estimate_transition,
                             feature_dependent_inject, inject,
                             simulate_annotators, symmetric_transition)
 from noisylab.numerics import Rng
@@ -217,11 +217,7 @@ class TestEstimateTransition:
     def test_recovery_from_samples(self):
         K = 3
         T = symmetric_transition(K, 0.3)
-        rng = Rng(42)
-        pairs = []
-        for c in range(K):
-            for _ in range(10_000):
-                from noisylab.numerics import sample_categorical
-                pairs.append((c, sample_categorical(T.t[c], rng)))
+        truth = np.repeat(np.arange(K), 10_000)
+        pairs = np.stack([truth, draw_labels(T, truth, Rng(42))], axis=1)
         est = estimate_transition(pairs, K)
         assert np.abs(est.t - T.t).sum(axis=1).max() < 0.03

@@ -10,10 +10,9 @@ from noisylab.data import gen_blobs, gen_rings, split
 from noisylab.harness import PipelineError, run_experiment, sweep
 from noisylab.losses import LossSpec
 from noisylab.model import ModelParams, TrainConfig, grad_check, init, stack
-from noisylab.noise import (TransitionMatrix, feature_dependent_inject,
-                            symmetric_transition)
-from noisylab.numerics import (Rng, _check_args, check_prob_vector,
-                               sample_categorical, softmax)
+from noisylab.noise import (TransitionMatrix, draw_labels,
+                            feature_dependent_inject, symmetric_transition)
+from noisylab.numerics import Rng, _check_args, check_prob_vector, softmax
 from noisylab.procedures import (iterative_clean, mixup, peer_rows,
                                  train_co_teaching)
 from noisylab.reweight import (RunningLossFilter, make_reweighter,
@@ -90,29 +89,32 @@ class TestRng:
             Rng()
 
 
-class TestSampleCategorical:
+class TestCategoricalDraws:
+    """draw_labels, the one categorical sampler, on a class-0 truth drawn
+    from row 0 of T; check_prob_vector, the check of each row."""
+
+    @staticmethod
+    def draw(row0, n, rng):
+        K = len(row0)
+        T = TransitionMatrix(np.array([row0] + np.eye(K)[1:].tolist()))
+        return draw_labels(T, np.zeros(n, dtype=np.int64), rng)
+
     def test_degenerate(self):
-        rng = Rng(0)
-        assert all(sample_categorical([1.0, 0.0, 0.0], rng) == 0
-                   for _ in range(20))
+        assert self.draw([1.0, 0.0, 0.0], 20, Rng(0)).tolist() == [0] * 20
 
     def test_same_seed_same_sequence(self):
         p = [0.2, 0.3, 0.5]
-        s1 = [sample_categorical(p, Rng(7)) for _ in range(1)]
-        r1, r2 = Rng(11), Rng(11)
-        assert ([sample_categorical(p, r1) for _ in range(200)]
-                == [sample_categorical(p, r2) for _ in range(200)])
+        assert np.array_equal(self.draw(p, 200, Rng(11)),
+                              self.draw(p, 200, Rng(11)))
 
     def test_binomial_frequency(self):
         # 3 sigma of Binomial(1e5, 0.5) is ~0.0047
-        rng = Rng(7)
-        draws = np.array([sample_categorical([0.5, 0.5], rng)
-                          for _ in range(100_000)])
+        draws = self.draw([0.5, 0.5], 100_000, Rng(7))
         assert abs((draws == 0).mean() - 0.5) < 0.0047
 
     def test_invalid_vector(self):
         with pytest.raises(ValueError):
-            sample_categorical([0.5, 0.4], Rng(0))
+            check_prob_vector([0.5, 0.4])
 
     # a matrix is not a vector (TransitionMatrix checks its rows one by
     # one), and a NaN entry passed both checks and drew a class
@@ -121,7 +123,7 @@ class TestSampleCategorical:
                              ids=["2-D", "nan-entry", "nan-sum"])
     def test_refuses_a_matrix_and_nan(self, p):
         with pytest.raises(ValueError, match="invalid probability vector"):
-            sample_categorical(p, Rng(0))
+            check_prob_vector(p)
 
 
 def johnk_beta(alpha, rng):

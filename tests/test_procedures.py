@@ -185,7 +185,7 @@ class TestCoTeachingRows:
     def test_noise_rate_outside_unit_interval_fails_first(self, monkeypatch,
                                                           noise_rate):
         steps = []
-        monkeypatch.setattr(model, "sgd_step",
+        monkeypatch.setattr(model, "backward_batch",
                             lambda *args: steps.append(args))
         ds = gen_blobs(2, 20, 2, 8.0, 3)
         with pytest.raises(ValueError, match=re.escape(
@@ -233,12 +233,14 @@ class TestSoftLabelStore:
     def test_initial_state(self):
         store = SoftLabelStore([0, 1, 2], 3)
         assert np.array_equal(store.hard_labels(), [0, 1, 2])
-        assert all(p["kind"] == "original" for p in store.provenance)
+        assert store.source.tolist() == [None] * 3
+        assert not store.is_soft.any()
 
     def test_relabel_and_provenance(self):
         store = SoftLabelStore([0, 1], 2)
         store.relabel_hard([0], [1], epoch=3, source="small")
-        assert store.provenance[0]["epoch"] == 3
+        assert store.epoch.tolist() == [3, 0]
+        assert store.source.tolist() == ["small", None]
         store.relabel_soft([0], [[0.3, 0.7]], epoch=5, source="both")
         assert np.array_equal(store.hard_labels(), [1, 1])
 
@@ -248,12 +250,12 @@ class TestSoftLabelStore:
         with pytest.raises(ValueError):
             store.relabel_hard([0], [0], epoch=3, source="small")
 
-    def test_json(self):
+    def test_soft_row(self):
         store = SoftLabelStore([0, 1], 2)
         store.relabel_soft([1], [[0.4, 0.6]], epoch=1, source="both")
-        out = store.to_json()
-        assert out[0]["hard"] == 0
-        assert out[1]["provenance"]["kind"] == "relabeled"
+        assert store.targets.tolist() == [[1.0, 0.0], [0.4, 0.6]]
+        assert store.is_soft.tolist() == [False, True]
+        assert store.source.tolist() == [None, "both"]
 
 
 class TestDualRelabel:
@@ -280,7 +282,7 @@ class TestDualRelabel:
         store = SoftLabelStore(labels, 2)
         dual_relabel_epoch(a, b, ds0, store, Rng(3), 0.0, 8, epoch=0)
         assert np.array_equal(store.hard_labels(), labels)
-        assert all(p["kind"] == "original" for p in store.provenance)
+        assert store.source.tolist() == [None] * ds.n
 
     def test_confident_disagreement_relabels_soft(self):
         from noisylab.procedures import dual_relabel_epoch

@@ -1,8 +1,9 @@
 """Pinned trajectories: the sha256 of every stripped report (wall time
 removed) of the 20 benchmark pipelines on 3 blobs x 60 rows, 2 epochs,
 seeds 1 and 2; of co-teaching run for 8 epochs, long enough to keep fewer
-than every row; and of one 3-method noise-rate sweep (its reports and its
-summary CSV) over blobs and over a CSV file.
+than every row; of pumpout under an asymmetric T, where it takes ascent
+steps; and of one 3-method noise-rate sweep (its reports and its summary
+CSV) over blobs and over a CSV file.
 
 A digest here may change only together with a CHANGES.md entry that names
 the trajectory it moves and argues why the new trajectory is correct. A
@@ -14,6 +15,7 @@ import hashlib
 
 import pytest
 
+from noisylab import reweight
 from noisylab.data import gen_blobs, save_csv
 from noisylab.harness import (report_json, run_experiment, strip_wall_time,
                               sweep, sweep_summary_csv)
@@ -140,6 +142,12 @@ CO_TEACHING_DIGESTS = {
     1: "41d7741ac4e9056d97af72075640c85771bfb358f8965c89f86d99c8424f339e",
     2: "9f7288e836e2e2d53941dc70403015001de74aa10c5f4183deca15f55d88f8dd",
 }
+# under a symmetric T pumpout's corrected loss is never negative, so the
+# pipelines above never weight a row -gamma; on well-separated blobs this
+# asymmetric T and a step of 1.0 flag 5 of the 270 weighted rows
+PUMPOUT_ASCENT_ROWS = [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.0, 0.4, 0.6]]
+PUMPOUT_ASCENT_DIGEST = (
+    "870e703684f36af92e4f35b358a98bff7badaa627196dac89a75cecba4044cec")
 CSV_SWEEP_DIGEST = (
     "cde61660036188532ae4d2222a89f3aabca6e08d35f435a8ed22ce27f4276a48")
 
@@ -187,6 +195,25 @@ def test_co_teaching_past_its_warm_up_is_pinned(seed):
     report = run_experiment(cfg)
     assert report["history"][-1]["keep_fraction"] < 1.0
     assert report_digest(report) == CO_TEACHING_DIGESTS[seed]
+
+
+def test_pumpout_ascent_is_pinned(monkeypatch):
+    flagged = []
+    batch_weights = reweight._PumpoutHook.batch_weights
+
+    def spy(hook, *args):
+        weights = batch_weights(hook, *args)
+        flagged.extend(weights[weights == -hook.gamma].tolist())
+        return weights
+
+    monkeypatch.setattr(reweight._PumpoutHook, "batch_weights", spy)
+    cfg = config("reweight:pumpout", 1)
+    cfg["dataset"]["separation"] = 8.0
+    cfg["noise"] = {"kind": "matrix", "rows": PUMPOUT_ASCENT_ROWS}
+    cfg["train"] = {"epochs": 2, "learning_rate": 1.0}
+    report = run_experiment(cfg)
+    assert flagged
+    assert report_digest(report) == PUMPOUT_ASCENT_DIGEST
 
 
 def test_csv_sweep_reports_and_summary_are_pinned(tmp_path, monkeypatch):
