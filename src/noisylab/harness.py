@@ -34,6 +34,14 @@ ECE_BINS = 15
 # test_fraction, a CSV's stat stamp], and the last (corrupted train set,
 # noise T) by that key and the key of the noise section
 _DATA_MEMO, _NOISE_MEMO = {}, {}
+# One-shot memo of a sweep's stacked training: each point's ((corrupted
+# set, noise T), (params, history)) by the key of its data, noise, method
+# and train config, taken by that point's run_experiment; sweep empties it
+# when it returns or raises
+_FIT_MEMO = {}
+# The loss kinds without a transition: a sweep trains the points of a loss,
+# trimmed or rank_prune method on them as one stack
+STACKED_LOSSES = ("ce", "mae", "imae", "smooth_kl")
 
 # The allowed keys of each config section, for each value of its selector
 # key (None: a section without one; "": the method, selected by which
@@ -301,32 +309,17 @@ def _flag_precision_recall(flags, true_flip):
 
 def run_experiment(cfg):
     """Execute generate -> corrupt -> train(with method) -> evaluate and
-    return the report dict. Test evaluation is always against true labels."""
+    return the report dict. Test evaluation is always against true labels.
+    A sweep point whose method trained in the sweep's stack takes its
+    corrupted set and trained model from there."""
     method, method_kind, tc = validate_config(cfg)
     t0 = time.monotonic()
-    seed = cfg["seed"]
-    fraction, spec, noise = (cfg.get("test_fraction", 0.25), cfg["dataset"],
-                             cfg.get("noise"))
-    try:
-        stamp = None  # a CSV is read again once edited or replaced
-        if spec["kind"] == "csv":  # a missing one raises open's error here
-            st = os.stat(spec["path"])
-            stamp = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns]
-        data_key = _key(spec, seed, fraction, stamp)
-        num_classes, train_ds, test_ds = _memo(
-            _DATA_MEMO, data_key, _split_dataset, spec, seed, fraction)
-    except Exception as e:
-        raise PipelineError("generate", e)
-    try:
-        noisy, true_T = _memo(_NOISE_MEMO, (data_key, _key(noise)),
-                              _apply_noise, train_ds, noise, seed + 2)
-    except ConfigError:  # a noise matrix for other than the data's classes
-        raise
-    except Exception as e:
-        raise PipelineError("corrupt", e)
+    data_key, num_classes, train_ds, test_ds = _generate(cfg)
+    corrupted, fitted = _FIT_MEMO.pop(_fit_key(data_key, cfg), (None, None))
+    noisy, true_T = corrupted or _corrupt(cfg, data_key, train_ds)
     try:
         params, history, diagnostics = _run_method(
-            cfg, tc, method, method_kind, noisy, test_ds, true_T)
+            cfg, tc, method, method_kind, fitted, noisy, test_ds, true_T)
     except ConfigError:  # a method the generated data cannot serve
         raise
     except (ValueError, DivergedError) as e:
@@ -349,9 +342,49 @@ def run_experiment(cfg):
     return report
 
 
-def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
+def _generate(cfg):
+    """The generate stage of a validated cfg, through the data memo: (data
+    key, K, train set, test set); its failure is a PipelineError."""
+    seed, spec = cfg["seed"], cfg["dataset"]
+    fraction = cfg.get("test_fraction", 0.25)
+    try:
+        stamp = None  # a CSV is read again once edited or replaced
+        if spec["kind"] == "csv":  # a missing one raises open's error here
+            st = os.stat(spec["path"])
+            stamp = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns]
+        data_key = _key(spec, seed, fraction, stamp)
+        return (data_key, *_memo(_DATA_MEMO, data_key, _split_dataset, spec,
+                                 seed, fraction))
+    except Exception as e:
+        raise PipelineError("generate", e)
+
+
+def _corrupt(cfg, data_key, train_ds):
+    """The corrupt stage, through the noise memo: (corrupted train set,
+    noise T or None); its failure is a PipelineError, or a ConfigError for
+    a noise matrix the data's classes do not fit."""
+    noise = cfg.get("noise")
+    try:
+        return _memo(_NOISE_MEMO, (data_key, _key(noise)), _apply_noise,
+                     train_ds, noise, cfg["seed"] + 2)
+    except ConfigError:  # a noise matrix for other than the data's classes
+        raise
+    except Exception as e:
+        raise PipelineError("corrupt", e)
+
+
+def _fit_key(data_key, cfg):
+    """Key of what a run's training depends on: its data (seed and split
+    included), noise, method and train config."""
+    return _key(data_key, cfg.get("noise"), cfg.get("method"),
+                cfg.get("train"))
+
+
+def _run_method(cfg, tc, method, kind, fitted, noisy, test_ds, true_T):
     """Run one method pipeline; returns (params, history, diagnostics).
-    Training code only ever sees the training view (truth stripped)."""
+    Training code only ever sees the training view (truth stripped). A
+    loss or reweight pipeline given its (params, history) as fitted (else
+    None) trains no further."""
     view = noisy.training_view()
     if kind == "annotator" and view.annotator_labels is None:
         raise ConfigError("annotator method requires annotator labels "
@@ -366,10 +399,9 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
         kind = kwargs.pop(SCHEMA[kind][0])  # the fusion or procedure name
     diagnostics = {}
     if kind in ("loss", "reweight"):
-        # a loss pipeline trains on its loss, a reweight one on its base_loss
-        loss = method.get("loss", method.get("base_loss", tc.loss))
-        params, history = train(view, replace(tc, loss=loss), test_ds,
-                                reweight=method.get("reweight"))
+        config, reweight = _train_args(method, tc)
+        params, history = fitted or train(view, config, test_ds,
+                                          reweight=reweight)
     elif kind == "noise_adaptation":
         # the observed labels as the one annotator, with no trace penalty
         params, model, history = train_with_confusion(
@@ -433,6 +465,14 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     return params, history, diagnostics
 
 
+def _train_args(method, tc):
+    """train's config and reweight spec for a resolved loss or reweight
+    method: a loss pipeline trains on its loss, a reweight one on its
+    base_loss."""
+    loss = method.get("loss", method.get("base_loss", tc.loss))
+    return replace(tc, loss=loss), method.get("reweight")
+
+
 # --- persistence ------------------------------------------------------------
 
 def atomic_write_text(path, text):
@@ -484,8 +524,17 @@ def strip_wall_time(report):
 def sweep(template, rhos, methods=None):
     """Run the template config across symmetric noise rates (and optional
     method variants); returns (reports, summary rows, quadratic fit R^2 of
-    the baseline CE test error vs rho). The points share one generated or
-    read dataset and split through run_experiment's memo."""
+    the baseline CE test error vs rho). The template sets neither noise
+    nor method, which each point sets. The points share one generated or
+    read dataset and split through run_experiment's memo. The points of a
+    loss, trimmed or rank_prune method whose losses have no transition
+    train as one stack before they run, and those of every other method
+    one by one; each point runs through a run_experiment call of its
+    own."""
+    for key, use in (("method", "methods"), ("noise", "rhos")):
+        if key in template:
+            raise ConfigError(f"sweep: the template sets {key}, which each "
+                              f"point sets; give {use} instead")
     if not isinstance(rhos, (list, tuple)) or not rhos:
         raise ConfigError(f"sweep: rhos must be a non-empty list, got "
                           f"{rhos!r}")
@@ -500,26 +549,70 @@ def sweep(template, rhos, methods=None):
     for method in methods:
         _check_section(method, "method", "method")
     reports, summary = [], []
-    for method in methods:
-        for rho in rhos:
-            cfg = json.loads(json.dumps(template))
-            cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
-                            else None)
-            cfg["method"] = method
-            row = {"method": _method_name(method), "rho": rho}
-            try:
-                rep = run_experiment(cfg)
-                reports.append(rep)
-                row["test_accuracy"] = rep["final_metrics"]["accuracy"]
-                row["test_error"] = 1.0 - row["test_accuracy"]
-                row["macro_f1"] = rep["final_metrics"]["macro_f1"]
-            except Exception as e:
-                row["error"] = str(e)
-            summary.append(row)
+    try:
+        for method in methods:
+            cfgs = []
+            for rho in rhos:
+                cfg = json.loads(json.dumps(template))
+                cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
+                                else None)
+                cfg["method"] = method
+                cfgs.append(cfg)
+            if _stackable(method):
+                _prefit(cfgs)
+            for rho, cfg in zip(rhos, cfgs):
+                row = {"method": _method_name(method), "rho": rho}
+                try:
+                    rep = run_experiment(cfg)
+                    reports.append(rep)
+                    row["test_accuracy"] = rep["final_metrics"]["accuracy"]
+                    row["test_error"] = 1.0 - row["test_accuracy"]
+                    row["macro_f1"] = rep["final_metrics"]["macro_f1"]
+                except Exception as e:
+                    row["error"] = str(e)
+                summary.append(row)
+    finally:
+        _FIT_MEMO.clear()
     r2 = _quadratic_fit_r2([r for r in summary
                             if r["method"] == _method_name(methods[0])
                             and "test_error" in r])
     return reports, summary, r2
+
+
+def _stackable(method):
+    """Whether a sweep trains a method's points as one stack: a loss, or a
+    trimmed or rank_prune reweight, whose loss sections are all of
+    STACKED_LOSSES, so that its points differ in their labels alone."""
+    reweight = method.get("reweight") or {}
+    sections = [method.get("loss"), method.get("base_loss"),
+                reweight.get("loss")]
+    return (("loss" in method
+             or reweight.get("kind") in ("trimmed", "rank_prune"))
+            and all(s is None or s["kind"] in STACKED_LOSSES
+                    for s in sections))
+
+
+def _prefit(cfgs):
+    """Train the points of one stackable sweep method, given their configs,
+    as one stack, and keep each point's corrupted set and (params,
+    history) in _FIT_MEMO for its run_experiment. A group whose
+    preparation or training raises keeps nothing, so that its points train
+    alone and each fails on its own."""
+    try:
+        keys, corrupted = [], []
+        for cfg in cfgs:
+            method, _, tc = validate_config(cfg)
+            data_key, _, train_ds, test_ds = _generate(cfg)
+            keys.append(_fit_key(data_key, cfg))
+            corrupted.append(_corrupt(cfg, data_key, train_ds))
+        # the points share their method, train config and test set
+        config, reweight = _train_args(
+            _resolve(method, None, train_ds.num_classes, "method"), tc)
+        fits = train([noisy.training_view() for noisy, _ in corrupted],
+                     config, test_ds, reweight=reweight)
+    except Exception:  # each point's run_experiment meets it again
+        return
+    _FIT_MEMO.update(zip(keys, zip(corrupted, fits)))
 
 
 def _method_name(method):

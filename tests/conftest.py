@@ -21,9 +21,10 @@ def deadline():
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Start every test with the harness's dataset and noise memos empty,
-    so that no test depends on what an earlier one ran."""
+    """Start every test with the harness's dataset, noise and stacked-fit
+    memos empty, so that no test depends on what an earlier one ran."""
     from noisylab import harness
 
     harness._DATA_MEMO.clear()
     harness._NOISE_MEMO.clear()
+    harness._FIT_MEMO.clear()

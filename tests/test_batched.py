@@ -14,6 +14,7 @@ the batched form sums in a different order. A stack of models trained in
 lockstep must reproduce, bit for bit, the same models trained one by one.
 """
 
+import json
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisylab import procedures, reweight
+from noisylab import model, procedures, reweight
 from noisylab.annotators import (M_STEP_SMOOTHING, confusion_grads,
                                  majority_vote, min_loss_labels, staple,
                                  train_with_confusion)
@@ -1412,6 +1413,104 @@ class TestLockstepFit:
             assert np.array_equal(predict_probs(stacked, X)[e],
                                   predict_probs(model, X))
             assert np.array_equal(predict(stacked, X)[e], predict(model, X))
+
+
+@st.composite
+def view_stacks(draw):
+    """(views, test set, TrainConfig, reweight spec) for a stack of 1..6
+    views of one random set, each view with labels of its own, under a
+    loss kind without a transition and any reweight hook or none."""
+    K = draw(st.integers(2, 4), label="K")
+    n = draw(st.integers(2, 30), label="n")
+    d = draw(st.integers(1, 3), label="d")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    X = rng.normal((n, d)) * 2.0
+    views = [LabeledDataset(X, rng.integers(0, K, size=n), K)
+             for _ in range(draw(st.integers(1, 6), label="views"))]
+    test_ds = LabeledDataset(rng.normal((7, d)), rng.integers(0, K, size=7),
+                             K)
+    kind = draw(st.sampled_from(EXACT), label="loss")
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3), label="epochs"),
+        batch_size=draw(st.integers(1, 9), label="batch_size"),
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4,
+        loss=LossSpec(kind, epsilon=0.1 if kind == "smooth_kl" else 0.0))
+    hook = draw(st.sampled_from([None, "trimmed", "rank_prune", "running",
+                                 "pumpout"]), label="reweight")
+    if hook is None:
+        return views, test_ds, config, None
+    if hook == "running":
+        spec = {"window": draw(st.integers(1, 20), label="window"),
+                "warmup": draw(st.integers(0, 25), label="warmup")}
+    elif hook == "pumpout":
+        spec = {"transition": draw(flaggable_transitions(K), label="T")}
+    else:
+        spec = {"fraction": draw(st.sampled_from([0.2, 0.5]),
+                                 label="fraction")}
+    return views, test_ds, config, {"kind": hook, **spec}
+
+
+def assert_stack_matches_per_view(views, test_ds, config, spec):
+    """train over the views as one stack gives, for each view, the params
+    (bytes) and history (JSON) of train on that view alone."""
+    fits = train(views, config, test_ds, reweight=spec)
+    assert len(fits) == len(views)
+    for view, (params, history) in zip(views, fits):
+        ref, ref_history = train(view, config, test_ds, reweight=spec)
+        for name in ref.arrays:
+            assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
+        assert json.dumps(history) == json.dumps(ref_history)
+
+
+class TestStackedTrain:
+    @settings(max_examples=100, deadline=None)
+    @given(view_stacks())
+    def test_matches_per_view_train(self, run):
+        assert_stack_matches_per_view(*run)
+
+    @pytest.mark.parametrize("spec", [
+        None, {"kind": "trimmed", "fraction": 0.2},
+        {"kind": "rank_prune", "fraction": 0.2}])
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_a_sweeps_views_at_bench_batch(self, arch, spec):
+        # one set under three noise rates, a full-width batch and a short
+        # last one, as a sweep stacks them
+        train_ds, test_ds = split(gen_blobs(3, 60, 2, 3.0, 1), 0.25, 2)
+        views = [inject(train_ds, symmetric_transition(3, rho),
+                        Rng(3)).training_view() for rho in (0.0, 0.2, 0.4)]
+        config = TrainConfig(epochs=3, arch=arch, seed=1)
+        assert_stack_matches_per_view(views, test_ds, config, spec)
+
+    def test_fails_when_every_model_steps_on_the_first_views_labels(
+            self, monkeypatch):
+        # the check above against a stack whose models all step on the
+        # first view's labels, their own kept masks and test set unchanged
+        real = model.epoch_batches
+
+        def first_views_labels(order, batch_size, *arrays):
+            for idx, X, yb, *rest in real(order, batch_size, *arrays):
+                if yb.ndim == 2:  # a stack's (E, B) labels
+                    yb = np.repeat(yb[:1], len(yb), axis=0)
+                yield [idx, X, yb, *rest]
+
+        train_ds, test_ds = split(gen_blobs(3, 60, 2, 3.0, 1), 0.25, 2)
+        views = [inject(train_ds, symmetric_transition(3, rho),
+                        Rng(3)).training_view() for rho in (0.0, 0.4)]
+        config = TrainConfig(epochs=2, seed=1)
+        assert_stack_matches_per_view(views, test_ds, config, None)
+        monkeypatch.setattr(model, "epoch_batches", first_views_labels)
+        with pytest.raises(AssertionError):
+            assert_stack_matches_per_view(views, test_ds, config, None)
+
+    def test_views_of_other_shapes_are_refused(self):
+        ds = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 2)
+        other = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=int), 2)
+        for views in ([], [ds, other]):
+            with pytest.raises(ValueError, match="one n, d and K"):
+                train(views, TrainConfig(epochs=1))
 
 
 def ref_cleaning_meta_features(models, ds, labels):

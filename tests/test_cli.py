@@ -243,11 +243,16 @@ class TestSweepAndReport:
         ({"methods": [{"loss": {"kind": "cee"}}]}, "unknown loss kind"),
         ({"methods": [{"lss": {"kind": "ce"}}]}, "exactly one method"),
         ({"train": {"epoch": 2}}, "train has unknown key(s): train.epoch"),
-    ], ids=["string-grid", "unknown-loss", "no-pipeline", "template-typo"])
+        ({"method": {"loss": {"kind": "mae"}}},
+         "the template sets method, which each point sets; give methods"),
+        ({"noise": {"kind": "symmetric", "rho": 0.3}},
+         "the template sets noise, which each point sets; give rhos"),
+    ], ids=["string-grid", "unknown-loss", "no-pipeline", "template-typo",
+            "template-method", "template-noise"])
     def test_bad_sweep_is_a_usage_error(self, tmp_path, capsys, over,
                                         named):
-        cfg = dict(BASE_CFG, **over)
-        del cfg["method"]
+        cfg = {k: v for k, v in BASE_CFG.items() if k != "method"}
+        cfg.update(over)
         out = tmp_path / "sweep.csv"
         assert cli(["sweep", "--config", write_config(tmp_path, cfg),
                     "--out", str(out)]) == 1

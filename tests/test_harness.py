@@ -1190,6 +1190,26 @@ class TestSweep:
         with pytest.raises(ConfigError, match=re.escape(named)):
             sweep(dict(self.TEMPLATE, train=train), [0.0, 0.2])
 
+    # a template's method and noise were replaced at every point without a
+    # word: a config meant for MAE gave a summary of loss:ce rows
+    @pytest.mark.parametrize("over, named", [
+        ({"method": {"loss": {"kind": "mae"}}},
+         "sweep: the template sets method, which each point sets; give "
+         "methods instead"),
+        ({"noise": {"kind": "symmetric", "rho": 0.3}},
+         "sweep: the template sets noise, which each point sets; give rhos "
+         "instead"),
+        ({"noise": None}, "the template sets noise"),
+    ], ids=["method", "noise", "null-noise"])
+    def test_template_method_or_noise_refused(self, monkeypatch, over,
+                                              named):
+        def spy(cfg):
+            pytest.fail("a sweep point ran")
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            sweep(dict(self.TEMPLATE, **over), [0.0, 0.2])
+
     def test_point_failure_stays_a_summary_row(self):
         methods = [{"loss": {"kind": "forward", "transition": "true"}}]
         _, summary, _ = sweep(dict(self.TEMPLATE, train={"epochs": 2}),
@@ -1222,10 +1242,43 @@ class TestSweep:
 
 
 def fresh_run(cfg):
-    """run_experiment on data made anew: both memos emptied first."""
+    """run_experiment on data made and a model trained anew: every memo
+    emptied first."""
     harness._DATA_MEMO.clear()
     harness._NOISE_MEMO.clear()
+    harness._FIT_MEMO.clear()
     return run_experiment(cfg)
+
+
+def fresh_sweep(template, rhos, methods):
+    """The reports and summary a sweep's points give as fresh runs, one
+    after another."""
+    reports, summary = [], []
+    for method in methods:
+        for rho in rhos:
+            cfg = dict(copy.deepcopy(template), method=method,
+                       noise={"kind": "symmetric", "rho": rho}
+                       if rho else None)
+            row = {"method": harness._method_name(method), "rho": rho}
+            try:
+                rep = fresh_run(cfg)
+            except Exception as e:
+                row["error"] = str(e)
+            else:
+                reports.append(rep)
+                acc = rep["final_metrics"]["accuracy"]
+                row.update(test_accuracy=acc, test_error=1.0 - acc,
+                           macro_f1=rep["final_metrics"]["macro_f1"])
+            summary.append(row)
+    return reports, summary
+
+
+def assert_same_sweep(got, expected):
+    """Stripped reports and summary CSV byte-equal."""
+    (reports, summary), (expected_reports, expected_summary) = got, expected
+    assert [report_json(strip_wall_time(r)) for r in reports] == [
+        report_json(strip_wall_time(r)) for r in expected_reports]
+    assert sweep_summary_csv(summary) == sweep_summary_csv(expected_summary)
 
 
 class TestSweepSharesItsData:
@@ -1238,7 +1291,11 @@ class TestSweepSharesItsData:
                {"procedure": {"name": "mixup"}},
                {"procedure": {"name": "co_teaching"}},
                {"procedure": {"name": "dual_relabel"}},
-               {"procedure": {"name": "iterative_clean"}}]
+               {"procedure": {"name": "iterative_clean"}},
+               {"loss": {"kind": "mae"}},
+               {"loss": {"kind": "imae"}},
+               {"loss": {"kind": "smooth_kl", "epsilon": 0.1}},
+               {"reweight": {"kind": "rank_prune", "fraction": 0.2}}]
     RHOS = [0.0, 0.3]
 
     @pytest.fixture
@@ -1277,27 +1334,8 @@ class TestSweepSharesItsData:
             template["dataset"] = {"kind": "blobs", "k": 3, "n_per_class": 30,
                                    "d": 2, "separation": 3.0}
         reports, summary, _ = sweep(template, self.RHOS, self.METHODS)
-        expected_reports, expected_summary = [], []
-        for method in self.METHODS:
-            for rho in self.RHOS:
-                cfg = dict(copy.deepcopy(template), method=method,
-                           noise={"kind": "symmetric", "rho": rho}
-                           if rho else None)
-                row = {"method": harness._method_name(method), "rho": rho}
-                try:
-                    rep = fresh_run(cfg)
-                except Exception as e:
-                    row["error"] = str(e)
-                else:
-                    expected_reports.append(rep)
-                    acc = rep["final_metrics"]["accuracy"]
-                    row.update(test_accuracy=acc, test_error=1.0 - acc,
-                               macro_f1=rep["final_metrics"]["macro_f1"])
-                expected_summary.append(row)
-        assert [report_json(strip_wall_time(r)) for r in reports] == [
-            report_json(strip_wall_time(r)) for r in expected_reports]
-        assert sweep_summary_csv(summary) == sweep_summary_csv(
-            expected_summary)
+        assert_same_sweep((reports, summary),
+                          fresh_sweep(template, self.RHOS, self.METHODS))
         assert len(reports) >= len(self.METHODS)
 
     @pytest.mark.parametrize("vary", ["dataset", "seed", "test_fraction"])
@@ -1338,6 +1376,103 @@ class TestSweepSharesItsData:
         assert [row["error"] for row in summary] == [
             f"pipeline stage 'generate' failed: {opened.value}"] * 4
         assert reads == [] and harness._DATA_MEMO == {}
+
+
+class TestSweepTrainsStacks:
+    """A sweep trains the points of each loss, trimmed or rank_prune method
+    without a transition as one stack before they run. Every point still
+    runs through one run_experiment call of its own, looked up on the
+    module and made in summary order, which takes the stack's model for
+    it; the memo that hands it over is empty once the sweep is done."""
+
+    TEMPLATE = {"seed": 3, "dataset": {"kind": "blobs", "k": 3,
+                                       "n_per_class": 30, "d": 2,
+                                       "separation": 3.0},
+                "test_fraction": 0.25, "train": {"epochs": 2}}
+    RHOS = [0.0, 0.2, 0.4]
+    METHODS = [{"loss": {"kind": "ce"}},
+               {"loss": {"kind": "forward", "transition": "true"}},
+               {"reweight": {"kind": "trimmed", "fraction": 0.2}},
+               {"procedure": {"name": "co_teaching"}}]
+
+    def point_configs(self):
+        return [dict(copy.deepcopy(self.TEMPLATE), method=method,
+                     noise={"kind": "symmetric", "rho": rho} if rho else None)
+                for method in self.METHODS for rho in self.RHOS]
+
+    @staticmethod
+    def count_stacks(monkeypatch, fail=False):
+        """Sizes of the stacks harness.train is given; with fail, each
+        raises DivergedError instead of training."""
+        stacks, real = [], harness.train
+
+        def counted(ds, *args, **kwargs):
+            if isinstance(ds, list):
+                stacks.append(len(ds))
+                if fail:
+                    raise DivergedError("training diverged at epoch 0")
+            return real(ds, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", counted)
+        return stacks
+
+    def test_one_run_experiment_call_per_summary_row(self, monkeypatch):
+        calls, real = [], harness.run_experiment
+
+        def counted(cfg):
+            calls.append((copy.deepcopy(cfg), len(harness._FIT_MEMO)))
+            return real(cfg)
+
+        stacks = self.count_stacks(monkeypatch)
+        monkeypatch.setattr(harness, "run_experiment", counted)
+        reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
+        assert [cfg for cfg, _ in calls] == self.point_configs()
+        assert [(harness._method_name(cfg["method"]),
+                 (cfg["noise"] or {"rho": 0.0})["rho"]) for cfg, _ in calls
+                ] == [(row["method"], row["rho"]) for row in summary]
+        # ce and trimmed trained as stacks, each point taking its model
+        assert stacks == [3, 3]
+        assert [memo for _, memo in calls] == [3, 2, 1, 0, 0, 0,
+                                               3, 2, 1, 0, 0, 0]
+        assert "defines no transition" in summary[3]["error"]
+        assert harness._FIT_MEMO == {}
+        assert_same_sweep((reports, summary),
+                          fresh_sweep(self.TEMPLATE, self.RHOS, self.METHODS))
+
+    def test_memo_is_emptied_when_the_sweep_raises(self, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        held = []
+
+        def stop(cfg):
+            held.append(len(harness._FIT_MEMO))
+            raise Stop
+
+        monkeypatch.setattr(harness, "run_experiment", stop)
+        with pytest.raises(Stop):
+            sweep(self.TEMPLATE, self.RHOS, self.METHODS)
+        assert held == [3] and harness._FIT_MEMO == {}
+
+    def test_failed_stack_leaves_each_point_its_own_row(self, monkeypatch):
+        # the stacks fail; each point then trains alone, and a point whose
+        # own training fails keeps its own error row
+        stacks = self.count_stacks(monkeypatch, fail=True)
+        real = harness.train
+
+        def odd_fails(ds, *args, **kwargs):
+            if not isinstance(ds, list) and ds.labels.sum() % 2:
+                raise DivergedError("training diverged at epoch 1")
+            return real(ds, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", odd_fails)
+        reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
+        assert stacks == [3, 3] and harness._FIT_MEMO == {}
+        stacked = [row for row in summary if row["method"] in (
+            "loss:ce", "reweight:trimmed")]
+        assert {"error" in row for row in stacked} == {True, False}
+        assert_same_sweep((reports, summary),
+                          fresh_sweep(self.TEMPLATE, self.RHOS, self.METHODS))
 
 
 class TestRunsShareTheirData:
