@@ -54,7 +54,7 @@ tr3, te3 = split(full3, 0.25, 18)
 noisy3 = inject(tr3, symmetric_transition(3, 0.3), Rng(19))
 start = float(np.mean(noisy3.labels == noisy3.true_labels))
 cfg3 = TrainConfig(epochs=40, seed=17, learning_rate=0.1, batch_size=16)
-_, _, store, _ = train_dual_relabel(noisy3, cfg3, te3)
+_, _, store, _ = train_dual_relabel(noisy3.training_view(), cfg3, te3)
 print(f"\ndual-model relabeling: stored-label agreement with truth "
       f"{start:.3f} -> {store.match_fraction(noisy3.true_labels):.3f}")
 original = int(np.equal(store.source, None).sum())  # source None: never

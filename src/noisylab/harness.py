@@ -29,16 +29,14 @@ from .procedures import (iterative_clean, train_co_teaching,
 
 SCHEMA_VERSION = 1
 ECE_BINS = 15
-# One-entry memos, so that experiments on the same data share one copy: the
-# last (num_classes, train set, test set) by the key of [dataset, seed,
-# test_fraction, a CSV's stat stamp], and the last (corrupted train set,
-# noise T) by that key and the key of the noise section
-_DATA_MEMO, _NOISE_MEMO = {}, {}
-# One-shot memo of a sweep's stacked training: each point's ((corrupted
-# set, noise T), (params, history)) by the key of its data, noise, method
-# and train config, taken by that point's run_experiment; sweep empties it
-# when it returns or raises
-_FIT_MEMO = {}
+# The one cache of the current dataset, so that experiments on the same data
+# share its work: "key", the key of [dataset, seed, test_fraction, a CSV's
+# stat stamp]; "split", (num_classes, train set, test set); "noisy", each
+# (corrupted train set, noise T) made by the key of its noise section; and
+# "fits", a sweep's one-shot stacked (params, history, diagnostics) by the
+# key of the noise, method and train config. A run on other data replaces
+# it whole; every array kept in it is read-only.
+_SHARED = {}
 # The loss kinds without a transition: a sweep trains the points of a loss,
 # trimmed or rank_prune method on them as one stack
 STACKED_LOSSES = ("ce", "mae", "imae", "smooth_kl")
@@ -184,19 +182,14 @@ def _key(*parts):
     return json.dumps(parts, sort_keys=True, default=lambda v: v.tolist())
 
 
-def _memo(memo, key, make, *args):
-    """memo[key], on a miss the value of make(*args) with every array in it
-    set read-only (the runs that hit share them), then kept as memo's one
-    entry; a make that raises leaves memo as it was."""
-    if key not in memo:
-        value = make(*args)
-        for obj in value:  # datasets, a TransitionMatrix, None or K
-            for a in getattr(obj, "__dict__", {}).values():
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
-        memo.clear()
-        memo[key] = value
-    return memo[key]
+def _frozen(value):
+    """value, a tuple, with every array in it set read-only: the runs that
+    share it must not write into it."""
+    for obj in value:  # datasets, a TransitionMatrix, None or K
+        for a in getattr(obj, "__dict__", {}).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+    return value
 
 
 def _apply_noise(train_ds, noise_spec, seed):
@@ -311,15 +304,15 @@ def run_experiment(cfg):
     """Execute generate -> corrupt -> train(with method) -> evaluate and
     return the report dict. Test evaluation is always against true labels.
     A sweep point whose method trained in the sweep's stack takes its
-    corrupted set and trained model from there."""
+    trained model from there."""
     method, method_kind, tc = validate_config(cfg)
     t0 = time.monotonic()
-    data_key, num_classes, train_ds, test_ds = _generate(cfg)
-    corrupted, fitted = _FIT_MEMO.pop(_fit_key(data_key, cfg), (None, None))
-    noisy, true_T = corrupted or _corrupt(cfg, data_key, train_ds)
+    num_classes, train_ds, test_ds = _generate(cfg)
+    noisy, true_T = _corrupt(cfg, train_ds)
+    fit = _SHARED["fits"].pop(_fit_key(cfg), None)
     try:
-        params, history, diagnostics = _run_method(
-            cfg, tc, method, method_kind, fitted, noisy, test_ds, true_T)
+        params, history, diagnostics = fit or _run_method(
+            cfg, tc, method, method_kind, noisy, test_ds, true_T)
     except ConfigError:  # a method the generated data cannot serve
         raise
     except (ValueError, DivergedError) as e:
@@ -343,8 +336,8 @@ def run_experiment(cfg):
 
 
 def _generate(cfg):
-    """The generate stage of a validated cfg, through the data memo: (data
-    key, K, train set, test set); its failure is a PipelineError."""
+    """The generate stage of a validated cfg, through _SHARED: (K, train
+    set, test set); its failure is a PipelineError and keeps nothing."""
     seed, spec = cfg["seed"], cfg["dataset"]
     fraction = cfg.get("test_fraction", 0.25)
     try:
@@ -352,39 +345,43 @@ def _generate(cfg):
         if spec["kind"] == "csv":  # a missing one raises open's error here
             st = os.stat(spec["path"])
             stamp = [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns]
-        data_key = _key(spec, seed, fraction, stamp)
-        return (data_key, *_memo(_DATA_MEMO, data_key, _split_dataset, spec,
-                                 seed, fraction))
+        key = _key(spec, seed, fraction, stamp)
+        if _SHARED.get("key") != key:  # made before the old entry goes
+            made = _frozen(_split_dataset(spec, seed, fraction))
+            _SHARED.clear()
+            _SHARED.update(key=key, split=made, noisy={}, fits={})
+        return _SHARED["split"]
     except Exception as e:
         raise PipelineError("generate", e)
 
 
-def _corrupt(cfg, data_key, train_ds):
-    """The corrupt stage, through the noise memo: (corrupted train set,
-    noise T or None); its failure is a PipelineError, or a ConfigError for
-    a noise matrix the data's classes do not fit."""
-    noise = cfg.get("noise")
+def _corrupt(cfg, train_ds):
+    """The corrupt stage of the data _generate just gave, through _SHARED:
+    (corrupted train set, noise T or None); its failure is a PipelineError,
+    or a ConfigError for a noise matrix the data's classes do not fit, and
+    keeps nothing."""
+    noise, made = cfg.get("noise"), _SHARED["noisy"]
     try:
-        return _memo(_NOISE_MEMO, (data_key, _key(noise)), _apply_noise,
-                     train_ds, noise, cfg["seed"] + 2)
+        key = _key(noise)
+        if key not in made:
+            made[key] = _frozen(_apply_noise(train_ds, noise,
+                                             cfg["seed"] + 2))
+        return made[key]
     except ConfigError:  # a noise matrix for other than the data's classes
         raise
     except Exception as e:
         raise PipelineError("corrupt", e)
 
 
-def _fit_key(data_key, cfg):
-    """Key of what a run's training depends on: its data (seed and split
-    included), noise, method and train config."""
-    return _key(data_key, cfg.get("noise"), cfg.get("method"),
-                cfg.get("train"))
+def _fit_key(cfg):
+    """Key in _SHARED["fits"] of what a run's training depends on beside
+    its data: its noise, method and train config."""
+    return _key(cfg.get("noise"), cfg.get("method"), cfg.get("train"))
 
 
-def _run_method(cfg, tc, method, kind, fitted, noisy, test_ds, true_T):
+def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     """Run one method pipeline; returns (params, history, diagnostics).
-    Training code only ever sees the training view (truth stripped). A
-    loss or reweight pipeline given its (params, history) as fitted (else
-    None) trains no further."""
+    Training code only ever sees the training view (truth stripped)."""
     view = noisy.training_view()
     if kind == "annotator" and view.annotator_labels is None:
         raise ConfigError("annotator method requires annotator labels "
@@ -400,8 +397,7 @@ def _run_method(cfg, tc, method, kind, fitted, noisy, test_ds, true_T):
     diagnostics = {}
     if kind in ("loss", "reweight"):
         config, reweight = _train_args(method, tc)
-        params, history = fitted or train(view, config, test_ds,
-                                          reweight=reweight)
+        params, history = train(view, config, test_ds, reweight=reweight)
     elif kind == "noise_adaptation":
         # the observed labels as the one annotator, with no trace penalty
         params, model, history = train_with_confusion(
@@ -526,11 +522,11 @@ def sweep(template, rhos, methods=None):
     method variants); returns (reports, summary rows, quadratic fit R^2 of
     the baseline CE test error vs rho). The template sets neither noise
     nor method, which each point sets. The points share one generated or
-    read dataset and split through run_experiment's memo. The points of a
-    loss, trimmed or rank_prune method whose losses have no transition
-    train as one stack before they run, and those of every other method
-    one by one; each point runs through a run_experiment call of its
-    own."""
+    read dataset and split, and one corrupted copy per noise rate, through
+    run_experiment's cache. The points of a loss, trimmed or rank_prune
+    method whose losses have no transition train as one stack before they
+    run, and those of every other method one by one; each point runs
+    through a run_experiment call of its own."""
     for key, use in (("method", "methods"), ("noise", "rhos")):
         if key in template:
             raise ConfigError(f"sweep: the template sets {key}, which each "
@@ -572,7 +568,7 @@ def sweep(template, rhos, methods=None):
                     row["error"] = str(e)
                 summary.append(row)
     finally:
-        _FIT_MEMO.clear()
+        _SHARED.get("fits", {}).clear()
     r2 = _quadratic_fit_r2([r for r in summary
                             if r["method"] == _method_name(methods[0])
                             and "test_error" in r])
@@ -594,25 +590,24 @@ def _stackable(method):
 
 def _prefit(cfgs):
     """Train the points of one stackable sweep method, given their configs,
-    as one stack, and keep each point's corrupted set and (params,
-    history) in _FIT_MEMO for its run_experiment. A group whose
-    preparation or training raises keeps nothing, so that its points train
-    alone and each fails on its own."""
+    as one stack, and keep each point's fit in _SHARED["fits"] for its
+    run_experiment, which takes its corrupted set from _SHARED as the stack
+    did. A group whose preparation or training raises keeps no fit, so
+    that its points train alone and each fails on its own."""
     try:
-        keys, corrupted = [], []
+        views = []
         for cfg in cfgs:
             method, _, tc = validate_config(cfg)
-            data_key, _, train_ds, test_ds = _generate(cfg)
-            keys.append(_fit_key(data_key, cfg))
-            corrupted.append(_corrupt(cfg, data_key, train_ds))
+            _, train_ds, test_ds = _generate(cfg)
+            views.append(_corrupt(cfg, train_ds)[0].training_view())
         # the points share their method, train config and test set
         config, reweight = _train_args(
             _resolve(method, None, train_ds.num_classes, "method"), tc)
-        fits = train([noisy.training_view() for noisy, _ in corrupted],
-                     config, test_ds, reweight=reweight)
+        fits = train(views, config, test_ds, reweight=reweight)
     except Exception:  # each point's run_experiment meets it again
         return
-    _FIT_MEMO.update(zip(keys, zip(corrupted, fits)))
+    _SHARED["fits"].update((_fit_key(cfg), (*fit, {}))
+                           for cfg, fit in zip(cfgs, fits))
 
 
 def _method_name(method):

@@ -250,9 +250,7 @@ def train_dual_relabel(ds, config, test_ds=None):
         own = dual_relabel_epoch(model_small, model_large, ds, store, rng,
                                  config.learning_rate, config.batch_size,
                                  epoch, own)
-        fields = ({} if ds.true_labels is None else
-                  {"store_match_truth": store.match_fraction(ds.true_labels)})
-        history.append(epoch_row(epoch, model_small, test_ds, **fields))
+        history.append(epoch_row(epoch, model_small, test_ds))
     return model_small, model_large, store, history
 
 

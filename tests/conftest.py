@@ -20,11 +20,9 @@ def deadline():
 
 
 @pytest.fixture(autouse=True)
-def fresh_memos():
-    """Start every test with the harness's dataset, noise and stacked-fit
-    memos empty, so that no test depends on what an earlier one ran."""
+def fresh_cache():
+    """Start every test with the harness's dataset cache empty, so that no
+    test depends on what an earlier one ran."""
     from noisylab import harness
 
-    harness._DATA_MEMO.clear()
-    harness._NOISE_MEMO.clear()
-    harness._FIT_MEMO.clear()
+    harness._SHARED.clear()

@@ -1242,12 +1242,20 @@ class TestSweep:
 
 
 def fresh_run(cfg):
-    """run_experiment on data made and a model trained anew: every memo
+    """run_experiment on data made and a model trained anew: the cache
     emptied first."""
-    harness._DATA_MEMO.clear()
-    harness._NOISE_MEMO.clear()
-    harness._FIT_MEMO.clear()
+    harness._SHARED.clear()
     return run_experiment(cfg)
+
+
+def fits():
+    """The stacked sweep fits in the harness's cache."""
+    return harness._SHARED.get("fits", {})
+
+
+def shared():
+    """A copy of the harness's cache, its dicts copied one level down."""
+    return {k: copy.copy(v) for k, v in harness._SHARED.items()}
 
 
 def fresh_sweep(template, rhos, methods):
@@ -1324,6 +1332,29 @@ class TestSweepSharesItsData:
         run_experiment(dict(csv_template, method=self.METHODS[0]))
         assert len(reads) == 1  # across sweeps and runs alike
 
+    def test_each_noise_rate_is_corrupted_once(self, monkeypatch,
+                                               csv_template):
+        # every method's points share each rate's corrupted copy, rho 0's
+        # uncorrupted one included, and a second sweep makes nothing
+        made = []
+
+        def count(name):
+            real = getattr(harness, name)
+
+            def call(*args):
+                made.append(name)
+                return real(*args)
+            monkeypatch.setattr(harness, name, call)
+
+        count("_split_dataset")
+        count("_apply_noise")
+        rhos, methods = [0.0, 0.2, 0.4], self.METHODS[:3]
+        first = sweep(csv_template, rhos, methods)
+        assert made == ["_split_dataset"] + ["_apply_noise"] * 3
+        second = sweep(csv_template, rhos, methods)
+        assert len(made) == 4
+        assert_same_sweep(second[:2], first[:2])
+
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     @pytest.mark.parametrize("kind", ["csv", "blobs"])
     def test_points_match_standalone_runs(self, csv_template, kind, arch):
@@ -1375,7 +1406,7 @@ class TestSweepSharesItsData:
             open("no/such.csv", encoding="utf-8")
         assert [row["error"] for row in summary] == [
             f"pipeline stage 'generate' failed: {opened.value}"] * 4
-        assert reads == [] and harness._DATA_MEMO == {}
+        assert reads == [] and harness._SHARED == {}
 
 
 class TestSweepTrainsStacks:
@@ -1383,7 +1414,8 @@ class TestSweepTrainsStacks:
     without a transition as one stack before they run. Every point still
     runs through one run_experiment call of its own, looked up on the
     module and made in summary order, which takes the stack's model for
-    it; the memo that hands it over is empty once the sweep is done."""
+    it; the cache that hands it over holds no fit once the sweep is
+    done."""
 
     TEMPLATE = {"seed": 3, "dataset": {"kind": "blobs", "k": 3,
                                        "n_per_class": 30, "d": 2,
@@ -1420,7 +1452,7 @@ class TestSweepTrainsStacks:
         calls, real = [], harness.run_experiment
 
         def counted(cfg):
-            calls.append((copy.deepcopy(cfg), len(harness._FIT_MEMO)))
+            calls.append((copy.deepcopy(cfg), len(fits())))
             return real(cfg)
 
         stacks = self.count_stacks(monkeypatch)
@@ -1432,10 +1464,10 @@ class TestSweepTrainsStacks:
                 ] == [(row["method"], row["rho"]) for row in summary]
         # ce and trimmed trained as stacks, each point taking its model
         assert stacks == [3, 3]
-        assert [memo for _, memo in calls] == [3, 2, 1, 0, 0, 0,
+        assert [held for _, held in calls] == [3, 2, 1, 0, 0, 0,
                                                3, 2, 1, 0, 0, 0]
         assert "defines no transition" in summary[3]["error"]
-        assert harness._FIT_MEMO == {}
+        assert fits() == {}
         assert_same_sweep((reports, summary),
                           fresh_sweep(self.TEMPLATE, self.RHOS, self.METHODS))
 
@@ -1446,13 +1478,13 @@ class TestSweepTrainsStacks:
         held = []
 
         def stop(cfg):
-            held.append(len(harness._FIT_MEMO))
+            held.append(len(fits()))
             raise Stop
 
         monkeypatch.setattr(harness, "run_experiment", stop)
         with pytest.raises(Stop):
             sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert held == [3] and harness._FIT_MEMO == {}
+        assert held == [3] and fits() == {}
 
     def test_failed_stack_leaves_each_point_its_own_row(self, monkeypatch):
         # the stacks fail; each point then trains alone, and a point whose
@@ -1467,7 +1499,7 @@ class TestSweepTrainsStacks:
 
         monkeypatch.setattr(harness, "train", odd_fails)
         reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert stacks == [3, 3] and harness._FIT_MEMO == {}
+        assert stacks == [3, 3] and fits() == {}
         stacked = [row for row in summary if row["method"] in (
             "loss:ce", "reweight:trimmed")]
         assert {"error" in row for row in stacked} == {True, False}
@@ -1476,10 +1508,10 @@ class TestSweepTrainsStacks:
 
 
 class TestRunsShareTheirData:
-    """run_experiment keeps the last dataset and split, and the last
-    corrupted copy, each in a one-entry memo by a canonical-JSON key. A hit
-    gives the report a fresh run gives; a failure keeps nothing; the kept
-    arrays are read-only."""
+    """run_experiment keeps the last dataset and split, and every corrupted
+    copy of it, in one cache by canonical-JSON keys; a run on other data
+    replaces it. A hit gives the report a fresh run gives; a failure keeps
+    nothing; the kept arrays are read-only."""
 
     NOISE = {"kind": "symmetric", "rho": 0.3}
 
@@ -1524,8 +1556,10 @@ class TestRunsShareTheirData:
         made = self.count_makes(monkeypatch)
         first, second = self.config(), self.config(**{vary: other})
         reports = [run_experiment(cfg) for cfg in (first, second, first)]
+        # other data replaces the cache; other noise is kept beside it
         data = 1 if vary == "noise" else 3
-        assert made == {"data": data, "split": data, "noise": 3}
+        assert made == {"data": data, "split": data,
+                        "noise": 2 if vary == "noise" else 3}
         monkeypatch.undo()
         assert [report_json(strip_wall_time(r)) for r in reports] == [
             report_json(strip_wall_time(fresh_run(cfg)))
@@ -1560,7 +1594,7 @@ class TestRunsShareTheirData:
     def test_a_failure_keeps_nothing(self, monkeypatch, stage, error):
         cfg = self.config()
         kept = run_experiment(cfg)
-        memos = dict(harness._DATA_MEMO), dict(harness._NOISE_MEMO)
+        cache = shared()
 
         def fail(*args):
             raise error("made nothing")
@@ -1574,7 +1608,7 @@ class TestRunsShareTheirData:
             run_experiment(other)
         if error is ValueError:
             assert info.value.stage == stage
-        assert (harness._DATA_MEMO, harness._NOISE_MEMO) == memos
+        assert shared() == cache
         monkeypatch.undo()
         assert report_json(strip_wall_time(run_experiment(other))) == \
             report_json(strip_wall_time(fresh_run(other)))
@@ -1583,11 +1617,11 @@ class TestRunsShareTheirData:
 
     def test_noise_matrix_for_other_classes_keeps_nothing(self):
         run_experiment(self.config())
-        memo = dict(harness._NOISE_MEMO)
+        cache = shared()
         with pytest.raises(ConfigError, match="noise.rows has shape"):
             run_experiment(self.config(noise={"kind": "matrix", "rows": [
                 [0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]}))
-        assert harness._NOISE_MEMO == memo
+        assert shared() == cache
 
     @pytest.mark.parametrize("noise", [
         {"kind": "symmetric", "rho": 0.3},
@@ -1595,8 +1629,8 @@ class TestRunsShareTheirData:
     ], ids=["symmetric", "annotators"])
     def test_kept_arrays_are_read_only(self, noise):
         run_experiment(self.config(noise=noise))
-        (_, train_ds, test_ds), = harness._DATA_MEMO.values()
-        (noisy, true_T), = harness._NOISE_MEMO.values()
+        _, train_ds, test_ds = harness._SHARED["split"]
+        (noisy, true_T), = harness._SHARED["noisy"].values()
         arrays = [a for obj in (train_ds, test_ds, noisy, true_T)
                   if obj is not None for a in vars(obj).values()
                   if isinstance(a, np.ndarray)]
@@ -1606,7 +1640,8 @@ class TestRunsShareTheirData:
                 a.flat[0] = a.flat[0]
 
     def test_reports_equal_fresh_runs(self):
-        # every pipeline in turn on warm memos, against each on empty ones
+        # every pipeline in turn on a warm cache, against each on an empty
+        # one
         methods = [*TestSweepSharesItsData.METHODS,
                    {"loss": {"kind": "forward", "transition": "true"}},
                    {"reweight": {"kind": "pumpout", "transition": "true"}},
