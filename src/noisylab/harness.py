@@ -37,9 +37,6 @@ ECE_BINS = 15
 # key of the noise, method and train config. A run on other data replaces
 # it whole; every array kept in it is read-only.
 _SHARED = {}
-# The loss kinds without a transition: a sweep trains the points of a loss,
-# trimmed or rank_prune method on them as one stack
-STACKED_LOSSES = ("ce", "mae", "imae", "smooth_kl")
 
 # The allowed keys of each config section, for each value of its selector
 # key (None: a section without one; "": the method, selected by which
@@ -520,13 +517,13 @@ def strip_wall_time(report):
 def sweep(template, rhos, methods=None):
     """Run the template config across symmetric noise rates (and optional
     method variants); returns (reports, summary rows, quadratic fit R^2 of
-    the baseline CE test error vs rho). The template sets neither noise
+    the first method's test error vs rho). The template sets neither noise
     nor method, which each point sets. The points share one generated or
     read dataset and split, and one corrupted copy per noise rate, through
-    run_experiment's cache. The points of a loss, trimmed or rank_prune
-    method whose losses have no transition train as one stack before they
-    run, and those of every other method one by one; each point runs
-    through a run_experiment call of its own."""
+    run_experiment's cache. The points of a loss or reweight method that
+    names no 'true' transition train as one stack before they run, and
+    those of every other method one by one; each point runs through a
+    run_experiment call of its own."""
     for key, use in (("method", "methods"), ("noise", "rhos")):
         if key in template:
             raise ConfigError(f"sweep: the template sets {key}, which each "
@@ -569,31 +566,27 @@ def sweep(template, rhos, methods=None):
                 summary.append(row)
     finally:
         _SHARED.get("fits", {}).clear()
-    r2 = _quadratic_fit_r2([r for r in summary
-                            if r["method"] == _method_name(methods[0])
-                            and "test_error" in r])
+    # the baseline's rows come first: another method may share its name
+    r2 = _quadratic_fit_r2([r for r in summary[:len(rhos)]
+                            if "test_error" in r])
     return reports, summary, r2
 
 
 def _stackable(method):
-    """Whether a sweep trains a method's points as one stack: a loss, or a
-    trimmed or rank_prune reweight, whose loss sections are all of
-    STACKED_LOSSES, so that its points differ in their labels alone."""
-    reweight = method.get("reweight") or {}
-    sections = [method.get("loss"), method.get("base_loss"),
-                reweight.get("loss")]
-    return (("loss" in method
-             or reweight.get("kind") in ("trimmed", "rank_prune"))
-            and all(s is None or s["kind"] in STACKED_LOSSES
-                    for s in sections))
+    """Whether a sweep trains a method's points as one stack: a loss or
+    reweight method that names no 'true' transition resolves the same at
+    every rho, so that its points differ in their labels alone."""
+    return (("loss" in method or "reweight" in method)
+            and not _check_section(method, "method", "method"))
 
 
 def _prefit(cfgs):
-    """Train the points of one stackable sweep method, given their configs,
-    as one stack, and keep each point's fit in _SHARED["fits"] for its
-    run_experiment, which takes its corrupted set from _SHARED as the stack
-    did. A group whose preparation or training raises keeps no fit, so
-    that its points train alone and each fails on its own."""
+    """Train the points of one stackable sweep method (a loss or reweight
+    method naming no 'true' transition), given their configs, as one stack,
+    and keep each point's fit in _SHARED["fits"] for its run_experiment,
+    which takes its corrupted set from _SHARED as the stack did. A group
+    whose preparation or training raises keeps no fit, so that its points
+    train alone and each fails on its own."""
     try:
         views = []
         for cfg in cfgs:

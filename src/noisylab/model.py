@@ -302,67 +302,55 @@ def train(ds, config, test_ds=None, reweight=None):
     loss goes non-finite.
 
     Given a list of training views of one shape (n, d and K) in place of
-    ds, train steps them as one stack through fit's seeds path, every model
-    from config.seed and with its own view's labels, hook and kept mask, and
-    returns one (params, history) per view, each the pair train gives on
-    that view alone."""
+    ds, train returns one (params, history) per view, each the pair train
+    gives on that view alone. Either way the views train as one stack
+    through fit's seeds path, every model from config.seed and with its
+    own view's labels, hook and kept mask; a lone view is a stack of one."""
     from .reweight import make_reweighter
-    stacked = isinstance(ds, list)
-    views = ds if stacked else [ds]
+    views = ds if isinstance(ds, list) else [ds]
     if len({(v.n, v.dim, v.num_classes) for v in views}) != 1:
         raise ValueError("train: a stack takes one or more views of one "
                          "n, d and K")
-    ds = views[0]
-    # made here, not by fit: batches() scores the kept set with them
-    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                  config.hidden)
+    n, E = views[0].n, len(views)
+    # made here, not by fit: batches() scores the kept sets with them
+    params = stack([init(config.arch, views[0].dim, views[0].num_classes,
+                         config.seed, config.hidden)] * E)
     hooks = [make_reweighter(reweight) for _ in views]
-    reweighter = hooks[0]
-    if stacked:  # the views' rows end to end, and the row each view starts at
-        params = stack([params] * len(views))
-        features, labels = (np.concatenate([getattr(v, a) for v in views])
-                            for a in ("features", "labels"))
-        first = ds.n * np.arange(len(views))[:, None]
-    else:
-        features, labels, first = ds.features, ds.labels, 0
-    keep = np.ones(len(labels), dtype=bool)
+    # the views' rows end to end, and the row each view starts at
+    features, labels = (np.concatenate([getattr(v, a) for v in views])
+                        for a in ("features", "labels"))
+    first = n * np.arange(E)[:, None]
+    keep = np.ones(n * E, dtype=bool)
 
     def batches(order, rng):
         # the epoch's kept masks are chosen before its first step
-        if reweighter is not None:
-            kept = [h.epoch_kept_set(m, v) for h, m, v in
-                    zip(hooks, unstack(params) if stacked else [params],
-                        views)]
+        if hooks[0] is not None:
+            kept = [h.epoch_kept_set(m, v)
+                    for h, m, v in zip(hooks, unstack(params), views)]
             if kept[0] is not None:
                 keep[:] = np.concatenate(kept)
-        return ((X, (yb, kb)) for _, X, yb, kb in epoch_batches(
-            order + first, config.batch_size, features, labels, keep))
+        # (E, B) rows, model by model as sgd_epoch's probs has them
+        return ((X, (yb.ravel(), kb.ravel())) for _, X, yb, kb in
+                epoch_batches(order + first, config.batch_size, features,
+                              labels, keep))
 
     def batch_loss(probs, key):
         yb, kb = key
-        if stacked:  # (E, B) rows, model by model as probs has them
-            yb, kb = yb.ravel(), kb.ravel()
         values, G = loss_and_grad(config.loss, probs, yb)
-        if reweighter is None:
+        if hooks[0] is None:
             return values, G
         w = kb.astype(np.float64)
-        if stacked:  # each model's hook, on its model's kept rows
-            B = len(w) // len(hooks)
-            parts = [(hook, e * B + w[e * B:(e + 1) * B].nonzero()[0])
-                     for e, hook in enumerate(hooks)]
-        else:
-            parts = [(reweighter, w.nonzero()[0])]
-        for hook, rows in parts:
+        B = len(w) // E
+        for e, hook in enumerate(hooks):  # on its own model's kept rows
+            rows = e * B + w[e * B:(e + 1) * B].nonzero()[0]
             hook_w = hook.batch_weights(values[rows], probs[rows], yb[rows])
             if hook_w is not None:
                 w[rows] = hook_w
         return values, G * w[:, None]
 
-    params, history = fit(ds, config, batch_loss, test_ds, batches, params,
-                          seeds=[config.seed] * len(views) if stacked
-                          else None)
-    if not stacked:
-        return params, history
-    return [(model, [{k: v[e] if isinstance(v, list) else v
+    params, history = fit(views[0], config, batch_loss, test_ds, batches,
+                          params, seeds=[config.seed] * E)
+    fits = [(model, [{k: v[e] if isinstance(v, list) else v
                       for k, v in row.items()} for row in history])
             for e, model in enumerate(unstack(params))]
+    return fits if views is ds else fits[0]

@@ -717,7 +717,7 @@ def ref_pumpout_row(T, base, gamma, p):
     return corrected, (-gamma if corrected < 0.0 else 1.0)
 
 
-def ref_reweighted_train(ds, config, spec):
+def ref_reweighted_train(ds, config, spec, test_ds=None):
     """model.train as it weighted a batch before batch_weights: each kept
     row's weight asked one by one, the running filter's by the per-sample
     rule and pumpout's by its one-row rule."""
@@ -730,7 +730,7 @@ def ref_reweighted_train(ds, config, spec):
             return 0.0 if ref.observe(loss) == "skip" else 1.0
     elif spec["kind"] == "pumpout":
         def weight(loss, probs, y):
-            return ref_pumpout_row(spec["transition"], "ce", spec["gamma"],
+            return ref_pumpout_row(spec["transition"], hook.base, hook.gamma,
                                    probs)[1]
     else:
         weight = hook.sample_weight
@@ -753,7 +753,7 @@ def ref_reweighted_train(ds, config, spec):
             w[r] *= weight(values[r], probs[r], yb[r])
         return values, G * w[:, None]
 
-    return fit(ds, config, batch_loss, None, batches, params)
+    return fit(ds, config, batch_loss, test_ds, batches, params)
 
 
 class TestReweightedTrain:
@@ -1419,7 +1419,8 @@ class TestLockstepFit:
 def view_stacks(draw):
     """(views, test set, TrainConfig, reweight spec) for a stack of 1..6
     views of one random set, each view with labels of its own, under a
-    loss kind without a transition and any reweight hook or none."""
+    loss kind without a transition or forward or backward under one fixed
+    T, and any reweight hook or none."""
     K = draw(st.integers(2, 4), label="K")
     n = draw(st.integers(2, 30), label="n")
     d = draw(st.integers(1, 3), label="d")
@@ -1430,14 +1431,18 @@ def view_stacks(draw):
              for _ in range(draw(st.integers(1, 6), label="views"))]
     test_ds = LabeledDataset(rng.normal((7, d)), rng.integers(0, K, size=7),
                              K)
-    kind = draw(st.sampled_from(EXACT), label="loss")
+    kind = draw(st.sampled_from(EXACT + ("forward", "backward")),
+                label="loss")
+    T = draw(transitions(K), label="T") if kind in ("forward",
+                                                     "backward") else None
     config = TrainConfig(
         epochs=draw(st.integers(1, 3), label="epochs"),
         batch_size=draw(st.integers(1, 9), label="batch_size"),
         learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
         seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
                              label="arch"), hidden=4,
-        loss=LossSpec(kind, epsilon=0.1 if kind == "smooth_kl" else 0.0))
+        loss=LossSpec(kind, epsilon=0.1 if kind == "smooth_kl" else 0.0,
+                      transition=T))
     hook = draw(st.sampled_from([None, "trimmed", "rank_prune", "running",
                                  "pumpout"]), label="reweight")
     if hook is None:
@@ -1453,13 +1458,25 @@ def view_stacks(draw):
     return views, test_ds, config, {"kind": hook, **spec}
 
 
+def ref_view_train(view, config, test_ds, spec):
+    """One view trained outside model.train: the per-row hook loop under a
+    hook, a plain single-model fit without one."""
+    if spec is not None:
+        return ref_reweighted_train(view, config, spec, test_ds)
+
+    def batch_loss(probs, idx):
+        return loss_and_grad(config.loss, probs, view.labels[idx])
+
+    return fit(view, config, batch_loss, test_ds)
+
+
 def assert_stack_matches_per_view(views, test_ds, config, spec):
     """train over the views as one stack gives, for each view, the params
-    (bytes) and history (JSON) of train on that view alone."""
+    (bytes) and history (JSON) of ref_view_train on that view alone."""
     fits = train(views, config, test_ds, reweight=spec)
     assert len(fits) == len(views)
     for view, (params, history) in zip(views, fits):
-        ref, ref_history = train(view, config, test_ds, reweight=spec)
+        ref, ref_history = ref_view_train(view, config, test_ds, spec)
         for name in ref.arrays:
             assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
         assert json.dumps(history) == json.dumps(ref_history)
@@ -1473,7 +1490,7 @@ class TestStackedTrain:
 
     @pytest.mark.parametrize("spec", [
         None, {"kind": "trimmed", "fraction": 0.2},
-        {"kind": "rank_prune", "fraction": 0.2}])
+        {"kind": "rank_prune", "fraction": 0.2}, {"kind": "running"}])
     @pytest.mark.parametrize("arch", ["linear", "mlp"])
     def test_a_sweeps_views_at_bench_batch(self, arch, spec):
         # one set under three noise rates, a full-width batch and a short
@@ -1491,10 +1508,10 @@ class TestStackedTrain:
         real = model.epoch_batches
 
         def first_views_labels(order, batch_size, *arrays):
-            for idx, X, yb, *rest in real(order, batch_size, *arrays):
-                if yb.ndim == 2:  # a stack's (E, B) labels
-                    yb = np.repeat(yb[:1], len(yb), axis=0)
-                yield [idx, X, yb, *rest]
+            for batch in real(order, batch_size, *arrays):
+                if len(batch) > 2:  # train's [idx, X, (E, B) labels, kept]
+                    batch[2] = np.repeat(batch[2][:1], len(batch[2]), axis=0)
+                yield batch
 
         train_ds, test_ds = split(gen_blobs(3, 60, 2, 3.0, 1), 0.25, 2)
         views = [inject(train_ds, symmetric_transition(3, rho),

@@ -1234,6 +1234,20 @@ class TestSweep:
         _, summary, r2 = sweep(template, rhos)
         assert len(summary) == len(rhos) and r2 is None
 
+    def test_r2_fits_the_baselines_rows_alone(self):
+        # two running variants share the name reweight:running, and the fit
+        # took the second's rows too: R^2 0.46 where the baseline's gave 1
+        template = {"seed": 1, "test_fraction": 0.25, "train": {"epochs": 3},
+                    "dataset": {"kind": "blobs", "k": 3, "n_per_class": 40,
+                                "d": 2, "separation": 3.0}}
+        rhos = [0.0, 0.2, 0.4]
+        methods = [{"reweight": {"kind": "running"}},
+                   {"reweight": {"kind": "running", "multiplier": 0.5}}]
+        _, summary, r2 = sweep(template, rhos, methods)
+        assert {row["method"] for row in summary} == {"reweight:running"}
+        assert r2 == harness._quadratic_fit_r2(summary[:3])
+        assert r2 != harness._quadratic_fit_r2(summary)
+
     def test_summary_csv(self):
         _, summary, _ = sweep(self.TEMPLATE, [0.0, 0.2])
         text = sweep_summary_csv(summary)
@@ -1410,8 +1424,8 @@ class TestSweepSharesItsData:
 
 
 class TestSweepTrainsStacks:
-    """A sweep trains the points of each loss, trimmed or rank_prune method
-    without a transition as one stack before they run. Every point still
+    """A sweep trains the points of each loss or reweight method that names
+    no 'true' transition as one stack before they run. Every point still
     runs through one run_experiment call of its own, looked up on the
     module and made in summary order, which takes the stack's model for
     it; the cache that hands it over holds no fit once the sweep is
@@ -1425,7 +1439,11 @@ class TestSweepTrainsStacks:
     METHODS = [{"loss": {"kind": "ce"}},
                {"loss": {"kind": "forward", "transition": "true"}},
                {"reweight": {"kind": "trimmed", "fraction": 0.2}},
-               {"procedure": {"name": "co_teaching"}}]
+               {"procedure": {"name": "co_teaching"}},
+               {"reweight": {"kind": "running"}},
+               {"loss": {"kind": "forward", "transition": {
+                   "k": 3, "rows": [[0.8, 0.1, 0.1], [0.2, 0.7, 0.1],
+                                    [0.0, 0.3, 0.7]]}}}]
 
     def point_configs(self):
         return [dict(copy.deepcopy(self.TEMPLATE), method=method,
@@ -1462,10 +1480,12 @@ class TestSweepTrainsStacks:
         assert [(harness._method_name(cfg["method"]),
                  (cfg["noise"] or {"rho": 0.0})["rho"]) for cfg, _ in calls
                 ] == [(row["method"], row["rho"]) for row in summary]
-        # ce and trimmed trained as stacks, each point taking its model
-        assert stacks == [3, 3]
+        # ce, trimmed, running and forward under its explicit T trained
+        # as stacks, each point taking its model
+        assert stacks == [3, 3, 3, 3]
         assert [held for _, held in calls] == [3, 2, 1, 0, 0, 0,
-                                               3, 2, 1, 0, 0, 0]
+                                               3, 2, 1, 0, 0, 0,
+                                               3, 2, 1, 3, 2, 1]
         assert "defines no transition" in summary[3]["error"]
         assert fits() == {}
         assert_same_sweep((reports, summary),
@@ -1499,7 +1519,7 @@ class TestSweepTrainsStacks:
 
         monkeypatch.setattr(harness, "train", odd_fails)
         reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert stacks == [3, 3] and fits() == {}
+        assert stacks == [3, 3, 3, 3] and fits() == {}
         stacked = [row for row in summary if row["method"] in (
             "loss:ce", "reweight:trimmed")]
         assert {"error" in row for row in stacked} == {True, False}

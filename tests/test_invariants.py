@@ -5,7 +5,12 @@ harness on the tests/test_trajectories.py data.
   the hidden truth of the corrupted training set moves no report field but
   the diagnostics the harness scores from that truth. iterative_clean
   reads the truth of its small clean set by design, so for it only the
-  rows outside that set are permuted.
+  rows outside that set are permuted. Permuting the test set's truth moves
+  nothing but the scores taken against it, so no method selects on test
+  accuracy.
+- Every stepped objective has the gradient it claims: the annotator
+  confusions' dloss/dQ and dloss/dlogits, and the batch_loss that mixup
+  and dual relabel hand sgd_epoch, agree with central differences.
 - Degenerate settings give the baseline: each remedy at the setting that
   turns it off (an identity T, a zero fraction, an unreachable cut-off, no
   smoothing) reports CE's history and final metrics.
@@ -16,9 +21,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisylab import harness
+from noisylab import harness, model, procedures
+from noisylab.annotators import confusion_grads
+from noisylab.data import gen_blobs
 from noisylab.harness import report_json, run_experiment, strip_wall_time
-from noisylab.numerics import Rng
+from noisylab.losses import kl_to_targets, loss_vector
+from noisylab.model import TrainConfig
+from noisylab.noise import inject, symmetric_transition
+from noisylab.numerics import Rng, softmax
 from test_trajectories import DATASET, PIPELINES, SYMMETRIC, config
 
 TRUTH_DIAGNOSTICS = ("fused_label_accuracy", "store_match_truth_initial",
@@ -77,6 +87,140 @@ def test_training_never_reads_hidden_truth(monkeypatch, name, seed):
     if name == "annotator:majority":  # the truth reaches the diagnostics
         assert (moved["noise_diagnostics"]["fused_label_accuracy"]
                 < plain["noise_diagnostics"]["fused_label_accuracy"] - 0.3)
+
+
+def without_test_scores(report):
+    """The stripped report's JSON, less the scores taken against the test
+    set's truth: each epoch's test_accuracy and the final metrics."""
+    report = strip_wall_time(report)
+    del report["final_metrics"]
+    report["history"] = [{k: v for k, v in row.items()
+                          if k != "test_accuracy"}
+                         for row in report["history"]]
+    return report_json(report)
+
+
+def permute_test_truth(monkeypatch, seed):
+    """Make the harness split as before, then permute the test set's
+    labels, and its hidden truth if it has one, by one permutation."""
+    real = harness._split_dataset
+
+    def split(spec, data_seed, fraction):
+        K, train_ds, test_ds = real(spec, data_seed, fraction)
+        perm = np.random.default_rng(seed).permutation(test_ds.n)
+        return K, train_ds, replace(test_ds, **{
+            k: getattr(test_ds, k)[perm] for k in ("labels", "true_labels")
+            if getattr(test_ds, k) is not None})
+
+    harness._SHARED.clear()
+    monkeypatch.setattr(harness, "_split_dataset", split)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", list(PIPELINES))
+def test_training_never_reads_test_truth(monkeypatch, name, seed):
+    cfg = config(name, seed)
+    plain = run_experiment(cfg)
+    permute_test_truth(monkeypatch, seed)
+    moved = run_experiment(cfg)
+    assert without_test_scores(moved) == without_test_scores(plain)
+    assert moved["final_metrics"] != plain["final_metrics"]
+
+
+# central differences at step 1e-6 carry about 1e-10 of rounding; the
+# analytic gradients agree to about 1e-8 of the largest entry
+FD_STEP = 1e-6
+FD_RTOL = 1e-6
+
+
+def assert_gradient(f, x, analytic):
+    """analytic is the gradient of the scalar f at x, to FD_RTOL of its
+    largest entry, by central differences over every entry of x."""
+    numeric = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[i] += FD_STEP
+        down[i] -= FD_STEP
+        numeric[i] = (f(up) - f(down)) / (2.0 * FD_STEP)
+    assert np.max(np.abs(analytic - numeric)) <= FD_RTOL * max(
+        np.max(np.abs(numeric)), 1.0)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_confusion_grads_are_the_gradients(case):
+    rng = Rng(case)
+    K, A, N = 2 + case % 4, 1 + case % 3, 1 + case % 7
+    Q = 2.0 * rng.normal((A, K, K))
+    logits = 2.0 * rng.normal((N, K))
+    labels = rng.integers(0, K, size=(N, A))
+    _, G, gQ = confusion_grads(Q, softmax(logits), labels)
+    assert_gradient(
+        lambda Q: confusion_grads(Q, softmax(logits), labels)[0].sum(), Q, gQ)
+    assert_gradient(
+        lambda z: confusion_grads(Q, softmax(z), labels)[0].sum(), logits, G)
+
+
+def stepped_objectives(monkeypatch, module):
+    """Every (batch_loss, probs, key) that module's sgd_epoch steps on from
+    here on."""
+    seen, real = [], module.sgd_epoch
+
+    def spy(params, batches, lr, batch_loss, epoch):
+        def recorded(probs, key):
+            seen.append((batch_loss, probs.copy(), key))
+            return batch_loss(probs, key)
+        return real(params, batches, lr, recorded, epoch)
+
+    monkeypatch.setattr(module, "sgd_epoch", spy)
+    return seen
+
+
+def assert_batch_loss_gradient(batch_loss, probs, key, smooth=None):
+    """batch_loss's dloss/dlogits is the gradient of its summed loss values
+    at the logits log(probs), on the rows where its objective is smooth
+    (smooth: a row mask; None, every row)."""
+    _, G = batch_loss(probs, key)
+    if smooth is None:
+        smooth = np.ones(len(G), dtype=bool)
+    assert_gradient(lambda z: batch_loss(softmax(z), key)[0][smooth].sum(),
+                    np.log(probs), np.where(smooth[:, None], G, 0.0))
+
+
+def noisy_blobs(seed):
+    train_ds = gen_blobs(3, 20, 2, 3.0, seed)
+    return inject(train_ds, symmetric_transition(3, 0.4),
+                  Rng(seed + 1)).training_view()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mixup_steps_on_its_soft_target_gradient(monkeypatch, seed):
+    seen = stepped_objectives(monkeypatch, model)
+    procedures.train_mixup(noisy_blobs(seed),
+                           TrainConfig(epochs=2, batch_size=8, seed=seed),
+                           alpha=1.0)
+    assert len(seen) == 16
+    for batch_loss, probs, Y_mix in seen:
+        assert_batch_loss_gradient(batch_loss, probs, Y_mix)
+    assert any(np.any((Y_mix > 0.0) & (Y_mix < 1.0)) for *_, Y_mix in seen)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dual_relabel_steps_on_its_min_loss_gradient(monkeypatch, seed):
+    seen = stepped_objectives(monkeypatch, procedures)
+    procedures.train_dual_relabel(
+        noisy_blobs(seed), TrainConfig(epochs=3, batch_size=8, seed=seed,
+                                       hidden=5))
+    assert len(seen) == 2 * 3 * 8  # two models, three rounds
+    chose = []
+    for batch_loss, probs, key in seen:
+        _, stored, _, peer = key
+        l_stored = kl_to_targets(probs, stored)
+        l_peer = loss_vector("ce", probs)[np.arange(len(peer)), peer]
+        # min(l_stored, l_peer) is smooth off its ties
+        smooth = np.abs(l_stored - l_peer) > 1e-3
+        chose.extend((l_stored < l_peer)[smooth].tolist())
+        assert_batch_loss_gradient(batch_loss, probs, key, smooth)
+    assert set(chose) == {True, False}
 
 
 IDENTITY = {"k": 3, "rows": np.eye(3).tolist()}

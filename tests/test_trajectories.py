@@ -2,8 +2,9 @@
 removed) of the 20 benchmark pipelines on 3 blobs x 60 rows, 2 epochs,
 seeds 1 and 2; of co-teaching run for 8 epochs, long enough to keep fewer
 than every row; of pumpout under an asymmetric T, where it takes ascent
-steps; and of one 3-method noise-rate sweep (its reports and its summary
-CSV) over blobs and over a CSV file.
+steps; of one 3-method noise-rate sweep (its reports and its summary CSV)
+over blobs and over a CSV file; and of one sweep of the methods that stack
+under an explicit T.
 
 A digest here may change only together with a CHANGES.md entry that names
 the trajectory it moves and argues why the new trajectory is correct. A
@@ -148,6 +149,18 @@ CO_TEACHING_DIGESTS = {
 PUMPOUT_ASCENT_ROWS = [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0], [0.0, 0.4, 0.6]]
 PUMPOUT_ASCENT_DIGEST = (
     "870e703684f36af92e4f35b358a98bff7badaa627196dac89a75cecba4044cec")
+# running, and pumpout, forward, backward and trimmed's scoring loss under
+# the asymmetric T given explicitly, on the ascent run's data and step
+EXPLICIT_T = {"k": 3, "rows": PUMPOUT_ASCENT_ROWS}
+EXPLICIT_T_METHODS = [
+    {"reweight": {"kind": "running"}},
+    {"reweight": {"kind": "pumpout", "transition": EXPLICIT_T}},
+    {"loss": {"kind": "forward", "transition": EXPLICIT_T}},
+    {"loss": {"kind": "backward", "transition": EXPLICIT_T}},
+    {"reweight": {"kind": "trimmed", "fraction": 0.2,
+                  "loss": {"kind": "forward", "transition": EXPLICIT_T}}}]
+EXPLICIT_T_SWEEP_DIGEST = (
+    "09dffbd568dec20492f906bc7c35cda291c795a1edce8b34b068859684d950e8")
 CSV_SWEEP_DIGEST = (
     "cde61660036188532ae4d2222a89f3aabca6e08d35f435a8ed22ce27f4276a48")
 
@@ -167,12 +180,13 @@ def report_digest(report):
     return digest(report_json(strip_wall_time(report)))
 
 
-def sweep_digest(dataset=DATASET):
+def sweep_digest(dataset=DATASET, methods=SWEEP_METHODS,
+                 train={"epochs": 2}):
     """One digest over the sweep's stripped reports, in order, and its
     summary CSV."""
     template = {"seed": 1, "dataset": dict(dataset), "test_fraction": 0.25,
-                "train": {"epochs": 2}}
-    reports, summary, _ = sweep(template, SWEEP_RHOS, SWEEP_METHODS)
+                "train": dict(train)}
+    reports, summary, _ = sweep(template, SWEEP_RHOS, methods)
     return digest("\n".join([report_digest(r) for r in reports]
                             + [sweep_summary_csv(summary)]))
 
@@ -197,7 +211,8 @@ def test_co_teaching_past_its_warm_up_is_pinned(seed):
     assert report_digest(report) == CO_TEACHING_DIGESTS[seed]
 
 
-def test_pumpout_ascent_is_pinned(monkeypatch):
+def pumpout_flags(monkeypatch):
+    """The weights of the rows pumpout flags from here on, -gamma each."""
     flagged = []
     batch_weights = reweight._PumpoutHook.batch_weights
 
@@ -207,6 +222,11 @@ def test_pumpout_ascent_is_pinned(monkeypatch):
         return weights
 
     monkeypatch.setattr(reweight._PumpoutHook, "batch_weights", spy)
+    return flagged
+
+
+def test_pumpout_ascent_is_pinned(monkeypatch):
+    flagged = pumpout_flags(monkeypatch)
     cfg = config("reweight:pumpout", 1)
     cfg["dataset"]["separation"] = 8.0
     cfg["noise"] = {"kind": "matrix", "rows": PUMPOUT_ASCENT_ROWS}
@@ -222,3 +242,11 @@ def test_csv_sweep_reports_and_summary_are_pinned(tmp_path, monkeypatch):
     save_csv(gen_blobs(3, 60, 2, 3.0, 1), "data.csv")
     assert sweep_digest({"kind": "csv", "path": "data.csv"}) == \
         CSV_SWEEP_DIGEST
+
+
+def test_explicit_transition_sweep_is_pinned(monkeypatch):
+    flagged = pumpout_flags(monkeypatch)
+    assert sweep_digest(dict(DATASET, separation=8.0), EXPLICIT_T_METHODS,
+                        {"epochs": 2, "learning_rate": 1.0}) == \
+        EXPLICIT_T_SWEEP_DIGEST
+    assert flagged
