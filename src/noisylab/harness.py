@@ -24,8 +24,8 @@ from .model import DivergedError, TrainConfig, predict_probs, train
 from .noise import (TransitionMatrix, feature_dependent_inject, inject,
                     simulate_annotators, symmetric_transition)
 from .numerics import Rng, _check_args, _check_labels
-from .procedures import (iterative_clean, train_co_teaching,
-                         train_dual_relabel, train_mixup)
+from .procedures import (CO_TEACHING_NOISE_RATE, iterative_clean,
+                         train_co_teaching, train_dual_relabel, train_mixup)
 
 SCHEMA_VERSION = 1
 ECE_BINS = 15
@@ -423,11 +423,9 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
     elif kind == "mixup":
         params, history = train_mixup(view, tc, test_ds, **kwargs)
     elif kind in ("co_teaching", "disagreement"):
-        if kind == "co_teaching" and "rho" in (cfg.get("noise") or {}):
-            kwargs.setdefault("noise_rate", cfg["noise"]["rho"])
         params, _, history = train_co_teaching(
-            view, tc, test_ds, disagreement_only=(kind == "disagreement"),
-            **kwargs)
+            view, tc, test_ds, _noise_rate(cfg, kwargs),
+            kind == "disagreement")
     elif kind == "dual_relabel":
         params, _, store, history = train_dual_relabel(view, tc, test_ds)
         if noisy.true_labels is not None:
@@ -456,6 +454,14 @@ def _run_method(cfg, tc, method, kind, noisy, test_ds, true_T):
         cleaned = replace(view, labels=store.hard_labels())
         params, history = train(cleaned, tc, test_ds)
     return params, history, diagnostics
+
+
+def _noise_rate(cfg, procedure):
+    """The noise_rate a co_teaching or disagreement point trains under (the
+    second only checks it): its procedure section's own, else its noise
+    rho, else train_co_teaching's default."""
+    return procedure.get("noise_rate", (cfg.get("noise") or {}).get(
+        "rho", CO_TEACHING_NOISE_RATE))
 
 
 def _train_args(method, tc):
@@ -521,7 +527,8 @@ def sweep(template, rhos, methods=None):
     nor method, which each point sets. The points share one generated or
     read dataset and split, and one corrupted copy per noise rate, through
     run_experiment's cache. The points of a loss or reweight method that
-    names no 'true' transition train as one stack before they run, and
+    names no 'true' transition, and of a co_teaching or disagreement
+    procedure, train as one stack before they run (see _stackable), and
     those of every other method one by one; each point runs through a
     run_experiment call of its own."""
     for key, use in (("method", "methods"), ("noise", "rhos")):
@@ -575,28 +582,40 @@ def sweep(template, rhos, methods=None):
 def _stackable(method):
     """Whether a sweep trains a method's points as one stack: a loss or
     reweight method that names no 'true' transition resolves the same at
-    every rho, so that its points differ in their labels alone."""
+    every rho, and a co_teaching or disagreement procedure differs at most
+    in its noise_rate, so that their points differ in their labels and
+    that rate alone."""
+    if "procedure" in method:
+        return method["procedure"]["name"] in ("co_teaching", "disagreement")
     return (("loss" in method or "reweight" in method)
             and not _check_section(method, "method", "method"))
 
 
 def _prefit(cfgs):
-    """Train the points of one stackable sweep method (a loss or reweight
-    method naming no 'true' transition), given their configs, as one stack,
-    and keep each point's fit in _SHARED["fits"] for its run_experiment,
-    which takes its corrupted set from _SHARED as the stack did. A group
-    whose preparation or training raises keeps no fit, so that its points
-    train alone and each fails on its own."""
+    """Train the points of one stackable sweep method, given their configs,
+    as one stack: through model.train, or for a procedure through
+    train_co_teaching, each point under the noise_rate _run_method would
+    give it. Keep each point's fit in _SHARED["fits"] for its
+    run_experiment, which takes its corrupted set from _SHARED as the stack
+    did. A group whose preparation or training raises keeps no fit, so
+    that its points train alone and each fails on its own."""
     try:
         views = []
         for cfg in cfgs:
-            method, _, tc = validate_config(cfg)
+            method, kind, tc = validate_config(cfg)
             _, train_ds, test_ds = _generate(cfg)
             views.append(_corrupt(cfg, train_ds)[0].training_view())
         # the points share their method, train config and test set
-        config, reweight = _train_args(
-            _resolve(method, None, train_ds.num_classes, "method"), tc)
-        fits = train(views, config, test_ds, reweight=reweight)
+        if kind == "procedure":
+            procedure = method["procedure"]
+            fits = [(a, history) for a, _, history in train_co_teaching(
+                views, tc, test_ds,
+                [_noise_rate(cfg, procedure) for cfg in cfgs],
+                procedure["name"] == "disagreement")]
+        else:
+            config, reweight = _train_args(
+                _resolve(method, None, train_ds.num_classes, "method"), tc)
+            fits = train(views, config, test_ds, reweight=reweight)
     except Exception:  # each point's run_experiment meets it again
         return
     _SHARED["fits"].update((_fit_key(cfg), (*fit, {}))

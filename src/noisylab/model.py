@@ -6,6 +6,7 @@ gradient verification.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,24 +192,49 @@ def sgd_epoch(params, batches, lr, batch_loss, epoch):
     parameter array, B the batch rows per model. The key is the batch's
     indices or its mixed targets. A stacked model's (E, B, d) batch steps
     its E models in lockstep; batch_loss still sees N = E * B rows, model
-    by model. Returns the epoch's loss values joined along the last axis, a
-    row per model when stacked (None: no batch); raises DivergedError
-    naming the epoch on a non-finite logit. X (dataset rows) is used as
-    given; forward_batch is the one that converts and checks."""
-    values = []
-    for X, key in batches:
-        logits, cache = _forward(params, X)
+    by model. An (X, key, models) triple steps only the stack's models
+    that the index array models names, on their (len(models), B, d) rows,
+    and leaves the others as they are.
+
+    Returns each model's loss values over the epoch's steps: one array for
+    a single model, a list of E arrays for a stack (an empty one for a
+    model no step reached), None when there was no step at all. Raises
+    DivergedError naming the epoch on a non-finite logit. X (dataset rows)
+    is used as given; forward_batch is the one that converts and checks."""
+    values, subs = [], {}  # subs: the models of each sub-stack step
+    for batch in batches:
+        X, key = batch[0], batch[1]
+        models = batch[2] if len(batch) > 2 else None
+        step = params
+        if models is not None:  # a sub-stack, stepped on a copy of its arrays
+            step = copy.copy(params)
+            step.arrays = {k: a[models] for k, a in params.arrays.items()}
+        logits, cache = _forward(step, X)
         try:
             probs = softmax(logits.reshape(-1, params.K))  # rejects non-finite
         except ValueError as e:
             raise DivergedError(f"training diverged at epoch {epoch}") from e
         step_values, G = batch_loss(probs, key)
-        grads = backward_batch(params, G, cache)
+        grads = backward_batch(step, G, cache)
         scale = lr / X.shape[-2]
-        for name, a in params.arrays.items():
+        for name, a in step.arrays.items():
             a -= scale * grads[name]
+        if models is not None:
+            subs[len(values)] = models
+            for name, a in step.arrays.items():
+                params.arrays[name][models] = a
         values.append(step_values.reshape(X.shape[:-2] + (-1,)))
-    return np.concatenate(values, axis=-1) if values else None
+    if not values:
+        return None
+    if not subs:  # every step stepped every model
+        joined = np.concatenate(values, axis=-1)
+        return list(joined) if joined.ndim > 1 else joined
+    per_model = [[] for _ in next(iter(params.arrays.values()))]
+    for i, v in enumerate(values):
+        for e, row in zip(subs.get(i, range(len(v))), v):
+            per_model[e].append(row)
+    return [np.concatenate(rows) if rows else np.empty(0)
+            for rows in per_model]
 
 
 def epoch_row(epoch, params, test_ds, **fields):
@@ -254,7 +280,8 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
     is non-finite.
 
     A stack of E models trains in lockstep, and the history's train_loss
-    and test_accuracy are lists over the models; unstack splits the
+    and test_accuracy are lists over the models (a model no step of the
+    epoch reached has train_loss None); unstack splits the
     returned params. Given E seeds, fit makes the stack, each model
     initialized from and shuffled by its own seed, exactly as E separate
     fits with config.seed set to each: order is then (E, n) and rng the
@@ -283,10 +310,12 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
                            config.learning_rate, batch_loss, epoch)
         fields = {}
         if values is not None:
-            mean_loss = np.mean(values, axis=-1)
-            if not np.all(np.isfinite(mean_loss)):
+            per_model = isinstance(values, list)  # a stack's
+            means = [np.mean(v).item() if v.size else None
+                     for v in (values if per_model else [values])]
+            if not all(np.isfinite(m) for m in means if m is not None):
                 raise DivergedError(f"training diverged at epoch {epoch}")
-            fields["train_loss"] = mean_loss.tolist()
+            fields["train_loss"] = means if per_model else means[0]
         history.append(epoch_row(epoch, params, test_ds, **fields))
     return params, history
 

@@ -100,36 +100,69 @@ def train_mixup(ds, config, test_ds=None, alpha=0.2):
 # --- peer models ------------------------------------------------------------
 
 def small_loss_selection(probs, y, keep_fraction):
-    """Indices of the keep_fraction smallest-CE samples (predictions plus
-    labels only; no other state)."""
-    losses = loss_vector("ce", probs)[np.arange(len(y)), y]
-    n_keep = max(1, int(round(keep_fraction * len(y))))
-    order = np.argsort(losses, kind="stable")
-    return np.sort(order[:n_keep])
+    """Indices of the keep_fraction smallest-CE samples, in order
+    (predictions plus labels only; no other state). Works on the last axes,
+    so a stack's (..., B, K) probabilities and (..., B) labels give each
+    model's (..., n_keep) rows."""
+    y = np.asarray(y)
+    ce = loss_vector("ce", probs).reshape(-1, probs.shape[-1])
+    losses = ce[np.arange(len(ce)), y.ravel()].reshape(y.shape)
+    n_keep = max(1, int(round(keep_fraction * y.shape[-1])))
+    order = np.argsort(losses, axis=-1, kind="stable")
+    return np.sort(order[..., :n_keep], axis=-1)
 
 
 def peer_rows(peers, X, y, keep_fraction=None):
-    """The batch rows each of the two stacked peers steps on, as a (2, m)
-    index array, from predictions taken before the step. Given
-    keep_fraction, co-teaching: each peer steps on the other's
-    keep_fraction smallest-CE rows. Without, disagreement: both step on the
-    rows where their argmax predictions differ; the labels play no part.
-    A keep_fraction that keeps the whole batch gives every row unranked."""
+    """The batch rows each model of a stack of P peer pairs [a0, b0, a1,
+    b1, ...] steps on, from predictions taken before the step, as a list of
+    (models, rows) groups: the models whose row sets have one size m > 0
+    (an index array into the stack; None: every model) and their
+    (len(models), m) rows. X (2P, B, d) and y (2P, B) are the batch and its
+    labels as each model sees them. Given keep_fraction, a list of one per
+    pair, co-teaching: each peer steps on the other's keep_fraction
+    smallest-CE rows, and a keep_fraction that keeps the whole batch gives
+    every row unranked. Without, disagreement: both peers step on the rows
+    where their argmax predictions differ; the labels play no part."""
+    P, B = len(X) // 2, X.shape[-2]
     if keep_fraction is None:
-        preds_a, preds_b = predict_probs(peers, X).argmax(axis=-1)
-        return np.tile(np.flatnonzero(preds_a != preds_b), (2, 1))
-    _check_args("peer_rows",
-                reals={"keep_fraction": (keep_fraction, "(0, 1]")})
-    if max(1, int(round(keep_fraction * len(y)))) == len(y):
-        return np.tile(np.arange(len(y)), (2, 1))
-    probs = predict_probs(peers, X)
-    # B's selection steps A, A's steps B
-    return np.array([small_loss_selection(probs[1], y, keep_fraction),
-                     small_loss_selection(probs[0], y, keep_fraction)])
+        preds = predict_probs(peers, X).argmax(axis=-1)
+        differ = preds[0::2] != preds[1::2]  # (P, B)
+        sizes = np.add.reduce(differ, axis=-1).tolist()
+    else:
+        _check_args("peer_rows", reals={
+            f"keep_fraction[{p}]": (keep, "(0, 1]")
+            for p, keep in enumerate(keep_fraction)})
+        sizes = [max(1, int(round(keep * B))) for keep in keep_fraction]
+        probs = None
+    by_size = {}  # the pairs whose row sets have each size, in stack order
+    for pair, m in enumerate(sizes):
+        by_size.setdefault(m, []).append(pair)
+    groups = []
+    for m, pairs in by_size.items():
+        if m == 0:
+            continue
+        models = (None if len(pairs) == P  # every model
+                  else (2 * np.array(pairs)[:, None] + (0, 1)).ravel())
+        if keep_fraction is None:
+            rows = differ if models is None else differ[pairs]
+            rows = rows.nonzero()[1].reshape(-1, m).repeat(2, axis=0)
+        elif m == B:
+            rows = np.arange(B)[None].repeat(2 * len(pairs), axis=0)
+        else:
+            if probs is None:
+                probs = predict_probs(peers, X)
+            at = slice(None) if models is None else models
+            rows = small_loss_selection(probs[at], y[at],
+                                        keep_fraction[pairs[0]])
+            # B's selection steps A, A's steps B
+            rows = rows.reshape(-1, 2, m)[:, ::-1].reshape(-1, m)
+        groups.append((models, rows))
+    return groups
 
 
 CO_TEACHING_WARM_EPOCHS = 5
 CO_TEACHING_DECAY_EPOCHS = 10
+CO_TEACHING_NOISE_RATE = 0.2  # train_co_teaching's default
 
 
 def co_teaching_keep_schedule(epoch, noise_rate):
@@ -142,44 +175,86 @@ def co_teaching_keep_schedule(epoch, noise_rate):
     return 1.0 - frac * noise_rate
 
 
-def train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
+def train_co_teaching(ds, config, test_ds=None,
+                      noise_rate=CO_TEACHING_NOISE_RATE,
                       disagreement_only=False):
     """Two peer models trained with co-teaching, or with disagreement-only
     updates when disagreement_only is set; only co-teaching keeps a
-    noise_rate schedule and reports its keep_fraction. The peers are one
-    stack (see model.stack) that fit steps on the rows peer_rows gives
-    each, skipping a batch that gives none. The history follows the first
-    peer."""
-    _check_args("train_co_teaching",
-                reals={"noise_rate": (noise_rate, "[0, 1)")})
+    noise_rate schedule and reports its keep_fraction. Returns (peer a,
+    peer b, history), the history following peer a.
+
+    Given a list of training views of one shape (n, d and K) in place of
+    ds, and noise_rate one rate or a list of one per view, returns one such
+    triple per view, each the one train_co_teaching gives on that view
+    alone. Either way the 2P peers [a0, b0, a1, b1, ...], each pair
+    initialized from config.seed, are one stack (see model.stack) that fit
+    steps in config.seed's one shuffle, each model on its own view's rows;
+    a lone view is a stack of one pair. Each batch, peer_rows ranks every
+    peer in one forward pass, and the peers whose row sets have one size
+    step together as one sub-stack; a batch that gives a pair no row steps
+    neither peer."""
+    views = ds if isinstance(ds, list) else [ds]
+    rates = (noise_rate if isinstance(noise_rate, list)
+             else [noise_rate] * len(views))
+    if (len({(v.n, v.dim, v.num_classes) for v in views}) != 1
+            or len(rates) != len(views)):
+        raise ValueError("train_co_teaching: a stack takes one or more views "
+                         "of one n, d and K, and one noise_rate or one per "
+                         "view")
+    for rate in rates:
+        _check_args("train_co_teaching",
+                    reals={"noise_rate": (rate, "[0, 1)")})
+    n, P = views[0].n, len(views)
     rng = Rng(config.seed)
-    peers = stack([init(config.arch, ds.dim, ds.num_classes,
-                        int(r.integers(0, 2**31)), config.hidden)
-                   for r in rng.split(2)])
+    pair = [init(config.arch, views[0].dim, views[0].num_classes,
+                 int(r.integers(0, 2**31)), config.hidden)
+            for r in rng.split(2)]
+    peers = stack(pair * P)
     keeps = [None if disagreement_only
-             else co_teaching_keep_schedule(epoch, noise_rate)
+             else [co_teaching_keep_schedule(epoch, r) for r in rates]
              for epoch in range(config.epochs)]
     schedule = iter(keeps)
+    # the views' rows end to end, and the row each peer's view starts at
+    features, labels = (np.concatenate([getattr(v, a) for v in views])
+                        for a in ("features", "labels"))
+    first = n * (np.arange(2 * P) // 2)[:, None]
+    lead = np.arange(2 * P)[:, None]
 
     def batches(order, rng):
         # lazy, so each batch's rows come from the peers as last stepped
         keep = next(schedule)
-        for _, X, y in epoch_batches(order, config.batch_size, ds.features,
-                                     ds.labels):
-            rows = peer_rows(peers, X, y, keep)
-            if rows.size:
-                yield X[rows], y[rows].ravel()
+        for _, X, y in epoch_batches(order + first, config.batch_size,
+                                     features, labels):
+            for models, rows in peer_rows(peers, X, y, keep):
+                if models is None:  # every peer steps: the stack, in place
+                    if rows.shape[1] < X.shape[1]:
+                        yield X[lead, rows], y[lead, rows].ravel()
+                    else:  # every row: one contiguous copy steps faster
+                        # than the strided slice and copies faster than
+                        # the gather of every row
+                        yield X.copy(), y.ravel()
+                else:
+                    at = models[:, None]
+                    yield X[at, rows], y[at, rows].ravel(), models
 
     # fit's stream is Rng(config.seed) too: split leaves it where it was
-    peers, history = fit(ds, config,
+    peers, history = fit(views[0], config,
                          lambda probs, y: loss_and_grad(CE, probs, y),
                          test_ds, batches, peers)
-    for row, keep in zip(history, keeps):
-        row.update({k: row[k][0] for k in ("train_loss", "test_accuracy")
-                    if k in row})
-        if keep is not None:
-            row["keep_fraction"] = keep
-    return (*unstack(peers), history)
+    models = unstack(peers)
+    fits = []
+    for p in range(P):
+        rows = []
+        for row, keep in zip(history, keeps):
+            row = {k: v[2 * p] if isinstance(v, list) else v
+                   for k, v in row.items()}
+            if row.get("train_loss", 0.0) is None:  # its peers never stepped
+                del row["train_loss"]
+            if keep is not None:
+                row["keep_fraction"] = keep[p]
+            rows.append(row)
+        fits.append((models[2 * p], models[2 * p + 1], rows))
+    return fits if views is ds else fits[0]
 
 
 # --- dual models with iterative label update --------------------------------

@@ -1448,8 +1448,14 @@ def view_stacks(draw):
     if hook is None:
         return views, test_ds, config, None
     if hook == "running":
-        spec = {"window": draw(st.integers(1, 20), label="window"),
-                "warmup": draw(st.integers(0, 25), label="warmup")}
+        # windows and warmups small beside the 2..30 rows an epoch gives,
+        # so that the filter skips, and skips differently per view; a
+        # warmup past the window never skips
+        window = draw(st.integers(1, 6), label="window")
+        spec = {"window": window,
+                "warmup": draw(st.integers(0, window + 1), label="warmup"),
+                "multiplier": draw(st.sampled_from([0.5, 1.5]),
+                                   label="multiplier")}
     elif hook == "pumpout":
         spec = {"transition": draw(flaggable_transitions(K), label="T")}
     else:
@@ -1712,6 +1718,173 @@ class TestStackedPeers:
                 assert np.array_equal(peer.arrays[name], model.arrays[name])
         assert [sorted(row) for row in history] == (
             [["epoch", "test_accuracy"]] * config.epochs)
+
+
+def ref_small_loss_selection(probs, y, keep_fraction):
+    """small_loss_selection on one model's (B, K) probabilities, as it was
+    before it took a stack."""
+    losses = loss_vector("ce", probs)[np.arange(len(y)), y]
+    n_keep = max(1, int(round(keep_fraction * len(y))))
+    order = np.argsort(losses, kind="stable")
+    return np.sort(order[:n_keep])
+
+
+def ref_pair_rows(peers, X, y, keep_fraction=None):
+    """peer_rows for one stacked pair as it was before it took a stack of
+    pairs: the (2, m) rows each peer steps on, of one (B, d) batch."""
+    if keep_fraction is None:
+        preds_a, preds_b = predict_probs(peers, X).argmax(axis=-1)
+        return np.tile(np.flatnonzero(preds_a != preds_b), (2, 1))
+    if max(1, int(round(keep_fraction * len(y)))) == len(y):
+        return np.tile(np.arange(len(y)), (2, 1))
+    probs = predict_probs(peers, X)
+    return np.array([ref_small_loss_selection(probs[1], y, keep_fraction),
+                     ref_small_loss_selection(probs[0], y, keep_fraction)])
+
+
+def ref_view_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
+                         disagreement_only=False):
+    """train_co_teaching on one view as it was before it took a list of
+    views: one stacked pair that fit steps on the rows ref_pair_rows gives,
+    skipping a batch that gives none; the history follows the first
+    peer."""
+    rng = Rng(config.seed)
+    peers = stack([init(config.arch, ds.dim, ds.num_classes,
+                        int(r.integers(0, 2**31)), config.hidden)
+                   for r in rng.split(2)])
+    keeps = [None if disagreement_only
+             else co_teaching_keep_schedule(epoch, noise_rate)
+             for epoch in range(config.epochs)]
+    schedule = iter(keeps)
+
+    def batches(order, rng):
+        keep = next(schedule)
+        for _, X, y in epoch_batches(order, config.batch_size, ds.features,
+                                     ds.labels):
+            rows = ref_pair_rows(peers, X, y, keep)
+            if rows.size:
+                yield X[rows], y[rows].ravel()
+
+    peers, history = fit(ds, config,
+                         lambda probs, y: loss_and_grad(LossSpec("ce"),
+                                                        probs, y),
+                         test_ds, batches, peers)
+    for row, keep in zip(history, keeps):
+        row.update({k: row[k][0] for k in ("train_loss", "test_accuracy")
+                    if k in row})
+        if keep is not None:
+            row["keep_fraction"] = keep
+    return (*unstack(peers), history)
+
+
+@st.composite
+def peer_view_stacks(draw):
+    """(views, test set, TrainConfig, noise rates) for 1..6 views of one
+    shape: each view has labels of its own and, unless the views share
+    them, features of its own, and the first view's may all be zero, so
+    that disagreement's peers agree on its every row. Each view has its own
+    noise rate; 0 and 0.05 keep every row of a batch. K 2..4, d 1..3,
+    linear or mlp, a short last batch, and up to 8 epochs, so co-teaching
+    ranks after its 5 warm-up epochs."""
+    K = draw(st.integers(2, 4), label="K")
+    d = draw(st.integers(1, 3), label="d")
+    batch_size = draw(st.integers(2, 8), label="batch_size")
+    n = (batch_size * draw(st.integers(0, 3), label="full batches")
+         + draw(st.integers(1, batch_size - 1), label="last batch"))
+    seed = draw(st.integers(0, 2**16), label="seed")
+    rng = Rng(seed)
+    shared = rng.normal((n, d))
+    views = [LabeledDataset(shared if draw(st.booleans(), label="shared")
+                            else rng.normal((n, d)),
+                            rng.integers(0, K, size=n), K)
+             for _ in range(draw(st.integers(1, 6), label="views"))]
+    if draw(st.booleans(), label="zero features"):
+        views[0] = replace(views[0], features=np.zeros((n, d)))
+    rates = [draw(st.sampled_from([0.0, 0.05, 0.2, 0.45]), label="rate")
+             for _ in views]
+    test_ds = LabeledDataset(rng.normal((5, d)), rng.integers(0, K, size=5),
+                             K)
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 8), label="epochs"),
+        batch_size=batch_size,
+        learning_rate=draw(st.sampled_from([0.1, 0.3, 0.7]), label="lr"),
+        seed=seed, arch=draw(st.sampled_from(["linear", "mlp"]),
+                             label="arch"), hidden=4)
+    return views, test_ds, config, rates
+
+
+def assert_peer_stack_matches_per_view(views, test_ds, config, rates,
+                                       disagreement_only):
+    """train_co_teaching over the views as one stack gives, for each view,
+    the peers (bytes) and history (JSON) of ref_view_co_teaching on that
+    view alone, or raises where one of those raises."""
+    refs = []
+    try:
+        for view, rate in zip(views, rates):
+            refs.append(ref_view_co_teaching(view, config, test_ds, rate,
+                                             disagreement_only))
+    except (DivergedError, ValueError) as e:
+        with pytest.raises(type(e)):
+            train_co_teaching(views, config, test_ds, rates,
+                              disagreement_only)
+        return
+    got = train_co_teaching(views, config, test_ds, rates, disagreement_only)
+    assert len(got) == len(views)
+    for (*peers, history), (*ref_peers, ref_history) in zip(got, refs):
+        for peer, ref in zip(peers, ref_peers):
+            for name in ref.arrays:
+                assert peer.arrays[name].tobytes() == ref.arrays[name].tobytes()
+        assert json.dumps(history) == json.dumps(ref_history)
+
+
+class TestStackedPeerViews:
+    @pytest.mark.parametrize("disagreement_only", [False, True],
+                             ids=["co_teaching", "disagreement"])
+    @settings(max_examples=60, deadline=None)
+    @given(run=peer_view_stacks())
+    def test_matches_per_view_co_teaching(self, run, disagreement_only):
+        assert_peer_stack_matches_per_view(*run, disagreement_only)
+
+    @pytest.mark.parametrize("disagreement_only", [False, True],
+                             ids=["co_teaching", "disagreement"])
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    def test_a_sweeps_views_at_bench_batch(self, arch, disagreement_only):
+        # one set under three noise rates, each its co-teaching noise_rate
+        # (0.2 at rate 0, as a sweep gives it), past the warm-up, with
+        # full-width batches and a short last one
+        train_ds, test_ds = split(gen_blobs(3, 60, 2, 3.0, 1), 0.25, 2)
+        views = [inject(train_ds, symmetric_transition(3, rho),
+                        Rng(3)).training_view() for rho in (0.0, 0.2, 0.4)]
+        config = TrainConfig(epochs=8, arch=arch, seed=1)
+        assert_peer_stack_matches_per_view(views, test_ds, config,
+                                           [0.2, 0.2, 0.4],
+                                           disagreement_only)
+
+    def test_a_pair_that_never_steps_keeps_rows_without_train_loss(self):
+        # on all-zero features disagreement's peers agree on every row, so
+        # the first view's pair never steps while the second's does
+        rng = Rng(4)
+        X = rng.normal((20, 2))
+        views = [LabeledDataset(np.zeros((20, 2)), rng.integers(0, 3, 20), 3),
+                 LabeledDataset(X, rng.integers(0, 3, 20), 3)]
+        config = TrainConfig(epochs=3, batch_size=8, seed=2)
+        assert_peer_stack_matches_per_view(views, views[1], config,
+                                           [0.2, 0.2], True)
+        (*_, idle), (*_, stepped) = train_co_teaching(views, config,
+                                                      views[1],
+                                                      disagreement_only=True)
+        assert [sorted(row) for row in idle] == (
+            [["epoch", "test_accuracy"]] * 3)
+        assert all("train_loss" in row for row in stepped)
+
+    def test_views_of_other_shapes_or_rates_are_refused(self):
+        ds = LabeledDataset(np.zeros((4, 2)), np.zeros(4, dtype=int), 2)
+        other = LabeledDataset(np.zeros((5, 2)), np.zeros(5, dtype=int), 2)
+        for views, rates in (([], 0.2), ([ds, other], 0.2),
+                             ([ds, ds], [0.2])):
+            with pytest.raises(ValueError, match="one n, d and K"):
+                train_co_teaching(views, TrainConfig(epochs=1),
+                                  noise_rate=rates)
 
 
 @st.composite

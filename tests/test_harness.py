@@ -19,6 +19,8 @@ from noisylab.cli import cli
 from noisylab.data import gen_blobs, load_csv, save_csv
 from noisylab.model import DivergedError, TrainConfig
 
+import test_trajectories as trajectories
+
 
 def base_config(**over):
     cfg = {
@@ -1425,11 +1427,11 @@ class TestSweepSharesItsData:
 
 class TestSweepTrainsStacks:
     """A sweep trains the points of each loss or reweight method that names
-    no 'true' transition as one stack before they run. Every point still
-    runs through one run_experiment call of its own, looked up on the
-    module and made in summary order, which takes the stack's model for
-    it; the cache that hands it over holds no fit once the sweep is
-    done."""
+    no 'true' transition, and of each co_teaching or disagreement
+    procedure, as one stack before they run. Every point still runs
+    through one run_experiment call of its own, looked up on the module and
+    made in summary order, which takes the stack's model for it; the cache
+    that hands it over holds no fit once the sweep is done."""
 
     TEMPLATE = {"seed": 3, "dataset": {"kind": "blobs", "k": 3,
                                        "n_per_class": 30, "d": 2,
@@ -1452,18 +1454,23 @@ class TestSweepTrainsStacks:
 
     @staticmethod
     def count_stacks(monkeypatch, fail=False):
-        """Sizes of the stacks harness.train is given; with fail, each
-        raises DivergedError instead of training."""
-        stacks, real = [], harness.train
+        """Sizes of the stacks harness.train and harness.train_co_teaching
+        are given, in sweep order; with fail, each raises DivergedError
+        instead of training."""
+        stacks = []
 
-        def counted(ds, *args, **kwargs):
-            if isinstance(ds, list):
-                stacks.append(len(ds))
-                if fail:
-                    raise DivergedError("training diverged at epoch 0")
-            return real(ds, *args, **kwargs)
+        def counted(real):
+            def trainer(ds, *args, **kwargs):
+                if isinstance(ds, list):
+                    stacks.append(len(ds))
+                    if fail:
+                        raise DivergedError("training diverged at epoch 0")
+                return real(ds, *args, **kwargs)
+            return trainer
 
-        monkeypatch.setattr(harness, "train", counted)
+        for name in ("train", "train_co_teaching"):
+            monkeypatch.setattr(harness, name,
+                                counted(getattr(harness, name)))
         return stacks
 
     def test_one_run_experiment_call_per_summary_row(self, monkeypatch):
@@ -1480,11 +1487,11 @@ class TestSweepTrainsStacks:
         assert [(harness._method_name(cfg["method"]),
                  (cfg["noise"] or {"rho": 0.0})["rho"]) for cfg, _ in calls
                 ] == [(row["method"], row["rho"]) for row in summary]
-        # ce, trimmed, running and forward under its explicit T trained
-        # as stacks, each point taking its model
-        assert stacks == [3, 3, 3, 3]
+        # ce, trimmed, co_teaching, running and forward under its explicit
+        # T trained as stacks, each point taking its model
+        assert stacks == [3, 3, 3, 3, 3]
         assert [held for _, held in calls] == [3, 2, 1, 0, 0, 0,
-                                               3, 2, 1, 0, 0, 0,
+                                               3, 2, 1, 3, 2, 1,
                                                3, 2, 1, 3, 2, 1]
         assert "defines no transition" in summary[3]["error"]
         assert fits() == {}
@@ -1510,21 +1517,62 @@ class TestSweepTrainsStacks:
         # the stacks fail; each point then trains alone, and a point whose
         # own training fails keeps its own error row
         stacks = self.count_stacks(monkeypatch, fail=True)
-        real = harness.train
 
-        def odd_fails(ds, *args, **kwargs):
-            if not isinstance(ds, list) and ds.labels.sum() % 2:
-                raise DivergedError("training diverged at epoch 1")
-            return real(ds, *args, **kwargs)
+        def odd_fails(real):
+            def trainer(ds, *args, **kwargs):
+                if not isinstance(ds, list) and ds.labels.sum() % 2:
+                    raise DivergedError("training diverged at epoch 1")
+                return real(ds, *args, **kwargs)
+            return trainer
 
-        monkeypatch.setattr(harness, "train", odd_fails)
+        for name in ("train", "train_co_teaching"):
+            monkeypatch.setattr(harness, name,
+                                odd_fails(getattr(harness, name)))
         reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert stacks == [3, 3, 3, 3] and fits() == {}
-        stacked = [row for row in summary if row["method"] in (
-            "loss:ce", "reweight:trimmed")]
-        assert {"error" in row for row in stacked} == {True, False}
+        assert stacks == [3, 3, 3, 3, 3] and fits() == {}
+        # a point fails alone where its labels' sum is odd, whatever its
+        # method: the same points of every stacked method
+        failed = {method: ["error" in row for row in summary
+                           if row["method"] == method]
+                  for method in ("loss:ce", "reweight:trimmed",
+                                 "procedure:co_teaching")}
+        assert len({tuple(f) for f in failed.values()}) == 1
+        assert set(failed["procedure:co_teaching"]) == {True, False}
         assert_same_sweep((reports, summary),
                           fresh_sweep(self.TEMPLATE, self.RHOS, self.METHODS))
+
+    def test_pinned_sweeps_prefit_every_stackable_point(self, monkeypatch,
+                                                        tmp_path):
+        # a stack that raises leaves its points to train alone and still
+        # gives the pinned reports, so the digests cannot show it: each
+        # point of a stackable method must find its fit held for it
+        held, real = [], harness.run_experiment
+
+        def spy(cfg):
+            if harness._stackable(cfg["method"]):
+                held.append((harness._method_name(cfg["method"]),
+                             harness._fit_key(cfg) in fits()))
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        trajectories.sweep_digest()
+        trajectories.sweep_digest(
+            methods=trajectories.PEER_SWEEP_METHODS,
+            train={"epochs": trajectories.CO_TEACHING_EPOCHS})
+        trajectories.sweep_digest(
+            dict(trajectories.DATASET, separation=8.0),
+            trajectories.EXPLICIT_T_METHODS,
+            {"epochs": 2, "learning_rate": 1.0})
+        monkeypatch.chdir(tmp_path)
+        save_csv(gen_blobs(3, 60, 2, 3.0, 1), "data.csv")
+        trajectories.sweep_digest({"kind": "csv", "path": "data.csv"})
+        # every method of these sweeps stacks; the blobs and the CSV sweep
+        # share their methods
+        methods = (2 * trajectories.SWEEP_METHODS
+                   + trajectories.PEER_SWEEP_METHODS
+                   + trajectories.EXPLICIT_T_METHODS)
+        assert len(held) == len(methods) * len(trajectories.SWEEP_RHOS)
+        assert [name for name, ok in held if not ok] == []
 
 
 class TestRunsShareTheirData:

@@ -9,8 +9,9 @@ harness on the tests/test_trajectories.py data.
   nothing but the scores taken against it, so no method selects on test
   accuracy.
 - Every stepped objective has the gradient it claims: the annotator
-  confusions' dloss/dQ and dloss/dlogits, and the batch_loss that mixup
-  and dual relabel hand sgd_epoch, agree with central differences.
+  confusions' dloss/dQ and dloss/dlogits, the confusions' step with its
+  trace penalty, and the batch_loss that mixup and dual relabel hand
+  sgd_epoch, agree with central differences.
 - Degenerate settings give the baseline: each remedy at the setting that
   turns it off (an identity T, a zero fraction, an unreachable cut-off, no
   smoothing) reports CE's history and final metrics.
@@ -22,8 +23,8 @@ import numpy as np
 import pytest
 
 from noisylab import harness, model, procedures
-from noisylab.annotators import confusion_grads
-from noisylab.data import gen_blobs
+from noisylab.annotators import confusion_grads, train_with_confusion
+from noisylab.data import LabeledDataset, gen_blobs
 from noisylab.harness import report_json, run_experiment, strip_wall_time
 from noisylab.losses import kl_to_targets, loss_vector
 from noisylab.model import TrainConfig
@@ -158,6 +159,42 @@ def test_confusion_grads_are_the_gradients(case):
         lambda Q: confusion_grads(Q, softmax(logits), labels)[0].sum(), Q, gQ)
     assert_gradient(
         lambda z: confusion_grads(Q, softmax(z), labels)[0].sum(), logits, G)
+
+
+def learned_logits(ds, config, lambda_trace):
+    """log of the confusions train_with_confusion learns: its Q up to a
+    constant per row, which the row-softmax ignores."""
+    _, annotators, _ = train_with_confusion(ds, config, lambda_trace)
+    return np.log(np.array([T.t for T in annotators.confusions]))
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_confusion_step_descends_the_penalized_mean_ce(seed, arch):
+    # one step over one batch of 12 rows: Q falls by lr times the gradient
+    # of the batch's mean CE through theta = softmax(Q), plus the penalty
+    # lambda * sum_a tr(theta_a) taken once per step, not per row
+    rng = Rng(seed)
+    K, A, N, lam, lr = 2 + seed % 2, 2, 12, 0.3, 0.1
+    ds = LabeledDataset(rng.normal((N, 2)), rng.integers(0, K, size=N), K,
+                        annotator_labels=rng.integers(0, K, size=(N, A)))
+    config = TrainConfig(epochs=1, batch_size=N, learning_rate=lr,
+                         seed=seed, arch=arch, hidden=4)
+    # the step's base probabilities: the fresh model fit makes
+    probs = model.predict_probs(model.init(arch, 2, K, seed, 4), ds.features)
+    Q0 = learned_logits(ds, replace(config, learning_rate=0.0), lam)
+    drop = Q0 - learned_logits(ds, config, lam)
+    # a gradient through a row-softmax sums to zero along each row
+    drop -= drop.mean(axis=-1, keepdims=True)
+
+    def objective(Q):
+        theta = softmax(Q)
+        q = np.einsum("nk,akj->naj", probs, theta)
+        ce = -np.log(np.take_along_axis(
+            q, ds.annotator_labels[..., None], axis=-1))
+        return ce.sum() / N + lam * np.trace(theta, axis1=1, axis2=2).sum()
+
+    assert_gradient(objective, Q0, drop / lr)
 
 
 def stepped_objectives(monkeypatch, module):

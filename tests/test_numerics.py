@@ -230,7 +230,7 @@ SITES = {
                                 **kw),
     "peer_rows": lambda **kw: peer_rows(
         stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)]),
-        np.zeros((2, 2)), np.zeros(2, int), **kw),
+        np.zeros((2, 2)), np.zeros(2, int), [kw["keep_fraction[0]"]]),
     "train_co_teaching": lambda **kw: train_co_teaching(
         _blobs(), TrainConfig(epochs=1), **kw),
     "iterative_clean": lambda **kw: iterative_clean(
@@ -279,7 +279,7 @@ CHECKED = [
     ("train_with_confusion", "train_with_confusion", "lambda_trace", float,
      "[0, inf)"),
     ("mixup", "mixup", "alpha", float, "(0, inf)"),
-    ("peer_rows", "peer_rows", "keep_fraction", float, "(0, 1]"),
+    ("peer_rows", "peer_rows", "keep_fraction[0]", float, "(0, 1]"),
     ("train_co_teaching", "train_co_teaching", "noise_rate", float,
      "[0, 1)"),
     ("iterative_clean", "iterative_clean", "rounds", int, "[1, inf)"),

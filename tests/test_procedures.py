@@ -92,25 +92,43 @@ class TestMixup:
         assert hist[-1]["test_accuracy"] >= 0.95
 
 
+def each_models(X, y, E=2):
+    """The batch and its labels as each of E stacked models sees them."""
+    return np.repeat(X[None], E, axis=0), np.repeat(y[None], E, axis=0)
+
+
+def pair_rows(peers, X, y, keep=None):
+    """The (2, m) rows of peer_rows' one group for a lone pair of peers
+    that keeps the keep fraction, the pair's (2, 0) rows when it gives
+    none."""
+    groups = peer_rows(peers, *each_models(X, y),
+                       None if keep is None else [keep])
+    if not groups:
+        return np.zeros((2, 0), dtype=np.intp)
+    (models, rows), = groups
+    assert models is None  # a lone pair steps as one stack
+    return rows
+
+
 class TestCoTeachingRows:
     def test_keep_fraction_one_full_batch(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        rows = peer_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 1.0)
+        rows = pair_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 1.0)
         assert rows.shape == (2, 8)
         assert all(list(r) == list(range(8)) for r in rows)
 
     def test_selection_count(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
-        rows = peer_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 0.5)
+        rows = pair_rows(stack([a, b]), ds.features[:8], ds.labels[:8], 0.5)
         assert rows.shape == (2, 4)
 
     def test_each_peer_steps_on_the_other_peers_selection(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
         X, y = ds.features[:8], ds.labels[:8]
-        rows = peer_rows(stack([a, b]), X, y, 0.5)
+        rows = pair_rows(stack([a, b]), X, y, 0.5)
         assert list(rows[0]) == list(
             small_loss_selection(predict_probs(b, X), y, 0.5))
         assert list(rows[1]) == list(
@@ -122,6 +140,21 @@ class TestCoTeachingRows:
         sel = small_loss_selection(probs, np.array([0, 0, 0, 0]), 0.5)
         assert list(sel) == [0, 2]
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_stacked_selection_is_each_rows(self, data):
+        E = data.draw(st.integers(1, 4), label="models")
+        n = data.draw(st.integers(1, 12), label="batch")
+        K = data.draw(st.integers(2, 4), label="K")
+        keep = data.draw(st.floats(0.05, 1.0), label="keep")
+        rng = Rng(data.draw(st.integers(0, 2**16), label="seed"))
+        probs = rng.uniform((E, n, K)) + 0.1
+        probs = probs / probs.sum(axis=-1, keepdims=True)
+        y = rng.integers(0, K, size=(E, n))
+        assert small_loss_selection(probs, y, keep).tolist() == [
+            small_loss_selection(p, labels, keep).tolist()
+            for p, labels in zip(probs, y)]
+
     # keep fractions that round up to the batch, and short batches
     @pytest.mark.parametrize("n, keep", [(8, 1.0), (8, 0.95), (7, 0.93),
                                          (1, 0.3)])
@@ -132,7 +165,7 @@ class TestCoTeachingRows:
         monkeypatch.setattr(procedures, "predict_probs", no_forward)
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         peers = stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)])
-        rows = peer_rows(peers, ds.features[:n], ds.labels[:n], keep)
+        rows = pair_rows(peers, ds.features[:n], ds.labels[:n], keep)
         assert rows.tolist() == [list(range(n))] * 2
 
     @settings(max_examples=200, deadline=None)
@@ -154,18 +187,39 @@ class TestCoTeachingRows:
         ranked = small_loss_selection(probs, y, keep)
         peers = stack([init("linear", 2, K, 1), init("linear", 2, K, 2)])
         X = Rng(n).normal(size=(n, 2))
-        rows = peer_rows(peers, X, y, keep)
+        rows = pair_rows(peers, X, y, keep)
         assert rows.tolist() == [ranked.tolist()] * 2
         a, b = unstack(peers)  # B's selection steps A, A's steps B
         assert rows.tolist() == [
             small_loss_selection(predict_probs(p, X), y, keep).tolist()
             for p in (b, a)]
 
+    def test_pairs_group_by_the_size_of_their_row_sets(self):
+        # three pairs, each with labels of its own: the first and last keep
+        # half of the batch and step together, the middle one keeps it whole
+        ds = gen_blobs(2, 20, 2, 8.0, 1)
+        X = ds.features[:8]
+        labels = [ds.labels[:8], 1 - ds.labels[:8], ds.labels[8:16]]
+        pairs = [stack([init("linear", 2, 2, 2 * p + 1),
+                        init("linear", 2, 2, 2 * p + 2)]) for p in range(3)]
+        peers = stack([m for pair in pairs for m in unstack(pair)])
+        y = np.repeat(np.array(labels), 2, axis=0)
+        groups = peer_rows(peers, np.repeat(X[None], 6, axis=0), y,
+                           [0.5, 1.0, 0.5])
+        assert [(models.tolist(), rows.shape) for models, rows in groups] == [
+            ([0, 1, 4, 5], (4, 4)), ([2, 3], (2, 8))]
+        for models, rows in groups:
+            for pair_models, pair in zip(rows.reshape(-1, 2, rows.shape[1]),
+                                         models.reshape(-1, 2) // 2):
+                keep = [0.5, 1.0, 0.5][pair[0]]
+                assert np.array_equal(pair_models, pair_rows(
+                    pairs[pair[0]], X, labels[pair[0]], keep))
+
     def test_invalid_fraction(self):
         a, b = init("linear", 2, 2, 1), init("linear", 2, 2, 2)
         with pytest.raises(ValueError):
             peer_rows(stack([a, b]), np.zeros((2, 2)),
-                      np.zeros(2, dtype=int), 0.0)
+                      np.zeros(2, dtype=int), [0.0])
 
     def test_beats_ce_under_heavy_noise(self):
         # frozen seeded oracle run
@@ -209,24 +263,38 @@ class TestDisagreementRows:
     def test_identical_models_give_no_rows(self):
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         a = init("linear", 2, 2, 5)
-        rows = peer_rows(stack([a, a.copy()]), ds.features, ds.labels)
+        rows = pair_rows(stack([a, a.copy()]), ds.features, ds.labels)
         assert rows.shape == (2, 0)
+        assert peer_rows(stack([a, a.copy()]),
+                         *each_models(ds.features, ds.labels)) == []
 
     def test_constant_distinct_models_give_every_row(self):
         ds = gen_blobs(2, 10, 2, 8.0, 1)
         a, b = constant_model(0), constant_model(1)
-        rows = peer_rows(stack([a, b]), ds.features, ds.labels)
+        rows = pair_rows(stack([a, b]), ds.features, ds.labels)
         assert all(list(r) == list(range(ds.n)) for r in rows)
 
     def test_only_predictions_decide(self):
         # any labels, even of no class, give the same rows
         ds = gen_blobs(2, 20, 2, 8.0, 1)
         peers = stack([init("linear", 2, 2, 1), init("linear", 2, 2, 2)])
-        rows = peer_rows(peers, ds.features, ds.labels)
-        for y in (1 - ds.labels, np.full(ds.n, -1), None):
-            assert np.array_equal(peer_rows(peers, ds.features, y), rows)
+        rows = pair_rows(peers, ds.features, ds.labels)
+        for y in (1 - ds.labels, np.full(ds.n, -1)):
+            assert np.array_equal(pair_rows(peers, ds.features, y), rows)
+        X, _ = each_models(ds.features, ds.labels)
+        (_, unlabeled), = peer_rows(peers, X, None)
+        assert np.array_equal(unlabeled, rows)
         preds = predict_probs(peers, ds.features).argmax(axis=-1)
         assert list(rows[0]) == list(np.flatnonzero(preds[0] != preds[1]))
+
+    def test_a_pair_that_agrees_everywhere_steps_on_nothing(self):
+        # the first pair disagrees on every row, the second on none
+        ds = gen_blobs(2, 10, 2, 8.0, 1)
+        a = init("linear", 2, 2, 5)
+        peers = stack([constant_model(0), constant_model(1), a, a.copy()])
+        groups = peer_rows(peers, *each_models(ds.features, ds.labels, 4))
+        assert [(models.tolist(), rows.tolist()) for models, rows in groups
+                ] == [([0, 1], [list(range(ds.n))] * 2)]
 
 
 class TestSoftLabelStore:

@@ -3,8 +3,9 @@ removed) of the 20 benchmark pipelines on 3 blobs x 60 rows, 2 epochs,
 seeds 1 and 2; of co-teaching run for 8 epochs, long enough to keep fewer
 than every row; of pumpout under an asymmetric T, where it takes ascent
 steps; of one 3-method noise-rate sweep (its reports and its summary CSV)
-over blobs and over a CSV file; and of one sweep of the methods that stack
-under an explicit T.
+over blobs and over a CSV file; of one sweep of the methods that stack
+under an explicit T; and of one sweep of co-teaching and disagreement run
+past co-teaching's warm-up.
 
 A digest here may change only together with a CHANGES.md entry that names
 the trajectory it moves and argues why the new trajectory is correct. A
@@ -161,6 +162,18 @@ EXPLICIT_T_METHODS = [
                   "loss": {"kind": "forward", "transition": EXPLICIT_T}}}]
 EXPLICIT_T_SWEEP_DIGEST = (
     "09dffbd568dec20492f906bc7c35cda291c795a1edce8b34b068859684d950e8")
+# co-teaching under its rho-defaulted noise_rate (0.2 at rho 0) and under
+# one given explicitly, and disagreement, for 8 epochs: from the seventh
+# the rho-defaulted points keep row sets of different sizes (31, 31 and 29
+# rows of a full batch at rho 0, 0.2 and 0.4), and at rho 0.4
+# disagreement's peers agree on every row of the last three epochs, which
+# then carry no train_loss
+PEER_SWEEP_METHODS = [{"procedure": {"name": "co_teaching"}},
+                      {"procedure": {"name": "co_teaching",
+                                     "noise_rate": 0.35}},
+                      {"procedure": {"name": "disagreement"}}]
+PEER_SWEEP_DIGEST = (
+    "5cefcc29fe00041705fb208c0d21a07356e5a1d1e551723b310bac3fd59b7bea")
 CSV_SWEEP_DIGEST = (
     "cde61660036188532ae4d2222a89f3aabca6e08d35f435a8ed22ce27f4276a48")
 
@@ -250,3 +263,9 @@ def test_explicit_transition_sweep_is_pinned(monkeypatch):
                         {"epochs": 2, "learning_rate": 1.0}) == \
         EXPLICIT_T_SWEEP_DIGEST
     assert flagged
+
+
+def test_peer_sweep_past_the_warm_up_is_pinned():
+    assert sweep_digest(methods=PEER_SWEEP_METHODS,
+                        train={"epochs": CO_TEACHING_EPOCHS}) == \
+        PEER_SWEEP_DIGEST
