@@ -175,8 +175,10 @@ def _split_dataset(spec, seed, fraction):
 
 
 def _key(*parts):
-    """Canonical JSON of parts, NumPy values as the numbers they hold."""
-    return json.dumps(parts, sort_keys=True, default=lambda v: v.tolist())
+    """Canonical JSON of parts, NumPy values as the numbers they hold and
+    other objects as their attributes."""
+    return json.dumps(parts, sort_keys=True, default=lambda v: v.tolist()
+                      if hasattr(v, "tolist") else vars(v))
 
 
 def _frozen(value):
@@ -256,15 +258,22 @@ def metrics(predictions, true_labels, probs=None, num_classes=None):
     if probs is not None:
         probs = np.asarray(probs)
         conf = probs.max(axis=1)
-        correct = (pred == truth).astype(np.float64)
-        ece = 0.0
         edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
-        for b in range(ECE_BINS):
-            lo, hi = edges[b], edges[b + 1]
-            mask = (conf > lo) & (conf <= hi) if b else (conf >= lo) & (conf <= hi)
-            if mask.any():
-                ece += mask.mean() * abs(correct[mask].mean()
-                                         - conf[mask].mean())
+        # bin b holds (edges[b], edges[b + 1]], bin 0 also 0, and bin
+        # ECE_BINS, counted in none, what lies outside [0, 1] or is NaN
+        bins = np.where(conf >= 0.0, np.searchsorted(edges[1:], conf),
+                        ECE_BINS)
+        # each bin's rows one slice in row order, summed pairwise as
+        # conf[mask].mean() sums them (np.add.reduceat sums in sequence)
+        order = np.argsort(bins, kind="stable")
+        starts = np.searchsorted(bins[order], np.arange(ECE_BINS + 1))
+        conf, correct = conf[order], (pred == truth)[order].astype(np.float64)
+        ece = 0.0
+        for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+            if hi > lo:
+                m = hi - lo
+                ece += m / len(conf) * abs(np.add.reduce(correct[lo:hi]) / m
+                                            - np.add.reduce(conf[lo:hi]) / m)
         out["ece"] = float(ece)
         if K == 2:
             out["auc"] = _binary_auc(probs[:, 1], truth)
@@ -526,11 +535,12 @@ def sweep(template, rhos, methods=None):
     the first method's test error vs rho). The template sets neither noise
     nor method, which each point sets. The points share one generated or
     read dataset and split, and one corrupted copy per noise rate, through
-    run_experiment's cache. The points of a loss or reweight method that
-    names no 'true' transition, and of a co_teaching or disagreement
-    procedure, train as one stack before they run (see _stackable), and
-    those of every other method one by one; each point runs through a
-    run_experiment call of its own."""
+    run_experiment's cache. Before the first point runs, the points of
+    every loss or reweight method that names no 'true' transition train
+    in one stack per loss they train under, and those of each co_teaching
+    or disagreement procedure in one stack per method (see _stackable and
+    _prefit); those of every other method train one by one. Each point
+    runs through a run_experiment call of its own, in summary order."""
     for key, use in (("method", "methods"), ("noise", "rhos")):
         if key in template:
             raise ConfigError(f"sweep: the template sets {key}, which each "
@@ -548,29 +558,28 @@ def sweep(template, rhos, methods=None):
     validate_config(dict(template, noise=None, method={"loss": {"kind": "ce"}}))
     for method in methods:
         _check_section(method, "method", "method")
+    points = []  # (rho, cfg) in summary order
+    for method in methods:
+        for rho in rhos:
+            cfg = json.loads(json.dumps(template))
+            cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
+                            else None)
+            cfg["method"] = method
+            points.append((rho, cfg))
     reports, summary = [], []
     try:
-        for method in methods:
-            cfgs = []
-            for rho in rhos:
-                cfg = json.loads(json.dumps(template))
-                cfg["noise"] = ({"kind": "symmetric", "rho": rho} if rho > 0
-                                else None)
-                cfg["method"] = method
-                cfgs.append(cfg)
-            if _stackable(method):
-                _prefit(cfgs)
-            for rho, cfg in zip(rhos, cfgs):
-                row = {"method": _method_name(method), "rho": rho}
-                try:
-                    rep = run_experiment(cfg)
-                    reports.append(rep)
-                    row["test_accuracy"] = rep["final_metrics"]["accuracy"]
-                    row["test_error"] = 1.0 - row["test_accuracy"]
-                    row["macro_f1"] = rep["final_metrics"]["macro_f1"]
-                except Exception as e:
-                    row["error"] = str(e)
-                summary.append(row)
+        _prefit([cfg for _, cfg in points if _stackable(cfg["method"])])
+        for rho, cfg in points:
+            row = {"method": _method_name(cfg["method"]), "rho": rho}
+            try:
+                rep = run_experiment(cfg)
+                reports.append(rep)
+                row["test_accuracy"] = rep["final_metrics"]["accuracy"]
+                row["test_error"] = 1.0 - row["test_accuracy"]
+                row["macro_f1"] = rep["final_metrics"]["macro_f1"]
+            except Exception as e:
+                row["error"] = str(e)
+            summary.append(row)
     finally:
         _SHARED.get("fits", {}).clear()
     # the baseline's rows come first: another method may share its name
@@ -580,7 +589,7 @@ def sweep(template, rhos, methods=None):
 
 
 def _stackable(method):
-    """Whether a sweep trains a method's points as one stack: a loss or
+    """Whether a sweep trains a method's points in a stack: a loss or
     reweight method that names no 'true' transition resolves the same at
     every rho, and a co_teaching or disagreement procedure differs at most
     in its noise_rate, so that their points differ in their labels and
@@ -592,34 +601,49 @@ def _stackable(method):
 
 
 def _prefit(cfgs):
-    """Train the points of one stackable sweep method, given their configs,
-    as one stack: through model.train, or for a procedure through
-    train_co_teaching, each point under the noise_rate _run_method would
-    give it. Keep each point's fit in _SHARED["fits"] for its
-    run_experiment, which takes its corrupted set from _SHARED as the stack
-    did. A group whose preparation or training raises keeps no fit, so
-    that its points train alone and each fails on its own."""
-    try:
-        views = []
-        for cfg in cfgs:
+    """Train the points of a sweep's stackable methods, given their
+    configs, in stacks: the loss and reweight points that train under one
+    resolved loss (CE for a reweight method without base_loss) as one
+    stack through model.train, each with its own reweight hook, and each
+    co_teaching or disagreement method's points through train_co_teaching,
+    each under the noise_rate _run_method would give it. Keep each point's
+    fit in _SHARED["fits"] for its run_experiment, which takes its
+    corrupted set from _SHARED as the stack did. A point listed twice
+    trains once; one whose preparation raises, and every point of a stack
+    whose training raises, keeps no fit, so that it trains alone and fails
+    on its own."""
+    stacks = {}  # key -> (config, disagreement, test set, {fit key: point})
+    for cfg in cfgs:
+        try:
             method, kind, tc = validate_config(cfg)
-            _, train_ds, test_ds = _generate(cfg)
-            views.append(_corrupt(cfg, train_ds)[0].training_view())
-        # the points share their method, train config and test set
-        if kind == "procedure":
-            procedure = method["procedure"]
-            fits = [(a, history) for a, _, history in train_co_teaching(
-                views, tc, test_ds,
-                [_noise_rate(cfg, procedure) for cfg in cfgs],
-                procedure["name"] == "disagreement")]
-        else:
-            config, reweight = _train_args(
-                _resolve(method, None, train_ds.num_classes, "method"), tc)
-            fits = train(views, config, test_ds, reweight=reweight)
-    except Exception:  # each point's run_experiment meets it again
-        return
-    _SHARED["fits"].update((_fit_key(cfg), (*fit, {}))
-                           for cfg, fit in zip(cfgs, fits))
+            K, train_ds, test_ds = _generate(cfg)
+            view = _corrupt(cfg, train_ds)[0].training_view()
+            if kind == "procedure":  # each point with its noise_rate
+                procedure = method["procedure"]
+                key, config = _key(method), tc
+                own = _noise_rate(cfg, procedure)
+                disagreement = procedure["name"] == "disagreement"
+            else:  # each point with its reweight spec
+                config, own = _train_args(_resolve(method, None, K, "method"),
+                                          tc)
+                key, disagreement = _key(vars(config.loss)), None
+        except Exception:  # its run_experiment meets it again
+            continue
+        stack = stacks.setdefault(key, (config, disagreement, test_ds, {}))
+        stack[3].setdefault(_fit_key(cfg), (view, own))
+    # the points of a stack share their train config and test set
+    for config, disagreement, test_ds, points in stacks.values():
+        views, owns = (list(c) for c in zip(*points.values()))
+        try:
+            if disagreement is None:
+                fits = train(views, config, test_ds, reweight=owns)
+            else:
+                fits = [(a, history) for a, _, history in train_co_teaching(
+                    views, config, test_ds, owns, disagreement)]
+        except Exception:  # each point's run_experiment meets it again
+            continue
+        _SHARED["fits"].update((key, (*fit, {}))
+                               for key, fit in zip(points, fits))
 
 
 def _method_name(method):

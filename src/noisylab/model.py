@@ -324,15 +324,16 @@ def train(ds, config, test_ds=None, reweight=None):
     """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
     Losses and their gradients are computed one batch at a time; the hook
     built from the reweight spec (see reweight.make_reweighter), if any,
-    gives each epoch's kept mask and is asked once per batch for the
-    weights of the batch's kept rows. Returns (params, history); history
-    rows carry the epoch's mean training loss and clean-test accuracy when
-    a test set is attached. Aborts with DivergedError if the mean epoch
-    loss goes non-finite.
+    gives each epoch's kept mask, and one whose batch_weights is not None
+    is asked once per batch for the weights of the batch's kept rows.
+    Returns (params, history); history rows carry the epoch's mean
+    training loss and clean-test accuracy when a test set is attached.
+    Aborts with DivergedError if the mean epoch loss goes non-finite.
 
     Given a list of training views of one shape (n, d and K) in place of
     ds, train returns one (params, history) per view, each the pair train
-    gives on that view alone. Either way the views train as one stack
+    gives on that view alone; reweight is then one spec for every view or
+    a list of one per view. Either way the views train as one stack
     through fit's seeds path, every model from config.seed and with its
     own view's labels, hook and kept mask; a lone view is a stack of one."""
     from .reweight import make_reweighter
@@ -341,10 +342,16 @@ def train(ds, config, test_ds=None, reweight=None):
         raise ValueError("train: a stack takes one or more views of one "
                          "n, d and K")
     n, E = views[0].n, len(views)
+    specs = reweight if isinstance(reweight, list) else [reweight] * E
+    if len(specs) != E:
+        raise ValueError(f"train: {E} views need one reweight spec each, "
+                         f"got {len(specs)}")
     # made here, not by fit: batches() scores the kept sets with them
     params = stack([init(config.arch, views[0].dim, views[0].num_classes,
                          config.seed, config.hidden)] * E)
-    hooks = [make_reweighter(reweight) for _ in views]
+    hooks = [make_reweighter(spec) for spec in specs]
+    hooked = [e for e, hook in enumerate(hooks) if hook is not None]
+    weighing = [e for e in hooked if hooks[e].batch_weights is not None]
     # the views' rows end to end, and the row each view starts at
     features, labels = (np.concatenate([getattr(v, a) for v in views])
                         for a in ("features", "labels"))
@@ -353,11 +360,11 @@ def train(ds, config, test_ds=None, reweight=None):
 
     def batches(order, rng):
         # the epoch's kept masks are chosen before its first step
-        if hooks[0] is not None:
-            kept = [h.epoch_kept_set(m, v)
-                    for h, m, v in zip(hooks, unstack(params), views)]
-            if kept[0] is not None:
-                keep[:] = np.concatenate(kept)
+        models = unstack(params) if hooked else []
+        for e in hooked:
+            kept = hooks[e].epoch_kept_set(models[e], views[e])
+            if kept is not None:
+                keep[e * n:(e + 1) * n] = kept
         # (E, B) rows, model by model as sgd_epoch's probs has them
         return ((X, (yb.ravel(), kb.ravel())) for _, X, yb, kb in
                 epoch_batches(order + first, config.batch_size, features,
@@ -366,15 +373,16 @@ def train(ds, config, test_ds=None, reweight=None):
     def batch_loss(probs, key):
         yb, kb = key
         values, G = loss_and_grad(config.loss, probs, yb)
-        if hooks[0] is None:
+        if not hooked:
             return values, G
+        if not weighing:  # bit-equal to the 0/1 weights as floats
+            return values, G * kb[:, None]
         w = kb.astype(np.float64)
         B = len(w) // E
-        for e, hook in enumerate(hooks):  # on its own model's kept rows
-            rows = e * B + w[e * B:(e + 1) * B].nonzero()[0]
-            hook_w = hook.batch_weights(values[rows], probs[rows], yb[rows])
-            if hook_w is not None:
-                w[rows] = hook_w
+        for e in weighing:  # on its own model's kept rows
+            rows = e * B + kb[e * B:(e + 1) * B].nonzero()[0]
+            w[rows] = hooks[e].batch_weights(values[rows], probs[rows],
+                                             yb[rows])
         return values, G * w[:, None]
 
     params, history = fit(views[0], config, batch_loss, test_ds, batches,

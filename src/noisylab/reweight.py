@@ -124,9 +124,11 @@ def trimmed_filter(losses, trim_fraction):
 # Each hook takes its reweight spec's keys other than 'kind' as keyword
 # arguments, and holds their defaults. model.train asks a hook for the
 # epoch's kept mask, then once per batch for the weights of its kept rows:
-# batch_weights(values, probs, y) gives an (N,) array, or None for all
-# ones. sample_weight is the one-row weight; pumpout's takes the row's
-# corrected loss, which its batch_weights scores for the whole batch.
+# batch_weights(values, probs, y) gives an (N,) array. A hook whose
+# batch_weights is None weights no rows, and train gathers none for it:
+# its kept rows weigh 1. sample_weight is the one-row weight; pumpout's
+# takes the row's corrected loss, which its batch_weights scores for the
+# whole batch.
 
 class _RunningHook:
     def __init__(self, **filter_args):
@@ -154,8 +156,7 @@ class _TrimmedHook:
                                   ds.labels)
         return trimmed_filter(losses, self.fraction)
 
-    def batch_weights(self, values, probs, y):
-        return None
+    batch_weights = None
 
     def sample_weight(self, loss, probs, y):
         return 1.0
@@ -172,8 +173,7 @@ class _RankPruneHook:
         conf = probs[np.arange(ds.n), ds.labels]
         return rank_prune(conf, ds.labels, self.fraction, self.per_class)
 
-    def batch_weights(self, values, probs, y):
-        return None
+    batch_weights = None
 
     def sample_weight(self, loss, probs, y):
         return 1.0

@@ -1443,10 +1443,16 @@ def view_stacks(draw):
                              label="arch"), hidden=4,
         loss=LossSpec(kind, epsilon=0.1 if kind == "smooth_kl" else 0.0,
                       transition=T))
+    return views, test_ds, config, draw(hook_specs(K))
+
+
+@st.composite
+def hook_specs(draw, K):
+    """A reweight spec of any kind for K classes, or None."""
     hook = draw(st.sampled_from([None, "trimmed", "rank_prune", "running",
                                  "pumpout"]), label="reweight")
     if hook is None:
-        return views, test_ds, config, None
+        return None
     if hook == "running":
         # windows and warmups small beside the 2..30 rows an epoch gives,
         # so that the filter skips, and skips differently per view; a
@@ -1461,7 +1467,7 @@ def view_stacks(draw):
     else:
         spec = {"fraction": draw(st.sampled_from([0.2, 0.5]),
                                  label="fraction")}
-    return views, test_ds, config, {"kind": hook, **spec}
+    return {"kind": hook, **spec}
 
 
 def ref_view_train(view, config, test_ds, spec):
@@ -1493,6 +1499,22 @@ class TestStackedTrain:
     @given(view_stacks())
     def test_matches_per_view_train(self, run):
         assert_stack_matches_per_view(*run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mixed_hooks_match_each_view_alone(self, data):
+        # one reweight spec per view, each kind and none mixed in a stack
+        views, test_ds, config, _ = data.draw(view_stacks())
+        specs = [data.draw(hook_specs(views[0].num_classes), label="spec")
+                 for _ in views]
+        fits = train(views, config, test_ds, reweight=specs)
+        assert len(fits) == len(views)
+        for view, spec, (params, history) in zip(views, specs, fits):
+            alone, alone_history = train(view, config, test_ds, reweight=spec)
+            for name in alone.arrays:
+                assert (params.arrays[name].tobytes()
+                        == alone.arrays[name].tobytes())
+            assert json.dumps(history) == json.dumps(alone_history)
 
     @pytest.mark.parametrize("spec", [
         None, {"kind": "trimmed", "fraction": 0.2},
@@ -1534,6 +1556,9 @@ class TestStackedTrain:
         for views in ([], [ds, other]):
             with pytest.raises(ValueError, match="one n, d and K"):
                 train(views, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="2 views need one reweight "
+                           "spec each, got 1"):
+            train([ds, ds], TrainConfig(epochs=1), reweight=[None])
 
 
 def ref_cleaning_meta_features(models, ds, labels):
@@ -1944,10 +1969,9 @@ def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
         if hook is None:
             return values, G
         w = keep[idx].astype(np.float64)
-        rows = np.flatnonzero(w)
-        hook_w = hook.batch_weights(values[rows], probs[rows], yb[rows])
-        if hook_w is not None:
-            w[rows] = hook_w
+        if hook.batch_weights is not None:
+            rows = np.flatnonzero(w)
+            w[rows] = hook.batch_weights(values[rows], probs[rows], yb[rows])
         return values, G * w[:, None]
 
     return fit(ds, config, batch_loss, test_ds, batches, params)

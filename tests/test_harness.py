@@ -55,6 +55,20 @@ def ref_binary_auc(scores, truth):
                  / (n_pos * n_neg))
 
 
+def ref_ece(probs, pred, truth):
+    """metrics' ECE as it masked each of the ECE_BINS bins in turn."""
+    conf = probs.max(axis=1)
+    correct = (pred == truth).astype(np.float64)
+    ece = 0.0
+    edges = np.linspace(0.0, 1.0, harness.ECE_BINS + 1)
+    for b in range(harness.ECE_BINS):
+        lo, hi = edges[b], edges[b + 1]
+        mask = (conf > lo) & (conf <= hi) if b else (conf >= lo) & (conf <= hi)
+        if mask.any():
+            ece += mask.mean() * abs(correct[mask].mean() - conf[mask].mean())
+    return float(ece)
+
+
 class TestMetrics:
     def test_perfect(self):
         probs = np.eye(3)[[0, 1, 2, 1]]
@@ -95,6 +109,25 @@ class TestMetrics:
         got = harness._binary_auc(np.array(scores), truth)
         ref = ref_binary_auc(np.array(scores), truth)
         assert got == ref or (np.isnan(got) and np.isnan(ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 400), K=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1),
+           odd=st.sampled_from([0.0, 0.05]))
+    def test_ece_matches_per_bin_masks(self, n, K, seed, odd):
+        # each entry on a bin edge, off the edges, or with probability odd
+        # outside [0, 1] or NaN, which no bin counts
+        rng = np.random.default_rng(seed)
+        edges = np.linspace(0.0, 1.0, harness.ECE_BINS + 1)
+        probs = np.where(rng.random((n, K)) < 0.5,
+                         rng.choice(np.append(edges, -0.0), (n, K)),
+                         rng.random((n, K)))
+        flag = rng.random((n, K)) < odd
+        probs[flag] = rng.choice([-0.5, 1.5, np.nan], flag.sum())
+        pred, truth = rng.integers(0, K, (2, n))
+        got = metrics(pred, truth, probs, K)["ece"]
+        assert np.float64(got).tobytes() == np.float64(
+            ref_ece(probs, pred, truth)).tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -1426,12 +1459,13 @@ class TestSweepSharesItsData:
 
 
 class TestSweepTrainsStacks:
-    """A sweep trains the points of each loss or reweight method that names
-    no 'true' transition, and of each co_teaching or disagreement
-    procedure, as one stack before they run. Every point still runs
-    through one run_experiment call of its own, looked up on the module and
-    made in summary order, which takes the stack's model for it; the cache
-    that hands it over holds no fit once the sweep is done."""
+    """Before its first point runs, a sweep trains the points of every loss
+    or reweight method that names no 'true' transition in one stack per
+    loss they train under, and those of each co_teaching or disagreement
+    procedure as one stack. Every point still runs through one
+    run_experiment call of its own, looked up on the module and made in
+    summary order, which takes the stack's model for it; the cache that
+    hands it over holds no fit once the sweep is done."""
 
     TEMPLATE = {"seed": 3, "dataset": {"kind": "blobs", "k": 3,
                                        "n_per_class": 30, "d": 2,
@@ -1487,12 +1521,13 @@ class TestSweepTrainsStacks:
         assert [(harness._method_name(cfg["method"]),
                  (cfg["noise"] or {"rho": 0.0})["rho"]) for cfg, _ in calls
                 ] == [(row["method"], row["rho"]) for row in summary]
-        # ce, trimmed, co_teaching, running and forward under its explicit
-        # T trained as stacks, each point taking its model
-        assert stacks == [3, 3, 3, 3, 3]
-        assert [held for _, held in calls] == [3, 2, 1, 0, 0, 0,
-                                               3, 2, 1, 3, 2, 1,
-                                               3, 2, 1, 3, 2, 1]
+        # before the first point: ce, trimmed and running under their one
+        # CE loss as one stack, then co_teaching and forward under its
+        # explicit T, each point taking its model
+        assert stacks == [9, 3, 3]
+        assert [held for _, held in calls] == [15, 14, 13, 12, 12, 12,
+                                               12, 11, 10, 9, 8, 7,
+                                               6, 5, 4, 3, 2, 1]
         assert "defines no transition" in summary[3]["error"]
         assert fits() == {}
         assert_same_sweep((reports, summary),
@@ -1511,7 +1546,7 @@ class TestSweepTrainsStacks:
         monkeypatch.setattr(harness, "run_experiment", stop)
         with pytest.raises(Stop):
             sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert held == [3] and fits() == {}
+        assert held == [15] and fits() == {}
 
     def test_failed_stack_leaves_each_point_its_own_row(self, monkeypatch):
         # the stacks fail; each point then trains alone, and a point whose
@@ -1529,7 +1564,7 @@ class TestSweepTrainsStacks:
             monkeypatch.setattr(harness, name,
                                 odd_fails(getattr(harness, name)))
         reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, self.METHODS)
-        assert stacks == [3, 3, 3, 3, 3] and fits() == {}
+        assert stacks == [9, 3, 3] and fits() == {}
         # a point fails alone where its labels' sum is odd, whatever its
         # method: the same points of every stacked method
         failed = {method: ["error" in row for row in summary
@@ -1540,6 +1575,62 @@ class TestSweepTrainsStacks:
         assert set(failed["procedure:co_teaching"]) == {True, False}
         assert_same_sweep((reports, summary),
                           fresh_sweep(self.TEMPLATE, self.RHOS, self.METHODS))
+
+    # five methods under one CE loss, pumpout's under an explicit T, then
+    # mae's own loss and co_teaching
+    SHARED_LOSS = [{"loss": {"kind": "ce"}},
+                   {"reweight": {"kind": "trimmed", "fraction": 0.2}},
+                   {"reweight": {"kind": "running", "window": 8,
+                                 "warmup": 4}},
+                   {"reweight": {"kind": "rank_prune", "fraction": 0.2}},
+                   {"reweight": {"kind": "pumpout", "transition": {
+                       "k": 3, "rows": [[0.6, 0.4, 0.0], [0.1, 0.9, 0.0],
+                                        [0.0, 0.4, 0.6]]}}},
+                   {"loss": {"kind": "mae"}},
+                   {"procedure": {"name": "co_teaching"}}]
+
+    def test_methods_sharing_a_loss_train_as_one_stack(self, monkeypatch):
+        stacks = self.count_stacks(monkeypatch)
+        held, real = [], harness.run_experiment
+
+        def spy(cfg):
+            held.append(harness._fit_key(cfg) in fits())
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        got = sweep(self.TEMPLATE, self.RHOS, self.SHARED_LOSS)
+        assert stacks == [15, 3, 3]
+        assert held == [True] * 21 and fits() == {}
+        assert_same_sweep(got[:2], fresh_sweep(self.TEMPLATE, self.RHOS,
+                                               self.SHARED_LOSS))
+
+    def test_a_method_failing_in_training_fails_alone(self, monkeypatch):
+        # the running window refuses 0 only once train builds the hook:
+        # the CE stack raises, and each point trains alone
+        failing = {"reweight": {"kind": "running", "window": 0}}
+        methods = self.SHARED_LOSS[:2] + [failing] + self.SHARED_LOSS[2:]
+        stacks = self.count_stacks(monkeypatch)
+        reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, methods)
+        assert stacks == [18, 3, 3]
+        n = len(self.RHOS)
+        own = summary[2 * n:3 * n]
+        assert [row["error"] for row in own] == [
+            "pipeline stage 'train' failed: RunningLossFilter: window must "
+            "be in [1, inf), got 0"] * n
+        without = sweep(self.TEMPLATE, self.RHOS, self.SHARED_LOSS)
+        assert_same_sweep((reports, summary[:2 * n] + summary[3 * n:]),
+                          without[:2])
+
+    def test_a_method_listed_twice(self, monkeypatch):
+        # its points train once in the stack; the second listing's alone
+        methods = [self.SHARED_LOSS[0], self.SHARED_LOSS[1],
+                   self.SHARED_LOSS[0], self.SHARED_LOSS[6],
+                   self.SHARED_LOSS[6]]
+        stacks = self.count_stacks(monkeypatch)
+        got = sweep(self.TEMPLATE, self.RHOS, methods)
+        assert stacks == [6, 3]
+        assert_same_sweep(got[:2], fresh_sweep(self.TEMPLATE, self.RHOS,
+                                               methods))
 
     def test_pinned_sweeps_prefit_every_stackable_point(self, monkeypatch,
                                                         tmp_path):
