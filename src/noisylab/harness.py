@@ -26,6 +26,7 @@ from .noise import (TransitionMatrix, feature_dependent_inject, inject,
 from .numerics import Rng, _check_args, _check_labels
 from .procedures import (CO_TEACHING_NOISE_RATE, iterative_clean,
                          train_co_teaching, train_dual_relabel, train_mixup)
+from .reweight import make_reweighter
 
 SCHEMA_VERSION = 1
 ECE_BINS = 15
@@ -609,9 +610,9 @@ def _prefit(cfgs):
     each under the noise_rate _run_method would give it. Keep each point's
     fit in _SHARED["fits"] for its run_experiment, which takes its
     corrupted set from _SHARED as the stack did. A point listed twice
-    trains once; one whose preparation raises, and every point of a stack
-    whose training raises, keeps no fit, so that it trains alone and fails
-    on its own."""
+    trains once; one whose preparation raises (its reweight hook included),
+    and every point of a stack whose training raises, keeps no fit, so
+    that it trains alone and fails on its own."""
     stacks = {}  # key -> (config, disagreement, test set, {fit key: point})
     for cfg in cfgs:
         try:
@@ -627,6 +628,7 @@ def _prefit(cfgs):
                 config, own = _train_args(_resolve(method, None, K, "method"),
                                           tc)
                 key, disagreement = _key(vars(config.loss)), None
+                make_reweighter(own)  # a hook train refuses fails alone
         except Exception:  # its run_experiment meets it again
             continue
         stack = stacks.setdefault(key, (config, disagreement, test_ds, {}))

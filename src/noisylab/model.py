@@ -185,22 +185,49 @@ def epoch_batches(order, batch_size, *arrays):
         yield [g[rows] for g in gathered]
 
 
+def stack_batches(views, batch_size):
+    """The batches of a stack of E models in one shuffle, model e on
+    views[e], once the views are checked to have one n, d and K: returns
+    batches(order, *columns), which yields each minibatch of the epoch's
+    (n,) order as [X, y, *rows], the (E, B, d) features, (E, B) labels and
+    (E, B) rows of each column, a list of one (n,) array per model. Each
+    distinct array is gathered once per epoch, and one that every model
+    has is broadcast over the stack (np.broadcast_to), never copied."""
+    if len({(v.n, v.dim, v.num_classes) for v in views}) != 1:
+        raise ValueError("a stack takes one or more views of one n, d and K")
+
+    def gather(arrays, order):
+        distinct = {id(a): a for a in arrays}  # each gathered once
+        rows = {key: a[order] for key, a in distinct.items()}
+        if len(rows) == 1:
+            g, = rows.values()
+            return np.broadcast_to(g, (len(arrays),) + g.shape)
+        return np.stack([rows[id(a)] for a in arrays])
+
+    def batches(order, *columns):
+        gathered = [gather(arrays, order) for arrays in (
+            [v.features for v in views], [v.labels for v in views],
+            *columns)]
+        for start in range(0, len(order), batch_size):
+            yield [g[:, start:start + batch_size] for g in gathered]
+
+    return batches
+
+
 def sgd_epoch(params, batches, lr, batch_loss, epoch):
     """One SGD step per (X, key) pair of batches, the only place parameters
     are updated: forward, softmax, batch_loss(probs, key) -> (loss values
     (N,), dloss/dlogits (N, K)), backward, and a step of lr / B on every
-    parameter array, B the batch rows per model. The key is the batch's
-    indices or its mixed targets. A stacked model's (E, B, d) batch steps
-    its E models in lockstep; batch_loss still sees N = E * B rows, model
-    by model. An (X, key, models) triple steps only the stack's models
-    that the index array models names, on their (len(models), B, d) rows,
-    and leaves the others as they are.
+    parameter array, B the batch rows per model. A stacked model's (E, B,
+    d) batch steps its E models in lockstep; batch_loss still sees N = E *
+    B rows, model by model. An (X, key, models) triple steps only the
+    models that the index array models names (all when it is None), on
+    their (len(models), B, d) rows, and leaves the others as they are.
 
     Returns each model's loss values over the epoch's steps: one array for
     a single model, a list of E arrays for a stack (an empty one for a
     model no step reached), None when there was no step at all. Raises
-    DivergedError naming the epoch on a non-finite logit. X (dataset rows)
-    is used as given; forward_batch is the one that converts and checks."""
+    DivergedError naming the epoch on a non-finite logit; X goes unchecked."""
     values, subs = [], {}  # subs: the models of each sub-stack step
     for batch in batches:
         X, key = batch[0], batch[1]
@@ -270,24 +297,22 @@ def unstack(params):
 
 def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
         seeds=None):
-    """config.epochs epochs of sgd_epoch on params (fresh ones from
-    config's architecture and seed when not given), shuffled by a stream
-    seeded with config.seed. batches(order, rng) is called at the start of
-    each epoch with its shuffled row order and gives the (X_batch, key)
-    pairs; by default each minibatch's rows keyed by their indices.
-    Returns (params, history), one epoch_row per epoch with the mean
-    training loss of its steps, if any; raises DivergedError if that mean
-    is non-finite.
+    """config.epochs epochs of sgd_epoch on params, fresh ones from
+    config's architecture when not given: one model from config.seed, or a
+    stack of one from each of seeds. batches(order, rng), called at the
+    start of each epoch with its shuffled row order, gives the (X_batch,
+    key) pairs; by default each minibatch's rows, model by model, keyed by
+    their indices. Returns (params, history), one epoch_row per epoch with
+    the mean training loss of its steps, if any; raises DivergedError if
+    that mean is non-finite, and ValueError if params do not fit ds's d.
 
     A stack of E models trains in lockstep, and the history's train_loss
-    and test_accuracy are lists over the models (a model no step of the
-    epoch reached has train_loss None); unstack splits the
-    returned params. Given E seeds, fit makes the stack, each model
-    initialized from and shuffled by its own seed, exactly as E separate
-    fits with config.seed set to each: order is then (E, n) and rng the
-    list of the E streams. A stack given as params without seeds shares
-    config.seed's one shuffle, and batches gives each model's rows as an
-    (E, m, d) block; fit checks the model's feature count against ds once."""
+    and test_accuracy are lists over the models, train_loss None for a
+    model no step of the epoch reached. Each model shuffles by its seed,
+    config.seed without seeds, and models with one seed share one stream
+    and one permutation per epoch, drawn once, so each model trains as its
+    own fit with config.seed set to its seed. order is (n,) and rng the
+    stream, or given seeds (E, n) and a list, one row and stream per model."""
     stacked = seeds is not None
     seeds = list(seeds) if stacked else [config.seed]
     if params is None:
@@ -296,16 +321,17 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
         params = stack(models) if stacked else models[0]
     if params.d != ds.dim:
         raise ValueError(f"expected {params.d} features, got {ds.dim}")
-    streams = [Rng(s) for s in seeds]
-    rng = streams if stacked else streams[0]
+    streams = {s: Rng(s) for s in seeds}  # one per distinct seed
+    rng = [streams[s] for s in seeds] if stacked else streams[config.seed]
     if batches is None:
         def batches(order, rng):
             return ((X, idx.ravel()) for idx, X in
                     epoch_batches(order, config.batch_size, ds.features))
     history = []
     for epoch in range(config.epochs):
-        orders = [r.permutation(ds.n) for r in streams]
-        order = np.array(orders) if stacked else orders[0]
+        perms = {s: r.permutation(ds.n) for s, r in streams.items()}
+        order = (np.array([perms[s] for s in seeds]) if stacked
+                 else perms[config.seed])
         values = sgd_epoch(params, batches(order, rng),
                            config.learning_rate, batch_loss, epoch)
         fields = {}
@@ -321,11 +347,10 @@ def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
 
 
 def train(ds, config, test_ds=None, reweight=None):
-    """Mini-batch SGD with per-epoch shuffling, deterministic per seed.
-    Losses and their gradients are computed one batch at a time; the hook
-    built from the reweight spec (see reweight.make_reweighter), if any,
-    gives each epoch's kept mask, and one whose batch_weights is not None
-    is asked once per batch for the weights of the batch's kept rows.
+    """Mini-batch SGD with per-epoch shuffling, deterministic per seed. The
+    hook built from the reweight spec (see reweight.make_reweighter), if
+    any, gives each epoch's kept mask, and one whose batch_weights is not
+    None is asked once per batch for the weights of the batch's kept rows.
     Returns (params, history); history rows carry the epoch's mean
     training loss and clean-test accuracy when a test set is attached.
     Aborts with DivergedError if the mean epoch loss goes non-finite.
@@ -333,14 +358,12 @@ def train(ds, config, test_ds=None, reweight=None):
     Given a list of training views of one shape (n, d and K) in place of
     ds, train returns one (params, history) per view, each the pair train
     gives on that view alone; reweight is then one spec for every view or
-    a list of one per view. Either way the views train as one stack
-    through fit's seeds path, every model from config.seed and with its
+    a list of one per view. Either way the views train as one stack of
+    models from config.seed in one shuffle (see stack_batches), each on its
     own view's labels, hook and kept mask; a lone view is a stack of one."""
     from .reweight import make_reweighter
     views = ds if isinstance(ds, list) else [ds]
-    if len({(v.n, v.dim, v.num_classes) for v in views}) != 1:
-        raise ValueError("train: a stack takes one or more views of one "
-                         "n, d and K")
+    source = stack_batches(views, config.batch_size)
     n, E = views[0].n, len(views)
     specs = reweight if isinstance(reweight, list) else [reweight] * E
     if len(specs) != E:
@@ -352,11 +375,7 @@ def train(ds, config, test_ds=None, reweight=None):
     hooks = [make_reweighter(spec) for spec in specs]
     hooked = [e for e, hook in enumerate(hooks) if hook is not None]
     weighing = [e for e in hooked if hooks[e].batch_weights is not None]
-    # the views' rows end to end, and the row each view starts at
-    features, labels = (np.concatenate([getattr(v, a) for v in views])
-                        for a in ("features", "labels"))
-    first = n * np.arange(E)[:, None]
-    keep = np.ones(n * E, dtype=bool)
+    keep = [np.ones(n, dtype=bool)] * E  # each model's kept mask
 
     def batches(order, rng):
         # the epoch's kept masks are chosen before its first step
@@ -364,11 +383,10 @@ def train(ds, config, test_ds=None, reweight=None):
         for e in hooked:
             kept = hooks[e].epoch_kept_set(models[e], views[e])
             if kept is not None:
-                keep[e * n:(e + 1) * n] = kept
+                keep[e] = kept
         # (E, B) rows, model by model as sgd_epoch's probs has them
-        return ((X, (yb.ravel(), kb.ravel())) for _, X, yb, kb in
-                epoch_batches(order + first, config.batch_size, features,
-                              labels, keep))
+        return ((X, (yb.ravel(), kb.ravel()))
+                for X, yb, kb in source(order, keep))
 
     def batch_loss(probs, key):
         yb, kb = key
@@ -386,7 +404,7 @@ def train(ds, config, test_ds=None, reweight=None):
         return values, G * w[:, None]
 
     params, history = fit(views[0], config, batch_loss, test_ds, batches,
-                          params, seeds=[config.seed] * E)
+                          params)
     fits = [(model, [{k: v[e] if isinstance(v, list) else v
                       for k, v in row.items()} for row in history])
             for e, model in enumerate(unstack(params))]

@@ -13,7 +13,7 @@ import numpy as np
 from .losses import LossSpec, kl_to_targets, loss_and_grad, loss_vector
 from .model import (DivergedError, ModelParams, epoch_batches, epoch_row,
                     fit, forward_batch, init, predict, predict_probs,
-                    sgd_epoch, stack, train, unstack)
+                    sgd_epoch, stack, stack_batches, train, unstack)
 from .noise import class_centroids
 from .numerics import Rng, _check_args, softmax
 
@@ -136,11 +136,10 @@ def peer_rows(peers, X, y, keep_fraction=None):
         probs = None
     by_size = {}  # the pairs whose row sets have each size, in stack order
     for pair, m in enumerate(sizes):
-        by_size.setdefault(m, []).append(pair)
+        if m:  # a pair with no rows does not step
+            by_size.setdefault(m, []).append(pair)
     groups = []
     for m, pairs in by_size.items():
-        if m == 0:
-            continue
         models = (None if len(pairs) == P  # every model
                   else (2 * np.array(pairs)[:, None] + (0, 1)).ravel())
         if keep_fraction is None:
@@ -183,28 +182,24 @@ def train_co_teaching(ds, config, test_ds=None,
     noise_rate schedule and reports its keep_fraction. Returns (peer a,
     peer b, history), the history following peer a.
 
-    Given a list of training views of one shape (n, d and K) in place of
-    ds, and noise_rate one rate or a list of one per view, returns one such
-    triple per view, each the one train_co_teaching gives on that view
-    alone. Either way the 2P peers [a0, b0, a1, b1, ...], each pair
-    initialized from config.seed, are one stack (see model.stack) that fit
-    steps in config.seed's one shuffle, each model on its own view's rows;
-    a lone view is a stack of one pair. Each batch, peer_rows ranks every
-    peer in one forward pass, and the peers whose row sets have one size
-    step together as one sub-stack; a batch that gives a pair no row steps
-    neither peer."""
+    Given a list of views of one n, d and K in place of ds, and noise_rate
+    one rate or a list of one per view, returns one such triple per view,
+    each the one train_co_teaching gives on that view alone. Either way the
+    2P peers [a0, b0, a1, b1, ...], each pair initialized from config.seed,
+    are one stack in one shuffle (see stack_batches), a lone view a stack
+    of one pair. Each batch, peer_rows ranks every peer in one forward
+    pass, and the peers whose row sets have one size step together as one
+    sub-stack; a batch that gives a pair no row steps neither peer."""
     views = ds if isinstance(ds, list) else [ds]
-    rates = (noise_rate if isinstance(noise_rate, list)
-             else [noise_rate] * len(views))
-    if (len({(v.n, v.dim, v.num_classes) for v in views}) != 1
-            or len(rates) != len(views)):
-        raise ValueError("train_co_teaching: a stack takes one or more views "
-                         "of one n, d and K, and one noise_rate or one per "
-                         "view")
+    P = len(views)
+    source = stack_batches([v for v in views for _ in (0, 1)],
+                           config.batch_size)  # a pair's peers on its view
+    rates = noise_rate if isinstance(noise_rate, list) else [noise_rate] * P
+    if len(rates) != P:
+        raise ValueError(f"train_co_teaching: {P} views of one n, d and K "
+                         f"need one noise_rate each, got {len(rates)}")
     for rate in rates:
-        _check_args("train_co_teaching",
-                    reals={"noise_rate": (rate, "[0, 1)")})
-    n, P = views[0].n, len(views)
+        _check_args("train_co_teaching", reals={"noise_rate": (rate, "[0, 1)")})
     rng = Rng(config.seed)
     pair = [init(config.arch, views[0].dim, views[0].num_classes,
                  int(r.integers(0, 2**31)), config.hidden)
@@ -214,27 +209,17 @@ def train_co_teaching(ds, config, test_ds=None,
              else [co_teaching_keep_schedule(epoch, r) for r in rates]
              for epoch in range(config.epochs)]
     schedule = iter(keeps)
-    # the views' rows end to end, and the row each peer's view starts at
-    features, labels = (np.concatenate([getattr(v, a) for v in views])
-                        for a in ("features", "labels"))
-    first = n * (np.arange(2 * P) // 2)[:, None]
     lead = np.arange(2 * P)[:, None]
 
     def batches(order, rng):
         # lazy, so each batch's rows come from the peers as last stepped
         keep = next(schedule)
-        for _, X, y in epoch_batches(order + first, config.batch_size,
-                                     features, labels):
+        for X, y in source(order):
             for models, rows in peer_rows(peers, X, y, keep):
-                if models is None:  # every peer steps: the stack, in place
-                    if rows.shape[1] < X.shape[1]:
-                        yield X[lead, rows], y[lead, rows].ravel()
-                    else:  # every row: one contiguous copy steps faster
-                        # than the strided slice and copies faster than
-                        # the gather of every row
-                        yield X.copy(), y.ravel()
+                if models is None and rows.shape[1] == X.shape[1]:
+                    yield X, y.ravel()  # every peer on every row
                 else:
-                    at = models[:, None]
+                    at = lead if models is None else models[:, None]
                     yield X[at, rows], y[at, rows].ravel(), models
 
     # fit's stream is Rng(config.seed) too: split leaves it where it was
@@ -244,15 +229,13 @@ def train_co_teaching(ds, config, test_ds=None,
     models = unstack(peers)
     fits = []
     for p in range(P):
-        rows = []
-        for row, keep in zip(history, keeps):
-            row = {k: v[2 * p] if isinstance(v, list) else v
-                   for k, v in row.items()}
+        rows = [{k: v[2 * p] if isinstance(v, list) else v
+                 for k, v in row.items()} for row in history]
+        for row, keep in zip(rows, keeps):
             if row.get("train_loss", 0.0) is None:  # its peers never stepped
                 del row["train_loss"]
             if keep is not None:
                 row["keep_fraction"] = keep[p]
-            rows.append(row)
         fits.append((models[2 * p], models[2 * p + 1], rows))
     return fits if views is ds else fits[0]
 
@@ -398,15 +381,11 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
     """Iterative label cleaning: train on current labels, score every sample
     with five meta-features, fit a logistic meta-classifier on the small
     clean set (target: observed label differs from truth), then relabel the
-    noisy samples it flags with the base model's prediction.
-
-    The meta-classifier is fit to convergence on the clean set's
-    standardised features by fit_meta_classifier: full-batch Newton steps
-    on the mean logistic loss with a META_RIDGE ridge on its six weights,
-    so its flags do not depend on where an optimiser stops.
-
-    Each round's seed ensemble trains in lockstep as one stack of models,
-    each exactly as train would with its seed, and is scored in one pass.
+    noisy samples it flags with the base model's prediction. The
+    meta-classifier is fit to convergence on the clean set's standardised
+    features (see fit_meta_classifier), so its flags do not depend on where
+    an optimiser stops. Each round's seed ensemble trains as one stack of
+    models, each exactly as train would with its seed, scored in one pass.
 
     Returns (SoftLabelStore, flag indicator array, meta-classifier params,
     per-round history).

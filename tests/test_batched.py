@@ -16,6 +16,7 @@ lockstep must reproduce, bit for bit, the same models trained one by one.
 
 import json
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -1533,20 +1534,21 @@ class TestStackedTrain:
             self, monkeypatch):
         # the check above against a stack whose models all step on the
         # first view's labels, their own kept masks and test set unchanged
-        real = model.epoch_batches
+        real = model.stack_batches
 
-        def first_views_labels(order, batch_size, *arrays):
-            for batch in real(order, batch_size, *arrays):
-                if len(batch) > 2:  # train's [idx, X, (E, B) labels, kept]
-                    batch[2] = np.repeat(batch[2][:1], len(batch[2]), axis=0)
-                yield batch
+        def first_views_labels(*args):
+            def batches(*arrays):
+                for batch in real(*args)(*arrays):  # [X, (E, B) labels, kept]
+                    batch[1] = np.repeat(batch[1][:1], len(batch[1]), axis=0)
+                    yield batch
+            return batches
 
         train_ds, test_ds = split(gen_blobs(3, 60, 2, 3.0, 1), 0.25, 2)
         views = [inject(train_ds, symmetric_transition(3, rho),
                         Rng(3)).training_view() for rho in (0.0, 0.4)]
         config = TrainConfig(epochs=2, seed=1)
         assert_stack_matches_per_view(views, test_ds, config, None)
-        monkeypatch.setattr(model, "epoch_batches", first_views_labels)
+        monkeypatch.setattr(model, "stack_batches", first_views_labels)
         with pytest.raises(AssertionError):
             assert_stack_matches_per_view(views, test_ds, config, None)
 
@@ -1910,6 +1912,132 @@ class TestStackedPeerViews:
             with pytest.raises(ValueError, match="one n, d and K"):
                 train_co_teaching(views, TrainConfig(epochs=1),
                                   noise_rate=rates)
+
+
+def own_features(views):
+    """The views, each with a copy of its features as its own array."""
+    return [replace(v, features=v.features.copy()) for v in views]
+
+
+class TestStackBatches:
+    """model.stack_batches gathers each distinct features array once and
+    broadcasts it over the models that share it: a stack over one shared
+    array trains as one over per-view copies, bit for bit, a lone view is
+    not copied, and a stack in one shuffle draws one permutation per
+    epoch."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(view_stacks())
+    def test_train_on_shared_features_matches_own_copies(self, run):
+        views, test_ds, config, spec = run
+        assert len({id(v.features) for v in views}) == 1
+        for (params, history), (ref, ref_history) in zip(
+                train(views, config, test_ds, spec),
+                train(own_features(views), config, test_ds, spec)):
+            for name in ref.arrays:
+                assert params.arrays[name].tobytes() == ref.arrays[name].tobytes()
+            assert json.dumps(history) == json.dumps(ref_history)
+
+    @pytest.mark.parametrize("disagreement_only", [False, True],
+                             ids=["co_teaching", "disagreement"])
+    @settings(max_examples=60, deadline=None)
+    @given(run=peer_view_stacks())
+    def test_co_teaching_on_shared_features_matches_own_copies(
+            self, run, disagreement_only):
+        views, test_ds, config, rates = run
+        shared = [replace(v, features=views[-1].features) for v in views]
+        runs = []
+        for stack_views in (shared, own_features(shared)):
+            try:
+                runs.append(train_co_teaching(stack_views, config, test_ds,
+                                              rates, disagreement_only))
+            except DivergedError as e:
+                runs.append(type(e))
+        got, ref = runs
+        if got is DivergedError or ref is DivergedError:
+            assert got is ref
+            return
+        for (*peers, history), (*ref_peers, ref_history) in zip(got, ref):
+            for peer, ref_peer in zip(peers, ref_peers):
+                for name in ref_peer.arrays:
+                    assert (peer.arrays[name].tobytes()
+                            == ref_peer.arrays[name].tobytes())
+            assert json.dumps(history) == json.dumps(ref_history)
+
+    @pytest.mark.parametrize("arch", ["linear", "mlp"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_broadcast_block_steps_as_the_repeated_block(self, arch,
+                                                           data):
+        E = data.draw(st.integers(1, 15), label="E")
+        B = data.draw(st.integers(1, 33), label="B")
+        d = data.draw(st.integers(1, 11), label="d")
+        K = data.draw(st.integers(2, 7), label="K")
+        rng = Rng(data.draw(st.integers(0, 2**16), label="seed"))
+        params = stack([init(arch, d, K, int(r.integers(0, 2**31)), 32)
+                        for r in rng.split(E)])
+        X, G = rng.normal((B, d)) * 3.0, rng.normal((E * B, K))
+        out = []
+        for block in (np.broadcast_to(X, (E, B, d)), np.repeat(X[None], E,
+                                                                axis=0)):
+            logits, cache = model._forward(params, block)
+            grads = backward_batch(params, G, cache)
+            out.append([logits.tobytes()]
+                       + [grads[k].tobytes() for k in sorted(grads)])
+        assert out[0] == out[1]
+
+    @pytest.mark.parametrize("trainer", [train, train_co_teaching])
+    def test_a_lone_view_is_not_copied(self, trainer):
+        # one epoch's traced peak beside the view's own arrays: a copy of
+        # the features per model, or of the view end to end, exceeds it
+        rng = Rng(1)
+        ds = LabeledDataset(rng.normal((20_000, 8)),
+                            rng.integers(0, 3, size=20_000), 3)
+        tracemalloc.start()
+        try:
+            trainer(ds, TrainConfig(epochs=1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * (ds.features.nbytes + ds.labels.nbytes)
+
+    @staticmethod
+    def count_permutations(monkeypatch):
+        calls, real = [], Rng.permutation
+
+        def counted(self, n):
+            calls.append(n)
+            return real(self, n)
+
+        monkeypatch.setattr(Rng, "permutation", counted)
+        return calls
+
+    def test_models_with_one_seed_share_one_permutation(self, monkeypatch):
+        rng = Rng(2)
+        X = rng.normal((10, 2))
+        views = [LabeledDataset(X, rng.integers(0, 3, size=10), 3)
+                 for _ in range(4)]
+        config = TrainConfig(epochs=3, batch_size=4, seed=5)
+        calls = self.count_permutations(monkeypatch)
+        train(views, config)
+        assert calls == [10] * 3
+        del calls[:]
+        train_co_teaching(views[:3], config)
+        assert calls == [10] * 3
+
+    def test_models_with_distinct_seeds_draw_one_each(self, monkeypatch):
+        ds = LabeledDataset(Rng(2).normal((10, 2)), np.arange(10) % 3, 3)
+        config = TrainConfig(epochs=3, batch_size=4)
+
+        def batch_loss(probs, idx):
+            return loss_and_grad(LossSpec("ce"), probs, ds.labels[idx])
+
+        calls = self.count_permutations(monkeypatch)
+        fit(ds, config, batch_loss, seeds=[4, 7, 9])
+        assert calls == [10] * 9
+        del calls[:]
+        fit(ds, config, batch_loss, seeds=[4, 7, 4])
+        assert calls == [10] * 6
 
 
 @st.composite

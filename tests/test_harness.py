@@ -1605,14 +1605,26 @@ class TestSweepTrainsStacks:
                                                self.SHARED_LOSS))
 
     def test_a_method_failing_in_training_fails_alone(self, monkeypatch):
-        # the running window refuses 0 only once train builds the hook:
-        # the CE stack raises, and each point trains alone
+        # the running window refuses 0 only once its hook is built: the
+        # points of that method leave the CE stack and fail alone, while
+        # the stack's other points keep their fits
         failing = {"reweight": {"kind": "running", "window": 0}}
         methods = self.SHARED_LOSS[:2] + [failing] + self.SHARED_LOSS[2:]
         stacks = self.count_stacks(monkeypatch)
+        held, real = [], harness.run_experiment
+
+        def spy(cfg):
+            held.append(harness._fit_key(cfg) in fits())
+            return real(cfg)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
         reports, summary, _ = sweep(self.TEMPLATE, self.RHOS, methods)
-        assert stacks == [18, 3, 3]
+        assert stacks == [15, 3, 3]
         n = len(self.RHOS)
+        # CE, trimmed, then the failing method, then running, rank_prune
+        # and pumpout: the 15 points of the CE stack
+        ce_group = held[:2 * n] + held[3 * n:6 * n]
+        assert ce_group == [True] * 15 and held[2 * n:3 * n] == [False] * n
         own = summary[2 * n:3 * n]
         assert [row["error"] for row in own] == [
             "pipeline stage 'train' failed: RunningLossFilter: window must "
