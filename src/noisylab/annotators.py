@@ -142,7 +142,7 @@ def train_min_loss_label(ds, config, test_ds=None):
         _, y_sel = min_loss_labels(per_ann, L[idx])
         return loss_and_grad(ce, probs, y_sel)
 
-    return fit(ds, config, batch_loss, test_ds)
+    return fit(ds, config, batch_loss, test_ds)[0]
 
 
 def confusion_grads(Q, probs, labels, *, theta=None):
@@ -202,7 +202,7 @@ def train_with_confusion(ds, config, lambda_trace=0.01, test_ds=None):
         Q[:] -= step
         return values.ravel(), G
 
-    params, history = fit(ds, config, batch_loss, test_ds)
+    params, history = fit(ds, config, batch_loss, test_ds)[0]
     model = AnnotatorModel(tuple(TransitionMatrix(t) for t in softmax(Q)),
                            np.full(K, 1.0 / K))
     return params, model, history

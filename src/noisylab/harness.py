@@ -240,7 +240,8 @@ def _resolve(section, true_T, K, path):
 
 def metrics(predictions, true_labels, probs=None, num_classes=None):
     """Accuracy, macro-F1, per-class accuracy, ECE (ECE_BINS equal-width bins),
-    and one-vs-rest AUC when K=2 and probabilities are supplied."""
+    and one-vs-rest AUC when K=2 and probabilities are supplied. probs, one
+    row per prediction, must hold no NaN and no entry outside [0, 1]."""
     pred = np.asarray(predictions)
     truth = np.asarray(true_labels)
     if pred.size == 0 or pred.shape != truth.shape:
@@ -258,12 +259,17 @@ def metrics(predictions, true_labels, probs=None, num_classes=None):
         n_true > 0, tp / np.maximum(n_true, 1), 0.0).tolist()
     if probs is not None:
         probs = np.asarray(probs)
+        if probs.ndim != 2 or len(probs) != len(pred):
+            raise ValueError(f"metrics: probs needs one row per prediction "
+                             f"({len(pred)}), got shape {probs.shape}")
+        bad = ~((probs >= 0.0) & (probs <= 1.0)).all(axis=1)  # NaN too
+        if bad.any():
+            raise ValueError(f"metrics: probs row {int(bad.argmax())} holds "
+                             f"NaN or an entry outside [0, 1]")
         conf = probs.max(axis=1)
         edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
-        # bin b holds (edges[b], edges[b + 1]], bin 0 also 0, and bin
-        # ECE_BINS, counted in none, what lies outside [0, 1] or is NaN
-        bins = np.where(conf >= 0.0, np.searchsorted(edges[1:], conf),
-                        ECE_BINS)
+        # bin b holds (edges[b], edges[b + 1]], bin 0 also 0
+        bins = np.searchsorted(edges[1:], conf)
         # each bin's rows one slice in row order, summed pairwise as
         # conf[mask].mean() sums them (np.add.reduceat sums in sequence)
         order = np.argsort(bins, kind="stable")

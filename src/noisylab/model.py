@@ -174,41 +174,34 @@ class TrainConfig:
                              f"{self.arch!r}")
 
 
-def epoch_batches(order, batch_size, *arrays):
-    """Each minibatch of `order` as a list [indices, *rows]: every array is
-    gathered once in epoch order, array[order], and a batch's rows are a
-    slice of that along order's last axis ((E, B, ...) for an (E, n) order)."""
-    gathered = [order, *(a[order] for a in arrays)]
-    lead = (slice(None),) * (order.ndim - 1)
-    for start in range(0, order.shape[-1], batch_size):
-        rows = lead + (slice(start, start + batch_size),)
-        yield [g[rows] for g in gathered]
-
-
 def stack_batches(views, batch_size):
-    """The batches of a stack of E models in one shuffle, model e on
-    views[e], once the views are checked to have one n, d and K: returns
-    batches(order, *columns), which yields each minibatch of the epoch's
-    (n,) order as [X, y, *rows], the (E, B, d) features, (E, B) labels and
-    (E, B) rows of each column, a list of one (n,) array per model. Each
-    distinct array is gathered once per epoch, and one that every model
-    has is broadcast over the stack (np.broadcast_to), never copied."""
+    """The batches of a stack of E models, model e on views[e], once the
+    views are checked to have one n, d and K: batches(order, *columns)
+    yields each minibatch of the epoch's order, one (n,) shuffle or an (E,
+    n) one with a row per model, as [X, y, *rows]: the (E, B, d) features,
+    (E, B) labels and (E, B) rows of each column, a list of one (n,) array
+    per model. Each distinct array is gathered once per epoch: one that
+    every model has as a[order], broadcast over the stack (np.broadcast_to,
+    never copied) for an (n,) order, and a model's own by its row of it."""
     if len({(v.n, v.dim, v.num_classes) for v in views}) != 1:
         raise ValueError("a stack takes one or more views of one n, d and K")
 
     def gather(arrays, order):
         distinct = {id(a): a for a in arrays}  # each gathered once
+        if len(distinct) == 1:
+            g = arrays[0][order]
+            return (g if order.ndim > 1
+                    else np.broadcast_to(g, (len(arrays),) + g.shape))
+        if order.ndim > 1:
+            return np.stack([a[o] for a, o in zip(arrays, order)])
         rows = {key: a[order] for key, a in distinct.items()}
-        if len(rows) == 1:
-            g, = rows.values()
-            return np.broadcast_to(g, (len(arrays),) + g.shape)
         return np.stack([rows[id(a)] for a in arrays])
 
     def batches(order, *columns):
         gathered = [gather(arrays, order) for arrays in (
             [v.features for v in views], [v.labels for v in views],
             *columns)]
-        for start in range(0, len(order), batch_size):
+        for start in range(0, order.shape[-1], batch_size):
             yield [g[:, start:start + batch_size] for g in gathered]
 
     return batches
@@ -222,12 +215,13 @@ def sgd_epoch(params, batches, lr, batch_loss, epoch):
     d) batch steps its E models in lockstep; batch_loss still sees N = E *
     B rows, model by model. An (X, key, models) triple steps only the
     models that the index array models names (all when it is None), on
-    their (len(models), B, d) rows, and leaves the others as they are.
+    their (len(models), B, d) rows, and leaves the others as they are. An
+    unstacked model steps on (B, d) batches as one model.
 
-    Returns each model's loss values over the epoch's steps: one array for
-    a single model, a list of E arrays for a stack (an empty one for a
-    model no step reached), None when there was no step at all. Raises
-    DivergedError naming the epoch on a non-finite logit; X goes unchecked."""
+    Returns a list of each model's loss values over the epoch's steps, one
+    array per model (an empty one for a model no step reached), or None
+    when there was no step at all. Raises DivergedError naming the epoch
+    on a non-finite logit; X goes unchecked."""
     values, subs = [], {}  # subs: the models of each sub-stack step
     for batch in batches:
         X, key = batch[0], batch[1]
@@ -250,12 +244,14 @@ def sgd_epoch(params, batches, lr, batch_loss, epoch):
             subs[len(values)] = models
             for name, a in step.arrays.items():
                 params.arrays[name][models] = a
-        values.append(step_values.reshape(X.shape[:-2] + (-1,)))
+        # one row per model stepped; an unstacked model's (B, d) X is one
+        values.append(step_values.reshape((X.shape[:-2] or (1,)) + (-1,)))
+    # the last batch's views hold the epoch's whole gather: free it first
+    batch = X = key = cache = step = None
     if not values:
         return None
     if not subs:  # every step stepped every model
-        joined = np.concatenate(values, axis=-1)
-        return list(joined) if joined.ndim > 1 else joined
+        return list(np.concatenate(values, axis=-1))
     per_model = [[] for _ in next(iter(params.arrays.values()))]
     for i, v in enumerate(values):
         for e, row in zip(subs.get(i, range(len(v))), v):
@@ -297,53 +293,53 @@ def unstack(params):
 
 def fit(ds, config, batch_loss, test_ds=None, batches=None, params=None,
         seeds=None):
-    """config.epochs epochs of sgd_epoch on params, fresh ones from
-    config's architecture when not given: one model from config.seed, or a
-    stack of one from each of seeds. batches(order, rng), called at the
-    start of each epoch with its shuffled row order, gives the (X_batch,
-    key) pairs; by default each minibatch's rows, model by model, keyed by
-    their indices. Returns (params, history), one epoch_row per epoch with
-    the mean training loss of its steps, if any; raises DivergedError if
-    that mean is non-finite, and ValueError if params do not fit ds's d.
+    """config.epochs epochs of sgd_epoch on a stack of E >= 1 models in
+    lockstep: params (see stack), or fresh ones from config's architecture,
+    one per entry of seeds ([config.seed] by default). Each model shuffles
+    by its seed, config.seed without seeds, and models with one seed share
+    one stream and one permutation per epoch, so each trains as its own
+    fit with that seed. batches(order, rng), called at the start of each
+    epoch with its order, (n,) when every model has one seed, else (E, n)
+    with a row per model, and the list of each model's stream, gives the
+    (X, key) pairs or triples of sgd_epoch; by default each minibatch's
+    (E, B, d) rows from stack_batches, keyed by their indices.
 
-    A stack of E models trains in lockstep, and the history's train_loss
-    and test_accuracy are lists over the models, train_loss None for a
-    model no step of the epoch reached. Each model shuffles by its seed,
-    config.seed without seeds, and models with one seed share one stream
-    and one permutation per epoch, drawn once, so each model trains as its
-    own fit with config.seed set to its seed. order is (n,) and rng the
-    stream, or given seeds (E, n) and a list, one row and stream per model."""
-    stacked = seeds is not None
-    seeds = list(seeds) if stacked else [config.seed]
+    Returns one (params, history) per model, a row per epoch (see
+    epoch_row) with the model's mean training loss only when a step of the
+    epoch reached it. Raises DivergedError if such a mean is non-finite,
+    and ValueError if params do not fit ds's d."""
     if params is None:
-        models = [init(config.arch, ds.dim, ds.num_classes, s, config.hidden)
-                  for s in seeds]
-        params = stack(models) if stacked else models[0]
+        params = stack([init(config.arch, ds.dim, ds.num_classes, s,
+                             config.hidden) for s in seeds or [config.seed]])
     if params.d != ds.dim:
         raise ValueError(f"expected {params.d} features, got {ds.dim}")
+    E = len(next(iter(params.arrays.values())))
+    seeds = [config.seed] * E if seeds is None else list(seeds)
     streams = {s: Rng(s) for s in seeds}  # one per distinct seed
-    rng = [streams[s] for s in seeds] if stacked else streams[config.seed]
+    rng = [streams[s] for s in seeds]
     if batches is None:
+        source = stack_batches([ds] * E, config.batch_size)
+        index = [np.arange(ds.n)] * E
+
         def batches(order, rng):
-            return ((X, idx.ravel()) for idx, X in
-                    epoch_batches(order, config.batch_size, ds.features))
-    history = []
+            return ((X, idx.ravel()) for X, _, idx in source(order, index))
+    history = [[] for _ in range(E)]
     for epoch in range(config.epochs):
         perms = {s: r.permutation(ds.n) for s, r in streams.items()}
-        order = (np.array([perms[s] for s in seeds]) if stacked
-                 else perms[config.seed])
+        order = (perms[seeds[0]] if len(perms) == 1
+                 else np.array([perms[s] for s in seeds]))
         values = sgd_epoch(params, batches(order, rng),
                            config.learning_rate, batch_loss, epoch)
-        fields = {}
-        if values is not None:
-            per_model = isinstance(values, list)  # a stack's
-            means = [np.mean(v).item() if v.size else None
-                     for v in (values if per_model else [values])]
-            if not all(np.isfinite(m) for m in means if m is not None):
-                raise DivergedError(f"training diverged at epoch {epoch}")
-            fields["train_loss"] = means if per_model else means[0]
-        history.append(epoch_row(epoch, params, test_ds, **fields))
-    return params, history
+        means = [np.mean(v).item() if v.size else None
+                 for v in values or [np.empty(0)] * E]
+        if not all(np.isfinite(m) for m in means if m is not None):
+            raise DivergedError(f"training diverged at epoch {epoch}")
+        accuracy = epoch_row(epoch, params, test_ds).get("test_accuracy",
+                                                         [None] * E)
+        for rows, loss, acc in zip(history, means, accuracy):
+            row = {"epoch": epoch, "train_loss": loss, "test_accuracy": acc}
+            rows.append({k: v for k, v in row.items() if v is not None})
+    return list(zip(unstack(params), history))
 
 
 def train(ds, config, test_ds=None, reweight=None):
@@ -360,7 +356,8 @@ def train(ds, config, test_ds=None, reweight=None):
     gives on that view alone; reweight is then one spec for every view or
     a list of one per view. Either way the views train as one stack of
     models from config.seed in one shuffle (see stack_batches), each on its
-    own view's labels, hook and kept mask; a lone view is a stack of one."""
+    own view's labels, hook and kept mask, and each pair is fit's for its
+    model; a lone view is a stack of one."""
     from .reweight import make_reweighter
     views = ds if isinstance(ds, list) else [ds]
     source = stack_batches(views, config.batch_size)
@@ -403,9 +400,5 @@ def train(ds, config, test_ds=None, reweight=None):
                                              yb[rows])
         return values, G * w[:, None]
 
-    params, history = fit(views[0], config, batch_loss, test_ds, batches,
-                          params)
-    fits = [(model, [{k: v[e] if isinstance(v, list) else v
-                      for k, v in row.items()} for row in history])
-            for e, model in enumerate(unstack(params))]
+    fits = fit(views[0], config, batch_loss, test_ds, batches, params)
     return fits if views is ds else fits[0]

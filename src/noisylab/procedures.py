@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 
 from .losses import LossSpec, kl_to_targets, loss_and_grad, loss_vector
-from .model import (DivergedError, ModelParams, epoch_batches, epoch_row,
-                    fit, forward_batch, init, predict, predict_probs,
-                    sgd_epoch, stack, stack_batches, train, unstack)
+from .model import (DivergedError, ModelParams, epoch_row, fit,
+                    forward_batch, init, predict, predict_probs, sgd_epoch,
+                    stack, stack_batches, train)
 from .noise import class_centroids
 from .numerics import Rng, _check_args, softmax
 
@@ -82,19 +82,22 @@ def mixup(X, Y_onehot, alpha, rng):
 
 
 def train_mixup(ds, config, test_ds=None, alpha=0.2):
-    """SGD on mixup batches; soft targets trained with CE (grad p - y)."""
+    """SGD on mixup batches; soft targets trained with CE (grad p - y).
+    Returns fit's (params, history), its model's rows mixed by its stream."""
     Y = np.eye(ds.num_classes)[ds.labels]
+    source = stack_batches([ds], config.batch_size)
 
     def batches(order, rng):
         # lazy, so each batch's mixing draws follow the previous step
-        return (mixup(X, Yb, alpha, rng) for _, X, Yb in
-                epoch_batches(order, config.batch_size, ds.features, Y))
+        for X, _, Yb in source(order, [Y]):
+            X_mix, Y_mix = mixup(X[0], Yb[0], alpha, rng[0])
+            yield X_mix[None], Y_mix
 
     def batch_loss(probs, Y_mix):
         return (np.add.reduce(Y_mix * loss_vector("ce", probs), axis=1),
                 probs - Y_mix)
 
-    return fit(ds, config, batch_loss, test_ds, batches)
+    return fit(ds, config, batch_loss, test_ds, batches)[0]
 
 
 # --- peer models ------------------------------------------------------------
@@ -180,7 +183,8 @@ def train_co_teaching(ds, config, test_ds=None,
     """Two peer models trained with co-teaching, or with disagreement-only
     updates when disagreement_only is set; only co-teaching keeps a
     noise_rate schedule and reports its keep_fraction. Returns (peer a,
-    peer b, history), the history following peer a.
+    peer b, history), the history fit's for peer a with each epoch's
+    keep_fraction added.
 
     Given a list of views of one n, d and K in place of ds, and noise_rate
     one rate or a list of one per view, returns one such triple per view,
@@ -223,21 +227,15 @@ def train_co_teaching(ds, config, test_ds=None,
                     yield X[at, rows], y[at, rows].ravel(), models
 
     # fit's stream is Rng(config.seed) too: split leaves it where it was
-    peers, history = fit(views[0], config,
-                         lambda probs, y: loss_and_grad(CE, probs, y),
-                         test_ds, batches, peers)
-    models = unstack(peers)
-    fits = []
-    for p in range(P):
-        rows = [{k: v[2 * p] if isinstance(v, list) else v
-                 for k, v in row.items()} for row in history]
+    fits = fit(views[0], config, lambda probs, y: loss_and_grad(CE, probs, y),
+               test_ds, batches, peers)
+    triples = []
+    for p, ((a, rows), (b, _)) in enumerate(zip(fits[::2], fits[1::2])):
         for row, keep in zip(rows, keeps):
-            if row.get("train_loss", 0.0) is None:  # its peers never stepped
-                del row["train_loss"]
             if keep is not None:
                 row["keep_fraction"] = keep[p]
-        fits.append((models[2 * p], models[2 * p + 1], rows))
-    return fits if views is ds else fits[0]
+        triples.append((a, b, rows))
+    return triples if views is ds else triples[0]
 
 
 # --- dual models with iterative label update --------------------------------
@@ -273,10 +271,11 @@ def dual_relabel_epoch(model_small, model_large, ds, store, rng, lr,
                 probs - np.where((l_stored <= l_peer)[:, None], stored,
                                  eye[peer]))
 
+    source = stack_batches([ds], batch_size)
     for params, peer, stream in zip(models, own[::-1], rng.split(2)):
-        batches = ((X, key) for _, X, *key in epoch_batches(
-            stream.permutation(ds.n), batch_size, ds.features, nz,
-            store.targets, log_stored, peer))
+        batches = ((X[0], [k[0] for k in key]) for X, _, *key in source(
+            stream.permutation(ds.n), [nz], [store.targets], [log_stored],
+            [peer]))
         sgd_epoch(params, batches, lr, batch_loss, epoch)
     preds = np.array([predict_probs(m, ds.features) for m in models])
     own = preds.argmax(axis=-1)  # (2, n): small's, then large's
@@ -405,10 +404,10 @@ def iterative_clean(ds_noisy, ds_clean_small, config, rounds=3,
         labels = store.hard_labels()
         current = replace(ds_noisy.training_view(), labels=labels)
         seeds = [int(r.integers(0, 2**31)) for r in rng.split(ensemble_size)]
-        ensemble, _ = fit(current, config,
-                          lambda probs, idx: loss_and_grad(config.loss, probs,
-                                                           labels[idx]),
-                          seeds=seeds)
+        ensemble = stack([model for model, _ in fit(
+            current, config,
+            lambda probs, idx: loss_and_grad(config.loss, probs, labels[idx]),
+            seeds=seeds)])
         feats_clean, _ = cleaning_meta_features(ensemble, ds_clean_small,
                                                 ds_clean_small.labels)
         target = (ds_clean_small.labels

@@ -33,9 +33,9 @@ from noisylab.data import LabeledDataset, gen_blobs, split
 from noisylab.losses import (LOG_CLAMP, LossSpec, kl_to_targets,
                              loss_and_grad, loss_value, loss_vector)
 from noisylab.model import (DivergedError, TrainConfig, backward_batch,
-                            epoch_batches, epoch_row, fit, forward,
-                            forward_batch, init, predict, predict_probs,
-                            sgd_epoch, stack, train, unstack)
+                            epoch_row, fit, forward, forward_batch, init,
+                            predict, predict_probs, sgd_epoch, stack,
+                            stack_batches, train, unstack)
 from noisylab.noise import (TransitionMatrix, class_centroids, draw_labels,
                             inject, simulate_annotators,
                             symmetric_transition)
@@ -587,19 +587,23 @@ class TestSgdCore:
                 ref.arrays[name] -= (lr / len(idx)) * grads[name]
             ref_values.extend(-np.log(np.maximum(
                 probs[np.arange(len(idx)), y[idx]], LOG_CLAMP)))
-        values = sgd_epoch(
-            params,
-            ((X[idx], idx) for idx, in epoch_batches(order, batch_size)),
+        values, = sgd_epoch(
+            params, ((X[idx], idx) for idx in index_batches(order, batch_size)),
             lr, lambda probs, idx: loss_and_grad(LossSpec("ce"), probs,
                                                  y[idx]), 0)
         assert np.array_equal(values, ref_values)
         for name in ref.arrays:
             assert np.array_equal(params.arrays[name], ref.arrays[name])
 
-    def test_epoch_batches_cover_order_once(self):
+    def test_stack_batches_cover_order_once(self):
         order = np.array([4, 0, 3, 1, 2])
-        got = [idx for idx, in epoch_batches(order, 2)]
-        assert [b.tolist() for b in got] == [[4, 0], [3, 1], [2]]
+        ds = LabeledDataset(np.arange(10.0).reshape(5, 2), np.arange(5), 5)
+        got = list(stack_batches([ds], 2)(order, [np.arange(5)]))
+        assert [idx.tolist() for _, _, idx in got] == [[[4, 0]], [[3, 1]],
+                                                       [[2]]]
+        for (X, y, idx), rows in zip(got, ([4, 0], [3, 1], [2])):
+            assert X.tobytes() == ds.features[rows][None].tobytes()
+            assert y.tobytes() == ds.labels[rows][None].tobytes()
 
     def test_non_finite_logits_name_the_epoch(self):
         params = init("linear", 2, 2, 0)
@@ -735,16 +739,16 @@ def ref_reweighted_train(ds, config, spec, test_ds=None):
                                    probs)[1]
     else:
         weight = hook.sample_weight
-    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                  config.hidden)
+    params = stack([init(config.arch, ds.dim, ds.num_classes, config.seed,
+                         config.hidden)])
     keep = np.ones(ds.n, dtype=bool)
 
     def batches(order, rng):
-        kept = hook.epoch_kept_set(params, ds)
+        kept = hook.epoch_kept_set(unstack(params)[0], ds)
         if kept is not None:
             keep[:] = kept
-        return ((ds.features[idx], idx)
-                for idx, in epoch_batches(order, config.batch_size))
+        return ((ds.features[idx][None], idx)
+                for idx in index_batches(order, config.batch_size))
 
     def batch_loss(probs, idx):
         yb = ds.labels[idx]
@@ -754,7 +758,7 @@ def ref_reweighted_train(ds, config, spec, test_ds=None):
             w[r] *= weight(values[r], probs[r], yb[r])
         return values, G * w[:, None]
 
-    return fit(ds, config, batch_loss, test_ds, batches, params)
+    return fit(ds, config, batch_loss, test_ds, batches, params)[0]
 
 
 class TestReweightedTrain:
@@ -1076,7 +1080,7 @@ def ref_train_epoch_against_store(params, ds, store, peer_pred_probs, rng,
 
     order = rng.permutation(ds.n)
     sgd_epoch(params, ((ds.features[idx], idx)
-                       for idx, in epoch_batches(order, batch_size)),
+                       for idx in index_batches(order, batch_size)),
               lr, batch_loss, epoch)
 
 
@@ -1249,7 +1253,7 @@ def ref_noise_layer_train(ds, config, test_ds):
         q[:] -= (config.learning_rate / len(idx)) * gq
         return values, G
 
-    params, history = fit(ds, config, batch_loss, test_ds)
+    params, history = fit(ds, config, batch_loss, test_ds)[0]
     return params, q, history
 
 
@@ -1269,7 +1273,7 @@ def ref_confusion_train(ds, config, lambda_trace, test_ds):
             q -= (lr / len(idx)) * gq + lr * gq_pen
         return values.ravel(), G
 
-    params, history = fit(ds, config, batch_loss, test_ds)
+    params, history = fit(ds, config, batch_loss, test_ds)[0]
     return params, qs, history
 
 
@@ -1365,16 +1369,14 @@ def assert_lockstep_matches_separate(ds, test_ds, config, seeds, kind):
     def batch_loss(probs, idx):
         return loss_and_grad(LossSpec(kind), probs, ds.labels[idx])
 
-    stacked, history = fit(ds, config, batch_loss, test_ds, seeds=seeds)
-    models = unstack(stacked)
-    assert len(models) == len(seeds)
-    for e, (model, seed) in enumerate(zip(models, seeds)):
-        ref, ref_history = fit(ds, replace(config, seed=seed), batch_loss,
-                               test_ds)
+    fits = fit(ds, config, batch_loss, test_ds, seeds=seeds)
+    assert len(fits) == len(seeds)
+    for (model, history), seed in zip(fits, seeds):
+        (ref, ref_history), = fit(ds, replace(config, seed=seed), batch_loss,
+                                  test_ds)
         for name in ref.arrays:
             assert np.array_equal(model.arrays[name], ref.arrays[name])
-        assert [{k: v[e] if isinstance(v, list) else v
-                 for k, v in row.items()} for row in history] == ref_history
+        assert history == ref_history
 
 
 class TestLockstepFit:
@@ -1394,22 +1396,57 @@ class TestLockstepFit:
                              arch=arch)
         assert_lockstep_matches_separate(ds, ds, config, [11, 12, 13], "ce")
 
-    def test_epoch_batches_of_a_stacked_order(self):
+    def test_stack_batches_of_a_stacked_order(self):
         order = np.array([[4, 0, 3, 1, 2], [0, 1, 2, 3, 4]])
-        got = [idx for idx, in epoch_batches(order, 2)]
+        ds = LabeledDataset(np.zeros((5, 1)), np.zeros(5, dtype=int), 2)
+        got = [idx for _, _, idx in stack_batches([ds, ds], 2)(
+            order, [np.arange(5)] * 2)]
         assert [b.tolist() for b in got] == [[[4, 0], [0, 1]],
                                              [[3, 1], [2, 3]], [[2], [4]]]
+
+    def test_fit_returns_one_fit_per_model(self):
+        ds = LabeledDataset(Rng(2).normal((10, 2)), np.arange(10) % 3, 3)
+        config = TrainConfig(epochs=2, batch_size=4)
+
+        def batch_loss(probs, idx):
+            return loss_and_grad(LossSpec("ce"), probs, ds.labels[idx])
+
+        (params, history), = fit(ds, config, batch_loss, ds)
+        assert params.arrays["W"].shape == (2, 3)  # unstacked
+        assert [sorted(row) for row in history] == (
+            [["epoch", "test_accuracy", "train_loss"]] * 2)
+        assert all(isinstance(row["train_loss"], float) for row in history)
+        assert len(fit(ds, config, batch_loss, seeds=[1, 2, 3])) == 3
+
+    def test_a_model_no_step_reached_has_no_train_loss(self):
+        ds = LabeledDataset(Rng(3).normal((10, 2)), np.arange(10) % 3, 3)
+        config = TrainConfig(epochs=2, batch_size=4)
+        models = [init("linear", 2, 3, s) for s in (1, 2)]
+
+        def batches(order, rng):  # steps model 0 only
+            for idx in index_batches(order, config.batch_size):
+                yield ds.features[idx][None], idx, np.array([0])
+
+        (first, stepped), (second, idle) = fit(
+            ds, config, lambda probs, idx: loss_and_grad(
+                LossSpec("ce"), probs, ds.labels[idx]),
+            ds, batches, stack(models))
+        assert all("train_loss" in row for row in stepped)
+        assert [sorted(row) for row in idle] == (
+            [["epoch", "test_accuracy"]] * 2)
+        for name, a in models[1].arrays.items():
+            assert second.arrays[name].tobytes() == a.tobytes()
+        assert first.arrays["W"].tobytes() != models[0].arrays["W"].tobytes()
 
     def test_stacked_predictions_are_each_models(self):
         rng = Rng(5)
         X = rng.normal((7, 3))
         models = [init("mlp", 3, 4, s, hidden=5) for s in (1, 2)]
-        stacked, _ = fit(LabeledDataset(X, np.zeros(7, dtype=int), 4),
-                         TrainConfig(epochs=1, learning_rate=0.0, arch="mlp",
-                                     hidden=5),
-                         lambda probs, idx: (np.zeros(len(probs)),
-                                             np.zeros_like(probs)),
-                         seeds=[1, 2])
+        stacked = stack([m for m, _ in fit(
+            LabeledDataset(X, np.zeros(7, dtype=int), 4),
+            TrainConfig(epochs=1, learning_rate=0.0, arch="mlp", hidden=5),
+            lambda probs, idx: (np.zeros(len(probs)), np.zeros_like(probs)),
+            seeds=[1, 2])])
         for e, model in enumerate(models):
             assert np.array_equal(predict_probs(stacked, X)[e],
                                   predict_probs(model, X))
@@ -1480,7 +1517,7 @@ def ref_view_train(view, config, test_ds, spec):
     def batch_loss(probs, idx):
         return loss_and_grad(config.loss, probs, view.labels[idx])
 
-    return fit(view, config, batch_loss, test_ds)
+    return fit(view, config, batch_loss, test_ds)[0]
 
 
 def assert_stack_matches_per_view(views, test_ds, config, spec):
@@ -1655,7 +1692,7 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
     def step(params, X, y, epoch):
         return sgd_epoch(params, [(X, y)], config.learning_rate,
                          lambda probs, y: loss_and_grad(LossSpec("ce"), probs,
-                                                        y), epoch)
+                                                        y), epoch)[0]
 
     rng = Rng(config.seed)
     seed_a, seed_b = (int(r.integers(0, 2**31)) for r in rng.split(2))
@@ -1666,7 +1703,7 @@ def ref_train_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
         keep = co_teaching_keep_schedule(epoch, noise_rate)
         order = rng.permutation(ds.n)
         values_a = []
-        for idx, in epoch_batches(order, config.batch_size):
+        for idx in index_batches(order, config.batch_size):
             X, y = ds.features[idx], ds.labels[idx]
             if disagreement_only:
                 sel = np.flatnonzero(predict(model_a, X)
@@ -1786,22 +1823,20 @@ def ref_view_co_teaching(ds, config, test_ds=None, noise_rate=0.2,
 
     def batches(order, rng):
         keep = next(schedule)
-        for _, X, y in epoch_batches(order, config.batch_size, ds.features,
-                                     ds.labels):
+        for idx in index_batches(order, config.batch_size):
+            X, y = ds.features[idx], ds.labels[idx]
             rows = ref_pair_rows(peers, X, y, keep)
             if rows.size:
                 yield X[rows], y[rows].ravel()
 
-    peers, history = fit(ds, config,
-                         lambda probs, y: loss_and_grad(LossSpec("ce"),
-                                                        probs, y),
-                         test_ds, batches, peers)
+    (a, history), (b, _) = fit(ds, config,
+                               lambda probs, y: loss_and_grad(LossSpec("ce"),
+                                                              probs, y),
+                               test_ds, batches, peers)
     for row, keep in zip(history, keeps):
-        row.update({k: row[k][0] for k in ("train_loss", "test_accuracy")
-                    if k in row})
         if keep is not None:
             row["keep_fraction"] = keep
-    return (*unstack(peers), history)
+    return a, b, history
 
 
 @st.composite
@@ -1999,7 +2034,33 @@ class TestStackBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * (ds.features.nbytes + ds.labels.nbytes)
+        assert peak < 1.5 * (ds.features.nbytes + ds.labels.nbytes)
+
+    def test_a_stacked_order_gathers_each_models_own_rows(self):
+        rng = Rng(6)
+        X = rng.normal((7, 2))
+        views = [LabeledDataset(X, rng.integers(0, 3, size=7), 3)
+                 for _ in range(3)]
+        order = np.array([rng.permutation(7) for _ in views])
+        own = [rng.normal((7, 4)) for _ in views]
+        got = list(stack_batches(views, 3)(order, own, [own[0]] * 3))
+        assert len(got) == 3
+        for start, (Xb, yb, rows, shared) in zip(range(0, 7, 3), got):
+            block = order[:, start:start + 3]
+            # an array every model has: one gather by the whole order
+            assert Xb.tobytes() == X[block].tobytes()
+            assert shared.tobytes() == own[0][block].tobytes()
+            # one of each model's own: by that model's row of the order
+            for e, view in enumerate(views):
+                assert yb[e].tobytes() == view.labels[block[e]].tobytes()
+                assert rows[e].tobytes() == own[e][block[e]].tobytes()
+        # one (n,) order for every model: a shared array is broadcast
+        (Xb, yb, shared), = stack_batches(views, 7)(order[0], [own[0]] * 3)
+        assert Xb.strides[0] == shared.strides[0] == 0
+        assert Xb.tobytes() == np.repeat(X[order[0]][None], 3,
+                                         axis=0).tobytes()
+        for e, view in enumerate(views):
+            assert yb[e].tobytes() == view.labels[order[0]].tobytes()
 
     @staticmethod
     def count_permutations(monkeypatch):
@@ -2069,27 +2130,36 @@ def ragged_runs(draw):
     return ds, test_ds, config
 
 
-def index_gather_batches(ds, batch_size):
-    """fit's default batches as they gathered each batch's rows by index:
-    the index column of epoch_batches(order, batch_size) and features[idx]."""
-    return lambda order, rng: ((ds.features[idx], idx.ravel())
-                               for idx, in epoch_batches(order, batch_size))
+def index_batches(order, batch_size):
+    """Each minibatch's indices of an (n,) or (E, n) order: a slice along
+    its last axis."""
+    for start in range(0, order.shape[-1], batch_size):
+        yield order[..., start:start + batch_size]
+
+
+def index_gather_batches(ds, batch_size, models):
+    """fit's default batches for a stack of that many models as they
+    gathered each batch's rows by index: features[idx] of each (E, B)
+    block of the order, an (n,) one repeated per model."""
+    return lambda order, rng: (
+        (ds.features[idx], idx.ravel()) for idx in index_batches(
+            np.broadcast_to(order, (models, ds.n)), batch_size))
 
 
 def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
     """model.train as it gathered each batch's features, labels and kept
     rows by index."""
     hook = make_reweighter(reweight)
-    params = init(config.arch, ds.dim, ds.num_classes, config.seed,
-                  config.hidden)
+    params = stack([init(config.arch, ds.dim, ds.num_classes, config.seed,
+                         config.hidden)])
     keep = np.ones(ds.n, dtype=bool)
 
     def batches(order, rng):
-        kept = hook.epoch_kept_set(params, ds) if hook else None
+        kept = hook.epoch_kept_set(unstack(params)[0], ds) if hook else None
         if kept is not None:
             keep[:] = kept
-        return ((ds.features[idx], idx)
-                for idx, in epoch_batches(order, config.batch_size))
+        return ((ds.features[idx][None], idx)
+                for idx in index_batches(order, config.batch_size))
 
     def batch_loss(probs, idx):
         yb = ds.labels[idx]
@@ -2102,7 +2172,7 @@ def ref_index_gather_train(ds, config, test_ds=None, reweight=None):
             w[rows] = hook.batch_weights(values[rows], probs[rows], yb[rows])
         return values, G * w[:, None]
 
-    return fit(ds, config, batch_loss, test_ds, batches, params)
+    return fit(ds, config, batch_loss, test_ds, batches, params)[0]
 
 
 def ref_index_gather_mixup(ds, config, test_ds, alpha):
@@ -2111,14 +2181,15 @@ def ref_index_gather_mixup(ds, config, test_ds, alpha):
     Y = np.eye(ds.num_classes)[ds.labels]
 
     def batches(order, rng):
-        return (mixup(ds.features[idx], Y[idx], alpha, rng)
-                for idx, in epoch_batches(order, config.batch_size))
+        for idx in index_batches(order, config.batch_size):
+            X_mix, Y_mix = mixup(ds.features[idx], Y[idx], alpha, rng[0])
+            yield X_mix[None], Y_mix
 
     def batch_loss(probs, Y_mix):
         return (np.sum(Y_mix * loss_vector("ce", probs), axis=1),
                 probs - Y_mix)
 
-    return fit(ds, config, batch_loss, test_ds, batches)
+    return fit(ds, config, batch_loss, test_ds, batches)[0]
 
 
 class TestEpochGather:
@@ -2135,10 +2206,13 @@ class TestEpochGather:
         def batch_loss(probs, idx):
             return loss_and_grad(config.loss, probs, ds.labels[idx])
 
-        assert_same_run(
-            *fit(ds, config, batch_loss, test_ds, seeds=seeds),
-            *fit(ds, config, batch_loss, test_ds,
-                 index_gather_batches(ds, config.batch_size), seeds=seeds))
+        fits = fit(ds, config, batch_loss, test_ds, seeds=seeds)
+        refs = fit(ds, config, batch_loss, test_ds,
+                   index_gather_batches(ds, config.batch_size, len(fits)),
+                   seeds=seeds)
+        assert len(fits) == len(refs) == (3 if stacked else 1)
+        for got, ref in zip(fits, refs):
+            assert_same_run(*got, *ref)
 
     @pytest.mark.parametrize("kind", [None, "running", "trimmed",
                                       "rank_prune", "pumpout"])
@@ -2177,7 +2251,7 @@ def ref_recomputed_dual_relabel_epoch(model_small, model_large, ds, store,
     for params, peer, stream in zip(models, peers, rng.split(2)):
         order = stream.permutation(ds.n)
         sgd_epoch(params, ((ds.features[idx], (store.targets[idx], peer[idx]))
-                           for idx, in epoch_batches(order, batch_size)),
+                           for idx in index_batches(order, batch_size)),
                   lr, batch_loss, epoch)
     preds = np.array([predict_probs(m, ds.features) for m in models])
     own = preds.argmax(axis=-1)

@@ -116,7 +116,7 @@ class TestMetrics:
            odd=st.sampled_from([0.0, 0.05]))
     def test_ece_matches_per_bin_masks(self, n, K, seed, odd):
         # each entry on a bin edge, off the edges, or with probability odd
-        # outside [0, 1] or NaN, which no bin counts
+        # outside [0, 1] or NaN, which metrics refuses
         rng = np.random.default_rng(seed)
         edges = np.linspace(0.0, 1.0, harness.ECE_BINS + 1)
         probs = np.where(rng.random((n, K)) < 0.5,
@@ -125,9 +125,28 @@ class TestMetrics:
         flag = rng.random((n, K)) < odd
         probs[flag] = rng.choice([-0.5, 1.5, np.nan], flag.sum())
         pred, truth = rng.integers(0, K, (2, n))
+        if flag.any():
+            first = int(flag.any(axis=1).argmax())
+            with pytest.raises(ValueError,
+                               match=rf"metrics: probs row {first} holds"):
+                metrics(pred, truth, probs, K)
+            return
         got = metrics(pred, truth, probs, K)["ece"]
         assert np.float64(got).tobytes() == np.float64(
             ref_ece(probs, pred, truth)).tobytes()
+
+    @pytest.mark.parametrize("entry", [np.nan, -0.5, 1.5],
+                             ids=["nan", "below_0", "above_1"])
+    def test_unbinnable_probs_rejected(self, entry):
+        probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        probs[1, 0] = entry
+        with pytest.raises(ValueError, match=r"metrics: probs row 1 holds"):
+            metrics([0, 0, 1], [0, 1, 1], probs, 2)
+
+    def test_probs_of_another_row_count_rejected(self):
+        with pytest.raises(ValueError, match=r"metrics: probs needs one row "
+                           r"per prediction \(2\), got shape \(1, 3\)"):
+            metrics([0, 1], [0, 1], [[0.7, 0.2, 0.1]], 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
